@@ -39,6 +39,7 @@ from .errors import (
     OperatorError,
     OracleBudgetError,
     QchanrateError,
+    SequenceError,
     TrajectoryFormatError,
 )
 from .linalg import (

@@ -398,6 +398,10 @@ def load_config(path) -> ExperimentConfig:
     burn_in = _integer(root.get("burn_in", 0), "burn_in")
     if burn_in < 0 or burn_in >= n:
         _fail("burn_in", f"burn_in must lie in [0, n), got {burn_in}")
+    if parameter == "n":
+        for i, v in enumerate(values):
+            if v <= burn_in:
+                _fail(f"sweep.values[{i}]", f"swept n={v} must exceed burn_in {burn_in}")
 
     budget = root.get("point_budget_seconds")
     if budget is not None:

@@ -41,6 +41,11 @@ class OracleBudgetError(QchanrateError):
     """Exact enumeration was requested beyond the documented term budget."""
 
 
+class SequenceError(QchanrateError, ValueError):
+    """A symbol sequence is empty, not 1-D, mismatched in length, or
+    holds symbols outside the model's alphabet."""
+
+
 class TrajectoryFormatError(QchanrateError):
     """Malformed trajectory text file; carries the offending line number."""
 

@@ -97,9 +97,11 @@ def partial_trace(a, dims: tuple[int, int], keep: str = "first") -> np.ndarray:
     raise OperatorError(f"keep must be 'first' or 'second', got {keep!r}")
 
 
-def hermiticity_residue(a: np.ndarray) -> float:
-    """Largest entrywise deviation |a - a^H|."""
-    return float(np.abs(a - a.conj().T).max())
+def hermiticity_residue(a: np.ndarray) -> float | np.ndarray:
+    """Largest entrywise deviation |a - a^H|; one value per matrix of a stack."""
+    if a.ndim == 2:
+        return float(np.abs(a - a.conj().T).max())
+    return np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
 def _scale(a: np.ndarray) -> float:

@@ -281,6 +281,8 @@ def load_trajectory(path) -> Trajectory:
             seed = int(fields["seed"])
         except ValueError as exc:
             raise TrajectoryFormatError(1, f"bad header integer: {exc}") from None
+        if seed < 0:
+            raise TrajectoryFormatError(1, f"seed must be nonnegative, got {seed}")
         xs, ys = [], []
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():

@@ -122,6 +122,10 @@ class TestParsing:
             ({"input_law": [0.25, 0.25, 0.5]}, "symbols"),
             ({"typo_key": 1}, "unknown keys"),
             ({"burn_in": 400}, "burn_in"),
+            (
+                {"burn_in": 50, "sweep": {"parameter": "n", "values": [100, 40]}},
+                r"sweep\.values\[1\]: .*burn_in",
+            ),
         ],
     )
     def test_rejections(self, tmp_path, overrides, fragment):
@@ -306,6 +310,24 @@ class TestCli:
         bad.write_text("n=5 seed=1 gen=x\n0 1\n")
         assert main(["bound", str(cfg_path), "--trajectory", str(bad)]) == 3
         assert "error[TrajectoryFormatError]" in capsys.readouterr().err
+        bad.write_text("n=1 seed=-4 gen=x\n0 1\n")
+        assert main(["bound", str(cfg_path), "--trajectory", str(bad)]) == 3
+        assert "error[TrajectoryFormatError]: line 1: seed" in capsys.readouterr().err
+
+    def test_bound_rejects_out_of_alphabet_trajectory(self, tmp_path, capsys):
+        cfg_path = write_config(
+            tmp_path,
+            estimators=["aux_lower"],
+            auxiliaries=[{"kind": "bsc", "label": "a", "p": 0.2}],
+        )
+        bad = tmp_path / "bad.txt"
+        bad.write_text("n=2 seed=1 gen=x\n0 1\n0 5\n")
+        assert main(
+            ["bound", str(cfg_path), "--trajectory", str(bad), "--out-dir", str(tmp_path)]
+        ) == 3
+        captured = capsys.readouterr()
+        assert "aux_lower:a failed [SequenceError]" in captured.out
+        assert "error[QchanrateError]" in captured.err
 
     def test_oracle_verb(self, tmp_path, capsys):
         path = write_config(

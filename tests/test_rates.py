@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,10 +8,44 @@ from numpy.testing import assert_allclose
 
 import qchanrate as qc
 from qchanrate import channels, rates
-from qchanrate.errors import ImpossibleObservationError
+from qchanrate.errors import (
+    ImpossibleObservationError,
+    NumericalCorruptionError,
+    QchanrateError,
+)
 from qchanrate.oracle import oracle_joint_prob, oracle_output_prob
 
 from conftest import binary_entropy
+
+# Lengths around the block boundaries of the blocked recursion
+# (block length ceil(sqrt(n)): 1, 2, 4, 4, 5 and 32 steps).
+AGREEMENT_LENGTHS = [1, 2, 15, 16, 17, 1000]
+
+
+def iterate_steps(step, state, model, q, ys, xs=None):
+    """Sequential reference: the single-step function applied in turn.
+
+    Returns the per-step logs (each read off an accumulator zeroed
+    before its step), the last state, and ``(index, exception)`` of the
+    first step that raised, or None.
+    """
+    logs = np.empty(len(ys))
+    for i, y in enumerate(ys):
+        zeroed = dataclasses.replace(state, log_scale_accum=0.0)
+        try:
+            state = step(model, q, zeroed, y, None if xs is None else xs[i])
+        except QchanrateError as exc:
+            return logs[:i], state, (i, exc)
+        logs[i] = state.log_scale_accum
+    return logs, state, None
+
+
+@pytest.fixture(scope="module")
+def random_s3():
+    """A random three-level memory channel."""
+    return qc.compile_transfer_operators(
+        channels.random_quantum_memory_channel(np.random.default_rng(41), state_dim=3)
+    )
 
 
 class TestDmcInformationRate:
@@ -65,14 +101,18 @@ class TestClassicalForward:
             log_pxy = -qc.scaled_forward_classical(classical_ge, uniform, ys, xs).sum()
             assert abs(log_pxy - math.log(oracle_joint_prob(classical_ge, uniform, xs, ys))) <= 1e-12
 
-    def test_step_function_agrees_with_driver(self, classical_ge, uniform):
-        ys = np.array([0, 1, 1, 0, 1])
-        xs = np.array([1, 0, 1, 1, 0])
-        m = qc.initial_state_metric(classical_ge)
-        for y, x in zip(ys, xs):
-            m = qc.forward_step_classical(classical_ge, uniform, m, y, x)
-        driver = qc.scaled_forward_classical(classical_ge, uniform, ys, xs)
-        assert abs(m.log_scale_accum - driver.sum()) <= 1e-12
+    @pytest.mark.parametrize("n", AGREEMENT_LENGTHS)
+    @pytest.mark.parametrize("joint", [False, True], ids=["y", "xy"])
+    def test_step_function_agrees_with_driver(self, classical_ge, uniform, joint, n):
+        traj = qc.sample_trajectory(classical_ge, uniform, n, seed=39)
+        xs = traj.x if joint else None
+        ref, _, failure = iterate_steps(
+            qc.forward_step_classical, qc.initial_state_metric(classical_ge),
+            classical_ge, uniform, traj.y, xs,
+        )
+        assert failure is None
+        driver = qc.scaled_forward_classical(classical_ge, uniform, traj.y, xs)
+        assert np.abs(driver - ref).max() <= 1e-12
 
     def test_metric_stays_normalized(self, classical_ge, uniform):
         m = qc.initial_state_metric(classical_ge)
@@ -119,14 +159,21 @@ class TestQuantumForward:
             log_pxy = -qc.scaled_forward_quantum(quantum_ge, uniform, ys, xs).sum()
             assert abs(log_pxy - math.log(oracle_joint_prob(quantum_ge, uniform, xs, ys))) <= 1e-10
 
-    def test_step_function_agrees_with_driver(self, quantum_ge, uniform):
-        ys = np.array([0, 1, 1, 0, 1])
-        s = qc.initial_state_operator(quantum_ge)
-        for y in ys:
-            s = qc.forward_step_quantum(quantum_ge, uniform, s, y)
-            assert abs(np.trace(s.sigma).real - 1.0) <= 1e-12
-        driver = qc.scaled_forward_quantum(quantum_ge, uniform, ys)
-        assert abs(s.log_scale_accum - driver.sum()) <= 1e-12
+    @pytest.mark.parametrize("n", AGREEMENT_LENGTHS)
+    @pytest.mark.parametrize("joint", [False, True], ids=["y", "xy"])
+    @pytest.mark.parametrize("name", ["quantum_ge", "random_s3"])
+    def test_step_function_agrees_with_driver(self, request, uniform, name, joint, n):
+        model = request.getfixturevalue(name)
+        traj = qc.sample_trajectory(model, uniform, n, seed=42)
+        xs = traj.x if joint else None
+        ref, last, failure = iterate_steps(
+            qc.forward_step_quantum, qc.initial_state_operator(model),
+            model, uniform, traj.y, xs,
+        )
+        assert failure is None
+        assert abs(np.trace(last.sigma).real - 1.0) <= 1e-12
+        driver = qc.scaled_forward_quantum(model, uniform, traj.y, xs)
+        assert np.abs(driver - ref).max() <= 1e-12
 
     def test_initial_scale_invariance(self, quantum_ge, uniform):
         """A positive rescaling of the starting state is absorbed by the
@@ -145,6 +192,113 @@ class TestQuantumForward:
             s_base = qc.forward_step_quantum(quantum_ge, uniform, s_base, y)
             s_resc = qc.forward_step_quantum(scaled, uniform, s_resc, y)
             assert np.abs(s_base.sigma - s_resc.sigma).max() <= 1e-12
+
+
+# n = 1000 runs in blocks of 32 steps: 31 full blocks and a final block of 8.
+# The planted steps open and close block 30 and end the sequence.
+GUARD_N = 1000
+GUARD_STEPS = [960, 991, 999]
+
+
+def with_extra_output(t: channels.TransferOperatorSet, chain_extra: np.ndarray):
+    """``t`` with one more output symbol, given in chain layout per input."""
+    s = t.state_dim
+    chain = np.concatenate([t.chain_operators, chain_extra[:, None]], axis=1)
+    x_size, y_size = chain.shape[:2]
+    ops = chain.reshape(x_size, y_size, s, s, s, s).transpose(0, 1, 2, 4, 3, 5)
+    return channels.TransferOperatorSet(
+        ops.reshape(x_size, y_size, s * s, s * s), t.initial_state
+    )
+
+
+def assert_trips_like_reference(forward, step, state, model, q, ys, xs, error):
+    """The driver raises ``error`` at the step where iterating ``step`` first
+    raises it, and emits no warning on the way; returns that step."""
+    _, _, failure = iterate_steps(step, state, model, q, ys, xs)
+    assert failure is not None and isinstance(failure[1], error)
+    at = failure[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=rf"at step {at}\b"):
+            forward(model, q, ys, xs)
+    return at
+
+
+class TestRecursionGuards:
+    @pytest.mark.parametrize("planted", GUARD_STEPS)
+    def test_zero_probability_classical(self, uniform, planted):
+        """A noiseless channel makes every block product that contains a
+        flipped output all zero."""
+        f = qc.fsmc_from_dmc(qc.build_bsc(0.0))
+        xs = np.random.default_rng(43).integers(0, 2, GUARD_N)
+        ys = xs.copy()
+        ys[[planted, GUARD_N - 1]] ^= 1
+        at = assert_trips_like_reference(
+            qc.scaled_forward_classical, qc.forward_step_classical,
+            qc.initial_state_metric(f), f, uniform, ys, xs, ImpossibleObservationError,
+        )
+        assert at == planted
+
+    @pytest.mark.parametrize("planted", GUARD_STEPS)
+    def test_zero_probability_quantum(self, uniform, planted):
+        t = qc.compile_transfer_operators(qc.build_quantum_gilbert_elliott(0.0, 0.0, alpha=1.0))
+        xs = np.random.default_rng(44).integers(0, 2, GUARD_N)
+        ys = xs.copy()
+        ys[[planted, GUARD_N - 1]] ^= 1
+        at = assert_trips_like_reference(
+            qc.scaled_forward_quantum, qc.forward_step_quantum,
+            qc.initial_state_operator(t), t, uniform, ys, xs, ImpossibleObservationError,
+        )
+        assert at == planted
+
+    @pytest.mark.parametrize("planted", GUARD_STEPS)
+    def test_imaginary_trace_residue(self, quantum_ge, uniform, planted):
+        t = with_extra_output(quantum_ge, np.exp(0.3j) * quantum_ge.chain_operators[:, 0])
+        ys = qc.sample_trajectory(quantum_ge, uniform, GUARD_N, seed=45).y
+        ys[[planted, GUARD_N - 1]] = 2
+        at = assert_trips_like_reference(
+            qc.scaled_forward_quantum, qc.forward_step_quantum,
+            qc.initial_state_operator(t), t, uniform, ys, None, NumericalCorruptionError,
+        )
+        assert at == planted
+
+    @pytest.mark.parametrize("planted", GUARD_STEPS)
+    def test_hermiticity_residue(self, quantum_ge, uniform, planted):
+        """The extra output adds a tenth of the trace to one off-diagonal
+        entry of the state and not to its mirror."""
+        skew = np.eye(4)
+        skew[[0, 3], 1] += 0.1
+        t = with_extra_output(quantum_ge, quantum_ge.chain_operators[:, 0] @ skew)
+        ys = qc.sample_trajectory(quantum_ge, uniform, GUARD_N, seed=46).y
+        ys[[planted, GUARD_N - 1]] = 2
+        at = assert_trips_like_reference(
+            qc.scaled_forward_quantum, qc.forward_step_quantum,
+            qc.initial_state_operator(t), t, uniform, ys, None, NumericalCorruptionError,
+        )
+        assert at == planted
+
+    def test_underflowing_block_product_is_recovered(self, uniform):
+        """From state 0 an output 0 is a million times less likely than
+        from state 1, so a block product of 63 such steps underflows in
+        its state-0 row; output 1 then moves state 0 to state 1.  The
+        start of the next block cannot come from that product, and the
+        per-step logs must still match the sequential reference."""
+        kernel = np.zeros((2, 1, 2, 2))
+        kernel[0, 0, 0, 0] = 1e-6
+        kernel[0, 0, 1, 1] = 1.0 - 1e-6
+        kernel[1, 0, 1, :] = 0.5
+        f = qc.ClassicalFsmc(kernel, np.array([1.0, 0.0]))
+        q = qc.InputLaw([1.0])
+        ys = np.zeros(4000, dtype=np.int64)  # blocks of 64 steps
+        ys[63] = 1
+        ref, _, failure = iterate_steps(
+            qc.forward_step_classical, qc.initial_state_metric(f), f, q, ys
+        )
+        assert failure is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            driver = qc.scaled_forward_classical(f, q, ys)
+        assert np.abs(driver - ref).max() <= 1e-12
 
 
 def memoryless_quantum_bsc(p: float) -> channels.QuantumMemoryChannel:

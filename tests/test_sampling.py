@@ -230,3 +230,9 @@ class TestTrajectoryIO:
         path.write_text("")
         with pytest.raises(TrajectoryFormatError, match="line 1"):
             qc.load_trajectory(path)
+
+    def test_negative_seed_rejected(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("n=1 seed=-4 gen=test\n0 1\n")
+        with pytest.raises(TrajectoryFormatError, match="line 1: seed"):
+            qc.load_trajectory(path)
