@@ -27,7 +27,7 @@ from .errors import ConfigError, QchanrateError
 from .oracle import brute_force_oracle
 from .rates import scaled_forward_classical, scaled_forward_quantum
 from .runner import bound_rows_for_trajectory, run_experiment, write_rows_csv
-from .sampling import load_trajectory, sample_trajectory, save_trajectory
+from .sampling import MAX_SEED, load_trajectory, sample_trajectory, save_trajectory
 
 ORACLE_CHECK_TOL = 1e-9
 
@@ -52,8 +52,9 @@ def _apply_overrides(cfg, args):
             seeds = tuple(int(s) for s in args.seeds.split(","))
         except ValueError:
             raise ConfigError("--seeds", f"expected comma-separated integers, got {args.seeds!r}")
-        if not seeds or any(s < 0 for s in seeds) or len(set(seeds)) != len(seeds):
-            raise ConfigError("--seeds", "seeds must be distinct nonnegative integers")
+        in_range = all(0 <= s <= MAX_SEED for s in seeds)
+        if not seeds or not in_range or len(set(seeds)) != len(seeds):
+            raise ConfigError("--seeds", "seeds must be distinct integers in [0, 2^64 - 1]")
         updates["seeds"] = seeds
     if args.n is not None:
         if args.n < 1:
@@ -129,6 +130,8 @@ def cmd_sample(args) -> int:
     if n < 1:
         raise ConfigError("--n", f"n must be >= 1, got {n}")
     seed = args.seed if args.seed is not None else cfg.seeds[0]
+    if not 0 <= seed <= MAX_SEED:
+        raise ConfigError("--seed", f"seed must lie in [0, 2^64 - 1], got {seed}")
     traj = sample_trajectory(model, cfg.input_law, n, seed)
     save_trajectory(traj, args.output)
     print(f"wrote {args.output} (n={traj.n}, seed={traj.seed})")

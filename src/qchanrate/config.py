@@ -31,6 +31,7 @@ from . import channels
 from .bounds import AuxiliaryModel, make_auxiliary
 from .channels import InputLaw
 from .errors import ConfigError, ModelValidationError, QchanrateError
+from .sampling import MAX_SEED
 
 CHANNEL_KINDS = (
     "bsc",
@@ -323,8 +324,8 @@ def load_config(path) -> ExperimentConfig:
         _fail("seeds", "expected a nonempty list of integers")
     seeds = tuple(_integer(s, f"seeds[{i}]") for i, s in enumerate(seeds_node))
     for i, s in enumerate(seeds):
-        if s < 0:
-            _fail(f"seeds[{i}]", "seeds must be nonnegative")
+        if not 0 <= s <= MAX_SEED:
+            _fail(f"seeds[{i}]", f"seeds must lie in [0, 2^64 - 1], got {s}")
     if len(set(seeds)) != len(seeds):
         _fail("seeds", "seeds must be distinct")
 

@@ -9,15 +9,31 @@ for the initial latent state followed by ``n`` uniforms for the joint
 output draws.  Categorical draws go through an inverse-CDF walk over
 Kahan-compensated cumulative weights.
 
+Classical models (a ``Dmc`` runs as a one-state ``ClassicalFsmc``) build
+the guarded pmf of each (state, input) pair, its Kahan cumulative table
+and its last index of positive mass once, on the first visit of that
+pair in a trajectory, so every step is a table lookup and a bisection.
+
 During quantum sampling the memory is tracked as the normalized
 conditional state given everything sent and observed so far; each step
 emits the output distribution obtained by contracting the transfer
 operator against that state, then conditions the state on the drawn
-outcome.
+outcome.  The step keeps numpy for the contraction, the diagonal
+closure, the division by the drawn weight and the Hermiticity guard and
+repair; the pmf guards, the renormalization and the draw run on Python
+floats, summed in numpy's ``add.reduce`` order.
+
+The stream of a seed is fixed: both samplers do the arithmetic of the
+single-step functions below (``_finalize_pmf`` and ``draw_index``;
+``conditional_output_distribution`` and ``posterior_update``) in the
+same order, and check every guard on the step that first reaches it.
+The tests pin digests of these streams and compare them with the
+single-step functions.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +55,7 @@ from .errors import (
 from .linalg import hermiticity_residue
 
 GENERATOR_ID = "philox4x64.v1"
+MAX_SEED = 2**64 - 1
 
 # Residue guards distinguishing roundoff from model bugs.
 PMF_IMAG_GUARD = 1e-10
@@ -48,7 +65,7 @@ STATE_HERMITICITY_GUARD = 1e-9
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    if seed < 0 or seed > np.iinfo(np.uint64).max:
+    if not 0 <= seed <= MAX_SEED:
         raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
@@ -79,16 +96,56 @@ class Trajectory:
 
 def kahan_cumulative(weights: np.ndarray) -> np.ndarray:
     """Compensated running sums of a small weight vector."""
-    out = np.empty(len(weights))
-    total = 0.0
+    return np.array(_cdf_table([float(w) for w in weights])[0], dtype=float)
+
+
+def _add_reduce(values: list[float]) -> float:
+    """Sum in the order of numpy's ``add.reduce`` over a contiguous float64
+    vector: sequential below eight terms, eight interleaved partial sums
+    up to 128, halved in multiples of eight beyond."""
+    n = len(values)
+    if n < 8:
+        total = -0.0
+        for v in values:
+            total += v
+        return total
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return _add_reduce(values[:half]) + _add_reduce(values[half:])
+    acc = values[:8]
+    stop = n - n % 8
+    for i in range(8, stop, 8):
+        for j in range(8):
+            acc[j] += values[i + j]
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for v in values[stop:]:
+        total += v
+    return total
+
+
+def _cdf_table(weights: list[float], total: float = 1.0) -> tuple[list[float], int]:
+    """Kahan cumulative sums of ``weights / total`` and the last index of
+    positive mass.
+
+    ``min(bisect_right(cum, u), last)`` is the draw of ``draw_index``:
+    ``bisect_right`` runs the same binary search as numpy's
+    ``searchsorted(side="right")`` on one key.
+    """
+    cum = []
+    running = 0.0
     carry = 0.0
+    last = 0
     for i, w in enumerate(weights):
-        term = float(w) - carry
-        new_total = total + term
-        carry = (new_total - total) - term
-        total = new_total
-        out[i] = total
-    return out
+        w /= total
+        if w > 0.0:
+            last = i
+        term = w - carry
+        new_running = running + term
+        carry = (new_running - running) - term
+        running = new_running
+        cum.append(running)
+    return cum, last
 
 
 def draw_indices(pmf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -115,23 +172,31 @@ def sample_input(q: InputLaw, n: int, rng: np.random.Generator) -> np.ndarray:
     return draw_indices(q.p, rng.random(n))
 
 
-def _finalize_pmf(raw: np.ndarray) -> np.ndarray:
+def _at(step: int | None) -> str:
+    return "" if step is None else f" at step {step}"
+
+
+def _check_pmf(lo: float, total: float, step: int | None) -> None:
+    """Abort on an entry below ``PMF_NEGATIVE_GUARD`` or a total off by more
+    than ``PMF_SUM_GUARD``: corruption, not roundoff.  A NaN or infinite
+    weight trips one of the two."""
+    if not lo >= PMF_NEGATIVE_GUARD:
+        raise NumericalCorruptionError(
+            f"output distribution has entry {lo:.3e} below the roundoff guard{_at(step)}"
+        )
+    dev = abs(total - 1.0)
+    if not dev <= PMF_SUM_GUARD:
+        raise NumericalCorruptionError(
+            f"output distribution total off by {dev:.3e} before clipping{_at(step)}"
+        )
+
+
+def _finalize_pmf(raw: np.ndarray, step: int | None = None) -> np.ndarray:
     """Guard and clean a computed output distribution.
 
-    Entries below ``PMF_NEGATIVE_GUARD`` or a total off by more than
-    ``PMF_SUM_GUARD`` indicate corruption, not roundoff, and abort; tiny
-    negatives are clipped and the pmf renormalized.
+    Tiny negatives left by roundoff are clipped and the pmf renormalized.
     """
-    lo = float(raw.min())
-    if lo < PMF_NEGATIVE_GUARD:
-        raise NumericalCorruptionError(
-            f"output distribution has entry {lo:.3e} below the roundoff guard"
-        )
-    dev = abs(float(raw.sum()) - 1.0)
-    if dev > PMF_SUM_GUARD:
-        raise NumericalCorruptionError(
-            f"output distribution total off by {dev:.3e} before clipping"
-        )
+    _check_pmf(float(raw.min()), float(raw.sum()), step)
     pmf = np.clip(raw, 0.0, None)
     return pmf / pmf.sum()
 
@@ -157,13 +222,15 @@ def conditional_output_distribution(
     return _finalize_pmf(_output_weights(t, state, x))
 
 
-def _repair_state(sig: np.ndarray) -> np.ndarray:
+def _repair_state(sig: np.ndarray, step: int | None = None) -> np.ndarray:
     res = hermiticity_residue(sig)
-    if res > STATE_HERMITICITY_GUARD:
+    if not res <= STATE_HERMITICITY_GUARD:
         raise NumericalCorruptionError(
-            f"conditional state Hermiticity residue {res:.3e} beyond guard"
+            f"conditional state Hermiticity residue {res:.3e} beyond guard{_at(step)}"
         )
-    return 0.5 * (sig + sig.conj().T)
+    repaired = sig + sig.conj().T
+    repaired *= 0.5
+    return repaired
 
 
 def posterior_update(
@@ -194,40 +261,59 @@ def posterior_update(
 def _sample_outputs_classical(
     f: ClassicalFsmc, x: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    s_count, y_size = f.state_count, f.y_size
+    s_count, x_size, y_size = f.state_count, f.x_size, f.y_size
     state = draw_index(f.initial, rng.random())
-    us = rng.random(len(x))
-    y = np.empty(len(x), dtype=np.int64)
-    for step, x_step in enumerate(x):
-        joint = f.kernel[state, x_step].reshape(s_count * y_size)
-        pick = draw_index(_finalize_pmf(joint), us[step])
-        state, y[step] = divmod(pick, y_size)
-    return y
+    us = rng.random(len(x)).tolist()
+    tables = [None] * (s_count * x_size)  # _cdf_table of pair (state, x) at state * X + x
+    picks = []
+    for step, (x_step, u) in enumerate(zip(x.tolist(), us)):
+        key = state * x_size + x_step
+        table = tables[key]
+        if table is None:
+            joint = f.kernel[state, x_step].reshape(s_count * y_size)
+            table = tables[key] = _cdf_table(_finalize_pmf(joint, step).tolist())
+        cum, last = table
+        pick = bisect_right(cum, u)
+        if pick > last:
+            pick = last
+        picks.append(pick)
+        state = pick // y_size
+    return np.array(picks, dtype=np.int64) % y_size
 
 
 def _sample_outputs_quantum(
     t: TransferOperatorSet, x: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     s = t.state_dim
-    us = rng.random(len(x))
-    y = np.empty(len(x), dtype=np.int64)
-    state = t.initial_state.copy()
-    chain = t.chain_operators
+    us = rng.random(len(x)).tolist()
+    ys = []
+    vec = t.initial_state.reshape(s * s)
+    chain = list(t.chain_operators)  # (Y, S*S, S*S) stack per input
     diag = slice(None, None, s + 1)
-    for step, x_step in enumerate(x):
-        vec = state.reshape(s * s)
+    for step, (x_step, u) in enumerate(zip(x.tolist(), us)):
         nxt = vec @ chain[x_step]  # (Y, S*S)
         raw = nxt[:, diag].sum(axis=1)
-        imag = float(np.abs(raw.imag).max())
-        if imag > PMF_IMAG_GUARD:
+        imag = max(map(abs, raw.imag.tolist()))
+        if not imag <= PMF_IMAG_GUARD:
             raise NumericalCorruptionError(
                 f"output weights carry imaginary residue {imag:.3e} at step {step}"
             )
-        pmf = _finalize_pmf(raw.real)
-        pick = draw_index(pmf, us[step])
-        y[step] = pick
-        state = _repair_state(nxt[pick].reshape(s, s) / raw.real[pick])
-    return y
+        weights = raw.real.tolist()
+        lo = min(weights)
+        total = _add_reduce(weights)
+        _check_pmf(lo, total, step)
+        pmf = weights
+        if lo < 0.0:
+            pmf = [w if w > 0.0 else 0.0 for w in weights]
+            total = _add_reduce(pmf)
+        cum, last = _cdf_table(pmf, total)
+        pick = bisect_right(cum, u)
+        if pick > last:
+            pick = last
+        ys.append(pick)
+        sig = (nxt[pick] / weights[pick]).reshape(s, s)
+        vec = _repair_state(sig, step).reshape(s * s)
+    return np.array(ys, dtype=np.int64)
 
 
 def sample_trajectory(model, q: InputLaw, n: int, seed: int) -> Trajectory:

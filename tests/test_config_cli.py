@@ -119,6 +119,7 @@ class TestParsing:
             ({"sweep": {"parameter": "alpha", "values": [1.0]}}, "not sweepable"),
             ({"sweep": {"parameter": "p", "values": [0.1, 1.5]}}, "lie in"),
             ({"seeds": [1, 1]}, "distinct"),
+            ({"seeds": [0, 2**64]}, r"seeds\[1\]: .*2\^64"),
             ({"input_law": [0.25, 0.25, 0.5]}, "symbols"),
             ({"typo_key": 1}, "unknown keys"),
             ({"burn_in": 400}, "burn_in"),
@@ -275,6 +276,29 @@ class TestCli:
         ) == 0
         _, rows = read_rows(tmp_path / "o" / "results.csv")
         assert {r["seed"] for r in rows} == {"5"} and {r["n"] for r in rows} == {"100"}
+
+    def test_seeds_override_beyond_64_bits_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert main(
+            ["estimate", str(path), "--seeds", "18446744073709551616",
+             "--out-dir", str(tmp_path / "o"), "--no-svg"]
+        ) == 2
+        assert "error[ConfigError]: --seeds" in capsys.readouterr().err
+
+    def test_sample_seed_out_of_range_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        for seed in ("-1", "18446744073709551616"):
+            assert main(["sample", str(path), "-o", str(tmp_path / "t.txt"), "--seed", seed]) == 2
+            assert "error[ConfigError]: --seed:" in capsys.readouterr().err
+        assert not (tmp_path / "t.txt").exists()
+        assert main(
+            ["sample", str(path), "-o", str(tmp_path / "t.txt"), "--seed", str(2**64 - 1)]
+        ) == 0
+
+    def test_config_seed_beyond_64_bits_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, seeds=[2**64])
+        assert main(["estimate", str(path), "--out-dir", str(tmp_path / "o"), "--no-svg"]) == 2
+        assert "error[ConfigError]: seeds[0]" in capsys.readouterr().err
 
     def test_sample_bound_pipeline(self, tmp_path):
         """External trajectories feed the bound evaluator end to end."""

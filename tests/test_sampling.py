@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -6,10 +7,14 @@ from numpy.testing import assert_allclose
 
 import qchanrate as qc
 from qchanrate import channels, linalg, sampling
-from qchanrate.errors import ImpossibleObservationError, TrajectoryFormatError
+from qchanrate.errors import (
+    ImpossibleObservationError,
+    NumericalCorruptionError,
+    TrajectoryFormatError,
+)
 from qchanrate.oracle import oracle_joint_prob
 
-from conftest import P_BAD, P_GOOD
+from conftest import GE_TRANSITION, P_BAD, P_GOOD
 
 
 class TestDraws:
@@ -29,6 +34,16 @@ class TestDraws:
         us = np.linspace(0.0, 1.0 - 1e-12, 101)
         assert not np.any(sampling.draw_indices(np.array([0.0, 1.0]), us) == 0)
         assert np.all(sampling.draw_indices(np.array([1.0, 0.0]), us) == 0)
+
+    def test_add_reduce_matches_numpy_sum(self):
+        """The Python-float pmf total sums in numpy's order: lengths cover the
+        sequential, eight-accumulator and halving regimes, and the wide
+        spread of magnitudes makes every other order round differently."""
+        rng = np.random.default_rng(25)
+        for n in list(range(1, 40)) + [127, 128, 129, 200, 300]:
+            for _ in range(20):
+                v = rng.random(n) * 10.0 ** rng.integers(-15, 15, n) * rng.choice([-1, 1], n)
+                assert sampling._add_reduce(v.tolist()) == float(v.sum())
 
 
 class TestSampleInput:
@@ -236,3 +251,144 @@ class TestTrajectoryIO:
         path.write_text("n=1 seed=-4 gen=test\n0 1\n")
         with pytest.raises(TrajectoryFormatError, match="line 1: seed"):
             qc.load_trajectory(path)
+
+
+# SHA-256 of x then y (little-endian int64) at n=2000, recorded with the
+# per-step samplers that the table-driven ones replaced.
+PINNED_STREAMS = {
+    ("bsc", 1): "3acf2cfe8a57ccab2fad34d91a954300514769317e9abdd69939e758e4b5614e",
+    ("bsc", 2**64 - 1): "8c60b769379afd26a966c9f1701be91802ec6cca7053e141f81fd303a3e220a2",
+    ("classical_ge", 1): "84e230370464fcdc58a4173b43a2b3b3601260747bf91144bfa9e2a25ef6d3c0",
+    ("classical_ge", 2**64 - 1): "1ec1c38743cef39bd43ba1c088056674011f267b2acac07ff235ca667ffce73f",
+    ("quantum_ge", 1): "2815641fba8c0f00608b8be57b621c6919569c855c012530f4d39850a849da2e",
+    ("quantum_ge", 2**64 - 1): "3f157bebc94013dd00f5718b89056352b8bacab3cfdc207ddd15ed627b339981",
+    ("two_qubit", 1): "270d948d4674bbe1a0ed433221ebd739aacc908deda31b40da493d01f2a2ddb7",
+    ("two_qubit", 2**64 - 1): "8124923a7b4a9eef7ca355a293c274cb059f23f86d3835472e8d1f44ee60588e",
+}
+
+
+def pinned_model(name):
+    if name == "bsc":
+        return qc.build_bsc(0.1)
+    if name == "classical_ge":
+        return qc.build_gilbert_elliott(P_GOOD, P_BAD, GE_TRANSITION)
+    h = channels.DEFAULT_TWO_QUBIT_H if name == "two_qubit" else None
+    alpha = 1.2 if name == "two_qubit" else 1.0
+    return qc.compile_transfer_operators(
+        qc.build_quantum_gilbert_elliott(P_GOOD, P_BAD, h=h, alpha=alpha)
+    )
+
+
+class TestPinnedStreams:
+    @pytest.mark.parametrize("name, seed", sorted(PINNED_STREAMS))
+    def test_stream_digest(self, name, seed, uniform):
+        traj = qc.sample_trajectory(pinned_model(name), uniform, 2000, seed)
+        digest = hashlib.sha256()
+        digest.update(traj.x.astype("<i8").tobytes())
+        digest.update(traj.y.astype("<i8").tobytes())
+        assert digest.hexdigest() == PINNED_STREAMS[name, seed]
+
+    def test_quantum_matches_single_step_reference(self):
+        """Three outputs exercise the pmf total in numpy's summation order."""
+        rng = np.random.default_rng(26)
+        t = qc.compile_transfer_operators(
+            qc.random_quantum_memory_channel(rng, state_dim=3, x_size=3, y_size=3)
+        )
+        q = qc.uniform_input(3)
+        n, seed = 2000, 31
+        ref_rng = qc.make_rng(seed)
+        x = qc.sample_input(q, n, ref_rng)
+        us = ref_rng.random(n)
+        y = np.empty(n, dtype=np.int64)
+        state = t.initial_state.copy()
+        for step in range(n):
+            pmf = qc.conditional_output_distribution(t, state, x[step])
+            y[step] = sampling.draw_index(pmf, us[step])
+            state = qc.posterior_update(t, state, x[step], y[step])
+        traj = qc.sample_trajectory(t, q, n, seed)
+        assert np.array_equal(traj.x, x)
+        assert np.array_equal(traj.y, y)
+
+    def test_classical_matches_single_step_reference(self):
+        rng = np.random.default_rng(27)
+        f = channels.random_classical_fsmc(rng, state_count=3, x_size=2, y_size=3)
+        n, seed = 2000, 32
+        ref_rng = qc.make_rng(seed)
+        x = qc.sample_input(qc.uniform_input(), n, ref_rng)
+        state = sampling.draw_index(f.initial, ref_rng.random())
+        us = ref_rng.random(n)
+        y = np.empty(n, dtype=np.int64)
+        for step in range(n):
+            joint = f.kernel[state, x[step]].reshape(9)
+            pick = sampling.draw_index(sampling._finalize_pmf(joint), us[step])
+            state, y[step] = divmod(pick, 3)
+        traj = qc.sample_trajectory(f, qc.uniform_input(), n, seed)
+        assert np.array_equal(traj.x, x)
+        assert np.array_equal(traj.y, y)
+
+
+# A rare input symbol carries each planted fault, so the guard first
+# fires at the first use of that symbol: step 20 for this law and seed.
+RARE_LAW = qc.InputLaw([0.97, 0.03])
+FAULT_SEED = 1
+
+
+def first_rare_step():
+    x = qc.sample_input(RARE_LAW, 400, qc.make_rng(FAULT_SEED))
+    return int(np.flatnonzero(x == 1)[0])
+
+
+def planted_quantum(fault):
+    t = qc.compile_transfer_operators(
+        qc.build_quantum_gilbert_elliott(P_GOOD, P_BAD, alpha=1.0)
+    )
+    ops = t.operators.copy()
+    if fault == "imaginary":
+        ops[1] *= 1 + 1e-6j
+    elif fault == "negative":
+        ops[1, 0] *= -1.0
+    elif fault == "total":
+        ops[1] *= 1.001
+    else:
+        # feeds the (0, 1) entry of the next state without its conjugate
+        # partner: the output weights stay exact, the state turns non-Hermitian
+        tensors = ops.reshape(2, 2, 2, 2, 2, 2)
+        tensors[1, :, 0, 0, 0, 1] += 1e-3
+    return channels.TransferOperatorSet(ops, t.initial_state)
+
+
+def planted_classical(fault):
+    kernel = qc.build_gilbert_elliott(P_GOOD, P_BAD, GE_TRANSITION).kernel.copy()
+    if fault == "negative":
+        kernel[:, 1, 0, 0] = -1e-3
+    elif fault == "total":
+        kernel[:, 1] *= 1.001
+    else:
+        kernel[:, 1, 0, 0] = np.nan
+    return channels.ClassicalFsmc(kernel, np.array([0.5, 0.5]))
+
+
+GUARD_MESSAGES = {
+    "imaginary": "output weights carry imaginary residue",
+    "negative": "below the roundoff guard",
+    "total": "total off by",
+    "hermiticity": "Hermiticity residue",
+    "nan": "below the roundoff guard",
+}
+
+
+class TestSamplerGuards:
+    def test_faults_first_reached_at_step_20(self):
+        assert first_rare_step() == 20
+
+    @pytest.mark.parametrize("fault", ["imaginary", "negative", "total", "hermiticity"])
+    def test_quantum_guard_names_step(self, fault):
+        pattern = rf"{GUARD_MESSAGES[fault]}.* at step 20$"
+        with pytest.raises(NumericalCorruptionError, match=pattern):
+            qc.sample_trajectory(planted_quantum(fault), RARE_LAW, 400, FAULT_SEED)
+
+    @pytest.mark.parametrize("fault", ["negative", "total", "nan"])
+    def test_classical_guard_names_step(self, fault):
+        pattern = rf"{GUARD_MESSAGES[fault]}.* at step 20$"
+        with pytest.raises(NumericalCorruptionError, match=pattern):
+            qc.sample_trajectory(planted_classical(fault), RARE_LAW, 400, FAULT_SEED)
