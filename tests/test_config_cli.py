@@ -119,7 +119,6 @@ class TestParsing:
             ({"sweep": {"parameter": "alpha", "values": [1.0]}}, "not sweepable"),
             ({"sweep": {"parameter": "p", "values": [0.1, 1.5]}}, "lie in"),
             ({"seeds": [1, 1]}, "distinct"),
-            ({"seeds": [0, 2**64]}, r"seeds\[1\]: .*2\^64"),
             ({"input_law": [0.25, 0.25, 0.5]}, "symbols"),
             ({"typo_key": 1}, "unknown keys"),
             ({"burn_in": 400}, "burn_in"),
@@ -127,6 +126,7 @@ class TestParsing:
                 {"burn_in": 50, "sweep": {"parameter": "n", "values": [100, 40]}},
                 r"sweep\.values\[1\]: .*burn_in",
             ),
+            ({"seeds": [0, 2**64]}, r"seeds\[1\]: .*2\^64"),
         ],
     )
     def test_rejections(self, tmp_path, overrides, fragment):
