@@ -18,11 +18,23 @@ conventions are fixed here once and used by the whole package:
 Hermitian eigenproblems and the matrix exponential go through LAPACK via
 ``numpy.linalg.eigh``; dimensions here are tiny, so accuracy rather than
 speed is the concern.
+
+Hermitian operators also have a real packed form, used by the sampling
+and recursion hot loops: an S x S Hermitian matrix packs into a real
+S x S array holding the diagonal, ``Re a_ij`` above it and ``Im a_ij``
+below it.  The trace stays the diagonal sum, and a complex map ``M`` on
+row-major flattened operators (``next = vec @ M``) becomes the real
+matrix ``T @ M @ P``, with ``T`` unpacking and ``P`` packing
+(``real_transfer_form``).  Hermiticity then holds by construction; what
+a map does to it is measured once per map, on the images of the packed
+basis.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,6 +114,58 @@ def hermiticity_residue(a: np.ndarray) -> float | np.ndarray:
     if a.ndim == 2:
         return float(np.abs(a - a.conj().T).max())
     return np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+
+
+def pack_hermitian(a) -> np.ndarray:
+    """Real packed coordinates of Hermitian matrices (a stack is packed
+    matrix by matrix): the diagonal, ``Re a_ij`` above it, ``Im a_ij``
+    below it.  Only the Hermitian part of ``a`` survives the packing."""
+    a = np.asarray(a)
+    lower = np.tri(a.shape[-1], k=-1, dtype=bool)
+    return np.where(lower, a.imag, a.real)
+
+
+def unpack_hermitian(p) -> np.ndarray:
+    """Inverse of ``pack_hermitian``: the complex Hermitian matrices."""
+    p = np.asarray(p, dtype=float)
+    upper = np.triu(p, 1)
+    lower = np.tril(p, -1)
+    real = np.triu(p) + upper.swapaxes(-1, -2)
+    return real + 1j * (lower - lower.swapaxes(-1, -2))
+
+
+class RealForm(NamedTuple):
+    """Real packed step matrices and, per matrix, the guard residues of
+    its complex original on the packed basis images."""
+
+    mats: np.ndarray
+    imag_residue: np.ndarray
+    herm_residue: np.ndarray
+
+
+def real_transfer_form(mats: np.ndarray) -> RealForm:
+    """Convert a stack of complex step matrices (..., S*S, S*S), acting
+    by ``next = vec @ mats[...]`` on row-major flattened operators, to
+    the real packed form.
+
+    Each real matrix maps packed coordinates to packed coordinates.  The
+    unpacked packed basis (diagonal units, symmetric real pairs and
+    antisymmetric imaginary pairs) is carried through the complex matrix;
+    ``imag_residue`` is the largest imaginary part of an image's trace
+    and ``herm_residue`` the largest Hermiticity residue of an image.  A
+    non-finite matrix entry makes its Hermiticity residue non-finite.
+    """
+    mats = np.asarray(mats, dtype=complex)
+    d = mats.shape[-1]
+    s = math.isqrt(d)
+    basis = unpack_hermitian(np.eye(d).reshape(d, s, s)).reshape(d, d)
+    images = (basis @ mats).reshape(*mats.shape[:-1], s, s)
+    traces = np.trace(images, axis1=-2, axis2=-1)
+    return RealForm(
+        pack_hermitian(images).reshape(mats.shape),
+        np.abs(traces.imag).max(axis=-1),
+        hermiticity_residue(images).max(axis=-1),
+    )
 
 
 def _scale(a: np.ndarray) -> float:

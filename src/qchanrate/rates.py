@@ -10,14 +10,15 @@ probability of the conditioned observations, so
 
 Two recursion flavours share this structure, and one engine runs both:
 each step is ``v <- v @ M`` followed by division by a linear closure of
-``v``.
+``v``, in real arithmetic.
 
 * classical state metric: a probability vector over latent states,
   normalized to unit sum;
 * quantum state operator: a density-like matrix over the doubled memory
-  index, flattened row-major and normalized to unit trace (its
-  Hermiticity is repaired each step against bounded roundoff drift, with
-  a residue guard that turns drift beyond roundoff into a hard error).
+  index in the real packed form of ``linalg.real_transfer_form`` (the
+  diagonal, real parts above it, imaginary parts below it), normalized
+  to unit trace, the sum of its diagonal.  Hermiticity holds by
+  construction, so no step repairs it.
 
 The engine evaluates the recursion in blocks of k = ceil(sqrt(n)) steps,
 so that each of its three phases is a Python loop of about sqrt(n)
@@ -27,9 +28,8 @@ interpreted iteration per step:
 1. all block transfer products are formed together, every block
    advancing one step per iteration, each product rescaled by its
    largest entry so that it neither underflows nor overflows;
-2. a sequential pass over the n/k blocks carries the normalized (and,
-   for quantum states, Hermitian-repaired) state from each block's start
-   to the next;
+2. a sequential pass over the n/k blocks carries the normalized state
+   from each block's start to the next;
 3. all blocks rerun their own steps together from those start states,
    yielding the exact per-step normalizers.
 
@@ -38,14 +38,17 @@ keeps every loop near sqrt(n) iterations (the interpreter's cost is per
 iteration), while the block products take only n/k matrices of the step
 size.
 
-Every guard runs on every step in phase 3: the zero-probability check,
-the imaginary-residue guard on the trace and the Hermiticity guard with
-its repair.  A trip reports the earliest global step, with the same
-error type as a step-by-step evaluation.  Phase 3 also checks each
-block's end state against the next block's start from phase 2; a
-product that lost accuracy (an entry underflowed to zero, say) shows as
-a gap there, and the steps after that block are then evaluated again
-from the block's end state.
+Every guard is reported on the step it concerns: a normalizer that is
+not finite, or one that is not positive (a zero-probability
+observation), is checked on every step in phase 3, and the
+imaginary-trace and Hermiticity residues of a quantum step matrix,
+measured once per matrix when it is converted to the real form, trip on
+every step that uses that matrix.  A trip reports the earliest global
+step, with the same error type as a step-by-step evaluation.  Phase 3
+also checks each block's end state against the next block's start from
+phase 2; a product that lost accuracy (an entry underflowed to zero,
+say) shows as a gap there, and the steps after that block are then
+evaluated again from the block's end state.
 
 Running the output-only recursion gives the output entropy rate; running
 it with the inputs pinned (input-law factors included) gives the joint
@@ -72,7 +75,7 @@ from .channels import (
     fsmc_from_dmc,
 )
 from .errors import ImpossibleObservationError, NumericalCorruptionError, SequenceError
-from .linalg import hermiticity_residue
+from .linalg import RealForm, hermiticity_residue, pack_hermitian, real_transfer_form
 from .sampling import (
     PMF_IMAG_GUARD,
     STATE_HERMITICITY_GUARD,
@@ -244,20 +247,20 @@ def _step_matrices(
 
 def _blocked_pass(
     start: np.ndarray,
-    mats: np.ndarray,
+    form: RealForm,
     index: np.ndarray,
     closure: np.ndarray,
-    state_dim: int | None,
     offset: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One three-phase pass over ``index``.
 
     Returns the per-step logs of the leading steps it settled (all of
     them unless a block end state disagreed with the next block's start)
-    and the state after them.  ``mats`` carries the identity as its last
-    entry, used to pad the final block.  A guard trip raises with the
-    global step index ``offset + step``.
+    and the state after them.  ``form.mats`` carries the identity as its
+    last entry, used to pad the final block.  A guard trip raises with
+    the global step index ``offset + step``.
     """
+    mats = form.mats
     n = index.size
     k = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
     blocks = -(-n // k)
@@ -275,47 +278,42 @@ def _blocked_pass(
         prod /= np.where(peak > 0.0, peak, 1.0)
 
     # Phase 2: block start states, one vector-matrix product per block.
-    # A closure that is not positive leaves the later starts at the last
-    # good state; phase 3 then finds the failing step or the mismatch.
-    starts = np.empty((blocks, d), dtype=mats.dtype)
+    # A closure that is not positive and finite leaves the later starts at
+    # the last good state; phase 3 then finds the failing step or the
+    # mismatch.
+    starts = np.empty((blocks, d))
     vec = start
     for b in range(blocks):
         starts[b] = vec
         if b + 1 == blocks:
             break
         nxt = vec @ prod[b]
-        total = (nxt @ closure).real
-        if not total > 0.0:
+        total = nxt @ closure
+        if not 0.0 < total < math.inf:
             starts[b + 1:] = vec
             break
         vec = nxt / total
-        if state_dim is not None:
-            sig = vec.reshape(state_dim, state_dim)
-            vec = (0.5 * (sig + sig.conj().T)).reshape(d)
 
-    # Phase 3: exact per-step normalizers and guard inputs, all blocks
-    # advancing together from their start states.
+    # Phase 3: exact per-step normalizers, all blocks advancing together
+    # from their start states.
     vecs = starts
-    totals = np.empty((blocks, k), dtype=mats.dtype)
-    residues = np.zeros((blocks, k))
+    totals = np.empty((blocks, k))
     for j in range(k):
-        # reshape, not [:, 0, :]: on that strided view the complex
-        # closure product below ran two orders of magnitude slower.
         nxt = (vecs[:, None, :] @ mats[idx[:, j]]).reshape(blocks, d)
         tot = nxt @ closure
-        ok = tot.real > 0.0
-        nxt /= np.where(ok, tot.real, 1.0)[:, None]
-        if state_dim is not None:
-            sig = nxt.reshape(blocks, state_dim, state_dim)
-            residues[:, j] = hermiticity_residue(sig)
-            nxt = (0.5 * (sig + sig.conj().swapaxes(1, 2))).reshape(blocks, d)
+        ok = tot > 0.0
+        nxt /= np.where(ok, tot, 1.0)[:, None]
         vecs = np.where(ok[:, None], nxt, vecs)
         totals[:, j] = tot
     totals = totals.reshape(-1)[:n]
-    residues = residues.reshape(-1)[:n]
 
-    imag = np.abs(totals.imag)
-    bad = (imag > PMF_IMAG_GUARD) | ~(totals.real > 0.0) | (residues > STATE_HERMITICITY_GUARD)
+    imag = form.imag_residue[index]
+    herm = form.herm_residue[index]
+    bad = (
+        ~((totals > 0.0) & (totals < np.inf))
+        | ~(imag <= PMF_IMAG_GUARD)
+        | ~(herm <= STATE_HERMITICITY_GUARD)
+    )
     # A block whose phase-3 end state disagrees with the next block's
     # phase-2 start lost accuracy in its product: steps up to its end
     # are settled, and the rest is evaluated again from that end state.
@@ -326,42 +324,44 @@ def _blocked_pass(
         settled = (int(np.argmax(drift)) + 1) * k
     if fail < settled:
         step = offset + fail
-        if imag[fail] > PMF_IMAG_GUARD:
+        if not np.isfinite(totals[fail]):
+            raise NumericalCorruptionError(
+                f"forward normalizer is {totals[fail]} at step {step}"
+            )
+        if not imag[fail] <= PMF_IMAG_GUARD:
             raise NumericalCorruptionError(
                 f"forward trace carries imaginary residue {imag[fail]:.3e} at step {step}"
             )
-        if not totals.real[fail] > 0.0:
+        if not totals[fail] > 0.0:
             raise ImpossibleObservationError(
                 f"observation at step {step} has zero probability under the model"
             )
         raise NumericalCorruptionError(
-            f"forward operator Hermiticity residue {residues[fail]:.3e} at step {step}"
+            f"forward operator Hermiticity residue {herm[fail]:.3e} at step {step}"
         )
     end = vecs[settled // k - 1] if settled < n else vecs[-1]
-    return -np.log(totals.real[:settled]), end
+    return -np.log(totals[:settled]), end
 
 
 def _forward_logs(
     start: np.ndarray,
-    mats: np.ndarray,
+    form: RealForm,
     index: np.ndarray,
     closure: np.ndarray,
-    state_dim: int | None = None,
 ) -> np.ndarray:
-    """Per-step natural scale logs of ``v <- v @ mats[index[t]]`` normalized by ``v @ closure``.
+    """Per-step natural scale logs of ``v <- v @ form.mats[index[t]]``
+    normalized by ``v @ closure``.
 
-    With ``state_dim`` the vectors are row-major ``state_dim x
-    state_dim`` operators: each normalized state is checked against the
-    Hermiticity guard and then repaired, and the closure (the trace) is
-    checked against the imaginary-residue guard.
+    A step that uses a matrix whose ``form`` residues exceed
+    ``PMF_IMAG_GUARD`` or ``STATE_HERMITICITY_GUARD`` trips that guard.
     """
-    d = mats.shape[-1]
-    mats = np.concatenate([mats, np.eye(d, dtype=mats.dtype)[None]])
+    d = form.mats.shape[-1]
+    form = form._replace(mats=np.concatenate([form.mats, np.eye(d)[None]]))
     parts = []
     pos = 0
     vec = start
     while pos < index.size:
-        logs, vec = _blocked_pass(vec, mats, index[pos:], closure, state_dim, pos)
+        logs, vec = _blocked_pass(vec, form, index[pos:], closure, pos)
         parts.append(logs)
         pos += logs.size
     return np.concatenate(parts)
@@ -379,8 +379,12 @@ def scaled_forward_classical(
     -log p(xs, ys) (xs pinned, input-law factors included).
     """
     mats, index = _step_matrices(q, f.kernel.transpose(1, 3, 0, 2), ys, xs)
+    no_residue = np.zeros(len(mats))
     return _forward_logs(
-        f.initial.astype(float), mats, index, np.ones(f.state_count)
+        f.initial.astype(float),
+        RealForm(mats, no_residue, no_residue),
+        index,
+        np.ones(f.state_count),
     )
 
 
@@ -390,15 +394,15 @@ def scaled_forward_quantum(
     ys: np.ndarray,
     xs: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Per-step natural scale logs of the quantum forward recursion."""
+    """Per-step natural scale logs of the quantum forward recursion, run
+    on the real packed form of the state and step matrices."""
     mats, index = _step_matrices(q, t.chain_operators, ys, xs)
     s = t.state_dim
     return _forward_logs(
-        t.initial_state.reshape(s * s).astype(complex),
-        mats,
+        pack_hermitian(t.initial_state).reshape(s * s),
+        real_transfer_form(mats),
         index,
-        np.eye(s, dtype=complex).reshape(s * s),
-        state_dim=s,
+        np.eye(s).reshape(s * s),
     )
 
 

@@ -15,20 +15,25 @@ and its last index of positive mass once, on the first visit of that
 pair in a trajectory, so every step is a table lookup and a bisection.
 
 During quantum sampling the memory is tracked as the normalized
-conditional state given everything sent and observed so far; each step
-emits the output distribution obtained by contracting the transfer
-operator against that state, then conditions the state on the drawn
-outcome.  The step keeps numpy for the contraction, the diagonal
-closure, the division by the drawn weight and the Hermiticity guard and
-repair; the pmf guards, the renormalization and the draw run on Python
-floats, summed in numpy's ``add.reduce`` order.
+conditional state given everything sent and observed so far, in the
+real packed form of ``linalg.real_transfer_form``; each step emits the
+output distribution obtained by contracting the transfer operator
+against that state, then conditions the state on the drawn outcome.
+Each input's real step matrices for every output sit side by side,
+followed by one column per output that closes them with the trace, so a
+step is one real vector-matrix product, the pmf guards, renormalization
+and draw on Python floats (summed in numpy's ``add.reduce`` order), and
+one division of the drawn output's slice by its weight.  The packed
+state is Hermitian by construction; the imaginary-residue and
+Hermiticity guards are measured once per input on its step matrices and
+trip at the first step that uses a failing input.
 
 The stream of a seed is fixed: both samplers do the arithmetic of the
 single-step functions below (``_finalize_pmf`` and ``draw_index``;
-``conditional_output_distribution`` and ``posterior_update``) in the
-same order, and check every guard on the step that first reaches it.
-The tests pin digests of these streams and compare them with the
-single-step functions.
+``conditional_output_distribution`` and ``posterior_update``), the
+quantum one in real rather than complex arithmetic, and check every
+guard on the step that first reaches it.  The tests pin digests of
+these streams and compare them with the single-step functions.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from .errors import (
     NumericalCorruptionError,
     TrajectoryFormatError,
 )
-from .linalg import hermiticity_residue
+from .linalg import hermiticity_residue, pack_hermitian, real_transfer_form
 
 GENERATOR_ID = "philox4x64.v1"
 MAX_SEED = 2**64 - 1
@@ -281,24 +286,53 @@ def _sample_outputs_classical(
     return np.array(picks, dtype=np.int64) % y_size
 
 
+def _quantum_step_matrices(
+    t: TransferOperatorSet,
+) -> tuple[list[np.ndarray], list[float], list[float]]:
+    """Per input: the real (S*S, Y*S*S + Y) step matrix, its outputs' real
+    step matrices side by side followed by their trace columns, and the
+    largest imaginary-trace and Hermiticity residues over its outputs."""
+    form = real_transfer_form(t.chain_operators)  # (X, Y, S*S, S*S)
+    d = form.mats.shape[-1]
+    weights = form.mats @ np.eye(t.state_dim).reshape(d)  # (X, Y, S*S)
+    steps = [
+        np.concatenate([m.transpose(1, 0, 2).reshape(d, -1), w.T], axis=1)
+        for m, w in zip(form.mats, weights)
+    ]
+    return steps, form.imag_residue.max(axis=1).tolist(), form.herm_residue.max(axis=1).tolist()
+
+
+def _input_guards(imag: float, herm: float, weights: list[float], step: int) -> None:
+    """Raise the guard that a failing input's step trips, in the order of
+    a single step: imaginary weights, then the pmf, then the state."""
+    if not imag <= PMF_IMAG_GUARD:
+        raise NumericalCorruptionError(
+            f"output weights carry imaginary residue {imag:.3e} at step {step}"
+        )
+    _check_pmf(min(weights), _add_reduce(weights), step)
+    raise NumericalCorruptionError(
+        f"conditional state Hermiticity residue {herm:.3e} beyond guard at step {step}"
+    )
+
+
 def _sample_outputs_quantum(
     t: TransferOperatorSet, x: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     s = t.state_dim
+    d = s * s
     us = rng.random(len(x)).tolist()
+    steps, imag, herm = _quantum_step_matrices(t)
+    failing = [
+        not (i <= PMF_IMAG_GUARD and h <= STATE_HERMITICITY_GUARD) for i, h in zip(imag, herm)
+    ]
+    closures = t.y_size * d  # the weight columns start here
     ys = []
-    vec = t.initial_state.reshape(s * s)
-    chain = list(t.chain_operators)  # (Y, S*S, S*S) stack per input
-    diag = slice(None, None, s + 1)
+    vec = pack_hermitian(t.initial_state).reshape(d)
     for step, (x_step, u) in enumerate(zip(x.tolist(), us)):
-        nxt = vec @ chain[x_step]  # (Y, S*S)
-        raw = nxt[:, diag].sum(axis=1)
-        imag = max(map(abs, raw.imag.tolist()))
-        if not imag <= PMF_IMAG_GUARD:
-            raise NumericalCorruptionError(
-                f"output weights carry imaginary residue {imag:.3e} at step {step}"
-            )
-        weights = raw.real.tolist()
+        nxt = vec @ steps[x_step]
+        weights = nxt[closures:].tolist()
+        if failing[x_step]:
+            _input_guards(imag[x_step], herm[x_step], weights, step)
         lo = min(weights)
         total = _add_reduce(weights)
         _check_pmf(lo, total, step)
@@ -311,8 +345,7 @@ def _sample_outputs_quantum(
         if pick > last:
             pick = last
         ys.append(pick)
-        sig = (nxt[pick] / weights[pick]).reshape(s, s)
-        vec = _repair_state(sig, step).reshape(s * s)
+        vec = nxt[pick * d:(pick + 1) * d] / weights[pick]
     return np.array(ys, dtype=np.int64)
 
 

@@ -191,3 +191,36 @@ class TestGuards:
             la.as_operator(np.array([[np.nan, 0], [0, 1]]))
         with pytest.raises(OperatorError):
             la.as_operator(np.eye(65))
+
+
+class TestHermitianPacking:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_round_trip(self, n):
+        rng = np.random.default_rng(30 + n)
+        for _ in range(20):
+            a = random_hermitian(rng, n)
+            packed = la.pack_hermitian(a)
+            assert packed.dtype == np.float64 and packed.shape == (n, n)
+            assert np.array_equal(la.unpack_hermitian(packed), a)
+            assert np.array_equal(np.diagonal(packed), np.diagonal(a).real)
+
+    def test_stack_packs_matrix_by_matrix(self):
+        rng = np.random.default_rng(34)
+        stack = np.stack([random_hermitian(rng, 3) for _ in range(5)])
+        packed = la.pack_hermitian(stack)
+        for a, p in zip(stack, packed):
+            assert np.array_equal(la.pack_hermitian(a), p)
+        assert np.array_equal(la.unpack_hermitian(packed), stack)
+
+    def test_residues_of_maps_that_leave_the_hermitian_states(self):
+        """A real map has no residue; a phase on it gives the trace an
+        imaginary part; an entry without its mirror breaks Hermiticity."""
+        rng = np.random.default_rng(35)
+        sym = random_hermitian(rng, 2).real
+        mats = np.stack([np.kron(sym, sym), np.exp(0.2j) * np.eye(4), np.eye(4)])
+        mats[2, 0, 1] = 1e-3
+        form = la.real_transfer_form(mats)
+        assert form.mats.dtype == np.float64 and form.mats.shape == mats.shape
+        assert form.imag_residue[0] == 0.0 and form.herm_residue[0] <= 1e-14
+        assert abs(form.imag_residue[1] - np.sin(0.2)) <= 1e-15
+        assert form.imag_residue[2] == 0.0 and form.herm_residue[2] == 1e-3

@@ -277,6 +277,49 @@ class TestRecursionGuards:
         )
         assert at == planted
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_normalizer_classical(self, classical_ge, uniform, value):
+        """A corrupt kernel entry is numerical corruption at the first step
+        whose normalizer it reaches, not a zero-probability observation."""
+        kernel = classical_ge.kernel.copy()
+        kernel[:, 1, 0, 0] = value
+        f = qc.ClassicalFsmc(kernel, classical_ge.initial)
+        traj = qc.sample_trajectory(classical_ge, uniform, GUARD_N, seed=47)
+        first = int(np.flatnonzero((traj.x == 1) & (traj.y == 0))[0])
+        pattern = rf"normalizer is {value} at step {first}$"
+        with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 in the products
+            with pytest.raises(NumericalCorruptionError, match=pattern):
+                qc.scaled_forward_classical(f, uniform, traj.y, traj.x)
+
+    def test_non_finite_normalizer_quantum(self, quantum_ge, uniform):
+        ops = quantum_ge.operators.copy()
+        ops[1, 0, 0, 0] = np.nan
+        t = channels.TransferOperatorSet(ops, quantum_ge.initial_state)
+        traj = qc.sample_trajectory(quantum_ge, uniform, GUARD_N, seed=48)
+        first = int(np.flatnonzero((traj.x == 1) & (traj.y == 0))[0])
+        with pytest.raises(NumericalCorruptionError, match=rf"normalizer is nan at step {first}$"):
+            qc.scaled_forward_quantum(t, uniform, traj.y, traj.x)
+
+    @pytest.mark.parametrize("joint", [False, True], ids=["y", "xy"])
+    def test_unused_faulty_output_never_trips(self, quantum_ge, uniform, joint):
+        """The Hermiticity and imaginary-residue guards are measured once
+        per step matrix and trip only on a step that uses it: an extra
+        output with a map that leaves the Hermitian states changes
+        nothing while it is never observed, and trips where it is."""
+        skew = np.eye(4)
+        skew[[0, 3], 1] += 0.1
+        t = with_extra_output(quantum_ge, np.exp(0.3j) * quantum_ge.chain_operators[:, 0] @ skew)
+        traj = qc.sample_trajectory(quantum_ge, uniform, GUARD_N, seed=49)
+        xs = traj.x if joint else None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            logs = qc.scaled_forward_quantum(t, uniform, traj.y, xs)
+        assert np.array_equal(logs, qc.scaled_forward_quantum(quantum_ge, uniform, traj.y, xs))
+        ys = traj.y.copy()
+        ys[GUARD_STEPS[0]] = 2
+        with pytest.raises(NumericalCorruptionError, match=rf"at step {GUARD_STEPS[0]}$"):
+            qc.scaled_forward_quantum(t, uniform, ys, xs)
+
     def test_underflowing_block_product_is_recovered(self, uniform):
         """From state 0 an output 0 is a million times less likely than
         from state 1, so a block product of 63 such steps underflows in

@@ -279,6 +279,53 @@ def pinned_model(name):
     )
 
 
+def real_form_models():
+    """Random quantum models with one- to four-level memories, the
+    embedded classical Gilbert-Elliott channel and the quantum one."""
+    rng = np.random.default_rng(28)
+    models = [
+        qc.compile_transfer_operators(
+            qc.random_quantum_memory_channel(
+                rng, state_dim=1 + i % 4, x_size=int(rng.integers(2, 4)),
+                y_size=int(rng.integers(2, 4)),
+            )
+        )
+        for i in range(18)
+    ]
+    classical = qc.build_gilbert_elliott(P_GOOD, P_BAD, GE_TRANSITION)
+    models.append(qc.embed_classical_as_quantum(classical))
+    models.append(pinned_model("quantum_ge"))
+    return models
+
+
+class TestRealStepMatrices:
+    @pytest.mark.parametrize("model", real_form_models(), ids=lambda t: f"S{t.state_dim}")
+    def test_real_step_matches_complex_step(self, model):
+        """Per input, the packed state times the real step matrix gives
+        every output's next state (unpacked: the complex contraction) and,
+        in the appended columns, its weight (the complex diagonal closure,
+        and the diagonal sum of the packed next state)."""
+        rng = np.random.default_rng(29)
+        s, y_size = model.state_dim, model.y_size
+        d = s * s
+        steps, imag, herm = sampling._quantum_step_matrices(model)
+        assert max(imag) <= 1e-14 and max(herm) <= 1e-14
+        for _ in range(3):
+            sigma = channels._random_density(rng, s)
+            packed = linalg.pack_hermitian(sigma).reshape(d)
+            for x in range(model.x_size):
+                assert steps[x].shape == (d, y_size * d + y_size)
+                out = packed @ steps[x]
+                nxt = sigma.reshape(d) @ model.chain_operators[x]  # (Y, S*S)
+                for y in range(y_size):
+                    state = out[y * d:(y + 1) * d].reshape(s, s)
+                    unpacked = linalg.unpack_hermitian(state)
+                    assert np.abs(unpacked - nxt[y].reshape(s, s)).max() <= 1e-14
+                    weight = out[y_size * d + y]
+                    assert abs(weight - nxt[y, :: s + 1].sum().real) <= 1e-14
+                    assert abs(weight - np.trace(state)) <= 1e-14
+
+
 class TestPinnedStreams:
     @pytest.mark.parametrize("name, seed", sorted(PINNED_STREAMS))
     def test_stream_digest(self, name, seed, uniform):
@@ -392,3 +439,18 @@ class TestSamplerGuards:
         pattern = rf"{GUARD_MESSAGES[fault]}.* at step 20$"
         with pytest.raises(NumericalCorruptionError, match=pattern):
             qc.sample_trajectory(planted_classical(fault), RARE_LAW, 400, FAULT_SEED)
+
+
+class TestPerInputGuards:
+    """The imaginary-residue and Hermiticity guards are measured once per
+    input on its step matrices, and trip only on a step that uses it
+    (``TestSamplerGuards`` trips them at the first use)."""
+
+    @pytest.mark.parametrize("fault", ["imaginary", "hermiticity"])
+    def test_unused_input_never_trips(self, fault):
+        t = planted_quantum(fault)
+        never_one = qc.InputLaw([1.0, 0.0])
+        traj = qc.sample_trajectory(t, never_one, 400, FAULT_SEED)
+        assert not traj.x.any()
+        clean = qc.sample_trajectory(pinned_model("quantum_ge"), never_one, 400, FAULT_SEED)
+        assert np.array_equal(traj.y, clean.y)
