@@ -41,7 +41,7 @@ def _add_run_flags(sub):
     sub.add_argument(
         "--timings",
         action="store_true",
-        help="record measured wallclock per row (breaks byte-for-byte reproducibility)",
+        help="record each row's estimator wallclock (breaks byte-for-byte reproducibility)",
     )
 
 

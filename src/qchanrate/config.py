@@ -88,7 +88,6 @@ class ExperimentConfig:
     estimators: tuple[str, ...]
     auxiliaries: tuple[AuxiliarySpec, ...] = ()
     burn_in: int = 0
-    point_budget_seconds: float | None = None
     csv_name: str = "results.csv"
     svg_name: str = "results.svg"
     source_path: str | None = field(default=None, compare=False)
@@ -280,7 +279,6 @@ _ROOT_KEYS = {
     "estimators",
     "auxiliaries",
     "burn_in",
-    "point_budget_seconds",
     "output",
 }
 
@@ -404,12 +402,6 @@ def load_config(path) -> ExperimentConfig:
             if v <= burn_in:
                 _fail(f"sweep.values[{i}]", f"swept n={v} must exceed burn_in {burn_in}")
 
-    budget = root.get("point_budget_seconds")
-    if budget is not None:
-        budget = _number(budget, "point_budget_seconds")
-        if budget <= 0:
-            _fail("point_budget_seconds", "must be positive when given")
-
     out_node = _expect_dict(root.get("output", {}), "output", {"csv", "svg"})
     csv_name = out_node.get("csv", "results.csv")
     svg_name = out_node.get("svg", "results.svg")
@@ -426,7 +418,6 @@ def load_config(path) -> ExperimentConfig:
         estimators=tuple(estimators),
         auxiliaries=tuple(auxiliaries),
         burn_in=burn_in,
-        point_budget_seconds=budget,
         csv_name=csv_name,
         svg_name=svg_name,
         source_path=str(path),

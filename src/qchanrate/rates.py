@@ -26,12 +26,15 @@ iterations over numpy calls batched across blocks, instead of one
 interpreted iteration per step:
 
 1. all block transfer products are formed together, every block
-   advancing one step per iteration, each product rescaled by its
-   largest entry so that it neither underflows nor overflows;
+   advancing one step per iteration; each product is rescaled by its
+   largest entry every ``RESCALE_EVERY`` steps and on its last step, so
+   that it neither underflows nor overflows between rescalings;
 2. a sequential pass over the n/k blocks carries the normalized state
    from each block's start to the next;
 3. all blocks rerun their own steps together from those start states,
-   yielding the exact per-step normalizers.
+   yielding the exact per-step normalizers: each iteration is a gather
+   of the step matrices, one batched vector-matrix product, the closure
+   and a division by the raw total, with no masking of bad totals.
 
 Phases 1 and 3 loop k times and phase 2 loops n/k times, so k = sqrt(n)
 keeps every loop near sqrt(n) iterations (the interpreter's cost is per
@@ -44,11 +47,14 @@ observation), is checked on every step in phase 3, and the
 imaginary-trace and Hermiticity residues of a quantum step matrix,
 measured once per matrix when it is converted to the real form, trip on
 every step that uses that matrix.  A trip reports the earliest global
-step, with the same error type as a step-by-step evaluation.  Phase 3
-also checks each block's end state against the next block's start from
-phase 2; a product that lost accuracy (an entry underflowed to zero,
-say) shows as a gap there, and the steps after that block are then
-evaluated again from the block's end state.
+step, with the same error type as a step-by-step evaluation.  The
+division by a bad total fills the rest of its block with NaN or
+infinite values, whose steps all come after it, so the earliest bad
+step is still the first one reported.  Phase 3 also checks each block's
+end state against the next block's start from phase 2; a product that
+lost accuracy (an entry underflowed to zero within its rescaling
+interval, say) shows as a gap there, and the steps after that block are
+then evaluated again from the block's end state.
 
 Running the output-only recursion gives the output entropy rate; running
 it with the inputs pinned (input-law factors included) gives the joint
@@ -88,6 +94,12 @@ LN2 = math.log(2.0)
 # between its recomputed end state and the next block's start before the
 # recursion is evaluated again from that end state.
 RESYNC_TOL = 1e-12
+
+# Steps between rescalings of a block product.  Over so few steps a
+# product of normalizable steps neither overflows nor, unless its steps
+# have probabilities below about 1e-38, underflows; one that does is
+# caught by the RESYNC_TOL check.
+RESCALE_EVERY = 8
 
 
 def dmc_information_rate(q: InputLaw, w: Dmc) -> float:
@@ -267,15 +279,17 @@ def _blocked_pass(
     d = mats.shape[-1]
     idx = np.full(blocks * k, mats.shape[0] - 1)
     idx[:n] = index
-    idx = idx.reshape(blocks, k)
+    idx = np.ascontiguousarray(idx.reshape(blocks, k).T)  # row j: step j of every block
 
     # Phase 1: all block transfer products at once, each rescaled by its
-    # largest entry after every step.  A product that is all zero stays zero.
-    prod = mats[idx[:, 0]]
+    # largest entry every RESCALE_EVERY steps and on its last step.  A
+    # product that is all zero stays zero.
+    prod = mats.take(idx[0], axis=0)
     for j in range(1, k):
-        prod = prod @ mats[idx[:, j]]
-        peak = np.abs(prod).max(axis=(1, 2), keepdims=True)
-        prod /= np.where(peak > 0.0, peak, 1.0)
+        prod = prod @ mats.take(idx[j], axis=0)
+        if j % RESCALE_EVERY == 0 or j == k - 1:
+            peak = np.abs(prod).max(axis=(1, 2), keepdims=True)
+            prod /= np.where(peak > 0.0, peak, 1.0)
 
     # Phase 2: block start states, one vector-matrix product per block.
     # A closure that is not positive and finite leaves the later starts at
@@ -295,17 +309,19 @@ def _blocked_pass(
         vec = nxt / total
 
     # Phase 3: exact per-step normalizers, all blocks advancing together
-    # from their start states.
-    vecs = starts
-    totals = np.empty((blocks, k))
-    for j in range(k):
-        nxt = (vecs[:, None, :] @ mats[idx[:, j]]).reshape(blocks, d)
-        tot = nxt @ closure
-        ok = tot > 0.0
-        nxt /= np.where(ok, tot, 1.0)[:, None]
-        vecs = np.where(ok[:, None], nxt, vecs)
-        totals[:, j] = tot
-    totals = totals.reshape(-1)[:n]
+    # from their start states.  A total that is not positive and finite
+    # is the earliest bad step of its block; the NaN or infinite entries
+    # its division spreads stay within that block and come after it.
+    vecs = starts.reshape(blocks, 1, d)
+    column = closure.reshape(d, 1)
+    totals = np.empty((k, blocks, 1, 1))
+    for row, tot in zip(idx, totals):
+        vecs = vecs @ mats.take(row, axis=0)
+        np.matmul(vecs, column, out=tot)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vecs /= tot
+    vecs = vecs.reshape(blocks, d)
+    totals = totals.reshape(k, blocks).T.reshape(-1)[:n]
 
     imag = form.imag_residue[index]
     herm = form.herm_residue[index]

@@ -23,7 +23,9 @@ Each input's real step matrices for every output sit side by side,
 followed by one column per output that closes them with the trace, so a
 step is one real vector-matrix product, the pmf guards, renormalization
 and draw on Python floats (summed in numpy's ``add.reduce`` order), and
-one division of the drawn output's slice by its weight.  The packed
+one division of the drawn output's slice by its weight; the product and
+the state are written in place into buffers allocated once per
+trajectory.  The packed
 state is Hermitian by construction; the imaginary-residue and
 Hermiticity guards are measured once per input on its step matrices and
 trip at the first step that uses a failing input.
@@ -328,9 +330,12 @@ def _sample_outputs_quantum(
     closures = t.y_size * d  # the weight columns start here
     ys = []
     vec = pack_hermitian(t.initial_state).reshape(d)
+    nxt = np.empty(closures + t.y_size)
+    slices = [nxt[y * d:(y + 1) * d] for y in range(t.y_size)]
+    weight_view = nxt[closures:]
     for step, (x_step, u) in enumerate(zip(x.tolist(), us)):
-        nxt = vec @ steps[x_step]
-        weights = nxt[closures:].tolist()
+        np.dot(vec, steps[x_step], out=nxt)
+        weights = weight_view.tolist()
         if failing[x_step]:
             _input_guards(imag[x_step], herm[x_step], weights, step)
         lo = min(weights)
@@ -345,7 +350,7 @@ def _sample_outputs_quantum(
         if pick > last:
             pick = last
         ys.append(pick)
-        vec = nxt[pick * d:(pick + 1) * d] / weights[pick]
+        np.divide(slices[pick], weights[pick], out=vec)
     return np.array(ys, dtype=np.int64)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import qchanrate as qc
+from qchanrate import runner
 from qchanrate.cli import main
 from qchanrate.config import load_config
 from qchanrate.errors import ConfigError
@@ -127,6 +128,7 @@ class TestParsing:
                 r"sweep\.values\[1\]: .*burn_in",
             ),
             ({"seeds": [0, 2**64]}, r"seeds\[1\]: .*2\^64"),
+            ({"point_budget_seconds": 600}, r"unknown keys \['point_budget_seconds'\]"),
         ],
     )
     def test_rejections(self, tmp_path, overrides, fragment):
@@ -209,13 +211,48 @@ class TestRunner:
         assert out.errors_path is not None and out.errors_path.exists()
         assert "AuxiliaryLikelihoodError" in out.errors_path.read_text()
 
-    def test_point_budget_guard(self, tmp_path):
-        cfg = load_config(write_config(tmp_path, point_budget_seconds=1e-9))
-        out = run_experiment(cfg, tmp_path / "out", write_svg=False)
-        # first seed of each value runs, the second is over budget
-        assert len(out.rows) == 2
-        assert len(out.errors) == 2
-        assert all(e.category == "budget_exceeded" for e in out.errors)
+    def test_timings_cover_each_estimator_alone(self, tmp_path, monkeypatch):
+        """Under ``timings`` a row's wallclock is its own estimator's time:
+        with a fake clock that only the channel, the sampler and each
+        estimator advance, by distinct amounts, every row reads exactly
+        its own estimator's amount."""
+        now = [0.0]
+
+        def costing(fn, seconds):
+            def timed(*args, **kwargs):
+                now[0] += seconds
+                return fn(*args, **kwargs)
+            return timed
+
+        monkeypatch.setattr(runner, "perf_counter", lambda: now[0])
+        for attr, seconds in [
+            ("instantiate_channel", 1000.0),
+            ("sample_trajectory", 200.0),
+            ("entropy_rate_estimates", 3.0),
+            ("build_auxiliary", 0.5),
+            ("lower_bound", 0.25),
+        ]:
+            monkeypatch.setattr(runner, attr, costing(getattr(runner, attr), seconds))
+        cfg = load_config(
+            write_config(
+                tmp_path,
+                seeds=[0],
+                n=200,
+                sweep={"parameter": "p", "values": [0.1]},
+                estimators=["ir", "aux_lower"],
+                auxiliaries=[
+                    {"kind": "bsc", "label": "a", "p": 0.2},
+                    {"kind": "bsc", "label": "b", "p": 0.3},
+                ],
+            )
+        )
+        rows, errors = runner.evaluate_point(cfg, 0.1, 0, timings=True)
+        assert not errors
+        assert {r.estimator_id: r.wallclock_seconds for r in rows} == {
+            "ir": 3.0, "aux_lower:a": 0.75, "aux_lower:b": 0.75,
+        }
+        rows, _ = runner.evaluate_point(cfg, 0.1, 0)
+        assert {r.wallclock_seconds for r in rows} == {0.0}
 
     def test_svg_is_wellformed(self, tmp_path):
         cfg = load_config(write_config(tmp_path))

@@ -195,9 +195,10 @@ class TestQuantumForward:
 
 
 # n = 1000 runs in blocks of 32 steps: 31 full blocks and a final block of 8.
-# The planted steps open and close block 30 and end the sequence.
+# The planted steps open and close block 30, end the sequence, and (the
+# last one) sit on the first rescaling step inside block 30.
 GUARD_N = 1000
-GUARD_STEPS = [960, 991, 999]
+GUARD_STEPS = [960, 991, 999, 960 + rates.RESCALE_EVERY]
 
 
 def with_extra_output(t: channels.TransferOperatorSet, chain_extra: np.ndarray):
@@ -334,6 +335,29 @@ class TestRecursionGuards:
         q = qc.InputLaw([1.0])
         ys = np.zeros(4000, dtype=np.int64)  # blocks of 64 steps
         ys[63] = 1
+        ref, _, failure = iterate_steps(
+            qc.forward_step_classical, qc.initial_state_metric(f), f, q, ys
+        )
+        assert failure is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            driver = qc.scaled_forward_classical(f, q, ys)
+        assert np.abs(driver - ref).max() <= 1e-12
+
+    def test_underflowing_rescale_interval_is_recovered(self):
+        """A three-state rotation whose observed output has probability
+        1e-50, 2e-50 or 4e-50 depending on the state: every product of
+        RESCALE_EVERY steps underflows to zero, so no block start after
+        the first can come from the products.  At n = 5041 the blocks
+        have 71 steps, not a multiple of 3, so a stale start is a wrong
+        state and shifts the logs by log 2.  The per-step logs must
+        still match the sequential reference."""
+        kernel = np.zeros((3, 1, 3, 2))
+        for s, scale in enumerate([1.0, 2.0, 4.0]):
+            kernel[s, 0, (s + 1) % 3] = [scale * 1e-50, 1.0 - scale * 1e-50]
+        f = qc.ClassicalFsmc(kernel, np.array([1.0, 0.0, 0.0]))
+        q = qc.InputLaw([1.0])
+        ys = np.zeros(5041, dtype=np.int64)
         ref, _, failure = iterate_steps(
             qc.forward_step_classical, qc.initial_state_metric(f), f, q, ys
         )
