@@ -26,14 +26,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .channels import ClassicalFsmc, InputLaw, TransferOperatorSet
-from .errors import AuxiliaryLikelihoodError, ImpossibleObservationError
-from .rates import (
-    LN2,
-    as_recursion_model,
-    input_log_loss,
-    scaled_forward_classical,
-    scaled_forward_quantum,
-)
+from .errors import AuxiliaryLikelihoodError, ImpossibleObservationError, QchanrateError
+from .rates import as_recursion_model, combine_sums, input_log_loss, pair_logs
 from .sampling import Trajectory
 
 KERNEL_FLOOR = 1e-12
@@ -83,34 +77,30 @@ class LowerBoundEstimate:
     ir_lower: float
 
 
+def auxiliary_error(label: str, exc: QchanrateError) -> QchanrateError:
+    """The error a failed recursion of auxiliary ``label`` reports: a
+    zero-likelihood observation names the auxiliary and the remedy."""
+    if not isinstance(exc, ImpossibleObservationError):
+        return exc
+    return AuxiliaryLikelihoodError(
+        f"auxiliary model {label!r} assigned zero likelihood to the "
+        f"observed data ({exc}); smooth it first, e.g. via make_auxiliary, "
+        f"which floors classical kernels at {KERNEL_FLOOR:g}"
+    )
+
+
 def lower_bound(traj: Trajectory, aux: AuxiliaryModel, q: InputLaw) -> LowerBoundEstimate:
     """Evaluate an auxiliary decoding metric on a true-channel trajectory."""
     if not isinstance(aux, AuxiliaryModel):
         aux = AuxiliaryModel(as_recursion_model(aux), label=type(aux).__name__)
-    model = aux.model
-    hx = float(input_log_loss(q, traj.x).sum()) / (traj.n * LN2)
+    sum_x = float(input_log_loss(q, traj.x).sum())
     try:
-        if isinstance(model, ClassicalFsmc):
-            ly = scaled_forward_classical(model, q, traj.y)
-            lxy = scaled_forward_classical(model, q, traj.y, traj.x)
-        else:
-            ly = scaled_forward_quantum(model, q, traj.y)
-            lxy = scaled_forward_quantum(model, q, traj.y, traj.x)
+        ly, lxy = pair_logs(aux.model, q, traj)
     except ImpossibleObservationError as exc:
-        raise AuxiliaryLikelihoodError(
-            f"auxiliary model {aux.label!r} assigned zero likelihood to the "
-            f"observed data ({exc}); smooth it first, e.g. via make_auxiliary, "
-            f"which floors classical kernels at {KERNEL_FLOOR:g}"
-        ) from exc
-    aux_hy = float(ly.sum()) / (traj.n * LN2)
-    aux_hxy = float(lxy.sum()) / (traj.n * LN2)
+        raise auxiliary_error(aux.label, exc) from exc
+    r = combine_sums(traj.n, 0, sum_x, float(ly.sum()), float(lxy.sum()))
     return LowerBoundEstimate(
-        n=traj.n,
-        seed=traj.seed,
-        hx=hx,
-        aux_hy=aux_hy,
-        aux_hxy=aux_hxy,
-        ir_lower=hx + aux_hy - aux_hxy,
+        n=traj.n, seed=traj.seed, hx=r.hx, aux_hy=r.hy, aux_hxy=r.hxy, ir_lower=r.ir
     )
 
 

@@ -67,7 +67,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -80,7 +80,12 @@ from .channels import (
     compile_transfer_operators,
     fsmc_from_dmc,
 )
-from .errors import ImpossibleObservationError, NumericalCorruptionError, SequenceError
+from .errors import (
+    ImpossibleObservationError,
+    NumericalCorruptionError,
+    QchanrateError,
+    SequenceError,
+)
 from .linalg import RealForm, hermiticity_residue, pack_hermitian, real_transfer_form
 from .sampling import (
     PMF_IMAG_GUARD,
@@ -100,6 +105,15 @@ RESYNC_TOL = 1e-12
 # have probabilities below about 1e-38, underflows; one that does is
 # caught by the RESYNC_TOL check.
 RESCALE_EVERY = 8
+
+# Most matrix entries (matrices times their size) that a pass holds at
+# once in its block products and gathered step matrices: at a large state
+# size, the pass runs over slices of the blocks to stay within it.
+PRODUCT_BUDGET = 2**14
+
+# Three-phase passes run so far (each over a stack of recursions): a
+# recursion that loses accuracy in its block products takes more than one.
+passes = 0
 
 
 def dmc_information_rate(q: InputLaw, w: Dmc) -> float:
@@ -257,130 +271,233 @@ def _step_matrices(
     return mats.reshape(-1, *mats.shape[2:]), xs * y_size + ys
 
 
-def _blocked_pass(
-    start: np.ndarray,
-    form: RealForm,
-    index: np.ndarray,
-    closure: np.ndarray,
-    offset: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One three-phase pass over ``index``.
+class Recursion(NamedTuple):
+    """One scaled forward recursion: ``v <- v @ form.mats[index[t]]``
+    from ``start``, normalized by ``v @ closure`` after every step."""
 
-    Returns the per-step logs of the leading steps it settled (all of
-    them unless a block end state disagreed with the next block's start)
-    and the state after them.  ``form.mats`` carries the identity as its
-    last entry, used to pad the final block.  A guard trip raises with
-    the global step index ``offset + step``.
+    start: np.ndarray
+    form: RealForm
+    index: np.ndarray
+    closure: np.ndarray
+
+
+def recursion(model, q: InputLaw, ys: np.ndarray, xs: np.ndarray | None = None) -> Recursion:
+    """The forward recursion of any channel model on the observed ``ys``
+    (``xs`` marginalized) or on ``(xs, ys)`` (input-law factors included).
+
+    A classical model runs on its latent-state vector, a quantum one on
+    the real packed form of its state operator.
     """
-    mats = form.mats
-    n = index.size
+    model = as_recursion_model(model)
+    if isinstance(model, ClassicalFsmc):
+        mats, index = _step_matrices(q, model.kernel.transpose(1, 3, 0, 2), ys, xs)
+        no_residue = np.zeros(len(mats))
+        return Recursion(
+            model.initial.astype(float),
+            RealForm(mats, no_residue, no_residue),
+            index,
+            np.ones(model.state_count),
+        )
+    mats, index = _step_matrices(q, model.chain_operators, ys, xs)
+    s = model.state_dim
+    return Recursion(
+        pack_hermitian(model.initial_state).reshape(s * s),
+        real_transfer_form(mats),
+        index,
+        np.eye(s).reshape(s * s),
+    )
+
+
+def _guard_error(total: float, table: RealForm, matrix: int, step: int) -> QchanrateError:
+    """The error of a step that tripped a guard, checked in order."""
+    imag = table.imag_residue[matrix]
+    if not np.isfinite(total):
+        return NumericalCorruptionError(f"forward normalizer is {total} at step {step}")
+    if not imag <= PMF_IMAG_GUARD:
+        return NumericalCorruptionError(
+            f"forward trace carries imaginary residue {imag:.3e} at step {step}"
+        )
+    if not total > 0.0:
+        return ImpossibleObservationError(
+            f"observation at step {step} has zero probability under the model"
+        )
+    return NumericalCorruptionError(
+        f"forward operator Hermiticity residue {table.herm_residue[matrix]:.3e} at step {step}"
+    )
+
+
+def _blocked_pass(
+    table: RealForm,
+    guarded: np.ndarray,
+    closure: np.ndarray,
+    starts: np.ndarray,
+    indices: list[np.ndarray],
+    shifts: list[int],
+    offset: int,
+) -> list:
+    """One three-phase pass over R recursions of equal length.
+
+    Recursion r runs the steps ``table.mats[indices[r] + shifts[r]]``
+    from the state ``starts[r]``; their first step is global step
+    ``offset``.  ``table.mats`` carries the identity as its last entry,
+    used to pad the final blocks, and ``guarded[m]`` flags a matrix whose
+    residues trip a guard on every step that uses it.
+
+    Returns, per recursion, either the error of its earliest guard trip
+    or the per-step logs of the leading steps it settled (all of them
+    unless a block end state disagreed with the next block's start) and
+    the state after them.
+    """
+    global passes
+    passes += 1
+    mats = table.mats
+    recs, n = len(indices), indices[0].size
     k = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
     blocks = -(-n // k)
+    full, rest = divmod(n, k)
     d = mats.shape[-1]
-    idx = np.full(blocks * k, mats.shape[0] - 1)
-    idx[:n] = index
-    idx = np.ascontiguousarray(idx.reshape(blocks, k).T)  # row j: step j of every block
+    # idx[j, b, r]: the matrix of step b * k + j of recursion r.
+    idx = np.full((k, blocks, recs), mats.shape[0] - 1)
+    for r, (index, shift) in enumerate(zip(indices, shifts)):
+        steps = idx[:, :, r].T
+        np.add(index[: full * k].reshape(full, k), shift, out=steps[:full])
+        if rest:
+            np.add(index[full * k:], shift, out=steps[full, :rest])
 
-    # Phase 1: all block transfer products at once, each rescaled by its
-    # largest entry every RESCALE_EVERY steps and on its last step.  A
-    # product that is all zero stays zero.
-    prod = mats.take(idx[0], axis=0)
-    for j in range(1, k):
-        prod = prod @ mats.take(idx[j], axis=0)
-        if j % RESCALE_EVERY == 0 or j == k - 1:
-            peak = np.abs(prod).max(axis=(1, 2), keepdims=True)
-            prod /= np.where(peak > 0.0, peak, 1.0)
-
-    # Phase 2: block start states, one vector-matrix product per block.
-    # A closure that is not positive and finite leaves the later starts at
-    # the last good state; phase 3 then finds the failing step or the
-    # mismatch.
-    starts = np.empty((blocks, d))
-    vec = start
-    for b in range(blocks):
-        starts[b] = vec
-        if b + 1 == blocks:
-            break
-        nxt = vec @ prod[b]
-        total = nxt @ closure
-        if not 0.0 < total < math.inf:
-            starts[b + 1:] = vec
-            break
-        vec = nxt / total
-
-    # Phase 3: exact per-step normalizers, all blocks advancing together
-    # from their start states.  A total that is not positive and finite
-    # is the earliest bad step of its block; the NaN or infinite entries
-    # its division spreads stay within that block and come after it.
-    vecs = starts.reshape(blocks, 1, d)
     column = closure.reshape(d, 1)
-    totals = np.empty((k, blocks, 1, 1))
-    for row, tot in zip(idx, totals):
-        vecs = vecs @ mats.take(row, axis=0)
-        np.matmul(vecs, column, out=tot)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vecs /= tot
-    vecs = vecs.reshape(blocks, d)
-    totals = totals.reshape(k, blocks).T.reshape(-1)[:n]
+    vec = starts.reshape(recs, 1, d).copy()
+    live = np.ones((recs, 1, 1), dtype=bool)
+    begin = np.empty((blocks, recs, 1, d))
+    ends = np.empty((blocks, recs, 1, d))
+    totals = np.empty((recs, blocks, k))
+    # The three phases run over slices of up to ``span`` blocks of every
+    # recursion, so that the matrices they hold at once stay within
+    # PRODUCT_BUDGET entries; below a large state size a slice is the
+    # whole pass.
+    span = max(1, PRODUCT_BUDGET // (recs * d * d))
+    for first in range(0, blocks, span):
+        cols = idx[:, first:first + span]
 
-    imag = form.imag_residue[index]
-    herm = form.herm_residue[index]
-    bad = (
-        ~((totals > 0.0) & (totals < np.inf))
-        | ~(imag <= PMF_IMAG_GUARD)
-        | ~(herm <= STATE_HERMITICITY_GUARD)
-    )
+        # Phase 1: all block transfer products of the slice at once, each
+        # rescaled by its largest entry every RESCALE_EVERY steps and on
+        # its last step.  A product that is all zero stays zero.
+        prod = mats.take(cols[0], axis=0)
+        for j in range(1, k):
+            prod = prod @ mats.take(cols[j], axis=0)
+            if j % RESCALE_EVERY == 0 or j == k - 1:
+                peak = np.abs(prod).max(axis=(2, 3), keepdims=True)
+                prod /= np.where(peak > 0.0, peak, 1.0)
+
+        # Phase 2: block start states, one vector-matrix product per block
+        # and recursion.  A closure that is not positive and finite leaves
+        # the recursion's later starts at its last good state; phase 3
+        # then finds the failing step or the mismatch.
+        for b, block in enumerate(prod, start=first):
+            begin[b] = vec
+            if b + 1 == blocks:
+                break
+            nxt = vec @ block
+            total = nxt @ column
+            live &= (total > 0.0) & (total < math.inf)
+            np.divide(nxt, total, out=vec, where=live)
+
+        # Phase 3: exact per-step normalizers, all blocks of the slice
+        # advancing together from their start states, written in step
+        # order per recursion.  A total that is not positive and finite
+        # is the earliest bad step of its block; the NaN or infinite
+        # entries its division spreads stay within that block and come
+        # after it.
+        vecs = begin[first:first + span]
+        for row, tot in zip(cols, totals[:, first:first + span].transpose(2, 1, 0)[..., None, None]):
+            vecs = vecs @ mats.take(row, axis=0)
+            np.matmul(vecs, column, out=tot)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                vecs /= tot
+        ends[first:first + span] = vecs
+
+    totals = totals.reshape(recs, blocks * k)[:, :n]
+    trips = guarded[idx].transpose(2, 1, 0).reshape(recs, blocks * k)[:, :n]
+    bad = ~((totals > 0.0) & (totals < np.inf)) | trips
+
     # A block whose phase-3 end state disagrees with the next block's
     # phase-2 start lost accuracy in its product: steps up to its end
     # are settled, and the rest is evaluated again from that end state.
-    drift = np.abs(vecs[:-1] - starts[1:]).max(axis=1) > RESYNC_TOL
-    fail = int(np.argmax(bad)) if bad.any() else n
-    settled = n
-    if drift.any():
-        settled = (int(np.argmax(drift)) + 1) * k
-    if fail < settled:
-        step = offset + fail
-        if not np.isfinite(totals[fail]):
-            raise NumericalCorruptionError(
-                f"forward normalizer is {totals[fail]} at step {step}"
-            )
-        if not imag[fail] <= PMF_IMAG_GUARD:
-            raise NumericalCorruptionError(
-                f"forward trace carries imaginary residue {imag[fail]:.3e} at step {step}"
-            )
-        if not totals[fail] > 0.0:
-            raise ImpossibleObservationError(
-                f"observation at step {step} has zero probability under the model"
-            )
-        raise NumericalCorruptionError(
-            f"forward operator Hermiticity residue {herm[fail]:.3e} at step {step}"
-        )
-    end = vecs[settled // k - 1] if settled < n else vecs[-1]
-    return -np.log(totals[:settled]), end
+    drift = (np.abs(ends[:-1] - begin[1:]).max(axis=(2, 3)) > RESYNC_TOL).T
+    out = []
+    for r in range(recs):
+        fail = int(np.argmax(bad[r])) if bad[r].any() else n
+        settled = (int(np.argmax(drift[r])) + 1) * k if drift[r].any() else n
+        if fail < settled:
+            matrix = indices[r][fail] + shifts[r]
+            out.append(_guard_error(totals[r, fail], table, matrix, offset + fail))
+            continue
+        logs = totals[r, :settled]  # overwritten in place: no copy per recursion
+        np.negative(np.log(logs, out=logs), out=logs)
+        out.append((logs, ends[settled // k - 1 if settled < n else -1, r, 0]))
+    return out
 
 
-def _forward_logs(
-    start: np.ndarray,
-    form: RealForm,
-    index: np.ndarray,
-    closure: np.ndarray,
-) -> np.ndarray:
-    """Per-step natural scale logs of ``v <- v @ form.mats[index[t]]``
-    normalized by ``v @ closure``.
+def stacked_forward_logs(recs: Sequence[Recursion]) -> list:
+    """Per-step natural scale logs of a stack of recursions that share one
+    state size, one length and one closure, evaluated together.
 
-    A step that uses a matrix whose ``form`` residues exceed
+    Returns, per recursion, its logs or the ``QchanrateError`` of its
+    earliest guard trip; one recursion's trip leaves the others' logs
+    unchanged.  A step that uses a matrix whose ``form`` residues exceed
     ``PMF_IMAG_GUARD`` or ``STATE_HERMITICITY_GUARD`` trips that guard.
     """
-    d = form.mats.shape[-1]
-    form = form._replace(mats=np.concatenate([form.mats, np.eye(d)[None]]))
-    parts = []
-    pos = 0
-    vec = start
-    while pos < index.size:
-        logs, vec = _blocked_pass(vec, form, index[pos:], closure, pos)
-        parts.append(logs)
-        pos += logs.size
-    return np.concatenate(parts)
+    closure = recs[0].closure
+    n = recs[0].index.size
+    if any(r.index.size != n or not np.array_equal(r.closure, closure) for r in recs):
+        raise ValueError("stacked recursions must share their length and closure")
+    # One matrix table for the stack, the identity last; each
+    # recursion's indices are shifted to its own matrices.
+    table = RealForm(
+        np.concatenate([r.form.mats for r in recs] + [np.eye(closure.size)[None]]),
+        np.concatenate([r.form.imag_residue for r in recs] + [[0.0]]),
+        np.concatenate([r.form.herm_residue for r in recs] + [[0.0]]),
+    )
+    guarded = ~(table.imag_residue <= PMF_IMAG_GUARD) | ~(
+        table.herm_residue <= STATE_HERMITICITY_GUARD
+    )
+    shifts = np.cumsum([0] + [len(r.form.mats) for r in recs[:-1]])
+
+    results: list = [None] * len(recs)
+    parts: list[list[np.ndarray]] = [[] for _ in recs]
+    pending = [(r, 0, rec.start) for r, rec in enumerate(recs)]
+    while pending:
+        # A recursion that resyncs reruns its unsettled tail; tails of
+        # equal length run as one stack.
+        by_length: dict[int, list] = {}
+        for item in pending:
+            by_length.setdefault(item[1], []).append(item)
+        pending = []
+        for pos, items in by_length.items():
+            outcomes = _blocked_pass(
+                table, guarded, closure,
+                np.stack([vec for _, _, vec in items]),
+                [recs[r].index[pos:] for r, _, _ in items],
+                [shifts[r] for r, _, _ in items],
+                pos,
+            )
+            for (r, _, _), outcome in zip(items, outcomes):
+                if isinstance(outcome, QchanrateError):
+                    results[r] = outcome
+                    continue
+                logs, end = outcome
+                parts[r].append(logs)
+                if pos + logs.size < n:
+                    pending.append((r, pos + logs.size, end))
+                else:
+                    results[r] = parts[r][0] if len(parts[r]) == 1 else np.concatenate(parts[r])
+    return results
+
+
+def _forward_logs(rec: Recursion) -> np.ndarray:
+    (logs,) = stacked_forward_logs([rec])
+    if isinstance(logs, QchanrateError):
+        raise logs
+    return logs
 
 
 def scaled_forward_classical(
@@ -394,14 +511,7 @@ def scaled_forward_classical(
     The sum of the returned array is -log p(ys) (xs marginalized) or
     -log p(xs, ys) (xs pinned, input-law factors included).
     """
-    mats, index = _step_matrices(q, f.kernel.transpose(1, 3, 0, 2), ys, xs)
-    no_residue = np.zeros(len(mats))
-    return _forward_logs(
-        f.initial.astype(float),
-        RealForm(mats, no_residue, no_residue),
-        index,
-        np.ones(f.state_count),
-    )
+    return _forward_logs(recursion(f, q, ys, xs))
 
 
 def scaled_forward_quantum(
@@ -412,14 +522,7 @@ def scaled_forward_quantum(
 ) -> np.ndarray:
     """Per-step natural scale logs of the quantum forward recursion, run
     on the real packed form of the state and step matrices."""
-    mats, index = _step_matrices(q, t.chain_operators, ys, xs)
-    s = t.state_dim
-    return _forward_logs(
-        pack_hermitian(t.initial_state).reshape(s * s),
-        real_transfer_form(mats),
-        index,
-        np.eye(s).reshape(s * s),
-    )
+    return _forward_logs(recursion(t, q, ys, xs))
 
 
 def input_log_loss(q: InputLaw, xs: np.ndarray) -> np.ndarray:
@@ -444,6 +547,50 @@ def as_recursion_model(model):
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
+def pair_recursions(model, q: InputLaw, traj: Trajectory) -> list:
+    """The output-only then the joint recursion of ``model`` on ``traj``.
+
+    Building stops at the first recursion that cannot be built (a symbol
+    outside the model's alphabet, say), whose error takes its place.
+    """
+    out: list = []
+    for xs in (None, traj.x):
+        try:
+            out.append(recursion(model, q, traj.y, xs))
+        except QchanrateError as exc:
+            out.append(exc)
+            break
+    return out
+
+
+def pair_logs(model, q: InputLaw, traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """Per-step logs of the output-only and the joint recursion, run as one
+    stack; the output-only recursion's error comes first."""
+    recs = pair_recursions(model, q, traj)
+    built = [r for r in recs if isinstance(r, Recursion)]
+    outcomes = (stacked_forward_logs(built) if built else []) + recs[len(built):]
+    for outcome in outcomes:
+        if isinstance(outcome, QchanrateError):
+            raise outcome
+    ly, lxy = outcomes
+    return ly, lxy
+
+
+def combine_sums(
+    n: int,
+    burn_in: int,
+    sum_x: float,
+    sum_y: float,
+    sum_xy: float,
+    scales: PerStepScales | None = None,
+) -> RateEstimate:
+    """Entropy and information rates from the summed per-step logs of the
+    input, output-only and joint series over steps ``burn_in..n-1``."""
+    steps = n - burn_in
+    hx, hy, hxy = (s / (steps * LN2) for s in (sum_x, sum_y, sum_xy))
+    return RateEstimate(n=n, hx=hx, hy=hy, hxy=hxy, ir=hx + hy - hxy, per_step_log_scales=scales)
+
+
 def entropy_rate_estimates(
     model,
     q: InputLaw,
@@ -461,21 +608,10 @@ def entropy_rate_estimates(
     if burn_in < 0 or burn_in >= traj.n:
         raise ValueError(f"burn_in must lie in [0, n), got {burn_in}")
     log_px = input_log_loss(q, traj.x)
-    if isinstance(model, ClassicalFsmc):
-        ly = scaled_forward_classical(model, q, traj.y)
-        lxy = scaled_forward_classical(model, q, traj.y, traj.x)
-    else:
-        ly = scaled_forward_quantum(model, q, traj.y)
-        lxy = scaled_forward_quantum(model, q, traj.y, traj.x)
-    steps = traj.n - burn_in
-    hx = float(log_px[burn_in:].sum()) / (steps * LN2)
-    hy = float(ly[burn_in:].sum()) / (steps * LN2)
-    hxy = float(lxy[burn_in:].sum()) / (steps * LN2)
-    return RateEstimate(
-        n=traj.n,
-        hx=hx,
-        hy=hy,
-        hxy=hxy,
-        ir=hx + hy - hxy,
-        per_step_log_scales=PerStepScales(ly, lxy) if keep_scales else None,
+    ly, lxy = pair_logs(model, q, traj)
+    return combine_sums(
+        traj.n,
+        burn_in,
+        *(float(logs[burn_in:].sum()) for logs in (log_px, ly, lxy)),
+        scales=PerStepScales(ly, lxy) if keep_scales else None,
     )

@@ -20,10 +20,15 @@ from time import perf_counter
 
 import numpy as np
 
-from .bounds import lower_bound
-from .config import ExperimentConfig, build_auxiliary, instantiate_channel
+from . import rates
+from .bounds import auxiliary_error, lower_bound
+from .config import AuxiliarySpec, ExperimentConfig, build_auxiliary, instantiate_channel
 from .errors import QchanrateError
-from .rates import entropy_rate_estimates
+from .rates import Recursion, combine_sums, input_log_loss, pair_recursions
+
+# Not called here, but the traced benchmark (perfbench/tracer.py) wraps it
+# by this module attribute.
+from .rates import entropy_rate_estimates  # noqa: F401
 from .sampling import Trajectory, sample_trajectory
 from .svgplot import Series, write_line_plot
 
@@ -39,6 +44,13 @@ CSV_COLUMNS = (
     "hxy_bits",
     "wallclock_seconds",
 )
+
+# Most recursion steps (recursions times their length) that one chunk of
+# sweep tasks evaluates together.  A chunk's recursions of equal closure,
+# state size and length run as one engine stack, so a larger chunk spreads
+# the engine's per-iteration cost over more recursions but holds more
+# trajectories, step indices and normalizers in memory at once.
+STACK_BUDGET = 2**15
 
 ERROR_COLUMNS = ("sweep_param", "sweep_value", "estimator_id", "seed", "category", "message")
 
@@ -74,70 +86,143 @@ class ExperimentOutput:
     errors: tuple[RowError, ...]
 
 
-def _estimator_ids(cfg: ExperimentConfig) -> list[str]:
-    ids = []
+def _estimators(cfg: ExperimentConfig) -> list[tuple[str, AuxiliarySpec | None]]:
+    """Each row's estimator id at a point, with its auxiliary (None for ir)."""
+    out: list[tuple[str, AuxiliarySpec | None]] = []
     for est in cfg.estimators:
         if est == "ir":
-            ids.append("ir")
+            out.append(("ir", None))
         else:
-            ids.extend(f"aux_lower:{aux.label}" for aux in cfg.auxiliaries)
-    return ids
+            out.extend((f"aux_lower:{aux.label}", aux) for aux in cfg.auxiliaries)
+    return out
 
 
-def evaluate_point(
-    cfg: ExperimentConfig, value, seed: int, timings: bool = False
+def _task_n(cfg: ExperimentConfig, value) -> int:
+    return int(value) if cfg.sweep.parameter == "n" else cfg.n
+
+
+def _chunks(cfg: ExperimentConfig, tasks: list) -> list[list]:
+    """Consecutive runs of tasks whose recursions (two per row) hold at
+    most STACK_BUDGET steps together, and one task at least."""
+    per_task = 2 * len(_estimators(cfg))
+    chunks: list[list] = []
+    steps = 0
+    for value, seed in tasks:
+        cost = per_task * _task_n(cfg, value)
+        if not chunks or steps + cost > STACK_BUDGET:
+            chunks.append([])
+            steps = 0
+        chunks[-1].append((value, seed))
+        steps += cost
+    return chunks
+
+
+@dataclass
+class _PendingRow:
+    """A result row whose recursions are still to run.
+
+    ``outcomes`` holds the row's output-only and joint recursions (or,
+    last, the error that stopped building them); running them replaces
+    each recursion by the sum of its logs from ``burn_in`` on, or by its
+    error.
+    """
+
+    value: float
+    estimator_id: str
+    seed: int
+    n: int
+    burn_in: int
+    sum_x: float
+    outcomes: list
+    auxiliary: str | None  # label of the auxiliary model, None for ir
+    seconds: float
+
+
+def _run_stack(members: list[tuple[_PendingRow, int]], since) -> None:
+    """Run the recursions ``row.outcomes[slot]`` as one engine stack; each
+    row is charged an equal share of the call per recursion."""
+    started = perf_counter()
+    outcomes = rates.stacked_forward_logs([row.outcomes[slot] for row, slot in members])
+    share = since(started) / len(members)
+    for (row, slot), logs in zip(members, outcomes):
+        row.seconds += share
+        if not isinstance(logs, QchanrateError):
+            logs = float(logs[row.burn_in:].sum())
+        row.outcomes[slot] = logs
+
+
+def evaluate_chunk(
+    cfg: ExperimentConfig, tasks, timings: bool = False
 ) -> tuple[list[ResultRow], list[RowError]]:
-    """Run every configured estimator at one (sweep value, seed) point.
+    """Run every configured estimator at each (sweep value, seed) task.
 
-    With ``timings`` each row's ``wallclock_seconds`` is the time of its
-    own estimator alone (for an auxiliary bound, building the auxiliary
-    model and the bound); the channel, the trajectory and the other
-    estimators at the point are not counted.
+    Each task builds its channel and samples its own trajectory; then
+    the output-only and joint recursions of every row of the chunk run
+    in one engine call per group of equal closure, state size and
+    length, and each recursion's logs are reduced to their sum at once.
+
+    With ``timings`` each row's ``wallclock_seconds`` is its own set-up
+    (building the auxiliary model and the step matrices) plus, for each
+    of its recursions, an equal share of the engine call that ran it;
+    the channel and the trajectory are not counted.
     """
     rows: list[ResultRow] = []
     errors: list[RowError] = []
-    n = int(value) if cfg.sweep.parameter == "n" else cfg.n
-    override = None if cfg.sweep.parameter == "n" else {cfg.sweep.parameter: value}
-    try:
-        model = instantiate_channel(cfg.channel, override)
-        traj = sample_trajectory(model, cfg.input_law, n, seed)
-    except QchanrateError as exc:
-        for est in _estimator_ids(cfg):
-            errors.append(RowError(float(value), est, seed, type(exc).__name__, str(exc)))
-        return rows, errors
+    q = cfg.input_law
+    estimators = _estimators(cfg)
 
     def since(started: float) -> float:
         return perf_counter() - started if timings else 0.0
 
-    for est in cfg.estimators:
-        if est == "ir":
+    def fail(value, est_id, seed, exc) -> None:
+        errors.append(RowError(float(value), est_id, seed, type(exc).__name__, str(exc)))
+
+    pending: list[_PendingRow] = []
+    for value, seed in tasks:
+        n = _task_n(cfg, value)
+        override = None if cfg.sweep.parameter == "n" else {cfg.sweep.parameter: value}
+        try:
+            model = instantiate_channel(cfg.channel, override)
+            traj = sample_trajectory(model, q, n, seed)
+        except QchanrateError as exc:
+            for est_id, _ in estimators:
+                fail(value, est_id, seed, exc)
+            continue
+        for est_id, aux_spec in estimators:
+            started = perf_counter()
+            burn_in = cfg.burn_in if aux_spec is None else 0
             try:
-                started = perf_counter()
-                r = entropy_rate_estimates(model, cfg.input_law, traj, burn_in=cfg.burn_in)
-                rows.append(
-                    ResultRow(
-                        float(value), "ir", seed, n, r.ir, r.hx, r.hy, r.hxy, since(started)
-                    )
-                )
+                target = model if aux_spec is None else build_auxiliary(aux_spec).model
+                sum_x = float(input_log_loss(q, traj.x)[burn_in:].sum())
             except QchanrateError as exc:
-                errors.append(RowError(float(value), "ir", seed, type(exc).__name__, str(exc)))
-        elif est == "aux_lower":
-            for aux_spec in cfg.auxiliaries:
-                est_id = f"aux_lower:{aux_spec.label}"
-                try:
-                    started = perf_counter()
-                    aux = build_auxiliary(aux_spec)
-                    b = lower_bound(traj, aux, cfg.input_law)
-                    rows.append(
-                        ResultRow(
-                            float(value), est_id, seed, n,
-                            b.ir_lower, b.hx, b.aux_hy, b.aux_hxy, since(started),
-                        )
-                    )
-                except QchanrateError as exc:
-                    errors.append(
-                        RowError(float(value), est_id, seed, type(exc).__name__, str(exc))
-                    )
+                fail(value, est_id, seed, exc)
+                continue
+            recs = pair_recursions(target, q, traj)
+            pending.append(_PendingRow(
+                float(value), est_id, seed, n, burn_in, sum_x, recs,
+                None if aux_spec is None else aux_spec.label, since(started),
+            ))
+
+    stacks: dict[tuple, list[tuple[_PendingRow, int]]] = {}
+    for row in pending:
+        for slot, rec in enumerate(row.outcomes):
+            if isinstance(rec, Recursion):
+                key = (rec.closure.size, rec.index.size, rec.closure.tobytes())
+                stacks.setdefault(key, []).append((row, slot))
+    for members in stacks.values():
+        _run_stack(members, since)
+
+    for row in pending:
+        exc = next((o for o in row.outcomes if isinstance(o, QchanrateError)), None)
+        if exc is not None:
+            if row.auxiliary is not None:
+                exc = auxiliary_error(row.auxiliary, exc)
+            fail(row.value, row.estimator_id, row.seed, exc)
+            continue
+        r = combine_sums(row.n, row.burn_in, row.sum_x, *row.outcomes)
+        rows.append(ResultRow(
+            row.value, row.estimator_id, row.seed, row.n, r.ir, r.hx, r.hy, r.hxy, row.seconds
+        ))
     return rows, errors
 
 
@@ -229,20 +314,18 @@ def run_experiment(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [(value, seed) for value in cfg.sweep.active_values() for seed in cfg.seeds]
+    chunks = _chunks(cfg, tasks)
     rows: list[ResultRow] = []
     errors: list[RowError] = []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(evaluate_point, cfg, v, s, timings) for v, s in tasks]
-            for future in futures:
-                got_rows, got_errors = future.result()
-                rows.extend(got_rows)
-                errors.extend(got_errors)
+            futures = [pool.submit(evaluate_chunk, cfg, chunk, timings) for chunk in chunks]
+            results = [future.result() for future in futures]
     else:
-        for value, seed in tasks:
-            got_rows, got_errors = evaluate_point(cfg, value, seed, timings)
-            rows.extend(got_rows)
-            errors.extend(got_errors)
+        results = (evaluate_chunk(cfg, chunk, timings) for chunk in chunks)
+    for got_rows, got_errors in results:
+        rows.extend(got_rows)
+        errors.extend(got_errors)
 
     rows.sort(key=lambda r: (r.sweep_value, r.estimator_id, r.seed))
     errors.sort(key=lambda e: (e.sweep_value, e.estimator_id, e.seed))

@@ -405,8 +405,10 @@ def load_trajectory(path) -> Trajectory:
             seed = int(fields["seed"])
         except ValueError as exc:
             raise TrajectoryFormatError(1, f"bad header integer: {exc}") from None
-        if seed < 0:
-            raise TrajectoryFormatError(1, f"seed must be nonnegative, got {seed}")
+        if not 0 <= seed <= MAX_SEED:
+            raise TrajectoryFormatError(1, f"seed must lie in [0, 2^64 - 1], got {seed}")
+        if n < 1:
+            raise TrajectoryFormatError(1, f"n must be positive, got {n}")
         xs, ys = [], []
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
@@ -419,6 +421,8 @@ def load_trajectory(path) -> Trajectory:
                 ys.append(int(parts[1]))
             except ValueError:
                 raise TrajectoryFormatError(lineno, f"non-integer symbol in {line.strip()!r}") from None
+            if xs[-1] < 0 or ys[-1] < 0:
+                raise TrajectoryFormatError(lineno, f"negative symbol in {line.strip()!r}")
         if len(xs) != n:
             raise TrajectoryFormatError(
                 1, f"header says n={n} but body has {len(xs)} pairs"

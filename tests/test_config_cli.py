@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 import qchanrate as qc
-from qchanrate import runner
+from qchanrate import rates, runner
+from qchanrate.bounds import lower_bound
 from qchanrate.cli import main
-from qchanrate.config import load_config
-from qchanrate.errors import ConfigError
+from qchanrate.config import build_auxiliary, instantiate_channel, load_config
+from qchanrate.errors import ConfigError, QchanrateError
+from qchanrate.rates import entropy_rate_estimates
 from qchanrate.runner import CSV_COLUMNS, run_experiment
+from qchanrate.sampling import Trajectory, sample_trajectory
 
 
 def write_config(tmp_path, name="exp.json", **overrides):
@@ -212,10 +215,14 @@ class TestRunner:
         assert "AuxiliaryLikelihoodError" in out.errors_path.read_text()
 
     def test_timings_cover_each_estimator_alone(self, tmp_path, monkeypatch):
-        """Under ``timings`` a row's wallclock is its own estimator's time:
-        with a fake clock that only the channel, the sampler and each
-        estimator advance, by distinct amounts, every row reads exactly
-        its own estimator's amount."""
+        """Under ``timings`` a row's wallclock is its own set-up (building
+        its auxiliary and its step matrices) plus, per recursion, an equal
+        share of the engine call that ran it; the channel and the sampler
+        are not counted.  With a fake clock that only these calls advance,
+        by distinct amounts, every row reads exactly its own sum: the BSC
+        channel and auxiliary ``a`` (state size 1) share one engine call
+        of four recursions, the Gilbert-Elliott auxiliary ``b`` (state
+        size 2) has one of two."""
         now = [0.0]
 
         def costing(fn, seconds):
@@ -225,14 +232,14 @@ class TestRunner:
             return timed
 
         monkeypatch.setattr(runner, "perf_counter", lambda: now[0])
-        for attr, seconds in [
-            ("instantiate_channel", 1000.0),
-            ("sample_trajectory", 200.0),
-            ("entropy_rate_estimates", 3.0),
-            ("build_auxiliary", 0.5),
-            ("lower_bound", 0.25),
+        for module, attr, seconds in [
+            (runner, "instantiate_channel", 1000.0),
+            (runner, "sample_trajectory", 200.0),
+            (runner, "build_auxiliary", 0.5),
+            (runner, "pair_recursions", 0.125),
+            (rates, "stacked_forward_logs", 6.0),
         ]:
-            monkeypatch.setattr(runner, attr, costing(getattr(runner, attr), seconds))
+            monkeypatch.setattr(module, attr, costing(getattr(module, attr), seconds))
         cfg = load_config(
             write_config(
                 tmp_path,
@@ -242,17 +249,152 @@ class TestRunner:
                 estimators=["ir", "aux_lower"],
                 auxiliaries=[
                     {"kind": "bsc", "label": "a", "p": 0.2},
-                    {"kind": "bsc", "label": "b", "p": 0.3},
+                    {"kind": "gilbert_elliott", "label": "b", "p_g": 0.1, "p_b": 0.4,
+                     "transition": [[0.9, 0.1], [0.2, 0.8]]},
                 ],
             )
         )
-        rows, errors = runner.evaluate_point(cfg, 0.1, 0, timings=True)
+        rows, errors = runner.evaluate_chunk(cfg, [(0.1, 0)], timings=True)
         assert not errors
         assert {r.estimator_id: r.wallclock_seconds for r in rows} == {
-            "ir": 3.0, "aux_lower:a": 0.75, "aux_lower:b": 0.75,
+            "ir": 0.125 + 2 * 1.5,
+            "aux_lower:a": 0.5 + 0.125 + 2 * 1.5,
+            "aux_lower:b": 0.5 + 0.125 + 2 * 3.0,
         }
-        rows, _ = runner.evaluate_point(cfg, 0.1, 0)
+        rows, _ = runner.evaluate_chunk(cfg, [(0.1, 0)])
         assert {r.wallclock_seconds for r in rows} == {0.0}
+
+    def test_stacked_rows_match_per_point_estimates(self, tmp_path, monkeypatch):
+        """The sweep runs its recursions stacked across points, yet every
+        row equals, bit for bit, the per-point ``entropy_rate_estimates``
+        or ``lower_bound`` result on the same trajectory: a quantum
+        channel (state size 4) with classical auxiliaries of state sizes
+        2 and 1, swept over n so that lengths differ, with a burn-in and
+        two seeds.  Split into several chunks, the sweep writes the same
+        bytes."""
+        cfg = load_config(
+            write_config(
+                tmp_path,
+                channel={"kind": "quantum_ge", "p_g": 0.05, "p_b": 0.4, "alpha": 0.9},
+                seeds=[0, 1],
+                burn_in=20,
+                sweep={"parameter": "n", "values": [150, 200, 233]},
+                estimators=["ir", "aux_lower"],
+                auxiliaries=[
+                    {"kind": "gilbert_elliott", "label": "ge", "p_g": 0.05, "p_b": 0.4,
+                     "transition": [[0.9, 0.1], [0.2, 0.8]]},
+                    {"kind": "bsc", "label": "bsc", "p": 0.2},
+                ],
+            )
+        )
+        whole = run_experiment(cfg, tmp_path / "whole", write_svg=False)
+        assert not whole.errors
+        got = {(r.sweep_value, r.estimator_id, r.seed): r for r in whole.rows}
+        assert len(got) == len(whole.rows) == 3 * 2 * 3
+        q = cfg.input_law
+        model = instantiate_channel(cfg.channel)
+        for n in (150, 200, 233):
+            for seed in (0, 1):
+                traj = sample_trajectory(model, q, n, seed)
+                r = entropy_rate_estimates(model, q, traj, burn_in=20)
+                row = got[(n, "ir", seed)]
+                assert (row.n, row.ir_bits, row.hx_bits, row.hy_bits, row.hxy_bits) == (
+                    n, r.ir, r.hx, r.hy, r.hxy
+                )
+                for spec in cfg.auxiliaries:
+                    b = lower_bound(traj, build_auxiliary(spec), q)
+                    row = got[(n, f"aux_lower:{spec.label}", seed)]
+                    assert (row.ir_bits, row.hx_bits, row.hy_bits, row.hxy_bits) == (
+                        b.ir_lower, b.hx, b.aux_hy, b.aux_hxy
+                    )
+
+        monkeypatch.setattr(runner, "STACK_BUDGET", 2500)
+        tasks = [(v, s) for v in (150, 200, 233) for s in (0, 1)]
+        assert [len(c) for c in runner._chunks(cfg, tasks)] == [2, 2, 1, 1]
+        split = run_experiment(cfg, tmp_path / "split", write_svg=False)
+        assert split.csv_path.read_bytes() == whole.csv_path.read_bytes()
+
+    def test_planted_failures_stay_in_their_point(self, tmp_path, monkeypatch):
+        """A noiseless channel with a third output it never produces.  At
+        one point the trajectory is altered: step 5 flips its output (the
+        joint recursion fails there) and step 30 shows the third output
+        (the output-only recursion fails there).  That point's rows
+        become errors with the per-point estimators' category and message,
+        the output-only error first; the other points' rows do not
+        change."""
+
+        def matrix(m):
+            return [[[float(v), 0.0] for v in row] for row in m]
+
+        def unit(i):
+            return np.diag(np.eye(3)[i])
+
+        noiseless = {
+            "kind": "custom_kraus",
+            "state_dim": 1,
+            "encodings": [matrix(unit(0)), matrix(unit(1))],
+            "kraus": [matrix(np.eye(3))],
+            "measurements": [matrix(unit(y)) for y in range(3)],
+        }
+        cfg = load_config(
+            write_config(
+                tmp_path,
+                channel=noiseless,
+                seeds=[0, 1],
+                sweep={"parameter": "n", "values": [60, 80, 100]},
+                estimators=["ir", "aux_lower"],
+                auxiliaries=[dict(noiseless, label="noiseless")],
+            )
+        )
+        clean = run_experiment(cfg, tmp_path / "clean", write_svg=False)
+        assert not clean.errors
+
+        sample = runner.sample_trajectory
+        altered = []
+
+        def planted(model, q, n, seed):
+            traj = sample(model, q, n, seed)
+            if (n, seed) == (80, 1):
+                y = traj.y.copy()
+                y[5] = 1 - traj.x[5]
+                y[30] = 2
+                traj = Trajectory(traj.x, y, seed)
+                altered.append(traj)
+            return traj
+
+        monkeypatch.setattr(runner, "sample_trajectory", planted)
+        out = run_experiment(cfg, tmp_path / "planted", write_svg=False)
+        assert out.rows == tuple(
+            r for r in clean.rows if (r.sweep_value, r.seed) != (80.0, 1)
+        )
+        zero = "observation at step 30 has zero probability under the model"
+        assert {e.estimator_id: (e.category, e.message) for e in out.errors} == {
+            "ir": ("ImpossibleObservationError", zero),
+            "aux_lower:noiseless": (
+                "AuxiliaryLikelihoodError",
+                f"auxiliary model 'noiseless' assigned zero likelihood to the observed "
+                f"data ({zero}); smooth it first, e.g. via make_auxiliary, which floors "
+                f"classical kernels at 1e-12",
+            ),
+        }
+        assert {(e.sweep_value, e.seed) for e in out.errors} == {(80.0, 1)}
+
+        # The per-point estimators raise the same errors on that trajectory.
+        (traj,) = altered
+        model = instantiate_channel(cfg.channel)
+        raised = {}
+        for est_id, call in [
+            ("ir", lambda: entropy_rate_estimates(model, cfg.input_law, traj)),
+            *(
+                (f"aux_lower:{spec.label}",
+                 lambda spec=spec: lower_bound(traj, build_auxiliary(spec), cfg.input_law))
+                for spec in cfg.auxiliaries
+            ),
+        ]:
+            with pytest.raises(QchanrateError) as info:
+                call()
+            raised[est_id] = (type(info.value).__name__, str(info.value))
+        assert raised == {e.estimator_id: (e.category, e.message) for e in out.errors}
 
     def test_svg_is_wellformed(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
@@ -374,6 +516,14 @@ class TestCli:
         bad.write_text("n=1 seed=-4 gen=x\n0 1\n")
         assert main(["bound", str(cfg_path), "--trajectory", str(bad)]) == 3
         assert "error[TrajectoryFormatError]: line 1: seed" in capsys.readouterr().err
+        for text, prefix in [
+            ("n=0 seed=1 gen=x\n", "line 1: n must be positive"),
+            ("n=2 seed=1 gen=x\n0 1\n-1 0\n", "line 3: negative symbol"),
+            (f"n=1 seed={2**64} gen=x\n0 1\n", "line 1: seed must lie in [0, 2^64 - 1]"),
+        ]:
+            bad.write_text(text)
+            assert main(["bound", str(cfg_path), "--trajectory", str(bad)]) == 3
+            assert f"error[TrajectoryFormatError]: {prefix}" in capsys.readouterr().err
 
     def test_bound_rejects_out_of_alphabet_trajectory(self, tmp_path, capsys):
         cfg_path = write_config(

@@ -16,6 +16,7 @@ HOOKS = [
     (runner, "write_line_plot"),
     (rates, "scaled_forward_quantum"),
     (rates, "scaled_forward_classical"),
+    (rates, "stacked_forward_logs"),
     (sampling, "hermiticity_residue"),
     (rates, "hermiticity_residue"),
 ]
