@@ -41,7 +41,8 @@ def _add_run_flags(sub):
     sub.add_argument(
         "--timings",
         action="store_true",
-        help="record each row's estimator wallclock (breaks byte-for-byte reproducibility)",
+        help="record each row's set-up time plus its share of the stacked recursions "
+        "(breaks byte-for-byte reproducibility)",
     )
 
 

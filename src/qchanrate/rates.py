@@ -20,17 +20,22 @@ each step is ``v <- v @ M`` followed by division by a linear closure of
   to unit trace, the sum of its diagonal.  Hermiticity holds by
   construction, so no step repairs it.
 
-The engine evaluates the recursion in blocks of k = ceil(sqrt(n)) steps,
-so that each of its three phases is a Python loop of about sqrt(n)
-iterations over numpy calls batched across blocks, instead of one
-interpreted iteration per step:
+The engine evaluates a stack of R recursions of one state size and one
+length together (a single recursion is a stack of one): their step
+matrices share one table, each recursion's indices shifted to its own
+entries, and each matrix is first scaled by an exact power of two to a
+largest entry in [0.5, 1), whose log is added back to the steps that use
+it.  Each recursion runs in blocks of k = ceil(sqrt(n)) steps, so that
+each of the three phases is a Python loop of about sqrt(n) iterations
+over numpy calls batched across the blocks of every recursion, instead
+of one interpreted iteration per step:
 
 1. all block transfer products are formed together, every block
    advancing one step per iteration; each product is rescaled by its
    largest entry every ``RESCALE_EVERY`` steps and on its last step, so
    that it neither underflows nor overflows between rescalings;
-2. a sequential pass over the n/k blocks carries the normalized state
-   from each block's start to the next;
+2. a sequential pass over the n/k blocks carries each recursion's
+   normalized state from each block's start to the next;
 3. all blocks rerun their own steps together from those start states,
    yielding the exact per-step normalizers: each iteration is a gather
    of the step matrices, one batched vector-matrix product, the closure
@@ -38,23 +43,27 @@ interpreted iteration per step:
 
 Phases 1 and 3 loop k times and phase 2 loops n/k times, so k = sqrt(n)
 keeps every loop near sqrt(n) iterations (the interpreter's cost is per
-iteration), while the block products take only n/k matrices of the step
-size.
+iteration, shared by the whole stack), while the block products take
+only n/k matrices of the step size per recursion.  At a large state
+size the three phases run over slices of the blocks, so that the
+matrices held at once stay within ``PRODUCT_BUDGET`` entries.
 
-Every guard is reported on the step it concerns: a normalizer that is
-not finite, or one that is not positive (a zero-probability
-observation), is checked on every step in phase 3, and the
-imaginary-trace and Hermiticity residues of a quantum step matrix,
+Every guard is reported per recursion, on the step it concerns: a
+normalizer that is not finite, or one that is not positive (a
+zero-probability observation), is checked on every step in phase 3, and
+the imaginary-trace and Hermiticity residues of a quantum step matrix,
 measured once per matrix when it is converted to the real form, trip on
 every step that uses that matrix.  A trip reports the earliest global
-step, with the same error type as a step-by-step evaluation.  The
-division by a bad total fills the rest of its block with NaN or
-infinite values, whose steps all come after it, so the earliest bad
-step is still the first one reported.  Phase 3 also checks each block's
-end state against the next block's start from phase 2; a product that
-lost accuracy (an entry underflowed to zero within its rescaling
-interval, say) shows as a gap there, and the steps after that block are
-then evaluated again from the block's end state.
+step, with the same error type as a step-by-step evaluation, and leaves
+the other recursions of the stack unchanged.  The division by a bad
+total fills the rest of its block with NaN or infinite values, whose
+steps all come after it, so the earliest bad step is still the first one
+reported.  Phase 3 also checks each block's end state against the next
+block's start from phase 2; a product that lost accuracy (an entry
+underflowed to zero within its rescaling interval, say) shows as a gap
+there, and that recursion's steps after the block are then evaluated
+again from the block's end state, in a stack with the other unsettled
+recursions of the same remaining length.
 
 Running the output-only recursion gives the output entropy rate; running
 it with the inputs pinned (input-law factors included) gives the joint
@@ -101,9 +110,10 @@ LN2 = math.log(2.0)
 RESYNC_TOL = 1e-12
 
 # Steps between rescalings of a block product.  Over so few steps a
-# product of normalizable steps neither overflows nor, unless its steps
-# have probabilities below about 1e-38, underflows; one that does is
-# caught by the RESYNC_TOL check.
+# product of step matrices scaled to a largest entry in [0.5, 1) neither
+# overflows nor, unless its entries decay below about 1e-38 of its peak
+# (good and bad steps alternating along every path, say), underflows; one
+# that does is caught by the RESYNC_TOL check.
 RESCALE_EVERY = 8
 
 # Most matrix entries (matrices times their size) that a pass holds at
@@ -451,9 +461,15 @@ def stacked_forward_logs(recs: Sequence[Recursion]) -> list:
     if any(r.index.size != n or not np.array_equal(r.closure, closure) for r in recs):
         raise ValueError("stacked recursions must share their length and closure")
     # One matrix table for the stack, the identity last; each
-    # recursion's indices are shifted to its own matrices.
+    # recursion's indices are shifted to its own matrices.  Every matrix
+    # is scaled by an exact power of two to a largest entry in [0.5, 1),
+    # so that block products of steps of tiny probability do not
+    # underflow; a state normalized after such a step is unchanged, and
+    # the step's log gets the power's log back.
+    mats = np.concatenate([r.form.mats for r in recs] + [np.eye(closure.size)[None]])
+    exps = np.frexp(np.abs(mats).max(axis=(1, 2)))[1]
     table = RealForm(
-        np.concatenate([r.form.mats for r in recs] + [np.eye(closure.size)[None]]),
+        np.ldexp(mats, -exps[:, None, None]),
         np.concatenate([r.form.imag_residue for r in recs] + [[0.0]]),
         np.concatenate([r.form.herm_residue for r in recs] + [[0.0]]),
     )
@@ -489,7 +505,9 @@ def stacked_forward_logs(recs: Sequence[Recursion]) -> list:
                 if pos + logs.size < n:
                     pending.append((r, pos + logs.size, end))
                 else:
-                    results[r] = parts[r][0] if len(parts[r]) == 1 else np.concatenate(parts[r])
+                    logs = parts[r][0] if len(parts[r]) == 1 else np.concatenate(parts[r])
+                    logs -= LN2 * exps[recs[r].index + shifts[r]]
+                    results[r] = logs
     return results
 
 

@@ -1,14 +1,23 @@
 """Experiment execution: sweep points x seeds to CSV (and an SVG plot).
 
-Each (sweep value, seed) task samples one trajectory from the true
-channel and evaluates every configured estimator on it, so estimators at
-the same point share common random numbers.  Rows are gathered and
-sorted deterministically before writing; per-row estimation failures are
+Each (sweep value, seed) task builds its channel and samples one
+trajectory from it, and every configured estimator runs on that
+trajectory, so estimators at the same point share common random
+numbers.  The tasks run in chunks of at most ``STACK_BUDGET`` recursion
+steps: a chunk samples its points one by one, then runs the output-only
+and joint recursions of all its rows as engine stacks, one per group of
+equal closure, state size and length, so that the engine's per-iteration
+cost is shared across points.  A recursion's result does not depend on
+the stack it runs in, so the output does not depend on the chunking or
+on the number of workers.  Rows are gathered and sorted
+deterministically before writing; per-row estimation failures are
 recorded in a companion errors file and the run continues.
 
 ``wallclock_seconds`` is written as 0 unless timing capture is switched
 on: measured times would break the byte-for-byte reproducibility of the
-output, which is the stronger contract.
+output, which is the stronger contract.  With it, a row's time is its
+own set-up plus an equal share, per recursion, of each engine call that
+ran it.
 """
 
 from __future__ import annotations
@@ -307,9 +316,9 @@ def run_experiment(
 ) -> ExperimentOutput:
     """Execute the configured sweep and write CSV/SVG outputs.
 
-    ``workers > 1`` dispatches (value, seed) tasks to a process pool;
-    results are identical to the serial run because every task is
-    self-contained and rows are sorted before writing.
+    ``workers > 1`` dispatches the chunks of (value, seed) tasks to a
+    process pool; results are identical to the serial run because every
+    chunk is self-contained and rows are sorted before writing.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

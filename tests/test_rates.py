@@ -321,7 +321,7 @@ class TestRecursionGuards:
         with pytest.raises(NumericalCorruptionError, match=rf"at step {GUARD_STEPS[0]}$"):
             qc.scaled_forward_quantum(t, uniform, ys, xs)
 
-    def test_underflowing_block_product_is_recovered(self, uniform):
+    def test_underflowing_block_product_is_recovered(self, uniform, monkeypatch):
         """From state 0 an output 0 is a million times less likely than
         from state 1, so a block product of 63 such steps underflows in
         its state-0 row; output 1 then moves state 0 to state 1.  The
@@ -339,10 +339,29 @@ class TestRecursionGuards:
             qc.forward_step_classical, qc.initial_state_metric(f), f, q, ys
         )
         assert failure is None
+        before = rates.passes
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             driver = qc.scaled_forward_classical(f, q, ys)
+        assert rates.passes - before == 2  # one resync from the block's end
         assert np.abs(driver - ref).max() <= 1e-12
+
+        # Stacked with a recursion that settles in one pass, each keeps
+        # its own logs, and the rerun covers only the unsettled tail.
+        calm = np.ones(4000, dtype=np.int64)
+        calm_logs = qc.scaled_forward_classical(f, q, calm)
+        one_pass = rates._blocked_pass
+        stack_sizes = []
+
+        def recorded(table, guarded, closure, starts, indices, *rest):
+            stack_sizes.append(len(indices))
+            return one_pass(table, guarded, closure, starts, indices, *rest)
+
+        monkeypatch.setattr(rates, "_blocked_pass", recorded)
+        stacked = rates.stacked_forward_logs([rates.recursion(f, q, ys), rates.recursion(f, q, calm)])
+        assert stack_sizes == [2, 1]
+        assert np.array_equal(stacked[0], driver)
+        assert np.array_equal(stacked[1], calm_logs)
 
     def test_underflowing_rescale_interval_is_recovered(self):
         """A three-state rotation whose observed output has probability
@@ -365,6 +384,31 @@ class TestRecursionGuards:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             driver = qc.scaled_forward_classical(f, q, ys)
+        assert np.abs(driver - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("states", [11, 97])
+    def test_tiny_probability_rotation_settles_in_one_pass(self, uniform, states):
+        """A rotation through ``states`` states whose observed output has
+        probability (1 + s) * 1e-50 in state s.  Unscaled, every product of
+        RESCALE_EVERY steps underflowed and the engine settled one block
+        per pass at n = 5041 (11 passes for 11 states, 128 for 97); each
+        step matrix scaled by an exact power of two, one pass settles all
+        of it, and the logs match the sequential reference."""
+        kernel = np.zeros((states, 1, states, 2))
+        for s in range(states):
+            kernel[s, 0, (s + 1) % states] = [(1 + s) * 1e-50, 1.0 - (1 + s) * 1e-50]
+        f = qc.ClassicalFsmc(kernel, np.eye(states)[0])
+        q = qc.InputLaw([1.0])
+        ys = np.zeros(5041, dtype=np.int64)
+        before = rates.passes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            driver = qc.scaled_forward_classical(f, q, ys)
+        assert rates.passes - before == 1
+        ref, _, failure = iterate_steps(
+            qc.forward_step_classical, qc.initial_state_metric(f), f, q, ys
+        )
+        assert failure is None
         assert np.abs(driver - ref).max() <= 1e-12
 
 
