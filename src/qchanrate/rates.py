@@ -418,7 +418,8 @@ def _blocked_pass(
         # entries its division spreads stay within that block and come
         # after it.
         vecs = begin[first:first + span]
-        for row, tot in zip(cols, totals[:, first:first + span].transpose(2, 1, 0)[..., None, None]):
+        outs = totals[:, first:first + span].transpose(2, 1, 0)[..., None, None]
+        for row, tot in zip(cols, outs):
             vecs = vecs @ mats.take(row, axis=0)
             np.matmul(vecs, column, out=tot)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -447,6 +448,12 @@ def _blocked_pass(
     return out
 
 
+def stack_key(rec: Recursion) -> tuple[int, bytes]:
+    """Recursions with equal keys (length and closure, hence state size)
+    can run as one stack."""
+    return rec.index.size, rec.closure.tobytes()
+
+
 def stacked_forward_logs(recs: Sequence[Recursion]) -> list:
     """Per-step natural scale logs of a stack of recursions that share one
     state size, one length and one closure, evaluated together.
@@ -458,7 +465,7 @@ def stacked_forward_logs(recs: Sequence[Recursion]) -> list:
     """
     closure = recs[0].closure
     n = recs[0].index.size
-    if any(r.index.size != n or not np.array_equal(r.closure, closure) for r in recs):
+    if any(stack_key(r) != stack_key(recs[0]) for r in recs):
         raise ValueError("stacked recursions must share their length and closure")
     # One matrix table for the stack, the identity last; each
     # recursion's indices are shifted to its own matrices.  Every matrix

@@ -33,7 +33,7 @@ from . import rates
 from .bounds import auxiliary_error, lower_bound
 from .config import AuxiliarySpec, ExperimentConfig, build_auxiliary, instantiate_channel
 from .errors import QchanrateError
-from .rates import Recursion, combine_sums, input_log_loss, pair_recursions
+from .rates import Recursion, combine_sums, input_log_loss, pair_recursions, stack_key
 
 # Not called here, but the traced benchmark (perfbench/tracer.py) wraps it
 # by this module attribute.
@@ -216,8 +216,7 @@ def evaluate_chunk(
     for row in pending:
         for slot, rec in enumerate(row.outcomes):
             if isinstance(rec, Recursion):
-                key = (rec.closure.size, rec.index.size, rec.closure.tobytes())
-                stacks.setdefault(key, []).append((row, slot))
+                stacks.setdefault(stack_key(rec), []).append((row, slot))
     for members in stacks.values():
         _run_stack(members, since)
 

@@ -358,7 +358,9 @@ class TestRecursionGuards:
             return one_pass(table, guarded, closure, starts, indices, *rest)
 
         monkeypatch.setattr(rates, "_blocked_pass", recorded)
-        stacked = rates.stacked_forward_logs([rates.recursion(f, q, ys), rates.recursion(f, q, calm)])
+        stacked = rates.stacked_forward_logs(
+            [rates.recursion(f, q, ys), rates.recursion(f, q, calm)]
+        )
         assert stack_sizes == [2, 1]
         assert np.array_equal(stacked[0], driver)
         assert np.array_equal(stacked[1], calm_logs)
@@ -387,7 +389,7 @@ class TestRecursionGuards:
         assert np.abs(driver - ref).max() <= 1e-12
 
     @pytest.mark.parametrize("states", [11, 97])
-    def test_tiny_probability_rotation_settles_in_one_pass(self, uniform, states):
+    def test_tiny_probability_rotation_settles_in_one_pass(self, states):
         """A rotation through ``states`` states whose observed output has
         probability (1 + s) * 1e-50 in state s.  Unscaled, every product of
         RESCALE_EVERY steps underflowed and the engine settled one block
