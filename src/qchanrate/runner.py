@@ -23,6 +23,7 @@ ran it.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
@@ -317,7 +318,9 @@ def run_experiment(
 
     ``workers > 1`` dispatches the chunks of (value, seed) tasks to a
     process pool; results are identical to the serial run because every
-    chunk is self-contained and rows are sorted before writing.
+    chunk is self-contained and rows are sorted before writing.  A worker
+    that dies raises ``QchanrateError`` naming the first chunk left
+    without a result.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -328,7 +331,16 @@ def run_experiment(
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(evaluate_chunk, cfg, chunk, timings) for chunk in chunks]
-            results = [future.result() for future in futures]
+            results = []
+            for k, (chunk, future) in enumerate(zip(chunks, futures), start=1):
+                try:
+                    results.append(future.result())
+                except BrokenProcessPool as exc:
+                    raise QchanrateError(
+                        f"a worker process died before returning chunk {k} of {len(chunks)} "
+                        f"({cfg.sweep.parameter} {chunk[0][0]!r} to {chunk[-1][0]!r}); "
+                        "no results were written"
+                    ) from exc
     else:
         results = (evaluate_chunk(cfg, chunk, timings) for chunk in chunks)
     for got_rows, got_errors in results:

@@ -14,34 +14,38 @@ the guarded pmf of each (state, input) pair, its Kahan cumulative table
 and its last index of positive mass once, on the first visit of that
 pair in a trajectory, so every step is a table lookup and a bisection.
 
-During quantum sampling the memory is tracked as the normalized
-conditional state given everything sent and observed so far, in the
-real packed form of ``linalg.real_transfer_form``; each step emits the
-output distribution obtained by contracting the transfer operator
-against that state, then conditions the state on the drawn outcome.
-Each input's real step matrices for every output sit side by side,
-followed by one column per output that closes them with the trace, so a
-step is one real vector-matrix product, the pmf guards, renormalization
-and draw on Python floats (summed in numpy's ``add.reduce`` order), and
-one division of the drawn output's slice by its weight; the product and
-the state are written in place into buffers allocated once per
-trajectory.  The packed
-state is Hermitian by construction; the imaginary-residue and
-Hermiticity guards are measured once per input on its step matrices and
-trip at the first step that uses a failing input.
+During quantum sampling the memory is tracked as the conditional state
+given everything sent and observed so far, in the real packed form of
+``linalg.real_transfer_form``.  Each input's real step matrices for every
+output sit side by side, followed by one column per output that closes
+them with the trace, so a step is one real vector-matrix product, then
+the pmf guards and the draw on Python floats (summed in numpy's
+``add.reduce`` order).  The state is carried unnormalized: a step
+multiplies the drawn output's slice of the previous product, whose
+weight, the state's trace, is kept as a Python float.  The guards compare
+against the trace and report normalized values; the draw divides by the
+total weight.  Below ``RESCALE_FLOOR`` the state and its trace are scaled
+by an exact power of two.  Products alternate between two buffers
+allocated once per trajectory.  The packed state is Hermitian by
+construction; the imaginary-residue and Hermiticity guards are measured
+once per input on its step matrices and trip at the first step that uses
+a failing input.
 
-The stream of a seed is fixed: both samplers do the arithmetic of the
-single-step functions below (``_finalize_pmf`` and ``draw_index``;
-``conditional_output_distribution`` and ``posterior_update``), the
-quantum one in real rather than complex arithmetic, and check every
-guard on the step that first reaches it.  The tests pin digests of
-these streams and compare them with the single-step functions.
+The stream of a seed is fixed.  The classical sampler does the
+arithmetic of the single-step functions below (``_finalize_pmf`` and
+``draw_index``); each pmf of the quantum sampler equals that of
+``conditional_output_distribution`` after ``posterior_update`` up to
+rounding, and every guard is checked on the step that first reaches it.
+The tests pin digests of the streams, which are unchanged since they
+were recorded, and compare them with the single-step functions.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import cycle
+from math import frexp, ldexp, nan
 
 import numpy as np
 
@@ -69,6 +73,11 @@ PMF_IMAG_GUARD = 1e-10
 PMF_NEGATIVE_GUARD = -1e-9
 PMF_SUM_GUARD = 1e-9
 STATE_HERMITICITY_GUARD = 1e-9
+
+# The quantum sampler carries its state unnormalized and scales it by an
+# exact power of two once its trace falls below this floor, which keeps
+# the state's entries far above the subnormal range (below 2**-1022).
+RESCALE_FLOOR = 2.0**-500
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -109,7 +118,8 @@ def kahan_cumulative(weights: np.ndarray) -> np.ndarray:
 def _add_reduce(values: list[float]) -> float:
     """Sum in the order of numpy's ``add.reduce`` over a contiguous float64
     vector: sequential below eight terms, eight interleaved partial sums
-    up to 128, halved in multiples of eight beyond."""
+    up to 128, halved in multiples of eight beyond.  (Builtin ``sum``
+    compensates its rounding from Python 3.12 on, so it would not.)"""
     n = len(values)
     if n < 8:
         total = -0.0
@@ -304,14 +314,14 @@ def _quantum_step_matrices(
     return steps, form.imag_residue.max(axis=1).tolist(), form.herm_residue.max(axis=1).tolist()
 
 
-def _input_guards(imag: float, herm: float, weights: list[float], step: int) -> None:
+def _input_guards(imag: float, herm: float, weights: list[float], trace: float, step: int) -> None:
     """Raise the guard that a failing input's step trips, in the order of
     a single step: imaginary weights, then the pmf, then the state."""
     if not imag <= PMF_IMAG_GUARD:
         raise NumericalCorruptionError(
             f"output weights carry imaginary residue {imag:.3e} at step {step}"
         )
-    _check_pmf(min(weights), _add_reduce(weights), step)
+    _check_pmf(min(weights) / trace, _add_reduce(weights) / trace, step)
     raise NumericalCorruptionError(
         f"conditional state Hermiticity residue {herm:.3e} beyond guard at step {step}"
     )
@@ -328,19 +338,30 @@ def _sample_outputs_quantum(
         not (i <= PMF_IMAG_GUARD and h <= STATE_HERMITICITY_GUARD) for i, h in zip(imag, herm)
     ]
     closures = t.y_size * d  # the weight columns start here
+    negative_guard, sum_guard = PMF_NEGATIVE_GUARD, PMF_SUM_GUARD
+    # Each step multiplies the picked output's slice of one buffer into
+    # the other, so a product never reads its own output.  A leg holds one
+    # buffer's bound slice products, the other buffer and its weights.
+    first, second = np.empty(closures + t.y_size), np.empty(closures + t.y_size)
+    legs = [
+        ([src[y * d:(y + 1) * d].dot for y in range(t.y_size)], dst, dst[closures:])
+        for src, dst in ((first, second), (second, first))
+    ]
+    first[:d] = pack_hermitian(t.initial_state).reshape(d)  # as output 0's slice
+    pick = 0
+    trace = 1.0  # of the state in the picked slice
     ys = []
-    vec = pack_hermitian(t.initial_state).reshape(d)
-    nxt = np.empty(closures + t.y_size)
-    slices = [nxt[y * d:(y + 1) * d] for y in range(t.y_size)]
-    weight_view = nxt[closures:]
-    for step, (x_step, u) in enumerate(zip(x.tolist(), us)):
-        np.dot(vec, steps[x_step], out=nxt)
+    for step, (x_step, u, (dots, out, weight_view)) in enumerate(
+        zip(x.tolist(), us, cycle(legs))
+    ):
+        dots[pick](steps[x_step], out=out)
         weights = weight_view.tolist()
         if failing[x_step]:
-            _input_guards(imag[x_step], herm[x_step], weights, step)
+            _input_guards(imag[x_step], herm[x_step], weights, trace, step)
         lo = min(weights)
         total = _add_reduce(weights)
-        _check_pmf(lo, total, step)
+        if not (lo >= negative_guard * trace and abs(total - trace) <= sum_guard * trace):
+            _check_pmf(lo / trace, total / trace, step)
         pmf = weights
         if lo < 0.0:
             pmf = [w if w > 0.0 else 0.0 for w in weights]
@@ -350,7 +371,15 @@ def _sample_outputs_quantum(
         if pick > last:
             pick = last
         ys.append(pick)
-        np.divide(slices[pick], weights[pick], out=vec)
+        trace = weights[pick]
+        if trace < RESCALE_FLOOR:
+            if trace > 0.0:
+                trace, exponent = frexp(trace)
+                out *= ldexp(1.0, -exponent)
+            else:
+                # a zero or clipped weight drawn through roundoff: the next
+                # step's pmf guard trips on the NaN
+                trace = nan
     return np.array(ys, dtype=np.int64)
 
 

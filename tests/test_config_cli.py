@@ -1,4 +1,5 @@
 import json
+import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -28,6 +29,11 @@ def write_config(tmp_path, name="exp.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(cfg, indent=1))
     return path
+
+
+def dying_chunk(cfg, tasks, timings=False):
+    """Stands in for ``runner.evaluate_chunk``: the worker ends at once."""
+    os._exit(1)
 
 
 def read_rows(csv_path):
@@ -446,6 +452,16 @@ class TestCli:
         path = write_config(tmp_path, estimators=["magic"])
         assert main(["validate", str(path)]) == 2
         assert "error[ConfigError]" in capsys.readouterr().err
+
+    def test_dead_worker_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(runner, "evaluate_chunk", dying_chunk)
+        path = write_config(tmp_path)
+        out_dir = tmp_path / "o"
+        assert main(["estimate", str(path), "--threads", "2", "--out-dir", str(out_dir)]) == 3
+        err = capsys.readouterr().err
+        assert "error[QchanrateError]: a worker process died before returning chunk 1 of" in err
+        assert "Traceback" not in err
+        assert not (out_dir / "results.csv").exists()
 
     def test_seed_and_n_overrides(self, tmp_path):
         path = write_config(tmp_path)

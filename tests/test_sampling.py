@@ -424,6 +424,22 @@ GUARD_MESSAGES = {
 }
 
 
+def single_step_guard_message(t, law, n, seed):
+    """The message of the first guard that the single-step route trips on
+    the stream of ``seed``, with its step."""
+    ref_rng = qc.make_rng(seed)
+    x = qc.sample_input(law, n, ref_rng)
+    us = ref_rng.random(n)
+    state = t.initial_state.copy()
+    for step in range(n):
+        try:
+            pmf = qc.conditional_output_distribution(t, state, x[step])
+        except NumericalCorruptionError as exc:
+            return f"{exc} at step {step}"
+        state = qc.posterior_update(t, state, x[step], sampling.draw_index(pmf, us[step]))
+    return None
+
+
 class TestSamplerGuards:
     def test_faults_first_reached_at_step_20(self):
         assert first_rare_step() == 20
@@ -433,6 +449,32 @@ class TestSamplerGuards:
         pattern = rf"{GUARD_MESSAGES[fault]}.* at step 20$"
         with pytest.raises(NumericalCorruptionError, match=pattern):
             qc.sample_trajectory(planted_quantum(fault), RARE_LAW, 400, FAULT_SEED)
+
+    @pytest.mark.parametrize("fault", ["negative", "total"])
+    def test_quantum_guard_reports_normalized_values(self, fault):
+        """The sampler carries its state unnormalized, with a trace far
+        from 1 by step 20; its message still gives the normalized pmf's
+        entry or total, as the single-step route does."""
+        t = planted_quantum(fault)
+        expected = single_step_guard_message(t, RARE_LAW, 400, FAULT_SEED)
+        assert expected is not None and expected.endswith(" at step 20")
+        with pytest.raises(NumericalCorruptionError) as info:
+            qc.sample_trajectory(t, RARE_LAW, 400, FAULT_SEED)
+        assert str(info.value) == expected
+
+    def test_zero_weight_pick_trips_next_step(self, monkeypatch):
+        """Kahan roundoff can draw an output of zero weight, leaving a
+        carried state of zero trace: the next step's pmf guard trips."""
+        kernel = np.array([[[[0.5, 0.0, 0.5]], [[0.25, 0.0, 0.75]]]])  # (S, X, S, Y)
+        t = qc.embed_classical_as_quantum(channels.ClassicalFsmc(kernel, np.array([1.0])))
+        draws = itertools.count()
+        bisect_right = sampling.bisect_right
+        monkeypatch.setattr(
+            sampling, "bisect_right",
+            lambda cum, u: 1 if next(draws) == 5 else bisect_right(cum, u),
+        )
+        with pytest.raises(NumericalCorruptionError, match=r"below the roundoff guard at step 6$"):
+            qc.sample_trajectory(t, qc.uniform_input(), 50, 3)
 
     @pytest.mark.parametrize("fault", ["negative", "total", "nan"])
     def test_classical_guard_names_step(self, fault):
