@@ -79,10 +79,19 @@ def cmd_validate(args) -> int:
     return 0
 
 
+def _out_dir(args) -> Path:
+    out_dir = Path(args.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("--out-dir", f"cannot create {out_dir}: {exc.strerror}") from None
+    return out_dir
+
+
 def _run(cfg, args) -> int:
     out = run_experiment(
         cfg,
-        args.out_dir,
+        _out_dir(args),
         workers=max(1, args.threads),
         write_svg=not args.no_svg,
         timings=args.timings,
@@ -108,11 +117,14 @@ def cmd_bound(args) -> int:
         raise ConfigError("auxiliaries", "bound requires at least one auxiliary model")
     cfg = dataclasses.replace(cfg, estimators=("aux_lower",))
     if args.trajectory:
-        traj = load_trajectory(args.trajectory)
+        try:
+            traj = load_trajectory(args.trajectory)
+        except OSError as exc:
+            raise ConfigError(
+                "--trajectory", f"cannot read {args.trajectory}: {exc.strerror}"
+            ) from None
         rows, errors = bound_rows_for_trajectory(cfg, traj)
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        csv_path = out_dir / cfg.csv_name
+        csv_path = _out_dir(args) / cfg.csv_name
         rows.sort(key=lambda r: (r.sweep_value, r.estimator_id, r.seed))
         write_rows_csv(csv_path, "external", rows)
         print(f"wrote {csv_path} ({len(rows)} rows)")
@@ -134,7 +146,10 @@ def cmd_sample(args) -> int:
     if not 0 <= seed <= MAX_SEED:
         raise ConfigError("--seed", f"seed must lie in [0, 2^64 - 1], got {seed}")
     traj = sample_trajectory(model, cfg.input_law, n, seed)
-    save_trajectory(traj, args.output)
+    try:
+        save_trajectory(traj, args.output)
+    except OSError as exc:
+        raise ConfigError("--output", f"cannot write {args.output}: {exc.strerror}") from None
     print(f"wrote {args.output} (n={traj.n}, seed={traj.seed})")
     return 0
 

@@ -296,6 +296,10 @@ def load_config(path) -> ExperimentConfig:
             root = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(str(path), "file not found") from None
+    except OSError as exc:
+        raise ConfigError(str(path), f"cannot read file: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(str(path), f"not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(str(path), f"invalid JSON: {exc}") from None
     _expect_dict(root, "config", _ROOT_KEYS)

@@ -7,7 +7,11 @@ recorded on every trajectory.  Stream layout per trajectory: the first
 for the initial latent state followed by ``n`` uniforms for the joint
 (next state, output) draws, or (quantum models) ``n`` uniforms for the
 output draws.  Categorical draws go through an inverse-CDF walk over
-Kahan-compensated cumulative weights.
+Kahan-compensated cumulative weights.  A quantum step with two outputs
+draws by one comparison instead, output 0 when ``u < w0 / total``: the
+first Kahan carry is exactly 0, so the table of two weights is
+``[w0 / total, w0 / total + w1 / total]``, in order, and the walk over
+it picks the same output.  Larger output alphabets walk the table.
 
 Classical models (a ``Dmc`` runs as a one-state ``ClassicalFsmc``) build
 the guarded pmf of each (state, input) pair, its Kahan cumulative table
@@ -338,6 +342,7 @@ def _sample_outputs_quantum(
         not (i <= PMF_IMAG_GUARD and h <= STATE_HERMITICITY_GUARD) for i, h in zip(imag, herm)
     ]
     closures = t.y_size * d  # the weight columns start here
+    binary = t.y_size == 2
     negative_guard, sum_guard = PMF_NEGATIVE_GUARD, PMF_SUM_GUARD
     # Each step multiplies the picked output's slice of one buffer into
     # the other, so a product never reads its own output.  A leg holds one
@@ -358,18 +363,30 @@ def _sample_outputs_quantum(
         weights = weight_view.tolist()
         if failing[x_step]:
             _input_guards(imag[x_step], herm[x_step], weights, trace, step)
-        lo = min(weights)
-        total = _add_reduce(weights)
+        if binary:
+            w0, w1 = weights
+            lo = w1 if w1 < w0 else w0  # builtin min, NaN included
+            total = w0 + w1  # _add_reduce on two terms
+        else:
+            lo = min(weights)
+            total = _add_reduce(weights)
         if not (lo >= negative_guard * trace and abs(total - trace) <= sum_guard * trace):
             _check_pmf(lo / trace, total / trace, step)
-        pmf = weights
-        if lo < 0.0:
-            pmf = [w if w > 0.0 else 0.0 for w in weights]
-            total = _add_reduce(pmf)
-        cum, last = _cdf_table(pmf, total)
-        pick = bisect_right(cum, u)
-        if pick > last:
-            pick = last
+        if binary:
+            # The two-entry table walk (see the module docstring), without
+            # the clip or the clamp to the last positive index: neither can
+            # change the pick while u < 1, since a w0 <= 0 loses to every u
+            # and a w1 <= 0 makes w0 / total >= 1 > u.
+            pick = 0 if u < w0 / total else 1
+        else:
+            pmf = weights
+            if lo < 0.0:
+                pmf = [w if w > 0.0 else 0.0 for w in weights]
+                total = _add_reduce(pmf)
+            cum, last = _cdf_table(pmf, total)
+            pick = bisect_right(cum, u)
+            if pick > last:
+                pick = last
         ys.append(pick)
         trace = weights[pick]
         if trace < RESCALE_FLOOR:
@@ -417,10 +434,13 @@ def save_trajectory(traj: Trajectory, path) -> None:
 
 
 def load_trajectory(path) -> Trajectory:
-    with open(path, "r", encoding="ascii") as fh:
+    # non-ASCII bytes decode to lone surrogates, reported at their line
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         header = fh.readline()
         if not header:
             raise TrajectoryFormatError(1, "empty file")
+        if not header.isascii():
+            raise TrajectoryFormatError(1, "non-ASCII byte")
         fields = {}
         for token in header.split():
             key, sep, value = token.partition("=")
@@ -440,6 +460,8 @@ def load_trajectory(path) -> Trajectory:
             raise TrajectoryFormatError(1, f"n must be positive, got {n}")
         xs, ys = [], []
         for lineno, line in enumerate(fh, start=2):
+            if not line.isascii():
+                raise TrajectoryFormatError(lineno, "non-ASCII byte")
             if not line.strip():
                 continue
             parts = line.split()

@@ -556,6 +556,55 @@ class TestCli:
         assert "aux_lower:a failed [SequenceError]" in captured.out
         assert "error[QchanrateError]" in captured.err
 
+    @pytest.mark.parametrize(
+        "case",
+        ["missing-trajectory", "non-ascii-trajectory", "config-is-directory",
+         "non-utf8-config", "out-dir-is-file", "output-dir-missing"],
+    )
+    def test_unusable_paths_exit_without_traceback(self, tmp_path, capsys, case):
+        """An unreadable input path or unusable output path is a
+        configuration error naming it, a bad trajectory byte a format error
+        at its line: one ``error[...]`` line, no traceback."""
+        cfg_path = write_config(
+            tmp_path,
+            estimators=["aux_lower"],
+            auxiliaries=[{"kind": "bsc", "label": "a", "p": 0.2}],
+        )
+        traj = tmp_path / "traj.txt"
+        traj.write_bytes(b"n=2 seed=1 gen=x\n0 1\n0 \xb91\n")
+        bad_cfg = tmp_path / "latin1.json"
+        bad_cfg.write_bytes(cfg_path.read_bytes().replace(b'"a"', b'"\xe9"'))
+        argv, code, prefix = {
+            "missing-trajectory": (
+                ["bound", str(cfg_path), "--trajectory", str(tmp_path / "no.txt")],
+                2, "error[ConfigError]: --trajectory: cannot read",
+            ),
+            "non-ascii-trajectory": (
+                ["bound", str(cfg_path), "--trajectory", str(traj)],
+                3, "error[TrajectoryFormatError]: line 3: non-ASCII byte",
+            ),
+            "config-is-directory": (
+                ["validate", str(tmp_path)],
+                2, f"error[ConfigError]: {tmp_path}: cannot read file",
+            ),
+            "non-utf8-config": (
+                ["validate", str(bad_cfg)],
+                2, f"error[ConfigError]: {bad_cfg}: not UTF-8 text",
+            ),
+            "out-dir-is-file": (
+                ["estimate", str(cfg_path), "--out-dir", str(cfg_path)],
+                2, "error[ConfigError]: --out-dir: cannot create",
+            ),
+            "output-dir-missing": (
+                ["sample", str(cfg_path), "-o", str(tmp_path / "no" / "t.txt")],
+                2, "error[ConfigError]: --output: cannot write",
+            ),
+        }[case]
+        assert main(argv) == code
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(prefix)
+
     def test_oracle_verb(self, tmp_path, capsys):
         path = write_config(
             tmp_path,

@@ -326,6 +326,30 @@ class TestRealStepMatrices:
                     assert abs(weight - np.trace(state)) <= 1e-14
 
 
+def assert_quantum_matches_single_step_reference(y_size):
+    """A random S=3, X=3 model sampled at n=2000 draws the outputs of
+    ``conditional_output_distribution``, ``draw_index`` and
+    ``posterior_update`` step by step."""
+    rng = np.random.default_rng(26)
+    t = qc.compile_transfer_operators(
+        qc.random_quantum_memory_channel(rng, state_dim=3, x_size=3, y_size=y_size)
+    )
+    q = qc.uniform_input(3)
+    n, seed = 2000, 31
+    ref_rng = qc.make_rng(seed)
+    x = qc.sample_input(q, n, ref_rng)
+    us = ref_rng.random(n)
+    y = np.empty(n, dtype=np.int64)
+    state = t.initial_state.copy()
+    for step in range(n):
+        pmf = qc.conditional_output_distribution(t, state, x[step])
+        y[step] = sampling.draw_index(pmf, us[step])
+        state = qc.posterior_update(t, state, x[step], y[step])
+    traj = qc.sample_trajectory(t, q, n, seed)
+    assert np.array_equal(traj.x, x)
+    assert np.array_equal(traj.y, y)
+
+
 class TestPinnedStreams:
     @pytest.mark.parametrize("name, seed", sorted(PINNED_STREAMS))
     def test_stream_digest(self, name, seed, uniform):
@@ -337,24 +361,11 @@ class TestPinnedStreams:
 
     def test_quantum_matches_single_step_reference(self):
         """Three outputs exercise the pmf total in numpy's summation order."""
-        rng = np.random.default_rng(26)
-        t = qc.compile_transfer_operators(
-            qc.random_quantum_memory_channel(rng, state_dim=3, x_size=3, y_size=3)
-        )
-        q = qc.uniform_input(3)
-        n, seed = 2000, 31
-        ref_rng = qc.make_rng(seed)
-        x = qc.sample_input(q, n, ref_rng)
-        us = ref_rng.random(n)
-        y = np.empty(n, dtype=np.int64)
-        state = t.initial_state.copy()
-        for step in range(n):
-            pmf = qc.conditional_output_distribution(t, state, x[step])
-            y[step] = sampling.draw_index(pmf, us[step])
-            state = qc.posterior_update(t, state, x[step], y[step])
-        traj = qc.sample_trajectory(t, q, n, seed)
-        assert np.array_equal(traj.x, x)
-        assert np.array_equal(traj.y, y)
+        assert_quantum_matches_single_step_reference(y_size=3)
+
+    def test_binary_quantum_matches_single_step_reference(self):
+        """Two outputs take the one-comparison draw."""
+        assert_quantum_matches_single_step_reference(y_size=2)
 
     def test_classical_matches_single_step_reference(self):
         rng = np.random.default_rng(27)
@@ -372,6 +383,63 @@ class TestPinnedStreams:
         traj = qc.sample_trajectory(f, qc.uniform_input(), n, seed)
         assert np.array_equal(traj.x, x)
         assert np.array_equal(traj.y, y)
+
+
+class FixedUniforms:
+    """Stands in for the generator: ``random(n)`` returns chosen uniforms."""
+
+    def __init__(self, us):
+        self.us = np.asarray(us, dtype=float)
+
+    def random(self, n):
+        assert n == self.us.size
+        return self.us
+
+
+class TestBinaryDraw:
+    """A two-output quantum step picks output 0 when u < w0 / total, as
+    the inverse-CDF table of its clipped weights would."""
+
+    def test_boundary_uniform_picks_second_output(self, quantum_ge):
+        d = quantum_ge.state_dim ** 2
+        steps, _, _ = sampling._quantum_step_matrices(quantum_ge)
+        vec = linalg.pack_hermitian(quantum_ge.initial_state).reshape(d)
+        for x in range(quantum_ge.x_size):
+            w0, w1 = vec.dot(steps[x])[2 * d:].tolist()
+            edge = w0 / (w0 + w1)
+            assert 0.0 < edge < 1.0
+            xs = np.array([x])
+            for u, expected in ((edge, 1), (np.nextafter(edge, 0.0), 0)):
+                assert sampling.draw_index(np.array([w0, w1]) / (w0 + w1), u) == expected
+                picks = sampling._sample_outputs_quantum(quantum_ge, xs, FixedUniforms([u]))
+                assert picks.tolist() == [expected]
+
+    @pytest.mark.parametrize("u", [np.nextafter(1.0, 0.0), 1.0 - 2.0**-20])
+    def test_zero_weight_output_never_drawn(self, u):
+        """State 0 never emits output 1, and state 1 emits it and moves to
+        state 0: from state 0, every u near 1 must still draw output 0, so
+        the outputs alternate."""
+        kernel = np.zeros((2, 2, 2, 2))  # (S, X, S, Y)
+        kernel[0, :, :, 0] = 0.5
+        kernel[1, :, 0, :] = 0.5
+        f = channels.ClassicalFsmc(kernel, np.array([1.0, 0.0]))
+        t = qc.embed_classical_as_quantum(f)
+        n = 40
+        xs = qc.sample_input(qc.uniform_input(), n, qc.make_rng(4))
+        picks = sampling._sample_outputs_quantum(t, xs, FixedUniforms(np.full(n, u)))
+        assert picks.tolist() == [0, 1] * (n // 2)
+
+    @pytest.mark.parametrize("u", [0.0, np.nextafter(1.0, 0.0)])
+    @pytest.mark.parametrize("negative", [0, 1])
+    def test_weight_inside_negative_guard_never_drawn(self, negative, u):
+        """A weight just below zero passes the pmf guard and, unclipped, is
+        still never drawn, at either end of the uniforms."""
+        w = np.array([1.0 + 1e-12, -1e-12])  # output weights of a one-state memory
+        if negative == 0:
+            w = w[::-1].copy()
+        t = channels.TransferOperatorSet(w.reshape(1, 2, 1, 1), np.eye(1))
+        picks = sampling._sample_outputs_quantum(t, np.zeros(3, dtype=np.int64), FixedUniforms([u] * 3))
+        assert picks.tolist() == [1 - negative] * 3
 
 
 # A rare input symbol carries each planted fault, so the guard first
