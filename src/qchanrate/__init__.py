@@ -4,9 +4,7 @@ finite-state baseline and mismatched-decoding lower bounds."""
 
 from .bounds import (
     AuxiliaryModel,
-    GridSweepResult,
     LowerBoundEstimate,
-    grid_sweep,
     lower_bound,
     make_auxiliary,
     smooth_classical_fsmc,
@@ -54,14 +52,8 @@ from .linalg import (
 from .oracle import OracleTables, brute_force_oracle, oracle_joint_prob, oracle_output_prob
 from .rates import (
     RateEstimate,
-    StateMetric,
-    StateOperator,
     dmc_information_rate,
     entropy_rate_estimates,
-    forward_step_classical,
-    forward_step_quantum,
-    initial_state_metric,
-    initial_state_operator,
     scaled_forward_classical,
     scaled_forward_quantum,
 )
@@ -69,10 +61,8 @@ from .runner import run_experiment
 from .sampling import (
     GENERATOR_ID,
     Trajectory,
-    conditional_output_distribution,
     load_trajectory,
     make_rng,
-    posterior_update,
     sample_input,
     sample_trajectory,
     save_trajectory,

@@ -21,13 +21,11 @@ doubled-state recursion unchanged; only the model object differs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
 import numpy as np
 
-from .channels import ClassicalFsmc, InputLaw, TransferOperatorSet
+from .channels import ClassicalFsmc, InputLaw, TransferOperatorSet, as_recursion_model
 from .errors import AuxiliaryLikelihoodError, ImpossibleObservationError, QchanrateError
-from .rates import as_recursion_model, combine_sums, input_log_loss, pair_logs
+from .rates import combine_sums, input_log_loss, pair_logs
 from .sampling import Trajectory
 
 KERNEL_FLOOR = 1e-12
@@ -102,51 +100,3 @@ def lower_bound(traj: Trajectory, aux: AuxiliaryModel, q: InputLaw) -> LowerBoun
     return LowerBoundEstimate(
         n=traj.n, seed=traj.seed, hx=r.hx, aux_hy=r.hy, aux_hxy=r.hxy, ir_lower=r.ir
     )
-
-
-@dataclass(frozen=True)
-class GridPoint:
-    value: float
-    mean_ir_lower: float
-    estimates: tuple[LowerBoundEstimate, ...]
-
-
-@dataclass(frozen=True)
-class GridSweepResult:
-    best: GridPoint
-    points: tuple[GridPoint, ...]
-
-
-def grid_sweep(
-    true_model,
-    q: InputLaw,
-    aux_family: Callable[[float], AuxiliaryModel],
-    grid: Sequence[float],
-    n: int,
-    seeds: Sequence[int],
-) -> GridSweepResult:
-    """Evaluate an auxiliary family over a parameter grid.
-
-    The same true-channel trajectories (one per seed) are shared by
-    every grid point, so differences across the grid reflect the
-    auxiliary parameter rather than sampling noise.  Returns the full
-    table and the point with the largest mean bound (first on ties).
-    """
-    from .sampling import sample_trajectory
-
-    if len(grid) < 1:
-        raise ValueError("grid must contain at least one value")
-    if len(seeds) < 1:
-        raise ValueError("at least one seed is required")
-    true_model = as_recursion_model(true_model)
-    trajectories = [sample_trajectory(true_model, q, n, seed) for seed in seeds]
-    points = []
-    for value in grid:
-        aux = aux_family(value)
-        if not isinstance(aux, AuxiliaryModel):
-            aux = make_auxiliary(aux, label=f"grid[{value!r}]")
-        estimates = tuple(lower_bound(traj, aux, q) for traj in trajectories)
-        mean = float(np.mean([e.ir_lower for e in estimates]))
-        points.append(GridPoint(float(value), mean, estimates))
-    best = max(points, key=lambda p: p.mean_ir_lower)
-    return GridSweepResult(best=best, points=tuple(points))

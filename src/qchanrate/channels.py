@@ -415,8 +415,8 @@ def compile_transfer_operators(
     (which preserves their completeness relation), then for every (x, y)
     the measurement, interaction, encoding and their conjugates are
     contracted over the transmit indices.  The compiled set is checked
-    for positive semidefiniteness and trace consistency; violations
-    raise ``ModelValidationError`` naming the condition and witness.
+    like any transfer operator set (``require_valid``); a violation
+    raises ``ModelValidationError`` naming the condition and witness.
     """
     require_valid(ch, tol)
     d, s = ch.transmit_dim, ch.state_dim
@@ -432,29 +432,21 @@ def compile_transfer_operators(
             w4 = np.einsum("kucia,ab,kvcjb->iujv", f4, ch.encodings[x], f4.conj())
             ops[x, y] = w4.reshape(s * s, s * s)
     out = TransferOperatorSet(ops, ch.initial_state.copy())
-    for x in range(n_x):
-        for y in range(n_y):
-            check = is_psd(ops[x, y], tol)
-            if not check:
-                raise ModelValidationError(
-                    "transfer operator positive semidefiniteness",
-                    check.witness,
-                    f"input {x}, output {y}: {check.reason}",
-                )
-    _check_trace_consistency(out, tol)
+    require_valid(out, tol)
     return out
 
 
-def _check_trace_consistency(t: TransferOperatorSet, tol: Tolerance) -> None:
-    s = t.state_dim
-    eye = np.eye(s)
-    for x in range(t.x_size):
-        closure = np.einsum("yiuju->ij", t.tensors[x])
-        resid = float(np.abs(closure - eye).max())
-        if resid > tol.eps_trace:
-            raise ModelValidationError(
-                "transfer trace consistency", resid, f"input {x}"
-            )
+def as_recursion_model(model):
+    """Coerce any channel model to one the samplers and forward recursions
+    accept: a memoryless law becomes a one-state finite-state channel and
+    a quantum-memory channel is compiled."""
+    if isinstance(model, Dmc):
+        return fsmc_from_dmc(model)
+    if isinstance(model, QuantumMemoryChannel):
+        return compile_transfer_operators(model)
+    if isinstance(model, (ClassicalFsmc, TransferOperatorSet)):
+        return model
+    raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
 def embed_classical_as_quantum(f: ClassicalFsmc) -> TransferOperatorSet:
@@ -594,12 +586,18 @@ def validate(model, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
                     )
         checks.append(psd)
         eye = np.eye(model.state_dim)
-        resid = 0.0
-        for x in range(model.x_size):
-            closure = np.einsum("yiuju->ij", model.tensors[x])
-            resid = max(resid, float(np.abs(closure - eye).max()))
+        resids = [
+            float(np.abs(np.einsum("yiuju->ij", model.tensors[x]) - eye).max())
+            for x in range(model.x_size)
+        ]
+        worst = int(np.argmax(resids))
         checks.append(
-            CheckResult("transfer trace consistency", resid <= tol.eps_trace, resid)
+            CheckResult(
+                "transfer trace consistency",
+                resids[worst] <= tol.eps_trace,
+                resids[worst],
+                f"worst at input {worst}",
+            )
         )
         checks.extend(_density_checks(model.initial_state, "initial memory state", tol))
         return ValidationReport("transfer operator set", tuple(checks))
@@ -608,13 +606,15 @@ def validate(model, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
 
 
 def require_valid(model, tol: Tolerance = DEFAULT_TOL) -> None:
-    """Raise ``ModelValidationError`` on the first failed condition."""
+    """Raise ``ModelValidationError`` on the first failed condition, with
+    that condition's detail."""
     report = validate(model, tol)
     if not report.ok:
         bad = report.failures()
         first = bad[0]
         names = ", ".join(c.name for c in bad)
-        raise ModelValidationError(first.name, first.witness, f"failed checks: {names}")
+        detail = f"{first.detail}; " if first.detail else ""
+        raise ModelValidationError(first.name, first.witness, f"{detail}failed checks: {names}")
 
 
 # ---------------------------------------------------------------------------

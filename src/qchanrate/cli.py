@@ -26,7 +26,7 @@ from .config import build_auxiliary, instantiate_channel, load_config
 from .errors import ConfigError, QchanrateError
 from .oracle import brute_force_oracle
 from .rates import scaled_forward_classical, scaled_forward_quantum
-from .runner import bound_rows_for_trajectory, run_experiment, write_rows_csv
+from .runner import bound_rows_for_trajectory, run_experiment, write_output, write_rows_csv
 from .sampling import MAX_SEED, load_trajectory, sample_trajectory, save_trajectory
 
 ORACLE_CHECK_TOL = 1e-9
@@ -47,6 +47,8 @@ def _add_run_flags(sub):
 
 
 def _apply_overrides(cfg, args):
+    if args.threads < 1:
+        raise ConfigError("--threads", f"must be >= 1, got {args.threads}")
     updates = {}
     if args.seeds:
         try:
@@ -92,7 +94,7 @@ def _run(cfg, args) -> int:
     out = run_experiment(
         cfg,
         _out_dir(args),
-        workers=max(1, args.threads),
+        workers=args.threads,
         write_svg=not args.no_svg,
         timings=args.timings,
     )
@@ -126,7 +128,7 @@ def cmd_bound(args) -> int:
         rows, errors = bound_rows_for_trajectory(cfg, traj)
         csv_path = _out_dir(args) / cfg.csv_name
         rows.sort(key=lambda r: (r.sweep_value, r.estimator_id, r.seed))
-        write_rows_csv(csv_path, "external", rows)
+        write_output(csv_path, write_rows_csv, "external", rows)
         print(f"wrote {csv_path} ({len(rows)} rows)")
         for e in errors:
             print(f"warning: {e.estimator_id} failed [{e.category}]: {e.message}")

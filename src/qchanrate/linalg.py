@@ -78,11 +78,6 @@ def as_operator(a, name: str = "operator") -> np.ndarray:
     return arr
 
 
-def dag(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with the first factor's index slow."""
     return np.kron(as_operator(a, "kron factor"), as_operator(b, "kron factor"))
@@ -170,11 +165,6 @@ def real_transfer_form(mats: np.ndarray) -> RealForm:
 
 def _scale(a: np.ndarray) -> float:
     return float(np.abs(a).max())
-
-
-def is_hermitian(a, tol: Tolerance = DEFAULT_TOL) -> bool:
-    arr = as_operator(a)
-    return hermiticity_residue(arr) <= tol.eps_hermitian * _scale(arr)
 
 
 def hermitian_eigenvalues(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

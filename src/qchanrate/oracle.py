@@ -27,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ClassicalFsmc, InputLaw, TransferOperatorSet
+from .channels import ClassicalFsmc, InputLaw, TransferOperatorSet, as_recursion_model
 from .errors import NumericalCorruptionError, OracleBudgetError
-from .rates import as_recursion_model
 
 ORACLE_TERM_BUDGET = 10**8
 MAX_ORACLE_N = 10

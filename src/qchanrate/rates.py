@@ -80,22 +80,18 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .channels import (
-    ClassicalFsmc,
-    Dmc,
-    InputLaw,
-    QuantumMemoryChannel,
-    TransferOperatorSet,
-    compile_transfer_operators,
-    fsmc_from_dmc,
-)
+from .channels import ClassicalFsmc, InputLaw, TransferOperatorSet, as_recursion_model
 from .errors import (
     ImpossibleObservationError,
     NumericalCorruptionError,
     QchanrateError,
     SequenceError,
 )
-from .linalg import RealForm, hermiticity_residue, pack_hermitian, real_transfer_form
+from .linalg import RealForm, pack_hermitian, real_transfer_form
+
+# Not called here, but the traced benchmark (perfbench/tracer.py) wraps it
+# by this module attribute.
+from .linalg import hermiticity_residue  # noqa: F401
 from .sampling import (
     PMF_IMAG_GUARD,
     STATE_HERMITICITY_GUARD,
@@ -149,22 +145,6 @@ def dmc_information_rate(q: InputLaw, w: Dmc) -> float:
     return float((joint[mask] * np.log2(ratio[mask])).sum())
 
 
-@dataclass
-class StateMetric:
-    """Normalized forward vector over latent states plus accumulated scale logs."""
-
-    mu: np.ndarray
-    log_scale_accum: float = 0.0
-
-
-@dataclass
-class StateOperator:
-    """Normalized forward operator over the memory plus accumulated scale logs."""
-
-    sigma: np.ndarray
-    log_scale_accum: float = 0.0
-
-
 class PerStepScales(NamedTuple):
     """Natural logs of the per-step normalizers of the two recursions."""
 
@@ -182,73 +162,6 @@ class RateEstimate:
     hxy: float
     ir: float
     per_step_log_scales: Optional[PerStepScales] = field(default=None, repr=False)
-
-
-def initial_state_metric(f: ClassicalFsmc) -> StateMetric:
-    return StateMetric(f.initial.astype(float).copy(), 0.0)
-
-
-def initial_state_operator(t: TransferOperatorSet) -> StateOperator:
-    return StateOperator(t.initial_state.astype(complex).copy(), 0.0)
-
-
-def forward_step_classical(
-    f: ClassicalFsmc,
-    q: InputLaw,
-    m: StateMetric,
-    y_obs: int,
-    x_obs: int | None = None,
-) -> StateMetric:
-    """Advance the classical forward vector by one observed output.
-
-    Without ``x_obs`` the input is marginalized under the input law;
-    with ``x_obs`` the input-law factor of the observed symbol is
-    included, so the accumulated scale logs track the joint rather than
-    the output-only sequence probability.
-    """
-    ker_y = f.kernel[:, :, :, y_obs]  # (S, X, S)
-    if x_obs is None:
-        raw = np.einsum("s,x,sxt->t", m.mu, q.p, ker_y)
-    else:
-        raw = q.p[x_obs] * (m.mu @ ker_y[:, x_obs, :])
-    total = float(raw.sum())
-    if total <= 0.0:
-        raise ImpossibleObservationError(
-            f"output {y_obs} has zero probability under the model"
-        )
-    return StateMetric(raw / total, m.log_scale_accum - math.log(total))
-
-
-def forward_step_quantum(
-    t: TransferOperatorSet,
-    q: InputLaw,
-    s: StateOperator,
-    y_obs: int,
-    x_obs: int | None = None,
-) -> StateOperator:
-    """Advance the quantum forward operator by one observed output."""
-    w_y = t.tensors[:, y_obs]  # (X, S, S, S, S)
-    if x_obs is None:
-        raw = np.einsum("ij,x,xiujv->uv", s.sigma, q.p, w_y)
-    else:
-        raw = q.p[x_obs] * np.einsum("ij,iujv->uv", s.sigma, w_y[x_obs])
-    trace = raw.trace()
-    if abs(trace.imag) > PMF_IMAG_GUARD:
-        raise NumericalCorruptionError(
-            f"forward operator trace carries imaginary residue {abs(trace.imag):.3e}"
-        )
-    if trace.real <= 0.0:
-        raise ImpossibleObservationError(
-            f"output {y_obs} has zero probability under the model"
-        )
-    sigma = raw / trace.real
-    res = hermiticity_residue(sigma)
-    if res > STATE_HERMITICITY_GUARD:
-        raise NumericalCorruptionError(
-            f"forward operator Hermiticity residue {res:.3e} beyond guard"
-        )
-    sigma = 0.5 * (sigma + sigma.conj().T)
-    return StateOperator(sigma, s.log_scale_accum - math.log(trace.real))
 
 
 def _check_symbols(seq: np.ndarray, size: int, name: str) -> np.ndarray:
@@ -559,17 +472,6 @@ def input_log_loss(q: InputLaw, xs: np.ndarray) -> np.ndarray:
             "input sequence contains a symbol of zero input probability"
         )
     return -np.log(probs)
-
-
-def as_recursion_model(model):
-    """Coerce any channel model to one the forward recursions accept."""
-    if isinstance(model, Dmc):
-        return fsmc_from_dmc(model)
-    if isinstance(model, QuantumMemoryChannel):
-        return compile_transfer_operators(model)
-    if isinstance(model, (ClassicalFsmc, TransferOperatorSet)):
-        return model
-    raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
 def pair_recursions(model, q: InputLaw, traj: Trajectory) -> list:

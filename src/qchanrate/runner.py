@@ -33,7 +33,7 @@ import numpy as np
 from . import rates
 from .bounds import auxiliary_error, lower_bound
 from .config import AuxiliarySpec, ExperimentConfig, build_auxiliary, instantiate_channel
-from .errors import QchanrateError
+from .errors import ConfigError, QchanrateError
 from .rates import Recursion, combine_sums, input_log_loss, pair_recursions, stack_key
 
 # Not called here, but the traced benchmark (perfbench/tracer.py) wraps it
@@ -279,6 +279,15 @@ def write_rows_csv(path, sweep_param: str, rows) -> None:
             fh.write(",".join(fields) + "\n")
 
 
+def write_output(path, write, *args, **kwargs) -> None:
+    """``write(path, *args, **kwargs)``; a file that cannot be written (a
+    directory of that name, say) is a ``ConfigError`` naming it."""
+    try:
+        write(path, *args, **kwargs)
+    except OSError as exc:
+        raise ConfigError(str(path), f"cannot write file: {exc.strerror}") from None
+
+
 def _write_errors_csv(path, sweep_param: str, errors) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(ERROR_COLUMNS) + "\n")
@@ -351,16 +360,17 @@ def run_experiment(
     errors.sort(key=lambda e: (e.sweep_value, e.estimator_id, e.seed))
 
     csv_path = out_dir / cfg.csv_name
-    write_rows_csv(csv_path, cfg.sweep.parameter, rows)
+    write_output(csv_path, write_rows_csv, cfg.sweep.parameter, rows)
     errors_path = None
     if errors:
         errors_path = csv_path.with_suffix(".errors.csv")
-        _write_errors_csv(errors_path, cfg.sweep.parameter, errors)
+        write_output(errors_path, _write_errors_csv, cfg.sweep.parameter, errors)
     svg_path = None
     if write_svg and rows:
         svg_path = out_dir / cfg.svg_name
-        write_line_plot(
+        write_output(
             svg_path,
+            write_line_plot,
             _svg_series(rows),
             title="information rate estimates",
             x_label=cfg.sweep.parameter,

@@ -35,13 +35,15 @@ construction; the imaginary-residue and Hermiticity guards are measured
 once per input on its step matrices and trip at the first step that uses
 a failing input.
 
-The stream of a seed is fixed.  The classical sampler does the
-arithmetic of the single-step functions below (``_finalize_pmf`` and
-``draw_index``); each pmf of the quantum sampler equals that of
-``conditional_output_distribution`` after ``posterior_update`` up to
-rounding, and every guard is checked on the step that first reaches it.
-The tests pin digests of the streams, which are unchanged since they
-were recorded, and compare them with the single-step functions.
+The stream of a seed is fixed.  The classical sampler draws with the
+arithmetic of ``_finalize_pmf`` and ``draw_index``.  The quantum sampler
+draws the outputs of the sequential reference in ``tests/reference.py``,
+which weighs every output with the complex transfer operators, then
+calls ``_finalize_pmf`` and ``draw_index`` and conditions the state: its
+pmfs equal the reference's up to rounding, and every guard is checked
+on the step that first reaches it.  The tests pin digests of the
+streams, which are unchanged since they were recorded, and compare them
+with that reference.
 """
 
 from __future__ import annotations
@@ -53,21 +55,13 @@ from math import frexp, ldexp, nan
 
 import numpy as np
 
-from .channels import (
-    ClassicalFsmc,
-    Dmc,
-    InputLaw,
-    QuantumMemoryChannel,
-    TransferOperatorSet,
-    compile_transfer_operators,
-    fsmc_from_dmc,
-)
-from .errors import (
-    ImpossibleObservationError,
-    NumericalCorruptionError,
-    TrajectoryFormatError,
-)
-from .linalg import hermiticity_residue, pack_hermitian, real_transfer_form
+from .channels import ClassicalFsmc, InputLaw, TransferOperatorSet, as_recursion_model
+from .errors import NumericalCorruptionError, TrajectoryFormatError
+from .linalg import pack_hermitian, real_transfer_form
+
+# Not called here, but the traced benchmark (perfbench/tracer.py) wraps it
+# by this module attribute.
+from .linalg import hermiticity_residue  # noqa: F401
 
 GENERATOR_ID = "philox4x64.v1"
 MAX_SEED = 2**64 - 1
@@ -222,63 +216,6 @@ def _finalize_pmf(raw: np.ndarray, step: int | None = None) -> np.ndarray:
     return pmf / pmf.sum()
 
 
-def _output_weights(t: TransferOperatorSet, state: np.ndarray, x: int) -> np.ndarray:
-    """Unnormalized real output weights for one use given the current state."""
-    s = t.state_dim
-    vec = state.reshape(s * s)
-    nxt = vec @ t.chain_operators[x]  # (Y, S*S)
-    raw = nxt[:, :: s + 1].sum(axis=1)  # closes next-state indices against each other
-    imag = float(np.abs(raw.imag).max())
-    if imag > PMF_IMAG_GUARD:
-        raise NumericalCorruptionError(
-            f"output weights carry imaginary residue {imag:.3e}"
-        )
-    return raw.real
-
-
-def conditional_output_distribution(
-    t: TransferOperatorSet, state: np.ndarray, x: int
-) -> np.ndarray:
-    """Distribution of the next output given the conditional memory state."""
-    return _finalize_pmf(_output_weights(t, state, x))
-
-
-def _repair_state(sig: np.ndarray, step: int | None = None) -> np.ndarray:
-    res = hermiticity_residue(sig)
-    if not res <= STATE_HERMITICITY_GUARD:
-        raise NumericalCorruptionError(
-            f"conditional state Hermiticity residue {res:.3e} beyond guard{_at(step)}"
-        )
-    repaired = sig + sig.conj().T
-    repaired *= 0.5
-    return repaired
-
-
-def posterior_update(
-    t: TransferOperatorSet, state: np.ndarray, x: int, y: int
-) -> np.ndarray:
-    """Condition the memory state on one (sent, observed) pair.
-
-    Contracts the transfer operator for (x, y) against the current state
-    over the previous-state indices and renormalizes to unit trace.
-    Conditioning on an outcome of zero probability raises
-    ``ImpossibleObservationError``.
-    """
-    s = t.state_dim
-    vec = state.reshape(s * s)
-    nxt = (vec @ t.chain_operators[x, y]).reshape(s, s)
-    tr = nxt.trace()
-    if abs(tr.imag) > PMF_IMAG_GUARD:
-        raise NumericalCorruptionError(
-            f"conditional state trace carries imaginary residue {abs(tr.imag):.3e}"
-        )
-    if tr.real <= 0.0:
-        raise ImpossibleObservationError(
-            f"output {y} has zero probability given input {x} and the current state"
-        )
-    return _repair_state(nxt / tr.real)
-
-
 def _sample_outputs_classical(
     f: ClassicalFsmc, x: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
@@ -407,18 +344,13 @@ def sample_trajectory(model, q: InputLaw, n: int, seed: int) -> Trajectory:
     operator set; memoryless laws and uncompiled quantum channels are
     converted first.
     """
-    if isinstance(model, Dmc):
-        model = fsmc_from_dmc(model)
-    elif isinstance(model, QuantumMemoryChannel):
-        model = compile_transfer_operators(model)
+    model = as_recursion_model(model)
     rng = make_rng(seed)
     x = sample_input(q, n, rng)
     if isinstance(model, ClassicalFsmc):
         y = _sample_outputs_classical(model, x, rng)
-    elif isinstance(model, TransferOperatorSet):
-        y = _sample_outputs_quantum(model, x, rng)
     else:
-        raise TypeError(f"cannot sample from {type(model).__name__}")
+        y = _sample_outputs_quantum(model, x, rng)
     return Trajectory(x=x, y=y, seed=seed)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qchanrate as qc
-from qchanrate.bounds import AuxiliaryModel, grid_sweep, lower_bound, make_auxiliary
+from qchanrate.bounds import AuxiliaryModel, lower_bound, make_auxiliary
 from qchanrate.errors import AuxiliaryLikelihoodError
 
 from conftest import GE_TRANSITION, binary_entropy
@@ -60,32 +60,6 @@ class TestMismatchedMetrics:
         assert smoothed.kernel.min() > 0.0
         assert np.abs(smoothed.kernel.sum(axis=(2, 3)) - 1.0).max() <= 1e-12
 
-
-class TestGridSweep:
-    def test_matched_parameter_wins(self, uniform):
-        true = qc.fsmc_from_dmc(qc.build_bsc(0.1))
-        result = grid_sweep(
-            true,
-            uniform,
-            lambda eps: make_auxiliary(qc.fsmc_from_dmc(qc.build_bsc(eps)), f"bsc {eps}"),
-            grid=[0.02, 0.06, 0.1, 0.14, 0.18],
-            n=20000,
-            seeds=[0, 1, 2, 3, 4],
-        )
-        assert result.best.value == 0.1
-
-    def test_singleton_grid(self, classical_ge, uniform):
-        result = grid_sweep(
-            classical_ge,
-            uniform,
-            lambda v: make_auxiliary(qc.fsmc_from_dmc(qc.build_bsc(v)), "only"),
-            grid=[0.25],
-            n=500,
-            seeds=[7],
-        )
-        assert result.best.value == 0.25 and len(result.points) == 1
-        assert len(result.points[0].estimates) == 1
-
     def test_two_state_family_stays_below_estimate(self, quantum_ge, uniform):
         """Classical burst-noise auxiliaries on the quantum reference
         channel: the best bound must not exceed the rate estimate by
@@ -105,7 +79,3 @@ class TestGridSweep:
             mean = np.mean([lower_bound(t, aux, uniform).ir_lower for t in trajs])
             best_mean = max(best_mean, mean)
         assert best_mean <= np.mean(irs) + 0.01
-
-    def test_rejects_empty_grid(self, classical_ge, uniform):
-        with pytest.raises(ValueError):
-            grid_sweep(classical_ge, uniform, lambda v: None, grid=[], n=10, seeds=[0])

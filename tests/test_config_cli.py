@@ -605,6 +605,38 @@ class TestCli:
         assert len(lines) == 1
         assert lines[0].startswith(prefix)
 
+    @pytest.mark.parametrize(
+        "verb, blocked",
+        [("estimate", "results.csv"), ("estimate", "results.svg"), ("bound", "results.csv")],
+        ids=["estimate-csv", "estimate-svg", "bound-trajectory-csv"],
+    )
+    def test_unwritable_result_file_exits_2(self, tmp_path, capsys, verb, blocked):
+        """A result file that cannot be written (here a directory of that
+        name) is a configuration error naming it, after the sweep."""
+        cfg_path = write_config(
+            tmp_path, n=100, auxiliaries=[{"kind": "bsc", "label": "a", "p": 0.2}]
+        )
+        out_dir = tmp_path / "out"
+        (out_dir / blocked).mkdir(parents=True)
+        argv = [verb, str(cfg_path), "--out-dir", str(out_dir)]
+        if verb == "bound":
+            traj = tmp_path / "traj.txt"
+            assert main(["sample", str(cfg_path), "-o", str(traj)]) == 0
+            capsys.readouterr()
+            argv += ["--trajectory", str(traj)]
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error[ConfigError]: {out_dir / blocked}: cannot write file: ")
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exits_2(self, tmp_path, capsys, threads):
+        path = write_config(tmp_path)
+        out_dir = tmp_path / "o"
+        assert main(["estimate", str(path), "--threads", threads, "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == f"error[ConfigError]: --threads: must be >= 1, got {threads}\n"
+        assert not out_dir.exists()
+
     def test_oracle_verb(self, tmp_path, capsys):
         path = write_config(
             tmp_path,

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 
@@ -8,36 +7,15 @@ from numpy.testing import assert_allclose
 
 import qchanrate as qc
 from qchanrate import channels, rates
-from qchanrate.errors import (
-    ImpossibleObservationError,
-    NumericalCorruptionError,
-    QchanrateError,
-)
+from qchanrate.errors import ImpossibleObservationError, NumericalCorruptionError
 from qchanrate.oracle import oracle_joint_prob, oracle_output_prob
 
 from conftest import binary_entropy
+from reference import forward_steps, iterate_steps
 
 # Lengths around the block boundaries of the blocked recursion
 # (block length ceil(sqrt(n)): 1, 2, 4, 4, 5 and 32 steps).
 AGREEMENT_LENGTHS = [1, 2, 15, 16, 17, 1000]
-
-
-def iterate_steps(step, state, model, q, ys, xs=None):
-    """Sequential reference: the single-step function applied in turn.
-
-    Returns the per-step logs (each read off an accumulator zeroed
-    before its step), the last state, and ``(index, exception)`` of the
-    first step that raised, or None.
-    """
-    logs = np.empty(len(ys))
-    for i, y in enumerate(ys):
-        zeroed = dataclasses.replace(state, log_scale_accum=0.0)
-        try:
-            state = step(model, q, zeroed, y, None if xs is None else xs[i])
-        except QchanrateError as exc:
-            return logs[:i], state, (i, exc)
-        logs[i] = state.log_scale_accum
-    return logs, state, None
 
 
 @pytest.fixture(scope="module")
@@ -106,20 +84,10 @@ class TestClassicalForward:
     def test_step_function_agrees_with_driver(self, classical_ge, uniform, joint, n):
         traj = qc.sample_trajectory(classical_ge, uniform, n, seed=39)
         xs = traj.x if joint else None
-        ref, _, failure = iterate_steps(
-            qc.forward_step_classical, qc.initial_state_metric(classical_ge),
-            classical_ge, uniform, traj.y, xs,
-        )
+        ref, _, failure = iterate_steps(classical_ge, uniform, traj.y, xs)
         assert failure is None
         driver = qc.scaled_forward_classical(classical_ge, uniform, traj.y, xs)
         assert np.abs(driver - ref).max() <= 1e-12
-
-    def test_metric_stays_normalized(self, classical_ge, uniform):
-        m = qc.initial_state_metric(classical_ge)
-        for y in (0, 1, 1, 0, 0, 1):
-            m = qc.forward_step_classical(classical_ge, uniform, m, y)
-            assert abs(m.mu.sum() - 1.0) <= 1e-12
-            assert m.mu.min() >= 0.0
 
     def test_impossible_observation(self, uniform):
         f = qc.fsmc_from_dmc(qc.build_bsc(0.0))
@@ -128,11 +96,6 @@ class TestClassicalForward:
 
 
 class TestQuantumForward:
-    def test_empty_recursion_base_case(self, quantum_ge):
-        s = qc.initial_state_operator(quantum_ge)
-        assert_allclose(s.sigma, quantum_ge.initial_state)
-        assert s.log_scale_accum == 0.0
-
     def test_embedded_model_reproduces_classical_recursion(self, classical_ge, uniform):
         t = qc.embed_classical_as_quantum(classical_ge)
         traj = qc.sample_trajectory(classical_ge, uniform, 500, seed=31)
@@ -141,13 +104,13 @@ class TestQuantumForward:
             lq = qc.scaled_forward_quantum(t, uniform, traj.y, xs)
             assert np.abs(lc - lq).max() <= 1e-12
         # state operators stay diagonal with the classical metric on the diagonal
-        m = qc.initial_state_metric(classical_ge)
-        s = qc.initial_state_operator(t)
-        for y in traj.y[:50]:
-            m = qc.forward_step_classical(classical_ge, uniform, m, y)
-            s = qc.forward_step_quantum(t, uniform, s, y)
-            assert np.abs(np.diagonal(s.sigma).real - m.mu).max() <= 1e-12
-            assert np.abs(s.sigma - np.diag(np.diagonal(s.sigma))).max() <= 1e-14
+        steps = zip(
+            forward_steps(classical_ge, uniform, traj.y[:50]),
+            forward_steps(t, uniform, traj.y[:50]),
+        )
+        for (_, m), (_, s) in steps:
+            assert np.abs(np.diagonal(s) - m).max() <= 1e-12
+            assert np.abs(s - np.diag(np.diagonal(s))).max() <= 1e-14
 
     def test_recursion_matches_path_enumeration(self, quantum_ge, uniform):
         rng = np.random.default_rng(32)
@@ -166,12 +129,9 @@ class TestQuantumForward:
         model = request.getfixturevalue(name)
         traj = qc.sample_trajectory(model, uniform, n, seed=42)
         xs = traj.x if joint else None
-        ref, last, failure = iterate_steps(
-            qc.forward_step_quantum, qc.initial_state_operator(model),
-            model, uniform, traj.y, xs,
-        )
+        ref, last, failure = iterate_steps(model, uniform, traj.y, xs)
         assert failure is None
-        assert abs(np.trace(last.sigma).real - 1.0) <= 1e-12
+        assert abs(np.trace(last).real - 1.0) <= 1e-12
         driver = qc.scaled_forward_quantum(model, uniform, traj.y, xs)
         assert np.abs(driver - ref).max() <= 1e-12
 
@@ -186,12 +146,9 @@ class TestQuantumForward:
         resc = qc.scaled_forward_quantum(scaled, uniform, ys)
         assert np.abs(base[1:] - resc[1:]).max() <= 1e-12
         assert abs((base[0] - resc[0]) - math.log(2.5)) <= 1e-12
-        s_base = qc.initial_state_operator(quantum_ge)
-        s_resc = qc.initial_state_operator(scaled)
-        for y in ys:
-            s_base = qc.forward_step_quantum(quantum_ge, uniform, s_base, y)
-            s_resc = qc.forward_step_quantum(scaled, uniform, s_resc, y)
-            assert np.abs(s_base.sigma - s_resc.sigma).max() <= 1e-12
+        steps = zip(forward_steps(quantum_ge, uniform, ys), forward_steps(scaled, uniform, ys))
+        for (_, s_base), (_, s_resc) in steps:
+            assert np.abs(s_base - s_resc).max() <= 1e-12
 
 
 # n = 1000 runs in blocks of 32 steps: 31 full blocks and a final block of 8.
@@ -212,10 +169,11 @@ def with_extra_output(t: channels.TransferOperatorSet, chain_extra: np.ndarray):
     )
 
 
-def assert_trips_like_reference(forward, step, state, model, q, ys, xs, error):
-    """The driver raises ``error`` at the step where iterating ``step`` first
-    raises it, and emits no warning on the way; returns that step."""
-    _, _, failure = iterate_steps(step, state, model, q, ys, xs)
+def assert_trips_like_reference(forward, model, q, ys, xs, error):
+    """The driver raises ``error`` at the step where the sequential
+    reference first raises it, and emits no warning on the way; returns
+    that step."""
+    _, _, failure = iterate_steps(model, q, ys, xs)
     assert failure is not None and isinstance(failure[1], error)
     at = failure[0]
     with warnings.catch_warnings():
@@ -235,8 +193,7 @@ class TestRecursionGuards:
         ys = xs.copy()
         ys[[planted, GUARD_N - 1]] ^= 1
         at = assert_trips_like_reference(
-            qc.scaled_forward_classical, qc.forward_step_classical,
-            qc.initial_state_metric(f), f, uniform, ys, xs, ImpossibleObservationError,
+            qc.scaled_forward_classical, f, uniform, ys, xs, ImpossibleObservationError
         )
         assert at == planted
 
@@ -247,8 +204,7 @@ class TestRecursionGuards:
         ys = xs.copy()
         ys[[planted, GUARD_N - 1]] ^= 1
         at = assert_trips_like_reference(
-            qc.scaled_forward_quantum, qc.forward_step_quantum,
-            qc.initial_state_operator(t), t, uniform, ys, xs, ImpossibleObservationError,
+            qc.scaled_forward_quantum, t, uniform, ys, xs, ImpossibleObservationError
         )
         assert at == planted
 
@@ -258,8 +214,7 @@ class TestRecursionGuards:
         ys = qc.sample_trajectory(quantum_ge, uniform, GUARD_N, seed=45).y
         ys[[planted, GUARD_N - 1]] = 2
         at = assert_trips_like_reference(
-            qc.scaled_forward_quantum, qc.forward_step_quantum,
-            qc.initial_state_operator(t), t, uniform, ys, None, NumericalCorruptionError,
+            qc.scaled_forward_quantum, t, uniform, ys, None, NumericalCorruptionError
         )
         assert at == planted
 
@@ -273,8 +228,7 @@ class TestRecursionGuards:
         ys = qc.sample_trajectory(quantum_ge, uniform, GUARD_N, seed=46).y
         ys[[planted, GUARD_N - 1]] = 2
         at = assert_trips_like_reference(
-            qc.scaled_forward_quantum, qc.forward_step_quantum,
-            qc.initial_state_operator(t), t, uniform, ys, None, NumericalCorruptionError,
+            qc.scaled_forward_quantum, t, uniform, ys, None, NumericalCorruptionError
         )
         assert at == planted
 
@@ -291,6 +245,8 @@ class TestRecursionGuards:
         with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 in the products
             with pytest.raises(NumericalCorruptionError, match=pattern):
                 qc.scaled_forward_classical(f, uniform, traj.y, traj.x)
+            _, _, (at, exc) = iterate_steps(f, uniform, traj.y, traj.x)
+        assert at == first and isinstance(exc, NumericalCorruptionError)
 
     def test_non_finite_normalizer_quantum(self, quantum_ge, uniform):
         ops = quantum_ge.operators.copy()
@@ -300,6 +256,8 @@ class TestRecursionGuards:
         first = int(np.flatnonzero((traj.x == 1) & (traj.y == 0))[0])
         with pytest.raises(NumericalCorruptionError, match=rf"normalizer is nan at step {first}$"):
             qc.scaled_forward_quantum(t, uniform, traj.y, traj.x)
+        _, _, (at, exc) = iterate_steps(t, uniform, traj.y, traj.x)
+        assert at == first and isinstance(exc, NumericalCorruptionError)
 
     @pytest.mark.parametrize("joint", [False, True], ids=["y", "xy"])
     def test_unused_faulty_output_never_trips(self, quantum_ge, uniform, joint):
@@ -335,9 +293,7 @@ class TestRecursionGuards:
         q = qc.InputLaw([1.0])
         ys = np.zeros(4000, dtype=np.int64)  # blocks of 64 steps
         ys[63] = 1
-        ref, _, failure = iterate_steps(
-            qc.forward_step_classical, qc.initial_state_metric(f), f, q, ys
-        )
+        ref, _, failure = iterate_steps(f, q, ys)
         assert failure is None
         before = rates.passes
         with warnings.catch_warnings():
@@ -379,9 +335,7 @@ class TestRecursionGuards:
         f = qc.ClassicalFsmc(kernel, np.array([1.0, 0.0, 0.0]))
         q = qc.InputLaw([1.0])
         ys = np.zeros(5041, dtype=np.int64)
-        ref, _, failure = iterate_steps(
-            qc.forward_step_classical, qc.initial_state_metric(f), f, q, ys
-        )
+        ref, _, failure = iterate_steps(f, q, ys)
         assert failure is None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -407,9 +361,7 @@ class TestRecursionGuards:
             warnings.simplefilter("error")
             driver = qc.scaled_forward_classical(f, q, ys)
         assert rates.passes - before == 1
-        ref, _, failure = iterate_steps(
-            qc.forward_step_classical, qc.initial_state_metric(f), f, q, ys
-        )
+        ref, _, failure = iterate_steps(f, q, ys)
         assert failure is None
         assert np.abs(driver - ref).max() <= 1e-12
 

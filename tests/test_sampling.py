@@ -14,6 +14,7 @@ from qchanrate.errors import (
 )
 from qchanrate.oracle import oracle_joint_prob
 
+import reference
 from conftest import GE_TRANSITION, P_BAD, P_GOOD
 
 
@@ -87,92 +88,87 @@ def posterior_route(ch: channels.QuantumMemoryChannel, state, x, y):
 
 
 class TestConditionalOutputDistribution:
+    """The sequential reference's output distribution, the pmf that the
+    quantum sampler draws from."""
+
     def test_good_state_hand_values(self):
-        t = qc.compile_transfer_operators(
-            qc.build_quantum_gilbert_elliott(P_GOOD, P_BAD, alpha=0.0)
-        )
+        p = reference.pieces(qc.build_quantum_gilbert_elliott(P_GOOD, P_BAD, alpha=0.0))
         good = np.diag([1.0, 0.0]).astype(complex)
-        assert_allclose(qc.conditional_output_distribution(t, good, 0), [1 - P_GOOD, P_GOOD])
-        assert_allclose(qc.conditional_output_distribution(t, good, 1), [P_GOOD, 1 - P_GOOD])
+        assert_allclose(reference.output_pmf(p, good, 0), [1 - P_GOOD, P_GOOD])
+        assert_allclose(reference.output_pmf(p, good, 1), [P_GOOD, 1 - P_GOOD])
 
     def test_noiseless_is_deterministic(self):
-        t = qc.compile_transfer_operators(qc.build_quantum_gilbert_elliott(0.0, 0.0, alpha=0.3))
+        p = reference.pieces(qc.build_quantum_gilbert_elliott(0.0, 0.0, alpha=0.3))
         rng = np.random.default_rng(21)
         state = channels._random_density(rng, 2)
         for x in range(2):
-            assert_allclose(qc.conditional_output_distribution(t, state, x), np.eye(2)[x], atol=1e-12)
+            assert_allclose(reference.output_pmf(p, state, x), np.eye(2)[x], atol=1e-12)
 
     def test_matches_measurement_route(self):
         rng = np.random.default_rng(22)
         for _ in range(10):
             ch = qc.random_quantum_memory_channel(rng, state_dim=int(rng.integers(1, 4)))
-            t = qc.compile_transfer_operators(ch)
+            p = reference.pieces(ch)
             state = channels._random_density(rng, ch.state_dim)
             for x in range(ch.x_size):
                 direct = measurement_route_pmf(ch, state, x)
-                contracted = qc.conditional_output_distribution(t, state, x)
+                contracted = reference.output_pmf(p, state, x)
                 assert np.abs(direct - contracted).max() <= 1e-12
 
 
 class TestPosteriorUpdate:
+    """The sequential reference's conditioned state, which the quantum
+    sampler carries."""
+
     def test_matches_classical_forward_posterior(self, classical_ge, uniform):
-        t = qc.embed_classical_as_quantum(classical_ge)
+        p = reference.pieces(qc.embed_classical_as_quantum(classical_ge))
         rng = np.random.default_rng(23)
         mu = classical_ge.initial.copy()
-        state = t.initial_state.copy()
+        state = p.start
         for _ in range(40):
             x = int(rng.integers(2))
             y = int(rng.integers(2))
             raw = mu @ classical_ge.kernel[:, x, :, y]
             mu = raw / raw.sum()
-            state = qc.posterior_update(t, state, x, y)
+            state = reference.condition(p, state, x, y)
             assert np.abs(np.diagonal(state).real - mu).max() <= 1e-12
             assert np.abs(state - np.diag(np.diagonal(state))).max() <= 1e-14
 
     def test_diagonal_states_stay_diagonal_without_evolution(self):
-        t = qc.compile_transfer_operators(
+        p = reference.pieces(
             qc.build_quantum_gilbert_elliott(0.2, 0.7, alpha=0.0, initial_state=np.diag([0.6, 0.4]))
         )
-        state = t.initial_state.copy()
+        state = p.start
         for x, y in [(0, 0), (1, 1), (0, 1), (1, 0)]:
-            state = qc.posterior_update(t, state, x, y)
+            state = reference.condition(p, state, x, y)
             assert np.abs(state - np.diag(np.diagonal(state))).max() <= 1e-14
 
     def test_matches_direct_conditioning_route(self):
         rng = np.random.default_rng(24)
         for _ in range(5):
             ch = qc.random_quantum_memory_channel(rng, state_dim=3)
-            t = qc.compile_transfer_operators(ch)
+            p = reference.pieces(ch)
             state = channels._random_density(rng, 3)
             for x in range(2):
-                pmf = qc.conditional_output_distribution(t, state, x)
-                y = int(pmf.argmax())
+                y = int(reference.output_pmf(p, state, x).argmax())
                 assert np.abs(
-                    qc.posterior_update(t, state, x, y) - posterior_route(ch, state, x, y)
+                    reference.condition(p, state, x, y) - posterior_route(ch, state, x, y)
                 ).max() <= 1e-11
 
     def test_frozen_noiseless_channel_keeps_state(self):
         rho0 = np.array([[0.7, 0.1j], [-0.1j, 0.3]])
-        t = qc.compile_transfer_operators(
+        p = reference.pieces(
             qc.build_quantum_gilbert_elliott(0.0, 0.0, alpha=0.0, initial_state=rho0)
         )
-        state = t.initial_state.copy()
+        state = p.start
         for x in (0, 1, 1, 0):
-            state = qc.posterior_update(t, state, x, x)
+            state = reference.condition(p, state, x, x)
             assert np.abs(state - rho0).max() <= 1e-12
 
     def test_impossible_observation_raises(self):
-        t = qc.compile_transfer_operators(qc.build_quantum_gilbert_elliott(0.0, 0.0))
+        p = reference.pieces(qc.build_quantum_gilbert_elliott(0.0, 0.0))
         with pytest.raises(ImpossibleObservationError):
-            qc.posterior_update(t, t.initial_state, 0, 1)
-
-    def test_trace_stays_normalized_over_long_runs(self, quantum_ge):
-        state = quantum_ge.initial_state.copy()
-        for step in range(100000):
-            x = step % 2
-            pmf = qc.conditional_output_distribution(quantum_ge, state, x)
-            state = qc.posterior_update(quantum_ge, state, x, int(pmf.argmax()))
-            assert abs(np.trace(state).real - 1.0) <= 1e-9
+            reference.condition(p, p.start, 0, 1)
 
 
 class TestSampleTrajectory:
@@ -200,21 +196,30 @@ class TestSampleTrajectory:
             assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
             assert a.generator_id == sampling.GENERATOR_ID
 
+    def test_trace_stays_normalized_over_long_runs(self, quantum_ge, uniform):
+        """Every step compares the pmf total with the carried trace within
+        PMF_SUM_GUARD, and the residues with their guards: over 10**5 uses
+        of the quantum Gilbert-Elliott and the two-qubit model, no guard
+        trips."""
+        assert sampling.PMF_SUM_GUARD == 1e-9
+        for model in (quantum_ge, pinned_model("two_qubit")):
+            assert qc.sample_trajectory(model, uniform, 100_000, seed=10).n == 100_000
+
     def test_classical_and_quantum_paths_agree_exactly(self, classical_ge, uniform):
         """Chained sampler conditionals on the embedded set reproduce the
         classical joint law sequence by sequence (length 6, all pairs)."""
-        t = qc.embed_classical_as_quantum(classical_ge)
+        p = reference.pieces(qc.embed_classical_as_quantum(classical_ge))
         n = 6
         for xs in itertools.product(range(2), repeat=n):
             for ys in itertools.product(range(2), repeat=n):
                 prob = 1.0
-                state = t.initial_state.copy()
+                state = p.start
                 for step in range(n):
-                    pmf = qc.conditional_output_distribution(t, state, xs[step])
+                    pmf = reference.output_pmf(p, state, xs[step])
                     prob *= uniform.p[xs[step]] * pmf[ys[step]]
                     if prob == 0.0:
                         break
-                    state = qc.posterior_update(t, state, xs[step], ys[step])
+                    state = reference.condition(p, state, xs[step], ys[step])
                 expected = oracle_joint_prob(classical_ge, uniform, xs, ys)
                 assert abs(prob - expected) <= 1e-10 * max(expected, 1e-30)
 
@@ -327,9 +332,8 @@ class TestRealStepMatrices:
 
 
 def assert_quantum_matches_single_step_reference(y_size):
-    """A random S=3, X=3 model sampled at n=2000 draws the outputs of
-    ``conditional_output_distribution``, ``draw_index`` and
-    ``posterior_update`` step by step."""
+    """A random S=3, X=3 model sampled at n=2000 draws the outputs of the
+    sequential reference's single-step route."""
     rng = np.random.default_rng(26)
     t = qc.compile_transfer_operators(
         qc.random_quantum_memory_channel(rng, state_dim=3, x_size=3, y_size=y_size)
@@ -338,13 +342,8 @@ def assert_quantum_matches_single_step_reference(y_size):
     n, seed = 2000, 31
     ref_rng = qc.make_rng(seed)
     x = qc.sample_input(q, n, ref_rng)
-    us = ref_rng.random(n)
-    y = np.empty(n, dtype=np.int64)
-    state = t.initial_state.copy()
-    for step in range(n):
-        pmf = qc.conditional_output_distribution(t, state, x[step])
-        y[step] = sampling.draw_index(pmf, us[step])
-        state = qc.posterior_update(t, state, x[step], y[step])
+    y, failure = reference.sample_outputs(t, x, ref_rng.random(n))
+    assert failure is None
     traj = qc.sample_trajectory(t, q, n, seed)
     assert np.array_equal(traj.x, x)
     assert np.array_equal(traj.y, y)
@@ -497,15 +496,12 @@ def single_step_guard_message(t, law, n, seed):
     the stream of ``seed``, with its step."""
     ref_rng = qc.make_rng(seed)
     x = qc.sample_input(law, n, ref_rng)
-    us = ref_rng.random(n)
-    state = t.initial_state.copy()
-    for step in range(n):
-        try:
-            pmf = qc.conditional_output_distribution(t, state, x[step])
-        except NumericalCorruptionError as exc:
-            return f"{exc} at step {step}"
-        state = qc.posterior_update(t, state, x[step], sampling.draw_index(pmf, us[step]))
-    return None
+    _, failure = reference.sample_outputs(t, x, ref_rng.random(n))
+    if failure is None:
+        return None
+    step, exc = failure
+    assert isinstance(exc, NumericalCorruptionError)
+    return f"{exc} at step {step}"
 
 
 class TestSamplerGuards:
