@@ -26,7 +26,13 @@ from .config import build_auxiliary, instantiate_channel, load_config
 from .errors import ConfigError, QchanrateError
 from .oracle import brute_force_oracle
 from .rates import scaled_forward_classical, scaled_forward_quantum
-from .runner import bound_rows_for_trajectory, run_experiment, write_output, write_rows_csv
+from .runner import (
+    bound_rows_for_trajectory,
+    check_writable,
+    run_experiment,
+    write_output,
+    write_rows_csv,
+)
 from .sampling import MAX_SEED, load_trajectory, sample_trajectory, save_trajectory
 
 ORACLE_CHECK_TOL = 1e-9
@@ -125,8 +131,9 @@ def cmd_bound(args) -> int:
             raise ConfigError(
                 "--trajectory", f"cannot read {args.trajectory}: {exc.strerror}"
             ) from None
-        rows, errors = bound_rows_for_trajectory(cfg, traj)
         csv_path = _out_dir(args) / cfg.csv_name
+        check_writable(csv_path)
+        rows, errors = bound_rows_for_trajectory(cfg, traj)
         rows.sort(key=lambda r: (r.sweep_value, r.estimator_id, r.seed))
         write_output(csv_path, write_rows_csv, "external", rows)
         print(f"wrote {csv_path} ({len(rows)} rows)")

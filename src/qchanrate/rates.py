@@ -69,7 +69,12 @@ Running the output-only recursion gives the output entropy rate; running
 it with the inputs pinned (input-law factors included) gives the joint
 entropy rate; the input entropy rate of an i.i.d. process is evaluated
 in closed form.  Logs are natural internally and converted to bits at
-the boundary.
+the boundary.  A sweep's quantum ``ir`` rows take the joint rate from
+the sampler instead (``sampled_joint_logs``): the state it carries is
+the joint recursion's, so its per-step log losses plus the input's are
+the joint recursion's logs.  The engine stays the reference for them,
+and the only route for auxiliary models, classical models and
+trajectories from elsewhere.
 """
 
 from __future__ import annotations
@@ -231,6 +236,12 @@ def recursion(model, q: InputLaw, ys: np.ndarray, xs: np.ndarray | None = None) 
     )
 
 
+def _impossible(step: int) -> ImpossibleObservationError:
+    return ImpossibleObservationError(
+        f"observation at step {step} has zero probability under the model"
+    )
+
+
 def _guard_error(total: float, table: RealForm, matrix: int, step: int) -> QchanrateError:
     """The error of a step that tripped a guard, checked in order."""
     imag = table.imag_residue[matrix]
@@ -241,9 +252,7 @@ def _guard_error(total: float, table: RealForm, matrix: int, step: int) -> Qchan
             f"forward trace carries imaginary residue {imag:.3e} at step {step}"
         )
     if not total > 0.0:
-        return ImpossibleObservationError(
-            f"observation at step {step} has zero probability under the model"
-        )
+        return _impossible(step)
     return NumericalCorruptionError(
         f"forward operator Hermiticity residue {table.herm_residue[matrix]:.3e} at step {step}"
     )
@@ -474,20 +483,37 @@ def input_log_loss(q: InputLaw, xs: np.ndarray) -> np.ndarray:
     return -np.log(probs)
 
 
-def pair_recursions(model, q: InputLaw, traj: Trajectory) -> list:
-    """The output-only then the joint recursion of ``model`` on ``traj``.
+def pair_recursions(model, q: InputLaw, traj: Trajectory, joint: bool = True) -> list:
+    """The output-only then (with ``joint``) the joint recursion of
+    ``model`` on ``traj``.
 
     Building stops at the first recursion that cannot be built (a symbol
     outside the model's alphabet, say), whose error takes its place.
     """
     out: list = []
-    for xs in (None, traj.x):
+    for xs in (None, traj.x) if joint else (None,):
         try:
             out.append(recursion(model, q, traj.y, xs))
         except QchanrateError as exc:
             out.append(exc)
             break
     return out
+
+
+def sampled_joint_logs(log_px: np.ndarray, traj: Trajectory) -> np.ndarray:
+    """Per-step logs of the joint recursion of the quantum model that
+    sampled ``traj``, from its sampler: -ln q(x_t) (``log_px``, from
+    ``input_log_loss``) plus -ln p(y_t | x^t, y^{t-1}).
+
+    A log that is not finite (a zero weight drawn on the last step)
+    raises the joint recursion's ``ImpossibleObservationError`` at its
+    step.
+    """
+    logs = traj.conditional_log_loss
+    bad = ~np.isfinite(logs)
+    if bad.any():
+        raise _impossible(int(np.argmax(bad)))
+    return log_px + logs
 
 
 def pair_logs(model, q: InputLaw, traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:

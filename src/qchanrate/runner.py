@@ -7,23 +7,35 @@ numbers.  The tasks run in chunks of at most ``STACK_BUDGET`` recursion
 steps: a chunk samples its points one by one, then runs the output-only
 and joint recursions of all its rows as engine stacks, one per group of
 equal closure, state size and length, so that the engine's per-iteration
-cost is shared across points.  A recursion's result does not depend on
-the stack it runs in, so the output does not depend on the chunking or
-on the number of workers.  Rows are gathered and sorted
-deterministically before writing; per-row estimation failures are
-recorded in a companion errors file and the run continues.
+cost is shared across points.  An ``ir`` row on a quantum channel runs
+only its output-only recursion: its trajectory's sampler carried the
+joint recursion's state, so the row's joint sum is the input's log
+losses plus the sampler's (``rates.sampled_joint_logs``).  A
+recursion's result does not depend on the stack it runs in, so the
+output does not depend on the chunking or on the number of workers.
+Rows are gathered and sorted deterministically before writing; per-row
+estimation failures are recorded in a companion errors file and the run
+continues.
 
 ``wallclock_seconds`` is written as 0 unless timing capture is switched
 on: measured times would break the byte-for-byte reproducibility of the
 output, which is the stronger contract.  With it, a row's time is its
 own set-up plus an equal share, per recursion, of each engine call that
-ran it.
+ran it; a quantum ``ir`` row is charged for no joint recursion.
+
+Output paths that cannot be written are reported before the first
+chunk.  A chunk that fails with an exception that is not a
+``QchanrateError``, in this process or in a worker, ends the run with a
+``QchanrateError`` naming the chunk and its sweep values.
 """
 
 from __future__ import annotations
 
+import errno
+import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
@@ -34,7 +46,14 @@ from . import rates
 from .bounds import auxiliary_error, lower_bound
 from .config import AuxiliarySpec, ExperimentConfig, build_auxiliary, instantiate_channel
 from .errors import ConfigError, QchanrateError
-from .rates import Recursion, combine_sums, input_log_loss, pair_recursions, stack_key
+from .rates import (
+    Recursion,
+    combine_sums,
+    input_log_loss,
+    pair_recursions,
+    sampled_joint_logs,
+    stack_key,
+)
 
 # Not called here, but the traced benchmark (perfbench/tracer.py) wraps it
 # by this module attribute.
@@ -134,7 +153,8 @@ class _PendingRow:
     ``outcomes`` holds the row's output-only and joint recursions (or,
     last, the error that stopped building them); running them replaces
     each recursion by the sum of its logs from ``burn_in`` on, or by its
-    error.
+    error.  A quantum ``ir`` row holds the sampler's joint sum (or its
+    error) in place of the joint recursion.
     """
 
     value: float
@@ -170,6 +190,8 @@ def evaluate_chunk(
     the output-only and joint recursions of every row of the chunk run
     in one engine call per group of equal closure, state size and
     length, and each recursion's logs are reduced to their sum at once.
+    A quantum ``ir`` row's joint sum comes from its sampler's logs
+    instead, and the row runs no joint recursion.
 
     With ``timings`` each row's ``wallclock_seconds`` is its own set-up
     (building the auxiliary model and the step matrices) plus, for each
@@ -201,13 +223,21 @@ def evaluate_chunk(
         for est_id, aux_spec in estimators:
             started = perf_counter()
             burn_in = cfg.burn_in if aux_spec is None else 0
+            # the sampler's logs belong to the sampled model, the ir row's target
+            sampled = aux_spec is None and traj.conditional_log_loss is not None
             try:
                 target = model if aux_spec is None else build_auxiliary(aux_spec).model
-                sum_x = float(input_log_loss(q, traj.x)[burn_in:].sum())
+                log_px = input_log_loss(q, traj.x)
+                sum_x = float(log_px[burn_in:].sum())
             except QchanrateError as exc:
                 fail(value, est_id, seed, exc)
                 continue
-            recs = pair_recursions(target, q, traj)
+            recs = pair_recursions(target, q, traj, joint=not sampled)
+            if sampled:
+                try:
+                    recs.append(float(sampled_joint_logs(log_px, traj)[burn_in:].sum()))
+                except QchanrateError as exc:
+                    recs.append(exc)
             pending.append(_PendingRow(
                 float(value), est_id, seed, n, burn_in, sum_x, recs,
                 None if aux_spec is None else aux_spec.label, since(started),
@@ -279,13 +309,34 @@ def write_rows_csv(path, sweep_param: str, rows) -> None:
             fh.write(",".join(fields) + "\n")
 
 
+def _unwritable(path, reason: str) -> ConfigError:
+    return ConfigError(str(path), f"cannot write file: {reason}")
+
+
 def write_output(path, write, *args, **kwargs) -> None:
     """``write(path, *args, **kwargs)``; a file that cannot be written (a
     directory of that name, say) is a ``ConfigError`` naming it."""
     try:
         write(path, *args, **kwargs)
     except OSError as exc:
-        raise ConfigError(str(path), f"cannot write file: {exc.strerror}") from None
+        raise _unwritable(path, exc.strerror) from None
+
+
+def check_writable(*paths) -> None:
+    """Raise the ``ConfigError`` that ``write_output`` would raise on the
+    first of ``paths`` that cannot be written, without creating any file,
+    so that a run fails before it computes anything."""
+    for path in map(Path, paths):
+        if path.is_dir():
+            code = errno.EISDIR
+        elif path.exists():
+            code = None if os.access(path, os.W_OK) else errno.EACCES
+        elif not path.parent.is_dir():
+            code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+        else:
+            code = None if os.access(path.parent, os.W_OK | os.X_OK) else errno.EACCES
+        if code is not None:
+            raise _unwritable(path, os.strerror(code))
 
 
 def _write_errors_csv(path, sweep_param: str, errors) -> None:
@@ -316,6 +367,41 @@ def _svg_series(rows) -> list[Series]:
     return series
 
 
+def _chunk_results(cfg: ExperimentConfig, chunks: list[list], workers: int, timings: bool) -> list:
+    """``evaluate_chunk`` of every chunk, in order, in a pool of
+    ``workers`` processes or (one worker) in this one.
+
+    A worker that dies, or an exception that is not a
+    ``QchanrateError``, raises a ``QchanrateError`` naming the chunk and
+    its sweep values, on either path.
+    """
+    results = []
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        if pool is not None:
+            futures = [pool.submit(evaluate_chunk, cfg, chunk, timings) for chunk in chunks]
+        for k, chunk in enumerate(chunks, start=1):
+            where = (
+                f"chunk {k} of {len(chunks)} "
+                f"({cfg.sweep.parameter} {chunk[0][0]!r} to {chunk[-1][0]!r})"
+            )
+            try:
+                if pool is None:
+                    results.append(evaluate_chunk(cfg, chunk, timings))
+                else:
+                    results.append(futures[k - 1].result())
+            except BrokenProcessPool as exc:
+                raise QchanrateError(
+                    f"a worker process died before returning {where}; no results were written"
+                ) from exc
+            except QchanrateError:
+                raise
+            except Exception as exc:
+                raise QchanrateError(
+                    f"{where} failed with {type(exc).__name__}: {exc}; no results were written"
+                ) from exc
+    return results
+
+
 def run_experiment(
     cfg: ExperimentConfig,
     out_dir,
@@ -328,46 +414,32 @@ def run_experiment(
     ``workers > 1`` dispatches the chunks of (value, seed) tasks to a
     process pool; results are identical to the serial run because every
     chunk is self-contained and rows are sorted before writing.  A worker
-    that dies raises ``QchanrateError`` naming the first chunk left
-    without a result.
+    that dies, or a chunk that fails with an exception that is not a
+    ``QchanrateError``, raises ``QchanrateError`` naming the first chunk
+    left without a result.  Output paths that cannot be written are
+    reported before the first chunk runs.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path = out_dir / cfg.csv_name
+    errors_path = csv_path.with_suffix(".errors.csv")
+    svg_path = out_dir / cfg.svg_name
+    check_writable(csv_path, errors_path, *([svg_path] if write_svg else []))
     tasks = [(value, seed) for value in cfg.sweep.active_values() for seed in cfg.seeds]
-    chunks = _chunks(cfg, tasks)
     rows: list[ResultRow] = []
     errors: list[RowError] = []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(evaluate_chunk, cfg, chunk, timings) for chunk in chunks]
-            results = []
-            for k, (chunk, future) in enumerate(zip(chunks, futures), start=1):
-                try:
-                    results.append(future.result())
-                except BrokenProcessPool as exc:
-                    raise QchanrateError(
-                        f"a worker process died before returning chunk {k} of {len(chunks)} "
-                        f"({cfg.sweep.parameter} {chunk[0][0]!r} to {chunk[-1][0]!r}); "
-                        "no results were written"
-                    ) from exc
-    else:
-        results = (evaluate_chunk(cfg, chunk, timings) for chunk in chunks)
-    for got_rows, got_errors in results:
+    for got_rows, got_errors in _chunk_results(cfg, _chunks(cfg, tasks), workers, timings):
         rows.extend(got_rows)
         errors.extend(got_errors)
 
     rows.sort(key=lambda r: (r.sweep_value, r.estimator_id, r.seed))
     errors.sort(key=lambda e: (e.sweep_value, e.estimator_id, e.seed))
 
-    csv_path = out_dir / cfg.csv_name
     write_output(csv_path, write_rows_csv, cfg.sweep.parameter, rows)
-    errors_path = None
     if errors:
-        errors_path = csv_path.with_suffix(".errors.csv")
         write_output(errors_path, _write_errors_csv, cfg.sweep.parameter, errors)
-    svg_path = None
-    if write_svg and rows:
-        svg_path = out_dir / cfg.svg_name
+    write_svg = write_svg and bool(rows)
+    if write_svg:
         write_output(
             svg_path,
             write_line_plot,
@@ -376,4 +448,10 @@ def run_experiment(
             x_label=cfg.sweep.parameter,
             y_label="bits per channel use",
         )
-    return ExperimentOutput(csv_path, svg_path, errors_path, tuple(rows), tuple(errors))
+    return ExperimentOutput(
+        csv_path,
+        svg_path if write_svg else None,
+        errors_path if errors else None,
+        tuple(rows),
+        tuple(errors),
+    )

@@ -35,6 +35,16 @@ construction; the imaginary-residue and Hermiticity guards are measured
 once per input on its step matrices and trip at the first step that uses
 a failing input.
 
+The carried state is the joint recursion's: conditioned on the inputs
+and outputs so far.  So the picked weight over the trace is
+p(y_t | x^t, y^{t-1}), a ratio that the power-of-two rescale leaves
+unchanged.  Each step stores it, one ``np.log`` after the loop turns
+the ratios into per-step log losses, and the trajectory carries them
+as ``conditional_log_loss``.  A sweep's quantum ``ir`` rows take their
+joint entropy from these instead of running the joint recursion.  A
+zero weight drawn on the last step, which no later guard sees, leaves a
+log that is not finite.
+
 The stream of a seed is fixed.  The classical sampler draws with the
 arithmetic of ``_finalize_pmf`` and ``draw_index``.  The quantum sampler
 draws the outputs of the sequential reference in ``tests/reference.py``,
@@ -49,7 +59,7 @@ with that reference.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import cycle
 from math import frexp, ldexp, nan
 
@@ -86,12 +96,19 @@ def make_rng(seed: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A sampled input/output pair with its generation provenance."""
+    """A sampled input/output pair with its generation provenance.
+
+    ``conditional_log_loss`` holds, for a trajectory sampled from a
+    quantum model, each step's -ln p(y_t | x^t, y^{t-1}) under that
+    model; it is None for classical models and loaded trajectories, and
+    takes no part in comparisons or the file format.
+    """
 
     x: np.ndarray
     y: np.ndarray
     seed: int
     generator_id: str = GENERATOR_ID
+    conditional_log_loss: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=np.int64)
@@ -270,7 +287,9 @@ def _input_guards(imag: float, herm: float, weights: list[float], trace: float, 
 
 def _sample_outputs_quantum(
     t: TransferOperatorSet, x: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
+    """The outputs drawn on the inputs ``x`` and each step's
+    -ln p(y_t | x^t, y^{t-1}): the picked weight over the carried trace."""
     s = t.state_dim
     d = s * s
     us = rng.random(len(x)).tolist()
@@ -293,6 +312,7 @@ def _sample_outputs_quantum(
     pick = 0
     trace = 1.0  # of the state in the picked slice
     ys = []
+    ratios = []  # the picked weight over the trace; the rescale leaves it unchanged
     for step, (x_step, u, (dots, out, weight_view)) in enumerate(
         zip(x.tolist(), us, cycle(legs))
     ):
@@ -325,6 +345,7 @@ def _sample_outputs_quantum(
             if pick > last:
                 pick = last
         ys.append(pick)
+        ratios.append(weights[pick] / trace)
         trace = weights[pick]
         if trace < RESCALE_FLOOR:
             if trace > 0.0:
@@ -332,9 +353,12 @@ def _sample_outputs_quantum(
                 out *= ldexp(1.0, -exponent)
             else:
                 # a zero or clipped weight drawn through roundoff: the next
-                # step's pmf guard trips on the NaN
+                # step's pmf guard trips on the NaN, and on the last step the
+                # log is not finite
                 trace = nan
-    return np.array(ys, dtype=np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.log(np.array(ratios))
+    return np.array(ys, dtype=np.int64), np.negative(logs, out=logs)
 
 
 def sample_trajectory(model, q: InputLaw, n: int, seed: int) -> Trajectory:
@@ -348,10 +372,9 @@ def sample_trajectory(model, q: InputLaw, n: int, seed: int) -> Trajectory:
     rng = make_rng(seed)
     x = sample_input(q, n, rng)
     if isinstance(model, ClassicalFsmc):
-        y = _sample_outputs_classical(model, x, rng)
-    else:
-        y = _sample_outputs_quantum(model, x, rng)
-    return Trajectory(x=x, y=y, seed=seed)
+        return Trajectory(x=x, y=_sample_outputs_classical(model, x, rng), seed=seed)
+    y, logs = _sample_outputs_quantum(model, x, rng)
+    return Trajectory(x=x, y=y, seed=seed, conditional_log_loss=logs)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,12 @@ def dying_chunk(cfg, tasks, timings=False):
     os._exit(1)
 
 
+def failing_chunk(cfg, tasks, timings=False):
+    """Stands in for ``runner.evaluate_chunk``: a fault outside the
+    package's error types."""
+    raise RuntimeError("planted fault")
+
+
 def read_rows(csv_path):
     lines = csv_path.read_text().splitlines()
     header = lines[0].split(",")
@@ -272,12 +278,14 @@ class TestRunner:
 
     def test_stacked_rows_match_per_point_estimates(self, tmp_path, monkeypatch):
         """The sweep runs its recursions stacked across points, yet every
-        row equals, bit for bit, the per-point ``entropy_rate_estimates``
-        or ``lower_bound`` result on the same trajectory: a quantum
-        channel (state size 4) with classical auxiliaries of state sizes
-        2 and 1, swept over n so that lengths differ, with a burn-in and
-        two seeds.  Split into several chunks, the sweep writes the same
-        bytes."""
+        row equals the per-point ``entropy_rate_estimates`` or
+        ``lower_bound`` result on the same trajectory: a quantum channel
+        (state size 4) with classical auxiliaries of state sizes 2 and 1,
+        swept over n so that lengths differ, with a burn-in and two seeds.
+        Rows match bit for bit, except the ``ir`` rows' ``hxy`` and
+        ``ir``: the sweep takes their joint logs from the quantum sampler,
+        so those match within 1e-12.  Split into several chunks, the
+        sweep writes the same bytes."""
         cfg = load_config(
             write_config(
                 tmp_path,
@@ -304,9 +312,9 @@ class TestRunner:
                 traj = sample_trajectory(model, q, n, seed)
                 r = entropy_rate_estimates(model, q, traj, burn_in=20)
                 row = got[(n, "ir", seed)]
-                assert (row.n, row.ir_bits, row.hx_bits, row.hy_bits, row.hxy_bits) == (
-                    n, r.ir, r.hx, r.hy, r.hxy
-                )
+                assert (row.n, row.hx_bits, row.hy_bits) == (n, r.hx, r.hy)
+                assert abs(row.hxy_bits - r.hxy) <= 1e-12
+                assert abs(row.ir_bits - r.ir) <= 1e-12
                 for spec in cfg.auxiliaries:
                     b = lower_bound(traj, build_auxiliary(spec), q)
                     row = got[(n, f"aux_lower:{spec.label}", seed)]
@@ -319,6 +327,113 @@ class TestRunner:
         assert [len(c) for c in runner._chunks(cfg, tasks)] == [2, 2, 1, 1]
         split = run_experiment(cfg, tmp_path / "split", write_svg=False)
         assert split.csv_path.read_bytes() == whole.csv_path.read_bytes()
+
+    def test_quantum_ir_row_with_burn_in_matches_estimates(self, tmp_path):
+        """A quantum ``ir`` row takes its joint sum from the sampler's logs
+        from the burn-in on: ``hx`` and ``hy`` equal the per-point
+        estimates bit for bit, ``hxy`` and ``ir`` within 1e-12."""
+        cfg = load_config(
+            write_config(
+                tmp_path,
+                channel={"kind": "quantum_ge_2qubit", "p_g": 0.05, "p_b": 0.4, "alpha": 1.2},
+                n=1500,
+                seeds=[7],
+                burn_in=400,
+                sweep={"parameter": "p_b", "values": [0.4]},
+            )
+        )
+        (row,), errors = runner.evaluate_chunk(cfg, [(0.4, 7)])
+        assert not errors
+        model = instantiate_channel(cfg.channel)
+        traj = sample_trajectory(model, cfg.input_law, 1500, 7)
+        r = entropy_rate_estimates(model, cfg.input_law, traj, burn_in=400)
+        assert (row.hx_bits, row.hy_bits) == (r.hx, r.hy)
+        assert abs(row.hxy_bits - r.hxy) <= 1e-12
+        assert abs(row.ir_bits - r.ir) <= 1e-12
+
+    def test_quantum_stacks_hold_only_output_recursions(self, tmp_path, monkeypatch):
+        """A two-qubit ``ir`` sweep runs no joint recursion: every
+        recursion in its engine stacks has one step matrix per output."""
+        stacked = []
+        engine = rates.stacked_forward_logs
+
+        def spy(recs):
+            stacked.extend(recs)
+            return engine(recs)
+
+        monkeypatch.setattr(rates, "stacked_forward_logs", spy)
+        cfg = load_config(
+            write_config(
+                tmp_path,
+                channel={"kind": "quantum_ge_2qubit", "p_g": 0.05, "p_b": 0.95, "alpha": 1.2},
+                n=300,
+                sweep={"parameter": "p_b", "values": [0.3, 0.9]},
+            )
+        )
+        out = run_experiment(cfg, tmp_path / "out", write_svg=False)
+        assert len(out.rows) == 4 and not out.errors
+        assert len(stacked) == 4
+        assert {(rec.closure.size, len(rec.form.mats)) for rec in stacked} == {(16, 2)}
+
+    def test_zero_weight_pick_on_last_step(self, tmp_path, monkeypatch):
+        """Kahan roundoff draws, on the last step, an output that has zero
+        weight under the drawn input but not under the input marginal.  No
+        later guard sees it, so the sampler returns; only the joint
+        probability is zero.  The ``ir`` row fails with the joint
+        recursion's category, message and step, and the auxiliary row is
+        the per-point bound on that trajectory."""
+
+        def matrix(m):
+            return [[[float(v), 0.0] for v in row] for row in m]
+
+        cfg = load_config(
+            write_config(
+                tmp_path,
+                channel={
+                    "kind": "custom_kraus",
+                    "state_dim": 1,
+                    "encodings": [matrix(np.diag([0.5, 0.0, 0.5])),
+                                  matrix(np.diag([0.25, 0.5, 0.25]))],
+                    "kraus": [matrix(np.eye(3))],
+                    "measurements": [matrix(np.diag(np.eye(3)[y])) for y in range(3)],
+                },
+                n=60,
+                seeds=[1],
+                sweep={"parameter": "n", "values": [60]},
+                estimators=["ir", "aux_lower"],
+                auxiliaries=[{"kind": "custom_fsmc", "label": "flat",
+                              "kernel": [[[[1 / 3] * 3], [[1 / 3] * 3]]], "initial": [1.0]}],
+            )
+        )
+        assert qc.sample_input(cfg.input_law, 60, qc.make_rng(1))[-1] == 0
+        draws = iter(range(60))
+        bisect_right = qc.sampling.bisect_right
+        monkeypatch.setattr(
+            qc.sampling, "bisect_right",
+            lambda cum, u: 1 if next(draws) == 59 else bisect_right(cum, u),
+        )
+        sample = runner.sample_trajectory
+        sampled = []
+
+        def keep(*args):
+            sampled.append(sample(*args))
+            return sampled[-1]
+
+        monkeypatch.setattr(runner, "sample_trajectory", keep)
+        out = run_experiment(cfg, tmp_path / "out", write_svg=False)
+        (traj,) = sampled
+        assert traj.y[-1] == 1
+        zero = "observation at step 59 has zero probability under the model"
+        assert [(e.estimator_id, e.category, e.message) for e in out.errors] == [
+            ("ir", "ImpossibleObservationError", zero)
+        ]
+        with pytest.raises(QchanrateError, match=f"^{zero}$"):
+            entropy_rate_estimates(instantiate_channel(cfg.channel), cfg.input_law, traj)
+        b = lower_bound(traj, build_auxiliary(cfg.auxiliaries[0]), cfg.input_law)
+        (row,) = out.rows
+        assert (row.estimator_id, row.ir_bits, row.hx_bits, row.hy_bits, row.hxy_bits) == (
+            "aux_lower:flat", b.ir_lower, b.hx, b.aux_hy, b.aux_hxy
+        )
 
     def test_planted_failures_stay_in_their_point(self, tmp_path, monkeypatch):
         """A noiseless channel with a third output it never produces.  At
@@ -461,6 +576,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error[QchanrateError]: a worker process died before returning chunk 1 of" in err
         assert "Traceback" not in err
+        assert not (out_dir / "results.csv").exists()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_unexpected_chunk_error_exits_3(self, tmp_path, capsys, monkeypatch, threads):
+        """An exception outside the package's error types, raised in this
+        process or in a worker, ends the run with exit 3 naming the chunk
+        and its sweep values, and no traceback."""
+        monkeypatch.setattr(runner, "evaluate_chunk", failing_chunk)
+        path = write_config(tmp_path)
+        out_dir = tmp_path / "o"
+        assert main(["estimate", str(path), "--threads", threads, "--out-dir", str(out_dir)]) == 3
+        err = capsys.readouterr().err
+        assert err == (
+            "error[QchanrateError]: chunk 1 of 1 (p 0.1 to 0.3) failed with RuntimeError: "
+            "planted fault; no results were written\n"
+        )
         assert not (out_dir / "results.csv").exists()
 
     def test_seed_and_n_overrides(self, tmp_path):
@@ -607,12 +738,14 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "verb, blocked",
-        [("estimate", "results.csv"), ("estimate", "results.svg"), ("bound", "results.csv")],
-        ids=["estimate-csv", "estimate-svg", "bound-trajectory-csv"],
+        [("estimate", "results.csv"), ("estimate", "results.svg"),
+         ("estimate", "results.errors.csv"), ("bound", "results.csv")],
+        ids=["estimate-csv", "estimate-svg", "estimate-errors-csv", "bound-trajectory-csv"],
     )
-    def test_unwritable_result_file_exits_2(self, tmp_path, capsys, verb, blocked):
+    def test_unwritable_result_file_exits_2(self, tmp_path, capsys, monkeypatch, verb, blocked):
         """A result file that cannot be written (here a directory of that
-        name) is a configuration error naming it, after the sweep."""
+        name) is a configuration error naming it, found before any
+        trajectory is sampled."""
         cfg_path = write_config(
             tmp_path, n=100, auxiliaries=[{"kind": "bsc", "label": "a", "p": 0.2}]
         )
@@ -624,10 +757,13 @@ class TestCli:
             assert main(["sample", str(cfg_path), "-o", str(traj)]) == 0
             capsys.readouterr()
             argv += ["--trajectory", str(traj)]
+        sampled = []
+        monkeypatch.setattr(runner, "sample_trajectory", lambda *args: sampled.append(args))
         assert main(argv) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"error[ConfigError]: {out_dir / blocked}: cannot write file: ")
+        assert not sampled
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_exits_2(self, tmp_path, capsys, threads):

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qchanrate as qc
-from qchanrate import channels, linalg, sampling
+from qchanrate import channels, linalg, rates, sampling
 from qchanrate.errors import (
     ImpossibleObservationError,
     NumericalCorruptionError,
@@ -384,6 +384,40 @@ class TestPinnedStreams:
         assert np.array_equal(traj.y, y)
 
 
+class TestConditionalLogLoss:
+    """The quantum sampler carries the joint recursion's state, so each
+    step's log loss plus the input's equals the joint recursion's log."""
+
+    @pytest.mark.parametrize("name", ["quantum_ge", "two_qubit", "random"])
+    def test_matches_joint_recursion_per_step(self, name):
+        """At n=2000 the pinned streams' traces fall below RESCALE_FLOOR,
+        so the rescale is crossed; the random S=3, X=3, Y=3 model takes
+        the table draw."""
+        if name == "random":
+            t = qc.compile_transfer_operators(
+                qc.random_quantum_memory_channel(
+                    np.random.default_rng(30), state_dim=3, x_size=3, y_size=3
+                )
+            )
+        else:
+            t = pinned_model(name)
+        q = qc.uniform_input(t.x_size)
+        traj = qc.sample_trajectory(t, q, 2000, 1)
+        logs = traj.conditional_log_loss
+        assert logs.shape == (2000,)
+        assert logs.sum() > -np.log(sampling.RESCALE_FLOOR)
+        _, joint = rates.pair_logs(t, q, traj)
+        assert_allclose(logs + rates.input_log_loss(q, traj.x), joint, rtol=0.0, atol=1e-12)
+
+    def test_absent_for_classical_and_loaded_trajectories(self, classical_ge, uniform, tmp_path):
+        assert qc.sample_trajectory(classical_ge, uniform, 50, 1).conditional_log_loss is None
+        traj = qc.sample_trajectory(pinned_model("quantum_ge"), uniform, 50, 1)
+        qc.save_trajectory(traj, tmp_path / "t.txt")
+        loaded = qc.load_trajectory(tmp_path / "t.txt")
+        assert loaded.conditional_log_loss is None
+        assert np.array_equal(loaded.y, traj.y)
+
+
 class FixedUniforms:
     """Stands in for the generator: ``random(n)`` returns chosen uniforms."""
 
@@ -410,7 +444,7 @@ class TestBinaryDraw:
             xs = np.array([x])
             for u, expected in ((edge, 1), (np.nextafter(edge, 0.0), 0)):
                 assert sampling.draw_index(np.array([w0, w1]) / (w0 + w1), u) == expected
-                picks = sampling._sample_outputs_quantum(quantum_ge, xs, FixedUniforms([u]))
+                picks, _ = sampling._sample_outputs_quantum(quantum_ge, xs, FixedUniforms([u]))
                 assert picks.tolist() == [expected]
 
     @pytest.mark.parametrize("u", [np.nextafter(1.0, 0.0), 1.0 - 2.0**-20])
@@ -425,7 +459,7 @@ class TestBinaryDraw:
         t = qc.embed_classical_as_quantum(f)
         n = 40
         xs = qc.sample_input(qc.uniform_input(), n, qc.make_rng(4))
-        picks = sampling._sample_outputs_quantum(t, xs, FixedUniforms(np.full(n, u)))
+        picks, _ = sampling._sample_outputs_quantum(t, xs, FixedUniforms(np.full(n, u)))
         assert picks.tolist() == [0, 1] * (n // 2)
 
     @pytest.mark.parametrize("u", [0.0, np.nextafter(1.0, 0.0)])
@@ -437,7 +471,7 @@ class TestBinaryDraw:
         if negative == 0:
             w = w[::-1].copy()
         t = channels.TransferOperatorSet(w.reshape(1, 2, 1, 1), np.eye(1))
-        picks = sampling._sample_outputs_quantum(t, np.zeros(3, dtype=np.int64), FixedUniforms([u] * 3))
+        picks, _ = sampling._sample_outputs_quantum(t, np.zeros(3, dtype=np.int64), FixedUniforms([u] * 3))
         assert picks.tolist() == [1 - negative] * 3
 
 
