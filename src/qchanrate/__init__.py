@@ -40,15 +40,7 @@ from .errors import (
     SequenceError,
     TrajectoryFormatError,
 )
-from .linalg import (
-    DEFAULT_TOL,
-    Tolerance,
-    expm_skew_hermitian,
-    hermitian_eigenvalues,
-    is_psd,
-    kron,
-    partial_trace,
-)
+from .linalg import expm_skew_hermitian, hermitian_eigenvalues, is_psd, kron, partial_trace
 from .oracle import OracleTables, brute_force_oracle, oracle_joint_prob, oracle_output_prob
 from .rates import (
     RateEstimate,

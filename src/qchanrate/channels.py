@@ -37,8 +37,8 @@ import numpy as np
 
 from .errors import ModelValidationError
 from .linalg import (
-    DEFAULT_TOL,
-    Tolerance,
+    EPS_TRACE,
+    EPS_UNITARY,
     as_operator,
     expm_skew_hermitian,
     is_psd,
@@ -103,10 +103,9 @@ class InputLaw:
         p = np.asarray(self.p, dtype=float)
         if p.ndim != 1 or p.size < 1:
             raise ValueError("input law must be a 1-D probability vector")
-        if p.min() < 0 or abs(p.sum() - 1.0) > DEFAULT_TOL.eps_trace:
-            raise ValueError(
-                f"input law must be a pmf (min {p.min():.3e}, sum {p.sum()!r})"
-            )
+        lo, total = p.min(), p.sum()
+        if not (lo >= 0 and abs(total - 1.0) <= EPS_TRACE):
+            raise ValueError(f"input law must be a pmf (min {lo:.3e}, sum {total!r})")
         object.__setattr__(self, "p", p)
 
     @property
@@ -320,7 +319,7 @@ def build_gilbert_elliott(
     t = np.asarray(transition, dtype=float)
     if t.shape != (2, 2):
         raise ValueError(f"transition must be 2x2, got {t.shape}")
-    if t.min() < 0 or np.abs(t.sum(axis=1) - 1.0).max() > DEFAULT_TOL.eps_trace:
+    if not (t.min() >= 0 and np.abs(t.sum(axis=1) - 1.0).max() <= EPS_TRACE):
         raise ValueError("transition rows must be pmfs")
     flip = np.array(
         [
@@ -406,9 +405,7 @@ def build_quantum_gilbert_elliott(
 # Compilation
 # ---------------------------------------------------------------------------
 
-def compile_transfer_operators(
-    ch: QuantumMemoryChannel, tol: Tolerance = DEFAULT_TOL
-) -> TransferOperatorSet:
+def compile_transfer_operators(ch: QuantumMemoryChannel) -> TransferOperatorSet:
     """Close the per-use interaction into transfer operators.
 
     The inter-use unitary is folded into the interaction operators first
@@ -418,7 +415,7 @@ def compile_transfer_operators(
     like any transfer operator set (``require_valid``); a violation
     raises ``ModelValidationError`` naming the condition and witness.
     """
-    require_valid(ch, tol)
+    require_valid(ch)
     d, s = ch.transmit_dim, ch.state_dim
     fold = np.kron(ch.inter_use_unitary, np.eye(d, dtype=complex))
     tilde = np.einsum("ab,kbc->kac", fold, ch.kraus)
@@ -432,7 +429,7 @@ def compile_transfer_operators(
             w4 = np.einsum("kucia,ab,kvcjb->iujv", f4, ch.encodings[x], f4.conj())
             ops[x, y] = w4.reshape(s * s, s * s)
     out = TransferOperatorSet(ops, ch.initial_state.copy())
-    require_valid(out, tol)
+    require_valid(out)
     return out
 
 
@@ -498,25 +495,25 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _pmf_checks(p: np.ndarray, name: str, tol: Tolerance) -> list[CheckResult]:
+def _pmf_checks(p: np.ndarray, name: str) -> list[CheckResult]:
     lo = float(p.min())
     dev = float(abs(p.sum() - 1.0))
     return [
         CheckResult(f"{name} nonnegative", lo >= 0.0, lo),
-        CheckResult(f"{name} sums to one", dev <= tol.eps_trace, dev),
+        CheckResult(f"{name} sums to one", dev <= EPS_TRACE, dev),
     ]
 
 
-def _density_checks(rho: np.ndarray, name: str, tol: Tolerance) -> list[CheckResult]:
-    check = is_psd(rho, tol)
+def _density_checks(rho: np.ndarray, name: str) -> list[CheckResult]:
+    check = is_psd(rho)
     dev = float(abs(np.trace(rho) - 1.0))
     return [
         CheckResult(f"{name} positive semidefinite", check.ok, check.witness, check.reason),
-        CheckResult(f"{name} unit trace", dev <= tol.eps_trace, dev),
+        CheckResult(f"{name} unit trace", dev <= EPS_TRACE, dev),
     ]
 
 
-def validate(model, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
+def validate(model) -> ValidationReport:
     """Check every defining condition of a model; never raises.
 
     Returns a report with one pass/fail entry and numeric witness per
@@ -527,11 +524,11 @@ def validate(model, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
         lo = float(model.w.min())
         checks.append(CheckResult("law entries nonnegative", lo >= 0.0, lo))
         dev = float(np.abs(model.w.sum(axis=1) - 1.0).max())
-        checks.append(CheckResult("law rows sum to one", dev <= tol.eps_trace, dev))
+        checks.append(CheckResult("law rows sum to one", dev <= EPS_TRACE, dev))
         return ValidationReport("memoryless law", tuple(checks))
 
     if isinstance(model, InputLaw):
-        return ValidationReport("input law", tuple(_pmf_checks(model.p, "input pmf", tol)))
+        return ValidationReport("input law", tuple(_pmf_checks(model.p, "input pmf")))
 
     if isinstance(model, ClassicalFsmc):
         checks = []
@@ -543,31 +540,31 @@ def validate(model, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
         checks.append(
             CheckResult(
                 "kernel rows sum to one",
-                dev <= tol.eps_trace,
+                dev <= EPS_TRACE,
                 dev,
                 f"worst at (state {worst[0]}, input {worst[1]})",
             )
         )
-        checks.extend(_pmf_checks(model.initial, "initial state pmf", tol))
+        checks.extend(_pmf_checks(model.initial, "initial state pmf"))
         return ValidationReport("classical finite-state channel", tuple(checks))
 
     if isinstance(model, QuantumMemoryChannel):
         checks = []
         for x in range(model.x_size):
-            checks.extend(_density_checks(model.encodings[x], f"encoding {x}", tol))
+            checks.extend(_density_checks(model.encodings[x], f"encoding {x}"))
         gram = np.einsum("kba,kbc->ac", model.kraus.conj(), model.kraus)
         dev = float(np.abs(gram - np.eye(gram.shape[0])).max())
         checks.append(
-            CheckResult("kraus completeness (sum E^H E = I)", dev <= tol.eps_trace, dev)
+            CheckResult("kraus completeness (sum E^H E = I)", dev <= EPS_TRACE, dev)
         )
         gram = np.einsum("yba,ybc->ac", model.measurements.conj(), model.measurements)
         dev = float(np.abs(gram - np.eye(gram.shape[0])).max())
         checks.append(
-            CheckResult("measurement completeness (sum M^H M = I)", dev <= tol.eps_trace, dev)
+            CheckResult("measurement completeness (sum M^H M = I)", dev <= EPS_TRACE, dev)
         )
         resid = unitarity_residue(model.inter_use_unitary)
-        checks.append(CheckResult("inter-use unitary", resid <= tol.eps_unitary, resid))
-        checks.extend(_density_checks(model.initial_state, "initial memory state", tol))
+        checks.append(CheckResult("inter-use unitary", resid <= EPS_UNITARY, resid))
+        checks.extend(_density_checks(model.initial_state, "initial memory state"))
         return ValidationReport("quantum memory channel", tuple(checks))
 
     if isinstance(model, TransferOperatorSet):
@@ -575,7 +572,7 @@ def validate(model, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
         psd = CheckResult("transfer operators positive semidefinite", True, np.inf)
         for x in range(model.x_size):
             for y in range(model.y_size):
-                c = is_psd(model.operators[x, y], tol)
+                c = is_psd(model.operators[x, y])
                 keep = (not c.ok and psd.passed) or (c.ok and psd.passed and c.witness < psd.witness)
                 if keep:
                     psd = CheckResult(
@@ -594,21 +591,21 @@ def validate(model, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
         checks.append(
             CheckResult(
                 "transfer trace consistency",
-                resids[worst] <= tol.eps_trace,
+                resids[worst] <= EPS_TRACE,
                 resids[worst],
                 f"worst at input {worst}",
             )
         )
-        checks.extend(_density_checks(model.initial_state, "initial memory state", tol))
+        checks.extend(_density_checks(model.initial_state, "initial memory state"))
         return ValidationReport("transfer operator set", tuple(checks))
 
     raise TypeError(f"no validator for {type(model).__name__}")
 
 
-def require_valid(model, tol: Tolerance = DEFAULT_TOL) -> None:
+def require_valid(model) -> None:
     """Raise ``ModelValidationError`` on the first failed condition, with
     that condition's detail."""
-    report = validate(model, tol)
+    report = validate(model)
     if not report.ok:
         bad = report.failures()
         first = bad[0]

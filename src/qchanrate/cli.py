@@ -4,7 +4,9 @@ Verbs:
   validate  parse a config and print the model validation reports
   estimate  run the configured sweep and write CSV (and SVG) results
   bound     like estimate but restricted to auxiliary lower bounds;
-            accepts an external trajectory instead of channel sampling
+            accepts an external trajectory instead of channel sampling,
+            evaluated by the sweep's stacked row evaluator (sweep
+            parameter 'external', value 0, the trajectory's seed and n)
   sample    draw one trajectory from the configured channel to a file
   oracle    small-length exact check of the recursions against brute force
 
@@ -26,13 +28,7 @@ from .config import build_auxiliary, instantiate_channel, load_config
 from .errors import ConfigError, QchanrateError
 from .oracle import brute_force_oracle
 from .rates import scaled_forward_classical, scaled_forward_quantum
-from .runner import (
-    bound_rows_for_trajectory,
-    check_writable,
-    run_experiment,
-    write_output,
-    write_rows_csv,
-)
+from .runner import check_writable, evaluate_samples, run_experiment, write_output, write_rows_csv
 from .sampling import MAX_SEED, load_trajectory, sample_trajectory, save_trajectory
 
 ORACLE_CHECK_TOL = 1e-9
@@ -133,7 +129,8 @@ def cmd_bound(args) -> int:
             ) from None
         csv_path = _out_dir(args) / cfg.csv_name
         check_writable(csv_path)
-        rows, errors = bound_rows_for_trajectory(cfg, traj)
+        # estimators are auxiliaries only, so no channel model is needed
+        rows, errors = evaluate_samples(cfg, [(0.0, None, traj)], args.timings)
         rows.sort(key=lambda r: (r.sweep_value, r.estimator_id, r.seed))
         write_output(csv_path, write_rows_csv, "external", rows)
         print(f"wrote {csv_path} ({len(rows)} rows)")

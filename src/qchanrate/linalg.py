@@ -43,27 +43,14 @@ from .errors import OperatorError
 MAX_DIM = 64
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Numerical tolerances for operator predicates.
-
-    ``eps_hermitian`` and ``eps_psd`` are relative to the largest entry
-    magnitude of the operator under test; ``eps_trace`` and
-    ``eps_unitary`` are absolute (the quantities they guard are O(1)).
-    """
-
-    eps_hermitian: float = 1e-10
-    eps_psd: float = 1e-9
-    eps_trace: float = 1e-10
-    eps_unitary: float = 1e-9
-
-    def __post_init__(self):
-        for name in ("eps_hermitian", "eps_psd", "eps_trace", "eps_unitary"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-
-
-DEFAULT_TOL = Tolerance()
+# Tolerances of the operator and model predicates.  EPS_HERMITIAN and
+# EPS_PSD are relative to the largest entry magnitude of the operator
+# under test; EPS_TRACE and EPS_UNITARY are absolute (the quantities they
+# guard are O(1)).
+EPS_HERMITIAN = 1e-10
+EPS_PSD = 1e-9
+EPS_TRACE = 1e-10
+EPS_UNITARY = 1e-9
 
 
 def as_operator(a, name: str = "operator") -> np.ndarray:
@@ -167,15 +154,15 @@ def _scale(a: np.ndarray) -> float:
     return float(np.abs(a).max())
 
 
-def hermitian_eigenvalues(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def hermitian_eigenvalues(a) -> np.ndarray:
     """Real eigenvalues of a Hermitian operator, ascending.
 
     Raises ``OperatorError`` when the input is not Hermitian within
-    ``tol.eps_hermitian`` (relative to the largest entry).
+    ``EPS_HERMITIAN`` (relative to the largest entry).
     """
     arr = as_operator(a)
     res = hermiticity_residue(arr)
-    if res > tol.eps_hermitian * _scale(arr):
+    if res > EPS_HERMITIAN * _scale(arr):
         raise OperatorError(f"not Hermitian: residue {res:.3e}")
     return np.linalg.eigvalsh(0.5 * (arr + arr.conj().T))
 
@@ -196,21 +183,21 @@ class PsdCheck:
         return self.ok
 
 
-def is_psd(a, tol: Tolerance = DEFAULT_TOL) -> PsdCheck:
+def is_psd(a) -> PsdCheck:
     """Test Hermiticity plus nonnegative spectrum (within tolerances)."""
     arr = as_operator(a)
     scale = _scale(arr)
     res = hermiticity_residue(arr)
-    if res > tol.eps_hermitian * scale:
+    if res > EPS_HERMITIAN * scale:
         return PsdCheck(False, res, "not Hermitian")
     evals = np.linalg.eigvalsh(0.5 * (arr + arr.conj().T))
     lo = float(evals[0])
-    if lo < -tol.eps_psd * scale:
+    if lo < -EPS_PSD * scale:
         return PsdCheck(False, lo, "negative eigenvalue")
     return PsdCheck(True, lo, "ok")
 
 
-def expm_skew_hermitian(h, alpha: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def expm_skew_hermitian(h, alpha: float) -> np.ndarray:
     """Unitary exp(-i * alpha * h) of a Hermitian generator h.
 
     Computed through the spectral decomposition h = V diag(w) V^H, so the
@@ -218,7 +205,7 @@ def expm_skew_hermitian(h, alpha: float, tol: Tolerance = DEFAULT_TOL) -> np.nda
     """
     arr = as_operator(h, "generator")
     res = hermiticity_residue(arr)
-    if res > tol.eps_hermitian * max(_scale(arr), 1.0):
+    if res > EPS_HERMITIAN * max(_scale(arr), 1.0):
         raise OperatorError(f"generator not Hermitian: residue {res:.3e}")
     w, v = np.linalg.eigh(0.5 * (arr + arr.conj().T))
     phases = np.exp(-1j * alpha * w)

@@ -80,8 +80,8 @@ trajectories from elsewhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -150,13 +150,6 @@ def dmc_information_rate(q: InputLaw, w: Dmc) -> float:
     return float((joint[mask] * np.log2(ratio[mask])).sum())
 
 
-class PerStepScales(NamedTuple):
-    """Natural logs of the per-step normalizers of the two recursions."""
-
-    output: np.ndarray
-    joint: np.ndarray
-
-
 @dataclass(frozen=True)
 class RateEstimate:
     """Entropy-rate estimates (bits per use) and their combination."""
@@ -166,7 +159,6 @@ class RateEstimate:
     hy: float
     hxy: float
     ir: float
-    per_step_log_scales: Optional[PerStepScales] = field(default=None, repr=False)
 
 
 def _check_symbols(seq: np.ndarray, size: int, name: str) -> np.ndarray:
@@ -529,33 +521,22 @@ def pair_logs(model, q: InputLaw, traj: Trajectory) -> tuple[np.ndarray, np.ndar
     return ly, lxy
 
 
-def combine_sums(
-    n: int,
-    burn_in: int,
-    sum_x: float,
-    sum_y: float,
-    sum_xy: float,
-    scales: PerStepScales | None = None,
-) -> RateEstimate:
+def combine_sums(n: int, burn_in: int, sum_x: float, sum_y: float, sum_xy: float) -> RateEstimate:
     """Entropy and information rates from the summed per-step logs of the
     input, output-only and joint series over steps ``burn_in..n-1``."""
     steps = n - burn_in
     hx, hy, hxy = (s / (steps * LN2) for s in (sum_x, sum_y, sum_xy))
-    return RateEstimate(n=n, hx=hx, hy=hy, hxy=hxy, ir=hx + hy - hxy, per_step_log_scales=scales)
+    return RateEstimate(n=n, hx=hx, hy=hy, hxy=hxy, ir=hx + hy - hxy)
 
 
 def entropy_rate_estimates(
-    model,
-    q: InputLaw,
-    traj: Trajectory,
-    burn_in: int = 0,
-    keep_scales: bool = False,
+    model, q: InputLaw, traj: Trajectory, burn_in: int = 0
 ) -> RateEstimate:
     """Estimate the entropy rates and information rate from one trajectory.
 
     ``burn_in`` discards the first steps from all three per-step series
-    before averaging (none by default).  With ``keep_scales`` the raw
-    per-step scale logs of both recursions ride along on the result.
+    before averaging (none by default).  ``pair_logs`` gives the per-step
+    logs themselves.
     """
     model = as_recursion_model(model)
     if burn_in < 0 or burn_in >= traj.n:
@@ -566,5 +547,4 @@ def entropy_rate_estimates(
         traj.n,
         burn_in,
         *(float(logs[burn_in:].sum()) for logs in (log_px, ly, lxy)),
-        scales=PerStepScales(ly, lxy) if keep_scales else None,
     )

@@ -13,6 +13,9 @@ joint recursion's state, so the row's joint sum is the input's log
 losses plus the sampler's (``rates.sampled_joint_logs``).  A
 recursion's result does not depend on the stack it runs in, so the
 output does not depend on the chunking or on the number of workers.
+The row evaluator (``evaluate_samples``) takes the sampled trajectories,
+so ``bound --trajectory`` runs its auxiliaries on an imported one through
+the same stacks.
 Rows are gathered and sorted deterministically before writing; per-row
 estimation failures are recorded in a companion errors file and the run
 continues.
@@ -43,7 +46,11 @@ from time import perf_counter
 import numpy as np
 
 from . import rates
-from .bounds import auxiliary_error, lower_bound
+from .bounds import auxiliary_error
+
+# Not called here, but the traced benchmark (perfbench/tracer.py) wraps it
+# by this module attribute.
+from .bounds import lower_bound  # noqa: F401
 from .config import AuxiliarySpec, ExperimentConfig, build_auxiliary, instantiate_channel
 from .errors import ConfigError, QchanrateError
 from .rates import (
@@ -58,7 +65,7 @@ from .rates import (
 # Not called here, but the traced benchmark (perfbench/tracer.py) wraps it
 # by this module attribute.
 from .rates import entropy_rate_estimates  # noqa: F401
-from .sampling import Trajectory, sample_trajectory
+from .sampling import sample_trajectory
 from .svgplot import Series, write_line_plot
 
 CSV_COLUMNS = (
@@ -186,12 +193,43 @@ def evaluate_chunk(
 ) -> tuple[list[ResultRow], list[RowError]]:
     """Run every configured estimator at each (sweep value, seed) task.
 
-    Each task builds its channel and samples its own trajectory; then
-    the output-only and joint recursions of every row of the chunk run
-    in one engine call per group of equal closure, state size and
-    length, and each recursion's logs are reduced to their sum at once.
-    A quantum ``ir`` row's joint sum comes from its sampler's logs
-    instead, and the row runs no joint recursion.
+    Each task builds its channel and samples its own trajectory, and
+    ``evaluate_samples`` evaluates the rows of all of them together.  A
+    task whose channel or trajectory fails records that error for each of
+    its rows.
+    """
+    samples = []
+    errors: list[RowError] = []
+    for value, seed in tasks:
+        override = None if cfg.sweep.parameter == "n" else {cfg.sweep.parameter: value}
+        try:
+            model = instantiate_channel(cfg.channel, override)
+            traj = sample_trajectory(model, cfg.input_law, _task_n(cfg, value), seed)
+        except QchanrateError as exc:
+            errors.extend(_row_error(value, est_id, seed, exc) for est_id, _ in _estimators(cfg))
+            continue
+        samples.append((value, model, traj))
+    rows, row_errors = evaluate_samples(cfg, samples, timings)
+    return rows, errors + row_errors
+
+
+def _row_error(value, est_id: str, seed: int, exc: QchanrateError) -> RowError:
+    return RowError(float(value), est_id, seed, type(exc).__name__, str(exc))
+
+
+def evaluate_samples(
+    cfg: ExperimentConfig, samples, timings: bool = False
+) -> tuple[list[ResultRow], list[RowError]]:
+    """Run every configured estimator on each (sweep value, model,
+    trajectory) sample; a row takes its seed and n from the trajectory.
+
+    ``model`` is the channel that sampled the trajectory, the ``ir``
+    rows' target; it may be None when the estimators are auxiliaries
+    only.  The output-only and joint recursions of every row run in one
+    engine call per group of equal closure, state size and length, and
+    each recursion's logs are reduced to their sum at once.  A quantum
+    ``ir`` row's joint sum comes from its sampler's logs instead, and the
+    row runs no joint recursion.
 
     With ``timings`` each row's ``wallclock_seconds`` is its own set-up
     (building the auxiliary model and the step matrices) plus, for each
@@ -206,20 +244,8 @@ def evaluate_chunk(
     def since(started: float) -> float:
         return perf_counter() - started if timings else 0.0
 
-    def fail(value, est_id, seed, exc) -> None:
-        errors.append(RowError(float(value), est_id, seed, type(exc).__name__, str(exc)))
-
     pending: list[_PendingRow] = []
-    for value, seed in tasks:
-        n = _task_n(cfg, value)
-        override = None if cfg.sweep.parameter == "n" else {cfg.sweep.parameter: value}
-        try:
-            model = instantiate_channel(cfg.channel, override)
-            traj = sample_trajectory(model, q, n, seed)
-        except QchanrateError as exc:
-            for est_id, _ in estimators:
-                fail(value, est_id, seed, exc)
-            continue
+    for value, model, traj in samples:
         for est_id, aux_spec in estimators:
             started = perf_counter()
             burn_in = cfg.burn_in if aux_spec is None else 0
@@ -230,7 +256,7 @@ def evaluate_chunk(
                 log_px = input_log_loss(q, traj.x)
                 sum_x = float(log_px[burn_in:].sum())
             except QchanrateError as exc:
-                fail(value, est_id, seed, exc)
+                errors.append(_row_error(value, est_id, traj.seed, exc))
                 continue
             recs = pair_recursions(target, q, traj, joint=not sampled)
             if sampled:
@@ -239,7 +265,7 @@ def evaluate_chunk(
                 except QchanrateError as exc:
                     recs.append(exc)
             pending.append(_PendingRow(
-                float(value), est_id, seed, n, burn_in, sum_x, recs,
+                float(value), est_id, traj.seed, traj.n, burn_in, sum_x, recs,
                 None if aux_spec is None else aux_spec.label, since(started),
             ))
 
@@ -256,36 +282,12 @@ def evaluate_chunk(
         if exc is not None:
             if row.auxiliary is not None:
                 exc = auxiliary_error(row.auxiliary, exc)
-            fail(row.value, row.estimator_id, row.seed, exc)
+            errors.append(_row_error(row.value, row.estimator_id, row.seed, exc))
             continue
         r = combine_sums(row.n, row.burn_in, row.sum_x, *row.outcomes)
         rows.append(ResultRow(
             row.value, row.estimator_id, row.seed, row.n, r.ir, r.hx, r.hy, r.hxy, row.seconds
         ))
-    return rows, errors
-
-
-def bound_rows_for_trajectory(
-    cfg: ExperimentConfig, traj: Trajectory
-) -> tuple[list[ResultRow], list[RowError]]:
-    """Auxiliary bounds on an externally supplied trajectory.
-
-    No channel is simulated; rows carry the trajectory's own seed and a
-    sentinel sweep value of 0 under the parameter name 'external'.
-    """
-    rows: list[ResultRow] = []
-    errors: list[RowError] = []
-    for aux_spec in cfg.auxiliaries:
-        est_id = f"aux_lower:{aux_spec.label}"
-        try:
-            aux = build_auxiliary(aux_spec)
-            b = lower_bound(traj, aux, cfg.input_law)
-            rows.append(
-                ResultRow(0.0, est_id, traj.seed, traj.n,
-                          b.ir_lower, b.hx, b.aux_hy, b.aux_hxy, 0.0)
-            )
-        except QchanrateError as exc:
-            errors.append(RowError(0.0, est_id, traj.seed, type(exc).__name__, str(exc)))
     return rows, errors
 
 

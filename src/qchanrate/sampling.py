@@ -429,6 +429,8 @@ def load_trajectory(path) -> Trajectory:
                 raise TrajectoryFormatError(lineno, f"non-integer symbol in {line.strip()!r}") from None
             if xs[-1] < 0 or ys[-1] < 0:
                 raise TrajectoryFormatError(lineno, f"negative symbol in {line.strip()!r}")
+            if max(xs[-1], ys[-1]) >= 2**63:  # symbols are held as int64
+                raise TrajectoryFormatError(lineno, f"symbol beyond 2^63 - 1 in {line.strip()!r}")
         if len(xs) != n:
             raise TrajectoryFormatError(
                 1, f"header says n={n} but body has {len(xs)} pairs"

@@ -65,6 +65,10 @@ class TestGilbertElliott:
         with pytest.raises(ValueError):
             qc.build_gilbert_elliott(0.1, 0.9, np.array([[0.8, 0.1], [0.2, 0.8]]))
 
+    def test_rejects_nan_transition(self):
+        with pytest.raises(ValueError, match="transition rows must be pmfs"):
+            qc.build_gilbert_elliott(0.1, 0.9, np.array([[np.nan, 1.0], [0.2, 0.8]]))
+
 
 class TestQuantumGilbertElliott:
     def test_interaction_operator_entries(self):

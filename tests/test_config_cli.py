@@ -13,7 +13,7 @@ from qchanrate.config import build_auxiliary, instantiate_channel, load_config
 from qchanrate.errors import ConfigError, QchanrateError
 from qchanrate.rates import entropy_rate_estimates
 from qchanrate.runner import CSV_COLUMNS, run_experiment
-from qchanrate.sampling import Trajectory, sample_trajectory
+from qchanrate.sampling import Trajectory, load_trajectory, sample_trajectory
 
 
 def write_config(tmp_path, name="exp.json", **overrides):
@@ -29,6 +29,9 @@ def write_config(tmp_path, name="exp.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(cfg, indent=1))
     return path
+
+
+GE_PARAMS = {"p_g": 0.1, "p_b": 0.4, "transition": [[0.9, 0.1], [0.2, 0.8]]}
 
 
 def dying_chunk(cfg, tasks, timings=False):
@@ -144,6 +147,18 @@ class TestParsing:
             ),
             ({"seeds": [0, 2**64]}, r"seeds\[1\]: .*2\^64"),
             ({"point_budget_seconds": 600}, r"unknown keys \['point_budget_seconds'\]"),
+            (
+                {"channel": dict(GE_PARAMS, kind="gilbert_elliott", initial=[0.2, 0.2]),
+                 "sweep": {"parameter": "p_b", "values": [0.4]}},
+                r"^channel: initial state pmf sums to one violated",
+            ),
+            (
+                {"estimators": ["ir", "aux_lower"],
+                 "auxiliaries": [dict(GE_PARAMS, kind="gilbert_elliott", label="g",
+                                      initial=[0.2, 0.2])]},
+                r"^auxiliaries\[g\]: initial state pmf sums to one violated",
+            ),
+            ({"input_law": [float("nan"), 1.0]}, r"^input_law: input law must be a pmf"),
         ],
     )
     def test_rejections(self, tmp_path, overrides, fragment):
@@ -568,6 +583,21 @@ class TestCli:
         assert main(["validate", str(path)]) == 2
         assert "error[ConfigError]" in capsys.readouterr().err
 
+    def test_validate_rejects_invalid_initial_pmf(self, tmp_path, capsys):
+        """A Gilbert-Elliott initial pmf that does not sum to one fails
+        validation instead of passing with a failed check printed."""
+        path = write_config(
+            tmp_path,
+            channel=dict(GE_PARAMS, kind="gilbert_elliott", initial=[0.2, 0.2]),
+            sweep={"parameter": "p_b", "values": [0.4]},
+        )
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error[ConfigError]: channel: initial state pmf sums to one violated"
+        )
+        assert "configuration is valid" not in captured.out
+
     def test_dead_worker_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(runner, "evaluate_chunk", dying_chunk)
         path = write_config(tmp_path)
@@ -650,6 +680,81 @@ class TestCli:
         assert rows[0]["seed"] == "9"
         assert np.isfinite(float(rows[0]["ir_bits"]))
 
+    def test_bound_trajectory_rows_equal_lower_bound(self, tmp_path, monkeypatch):
+        """``bound --trajectory`` runs the sweep's stacked row evaluator,
+        yet each auxiliary's row equals ``lower_bound`` on the loaded
+        trajectory bit for bit: two Gilbert-Elliott auxiliaries whose four
+        recursions run as one engine stack, and a quantum auxiliary."""
+        cfg_path = write_config(
+            tmp_path,
+            channel={"kind": "quantum_ge", "p_g": 0.05, "p_b": 0.95, "alpha": 1.0},
+            n=300,
+            sweep={"parameter": "p_b", "values": [0.95]},
+            estimators=["aux_lower"],
+            auxiliaries=[
+                dict(GE_PARAMS, kind="gilbert_elliott", label="ge-a"),
+                {"kind": "gilbert_elliott", "label": "ge-b", "p_g": 0.02, "p_b": 0.9,
+                 "transition": [[0.95, 0.05], [0.1, 0.9]]},
+                {"kind": "quantum_ge", "label": "q", "p_g": 0.05, "p_b": 0.8, "alpha": 0.7},
+            ],
+        )
+        traj_path = tmp_path / "traj.txt"
+        assert main(["sample", str(cfg_path), "-o", str(traj_path), "--seed", "4"]) == 0
+        stacked = rates.stacked_forward_logs
+        stack_sizes = []
+
+        def spy(recs):
+            stack_sizes.append(len(recs))
+            return stacked(recs)
+
+        monkeypatch.setattr(rates, "stacked_forward_logs", spy)
+        out_dir = tmp_path / "b"
+        assert main(
+            ["bound", str(cfg_path), "--trajectory", str(traj_path), "--out-dir", str(out_dir)]
+        ) == 0
+        assert sorted(stack_sizes) == [2, 4]
+        monkeypatch.undo()
+        _, rows = read_rows(out_dir / "results.csv")
+        got = {row["estimator_id"]: row for row in rows}
+        cfg = load_config(cfg_path)
+        traj = load_trajectory(traj_path)
+        assert len(got) == len(rows) == 3
+        for spec in cfg.auxiliaries:
+            b = lower_bound(traj, build_auxiliary(spec), cfg.input_law)
+            row = got[f"aux_lower:{spec.label}"]
+            assert (row["sweep_param"], row["sweep_value"], row["seed"], row["n"]) == (
+                "external", "0.0", "4", "300"
+            )
+            assert [float(row[k]) for k in ("ir_bits", "hx_bits", "hy_bits", "hxy_bits")] == [
+                b.ir_lower, b.hx, b.aux_hy, b.aux_hxy
+            ]
+
+    def test_bound_trajectory_timings(self, tmp_path, monkeypatch):
+        """``--timings`` applies to ``bound --trajectory``: with a fake
+        clock that advances one second per reading, each row is charged
+        one second of set-up and half of each of its two stacks' seconds
+        (a BSC and a Gilbert-Elliott auxiliary, one stack of two
+        recursions each); without the flag every row reads 0."""
+        cfg_path = write_config(
+            tmp_path,
+            estimators=["aux_lower"],
+            auxiliaries=[{"kind": "bsc", "label": "a", "p": 0.2},
+                         dict(GE_PARAMS, kind="gilbert_elliott", label="b")],
+        )
+        traj_path = tmp_path / "traj.txt"
+        assert main(["sample", str(cfg_path), "-o", str(traj_path)]) == 0
+        ticks = iter(range(10**6))
+        monkeypatch.setattr(runner, "perf_counter", lambda: float(next(ticks)))
+        argv = ["bound", str(cfg_path), "--trajectory", str(traj_path), "--out-dir"]
+        assert main(argv + [str(tmp_path / "t"), "--timings"]) == 0
+        _, rows = read_rows(tmp_path / "t" / "results.csv")
+        assert {r["estimator_id"]: r["wallclock_seconds"] for r in rows} == {
+            "aux_lower:a": "2.0", "aux_lower:b": "2.0"
+        }
+        assert main(argv + [str(tmp_path / "u")]) == 0
+        _, rows = read_rows(tmp_path / "u" / "results.csv")
+        assert {r["wallclock_seconds"] for r in rows} == {"0.0"}
+
     def test_bound_rejects_corrupt_trajectory(self, tmp_path, capsys):
         cfg_path = write_config(
             tmp_path,
@@ -667,6 +772,8 @@ class TestCli:
             ("n=0 seed=1 gen=x\n", "line 1: n must be positive"),
             ("n=2 seed=1 gen=x\n0 1\n-1 0\n", "line 3: negative symbol"),
             (f"n=1 seed={2**64} gen=x\n0 1\n", "line 1: seed must lie in [0, 2^64 - 1]"),
+            ("n=1 seed=1 gen=x\n1000000000000000000000000000000 0\n",
+             "line 2: symbol beyond 2^63 - 1"),
         ]:
             bad.write_text(text)
             assert main(["bound", str(cfg_path), "--trajectory", str(bad)]) == 3

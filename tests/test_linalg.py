@@ -180,10 +180,6 @@ class TestIsPsd:
 
 
 class TestGuards:
-    def test_tolerance_rejects_negative(self):
-        with pytest.raises(ValueError):
-            la.Tolerance(eps_psd=-1.0)
-
     def test_as_operator_rejects_bad_input(self):
         with pytest.raises(OperatorError):
             la.as_operator(np.zeros((2, 3)))

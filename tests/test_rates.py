@@ -409,18 +409,19 @@ class TestEntropyRateEstimates:
 
     def test_keep_scales_and_combination_identity(self, quantum_ge, uniform):
         traj = qc.sample_trajectory(quantum_ge, uniform, 400, seed=36)
-        r = qc.entropy_rate_estimates(quantum_ge, uniform, traj, keep_scales=True)
+        r = qc.entropy_rate_estimates(quantum_ge, uniform, traj)
+        ly, lxy = rates.pair_logs(quantum_ge, uniform, traj)
         n = traj.n
-        assert abs(r.hy - r.per_step_log_scales.output.sum() / (n * rates.LN2)) <= 1e-12
-        assert abs(r.hxy - r.per_step_log_scales.joint.sum() / (n * rates.LN2)) <= 1e-12
+        assert abs(r.hy - ly.sum() / (n * rates.LN2)) <= 1e-12
+        assert abs(r.hxy - lxy.sum() / (n * rates.LN2)) <= 1e-12
         assert r.ir == r.hx + r.hy - r.hxy
 
     def test_burn_in_drops_prefix(self, quantum_ge, uniform):
         traj = qc.sample_trajectory(quantum_ge, uniform, 400, seed=37)
-        full = qc.entropy_rate_estimates(quantum_ge, uniform, traj, keep_scales=True)
+        ly, _ = rates.pair_logs(quantum_ge, uniform, traj)
         burned = qc.entropy_rate_estimates(quantum_ge, uniform, traj, burn_in=100)
         k = traj.n - 100
-        expect_hy = full.per_step_log_scales.output[100:].sum() / (k * rates.LN2)
+        expect_hy = ly[100:].sum() / (k * rates.LN2)
         assert abs(burned.hy - expect_hy) <= 1e-12
         with pytest.raises(ValueError):
             qc.entropy_rate_estimates(quantum_ge, uniform, traj, burn_in=traj.n)
