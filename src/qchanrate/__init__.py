@@ -42,13 +42,7 @@ from .errors import (
 )
 from .linalg import expm_skew_hermitian, hermitian_eigenvalues, is_psd, kron, partial_trace
 from .oracle import OracleTables, brute_force_oracle, oracle_joint_prob, oracle_output_prob
-from .rates import (
-    RateEstimate,
-    dmc_information_rate,
-    entropy_rate_estimates,
-    scaled_forward_classical,
-    scaled_forward_quantum,
-)
+from .rates import RateEstimate, dmc_information_rate, entropy_rate_estimates
 from .runner import run_experiment
 from .sampling import (
     GENERATOR_ID,

@@ -31,11 +31,12 @@ from .sampling import Trajectory
 KERNEL_FLOOR = 1e-12
 
 
-def smooth_classical_fsmc(f: ClassicalFsmc, floor: float = KERNEL_FLOOR) -> ClassicalFsmc:
-    """Floor every kernel entry and renormalize rows (and the initial pmf)."""
-    kernel = np.maximum(f.kernel, floor)
+def smooth_classical_fsmc(f: ClassicalFsmc) -> ClassicalFsmc:
+    """Floor every kernel entry at ``KERNEL_FLOOR`` and renormalize rows
+    (and the initial pmf)."""
+    kernel = np.maximum(f.kernel, KERNEL_FLOOR)
     kernel = kernel / kernel.sum(axis=(2, 3), keepdims=True)
-    initial = np.maximum(f.initial, floor)
+    initial = np.maximum(f.initial, KERNEL_FLOOR)
     return ClassicalFsmc(kernel, initial / initial.sum())
 
 
@@ -51,15 +52,15 @@ class AuxiliaryModel:
     smoothed: bool = False
 
 
-def make_auxiliary(model, label: str, floor: float = KERNEL_FLOOR) -> AuxiliaryModel:
+def make_auxiliary(model, label: str) -> AuxiliaryModel:
     """Wrap a model for use as a decoding metric.
 
     Classical kernels are floored and renormalized (flagged); quantum
     models are compiled if necessary and used as-is.
     """
     model = as_recursion_model(model)
-    if isinstance(model, ClassicalFsmc) and floor > 0:
-        return AuxiliaryModel(smooth_classical_fsmc(model, floor), label, smoothed=True)
+    if isinstance(model, ClassicalFsmc):
+        return AuxiliaryModel(smooth_classical_fsmc(model), label, smoothed=True)
     return AuxiliaryModel(model, label, smoothed=False)
 
 

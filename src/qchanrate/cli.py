@@ -1,12 +1,13 @@
 """Command-line entry points.
 
 Verbs:
-  validate  parse a config and print the model validation reports
+  validate  parse a config and print the validation reports of its models
   estimate  run the configured sweep and write CSV (and SVG) results
   bound     like estimate but restricted to auxiliary lower bounds;
             accepts an external trajectory instead of channel sampling,
             evaluated by the sweep's stacked row evaluator (sweep
-            parameter 'external', value 0, the trajectory's seed and n)
+            parameter 'external', value 0, the trajectory's seed and n;
+            --n, --seeds and --threads are rejected with it)
   sample    draw one trajectory from the configured channel to a file
   oracle    small-length exact check of the recursions against brute force
 
@@ -23,11 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import channels
-from .config import build_auxiliary, instantiate_channel, load_config
+from . import channels, rates
+from .config import instantiate_channel, load_config
 from .errors import ConfigError, QchanrateError
 from .oracle import brute_force_oracle
-from .rates import scaled_forward_classical, scaled_forward_quantum
 from .runner import check_writable, evaluate_samples, run_experiment, write_output, write_rows_csv
 from .sampling import MAX_SEED, load_trajectory, sample_trajectory, save_trajectory
 
@@ -74,8 +74,7 @@ def cmd_validate(args) -> int:
     cfg = load_config(args.config)
     model = instantiate_channel(cfg.channel)
     print(channels.validate(model).summary())
-    for aux_spec in cfg.auxiliaries:
-        aux = build_auxiliary(aux_spec)
+    for aux in cfg.auxiliaries:
         note = " (kernel floored)" if aux.smoothed else ""
         print(f"auxiliary {aux.label!r}{note}:")
         print(channels.validate(aux.model).summary())
@@ -116,6 +115,12 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    if args.trajectory:
+        for flag, given in (("--n", args.n is not None), ("--seeds", bool(args.seeds)),
+                            ("--threads", args.threads != 1)):
+            if given:
+                raise ConfigError(flag, "does not apply with --trajectory, whose file "
+                                  "gives n and the seed and runs in this process")
     cfg = _apply_overrides(load_config(args.config), args)
     if not cfg.auxiliaries:
         raise ConfigError("auxiliaries", "bound requires at least one auxiliary model")
@@ -170,27 +175,26 @@ def cmd_oracle(args) -> int:
     min_entry = float(tables.joint.min())
     print(f"joint table at n={n}: sum deviation {total_dev:.3e}, min entry {min_entry:.3e}")
 
-    forward = (
-        scaled_forward_classical
-        if isinstance(model, channels.ClassicalFsmc)
-        else scaled_forward_quantum
-    )
-    worst_y = 0.0
-    worst_xy = 0.0
-    y_seqs = [np.array(seq) for seq in np.ndindex(*(tables.y_size,) * n)]
+    # One engine stack per output sequence, for it and its (input, output)
+    # pairs of positive probability: a single stack for --oracle-n 10 would
+    # hold a million recursions of about 2 KB each.
+    worst = {"y": 0.0, "xy": 0.0}
     x_seqs = [np.array(seq) for seq in np.ndindex(*(tables.x_size,) * n)]
-    for ys in y_seqs:
-        p = tables.output_prob(ys)
-        if p > 0:
-            worst_y = max(worst_y, abs(-forward(model, q, ys).sum() - np.log(p)))
-        for xs in x_seqs:
-            pj = tables.joint_prob(xs, ys)
-            if pj > 0:
-                logp = -(forward(model, q, ys, xs).sum())
-                worst_xy = max(worst_xy, abs(logp - np.log(pj)))
-    print(f"recursion vs oracle: max |dlog p(y)| = {worst_y:.3e}, "
-          f"max |dlog p(x,y)| = {worst_xy:.3e}")
-    if total_dev > 1e-10 or min_entry < -1e-12 or max(worst_y, worst_xy) > ORACLE_CHECK_TOL:
+    for ys in map(np.array, np.ndindex(*(tables.y_size,) * n)):
+        checks = [(None, tables.output_prob(ys))]
+        checks += [(xs, tables.joint_prob(xs, ys)) for xs in x_seqs]
+        checks = [(xs, p) for xs, p in checks if p > 0]
+        if not checks:
+            continue
+        recs = [rates.recursion(model, q, ys, xs) for xs, _ in checks]
+        for (xs, p), logs in zip(checks, rates.stacked_forward_logs(recs)):
+            if isinstance(logs, QchanrateError):
+                raise logs
+            kind = "y" if xs is None else "xy"
+            worst[kind] = max(worst[kind], abs(-logs.sum() - np.log(p)))
+    print(f"recursion vs oracle: max |dlog p(y)| = {worst['y']:.3e}, "
+          f"max |dlog p(x,y)| = {worst['xy']:.3e}")
+    if total_dev > 1e-10 or min_entry < -1e-12 or max(worst.values()) > ORACLE_CHECK_TOL:
         raise QchanrateError("oracle cross-check failed (see figures above)")
     print("oracle cross-check passed")
     return 0

@@ -5,7 +5,8 @@ Matrices are written as row-major lists of rows whose entries are
 ``[re, im]`` pairs, so custom interaction operators can be entered
 exactly.  Every validation failure reports the offending field path
 (e.g. ``channel.kraus[1]``); model-level failures carry the violated
-condition name and its numeric witness.
+condition name and its numeric witness.  ``NaN`` and ``Infinity``, which
+the JSON reader accepts, are rejected wherever a number is expected.
 
 Example::
 
@@ -23,6 +24,7 @@ Example::
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +32,7 @@ import numpy as np
 from . import channels
 from .bounds import AuxiliaryModel, make_auxiliary
 from .channels import InputLaw
-from .errors import ConfigError, ModelValidationError, QchanrateError
+from .errors import ConfigError, QchanrateError
 from .sampling import MAX_SEED
 
 CHANNEL_KINDS = (
@@ -62,13 +64,6 @@ class ChannelSpec:
 
 
 @dataclass(frozen=True)
-class AuxiliarySpec:
-    kind: str
-    label: str
-    params: dict
-
-
-@dataclass(frozen=True)
 class SweepSpec:
     parameter: str
     values: tuple
@@ -86,7 +81,7 @@ class ExperimentConfig:
     seeds: tuple[int, ...]
     sweep: SweepSpec
     estimators: tuple[str, ...]
-    auxiliaries: tuple[AuxiliarySpec, ...] = ()
+    auxiliaries: tuple[AuxiliaryModel, ...] = ()
     burn_in: int = 0
     csv_name: str = "results.csv"
     svg_name: str = "results.svg"
@@ -109,6 +104,8 @@ def _expect_dict(node, path: str, allowed: set[str]) -> dict:
 def _number(node, path: str) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         _fail(path, f"expected a number, got {node!r}")
+    if not abs(node) <= sys.float_info.max:  # NaN, an infinity, or an int beyond floats
+        _fail(path, f"expected a finite number, got {node!r}")
     return float(node)
 
 
@@ -249,8 +246,6 @@ def _build_channel(kind: str, params: dict, path: str):
             _fail(path, f"unsupported channel kind {kind!r}")
     except ConfigError:
         raise
-    except ModelValidationError as exc:
-        raise ConfigError(path, str(exc)) from exc
     except (ValueError, QchanrateError) as exc:
         raise ConfigError(path, str(exc)) from exc
     if known:
@@ -264,11 +259,6 @@ def instantiate_channel(spec: ChannelSpec, override: dict | None = None):
     if override:
         params.update(override)
     return _build_channel(spec.kind, params, "channel")
-
-
-def build_auxiliary(spec: AuxiliarySpec) -> AuxiliaryModel:
-    model = _build_channel(spec.kind, spec.params, f"auxiliaries[{spec.label}]")
-    return make_auxiliary(model, spec.label)
 
 
 _ROOT_KEYS = {
@@ -290,7 +280,8 @@ def load_config(path) -> ExperimentConfig:
     The base channel and every auxiliary are built once here, so any
     model-level violation (negative kernel entry, incomplete Kraus set,
     non-unitary evolution, ...) is rejected at parse time with the
-    condition name and witness.
+    condition name and witness.  The auxiliaries stay on the config, as
+    ``make_auxiliary`` built them, for every row of a sweep to run.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -380,7 +371,7 @@ def load_config(path) -> ExperimentConfig:
     aux_node = root.get("auxiliaries", [])
     if not isinstance(aux_node, list):
         _fail("auxiliaries", "expected a list")
-    auxiliaries = []
+    aux_specs = []
     seen_labels = set()
     for i, node in enumerate(aux_node):
         if not isinstance(node, dict) or "kind" not in node:
@@ -395,8 +386,8 @@ def load_config(path) -> ExperimentConfig:
             _fail(f"auxiliaries[{i}].label", f"duplicate label {label!r}")
         seen_labels.add(label)
         params = {k: v for k, v in node.items() if k not in ("kind", "label")}
-        auxiliaries.append(AuxiliarySpec(kind, label, params))
-    if "aux_lower" in estimators and not auxiliaries:
+        aux_specs.append((kind, label, params))
+    if "aux_lower" in estimators and not aux_specs:
         _fail("estimators", "'aux_lower' requires at least one auxiliary model")
 
     burn_in = _integer(root.get("burn_in", 0), "burn_in")
@@ -414,7 +405,22 @@ def load_config(path) -> ExperimentConfig:
         if not isinstance(value, str) or not value:
             _fail(f"output.{key}", "expected a nonempty file name")
 
-    cfg = ExperimentConfig(
+    # Building the base channel and the auxiliaries exercises every model
+    # invariant; sweeps re-apply overrides to an already-valid spec.
+    model = instantiate_channel(channel)
+    if model.x_size != input_law.x_size:
+        _fail(
+            "input_law",
+            f"has {input_law.x_size} symbols but the channel expects {model.x_size}",
+        )
+    auxiliaries = []
+    for kind, label, params in aux_specs:
+        where = f"auxiliaries[{label}]"
+        aux = make_auxiliary(_build_channel(kind, params, where), label)
+        if aux.model.x_size != model.x_size or aux.model.y_size != model.y_size:
+            _fail(where, "auxiliary alphabets must match the true channel")
+        auxiliaries.append(aux)
+    return ExperimentConfig(
         channel=channel,
         input_law=input_law,
         n=n,
@@ -427,19 +433,3 @@ def load_config(path) -> ExperimentConfig:
         svg_name=svg_name,
         source_path=str(path),
     )
-    # Building the base channel and the auxiliaries exercises every model
-    # invariant; sweeps re-apply overrides to an already-valid spec.
-    model = instantiate_channel(cfg.channel)
-    if model.x_size != input_law.x_size:
-        _fail(
-            "input_law",
-            f"has {input_law.x_size} symbols but the channel expects {model.x_size}",
-        )
-    for aux in cfg.auxiliaries:
-        built = build_auxiliary(aux)
-        if built.model.x_size != model.x_size or built.model.y_size != model.y_size:
-            _fail(
-                f"auxiliaries[{aux.label}]",
-                "auxiliary alphabets must match the true channel",
-            )
-    return cfg

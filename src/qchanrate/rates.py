@@ -439,6 +439,8 @@ def _forward_logs(rec: Recursion) -> np.ndarray:
     return logs
 
 
+# Not called here, but the traced benchmark (perfbench/tracer.py) wraps
+# these two by this module attribute.
 def scaled_forward_classical(
     f: ClassicalFsmc,
     q: InputLaw,

@@ -3,11 +3,12 @@
 Each (sweep value, seed) task builds its channel and samples one
 trajectory from it, and every configured estimator runs on that
 trajectory, so estimators at the same point share common random
-numbers.  The tasks run in chunks of at most ``STACK_BUDGET`` recursion
-steps: a chunk samples its points one by one, then runs the output-only
-and joint recursions of all its rows as engine stacks, one per group of
-equal closure, state size and length, so that the engine's per-iteration
-cost is shared across points.  An ``ir`` row on a quantum channel runs
+numbers; the auxiliary models are the ones ``load_config`` built.  The
+tasks run in chunks of at most ``STACK_BUDGET`` recursion steps: a chunk
+samples its points one by one, then runs the output-only and joint
+recursions of all its rows as engine stacks, one per group of equal
+closure, state size and length, so that the engine's per-iteration cost
+is shared across points.  An ``ir`` row on a quantum channel runs
 only its output-only recursion: its trajectory's sampler carried the
 joint recursion's state, so the row's joint sum is the input's log
 losses plus the sampler's (``rates.sampled_joint_logs``).  A
@@ -23,13 +24,15 @@ continues.
 ``wallclock_seconds`` is written as 0 unless timing capture is switched
 on: measured times would break the byte-for-byte reproducibility of the
 output, which is the stronger contract.  With it, a row's time is its
-own set-up plus an equal share, per recursion, of each engine call that
-ran it; a quantum ``ir`` row is charged for no joint recursion.
+own set-up (building its step matrices) plus an equal share, per
+recursion, of each engine call that ran it; a quantum ``ir`` row is
+charged for no joint recursion.
 
 Output paths that cannot be written are reported before the first
-chunk.  A chunk that fails with an exception that is not a
-``QchanrateError``, in this process or in a worker, ends the run with a
-``QchanrateError`` naming the chunk and its sweep values.
+chunk.  A pool has at most one worker per chunk.  A chunk that fails
+with an exception that is not a ``QchanrateError``, in this process or
+in a worker, ends the run with a ``QchanrateError`` naming the chunk and
+its sweep values.
 """
 
 from __future__ import annotations
@@ -46,12 +49,12 @@ from time import perf_counter
 import numpy as np
 
 from . import rates
-from .bounds import auxiliary_error
+from .bounds import AuxiliaryModel, auxiliary_error
 
 # Not called here, but the traced benchmark (perfbench/tracer.py) wraps it
 # by this module attribute.
 from .bounds import lower_bound  # noqa: F401
-from .config import AuxiliarySpec, ExperimentConfig, build_auxiliary, instantiate_channel
+from .config import ExperimentConfig, instantiate_channel
 from .errors import ConfigError, QchanrateError
 from .rates import (
     Recursion,
@@ -122,9 +125,9 @@ class ExperimentOutput:
     errors: tuple[RowError, ...]
 
 
-def _estimators(cfg: ExperimentConfig) -> list[tuple[str, AuxiliarySpec | None]]:
+def _estimators(cfg: ExperimentConfig) -> list[tuple[str, AuxiliaryModel | None]]:
     """Each row's estimator id at a point, with its auxiliary (None for ir)."""
-    out: list[tuple[str, AuxiliarySpec | None]] = []
+    out: list[tuple[str, AuxiliaryModel | None]] = []
     for est in cfg.estimators:
         if est == "ir":
             out.append(("ir", None))
@@ -225,16 +228,17 @@ def evaluate_samples(
 
     ``model`` is the channel that sampled the trajectory, the ``ir``
     rows' target; it may be None when the estimators are auxiliaries
-    only.  The output-only and joint recursions of every row run in one
-    engine call per group of equal closure, state size and length, and
-    each recursion's logs are reduced to their sum at once.  A quantum
-    ``ir`` row's joint sum comes from its sampler's logs instead, and the
-    row runs no joint recursion.
+    only; an auxiliary row's target is its auxiliary's model.  The
+    output-only and joint recursions of every row run in one engine call
+    per group of equal closure, state size and length, and each
+    recursion's logs are reduced to their sum at once.  A quantum ``ir``
+    row's joint sum comes from its sampler's logs instead, and the row
+    runs no joint recursion.
 
     With ``timings`` each row's ``wallclock_seconds`` is its own set-up
-    (building the auxiliary model and the step matrices) plus, for each
-    of its recursions, an equal share of the engine call that ran it;
-    the channel and the trajectory are not counted.
+    (building its step matrices) plus, for each of its recursions, an
+    equal share of the engine call that ran it; the channel and the
+    trajectory are not counted.
     """
     rows: list[ResultRow] = []
     errors: list[RowError] = []
@@ -246,27 +250,26 @@ def evaluate_samples(
 
     pending: list[_PendingRow] = []
     for value, model, traj in samples:
-        for est_id, aux_spec in estimators:
-            started = perf_counter()
-            burn_in = cfg.burn_in if aux_spec is None else 0
+        try:
+            log_px = input_log_loss(q, traj.x)
+        except QchanrateError as exc:
+            errors.extend(_row_error(value, est_id, traj.seed, exc) for est_id, _ in estimators)
+            continue
+        for est_id, aux in estimators:
+            burn_in = cfg.burn_in if aux is None else 0
             # the sampler's logs belong to the sampled model, the ir row's target
-            sampled = aux_spec is None and traj.conditional_log_loss is not None
-            try:
-                target = model if aux_spec is None else build_auxiliary(aux_spec).model
-                log_px = input_log_loss(q, traj.x)
-                sum_x = float(log_px[burn_in:].sum())
-            except QchanrateError as exc:
-                errors.append(_row_error(value, est_id, traj.seed, exc))
-                continue
-            recs = pair_recursions(target, q, traj, joint=not sampled)
+            sampled = aux is None and traj.conditional_log_loss is not None
+            started = perf_counter()
+            recs = pair_recursions(model if aux is None else aux.model, q, traj, joint=not sampled)
+            seconds = since(started)
             if sampled:
                 try:
                     recs.append(float(sampled_joint_logs(log_px, traj)[burn_in:].sum()))
                 except QchanrateError as exc:
                     recs.append(exc)
             pending.append(_PendingRow(
-                float(value), est_id, traj.seed, traj.n, burn_in, sum_x, recs,
-                None if aux_spec is None else aux_spec.label, since(started),
+                float(value), est_id, traj.seed, traj.n, burn_in, float(log_px[burn_in:].sum()),
+                recs, None if aux is None else aux.label, seconds,
             ))
 
     stacks: dict[tuple, list[tuple[_PendingRow, int]]] = {}
@@ -370,13 +373,14 @@ def _svg_series(rows) -> list[Series]:
 
 
 def _chunk_results(cfg: ExperimentConfig, chunks: list[list], workers: int, timings: bool) -> list:
-    """``evaluate_chunk`` of every chunk, in order, in a pool of
-    ``workers`` processes or (one worker) in this one.
+    """``evaluate_chunk`` of every chunk, in order, in a pool of up to
+    ``workers`` processes, at most one per chunk, or else in this one.
 
     A worker that dies, or an exception that is not a
     ``QchanrateError``, raises a ``QchanrateError`` naming the chunk and
     its sweep values, on either path.
     """
+    workers = min(workers, len(chunks))
     results = []
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         if pool is not None:
@@ -414,8 +418,9 @@ def run_experiment(
     """Execute the configured sweep and write CSV/SVG outputs.
 
     ``workers > 1`` dispatches the chunks of (value, seed) tasks to a
-    process pool; results are identical to the serial run because every
-    chunk is self-contained and rows are sorted before writing.  A worker
+    process pool of at most one worker per chunk; results are identical
+    to the serial run because every chunk is self-contained and rows are
+    sorted before writing.  A worker
     that dies, or a chunk that fails with an exception that is not a
     ``QchanrateError``, raises ``QchanrateError`` naming the first chunk
     left without a result.  Output paths that cannot be written are

@@ -10,6 +10,7 @@ import time
 import numpy as np
 
 import qchanrate as qc
+from qchanrate import rates
 from qchanrate.bounds import AuxiliaryModel, lower_bound, make_auxiliary
 from qchanrate.cli import main
 from qchanrate.oracle import brute_force_oracle, oracle_joint_prob, oracle_output_prob
@@ -40,8 +41,8 @@ def test_criterion_2_oracle_equivalence(quantum_ge, classical_ge, uniform):
     start = time.perf_counter()
     worst = 0.0
     for model, forward in (
-        (quantum_ge, qc.scaled_forward_quantum),
-        (classical_ge, qc.scaled_forward_classical),
+        (quantum_ge, rates.scaled_forward_quantum),
+        (classical_ge, rates.scaled_forward_classical),
     ):
         for _ in range(100):
             ys = rng.integers(0, 2, size=n)
@@ -111,8 +112,8 @@ def test_criterion_6_classical_quantum_bridge(classical_ge, uniform):
     traj = qc.sample_trajectory(classical_ge, uniform, 10000, seed=6)
     worst = 0.0
     for xs in (None, traj.x):
-        lc = qc.scaled_forward_classical(classical_ge, uniform, traj.y, xs)
-        lq = qc.scaled_forward_quantum(embedded, uniform, traj.y, xs)
+        lc = rates.scaled_forward_classical(classical_ge, uniform, traj.y, xs)
+        lq = rates.scaled_forward_quantum(embedded, uniform, traj.y, xs)
         worst = max(worst, float(np.abs(lc - lq).max()))
     assert worst <= 1e-12
     report(6, f"embedded and native scale-factor logs identical (worst {worst:.1e})")

@@ -1,15 +1,16 @@
 import json
 import os
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qchanrate as qc
-from qchanrate import rates, runner
+from qchanrate import config, rates, runner
 from qchanrate.bounds import lower_bound
 from qchanrate.cli import main
-from qchanrate.config import build_auxiliary, instantiate_channel, load_config
+from qchanrate.config import instantiate_channel, load_config
 from qchanrate.errors import ConfigError, QchanrateError
 from qchanrate.rates import entropy_rate_estimates
 from qchanrate.runner import CSV_COLUMNS, run_experiment
@@ -31,7 +32,15 @@ def write_config(tmp_path, name="exp.json", **overrides):
     return path
 
 
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
 GE_PARAMS = {"p_g": 0.1, "p_b": 0.4, "transition": [[0.9, 0.1], [0.2, 0.8]]}
+
+QUANTUM_GE = {"kind": "quantum_ge", "p_g": 0.05, "p_b": 0.95, "alpha": 1.0}
+
+# At this n, write_config's sweep of four tasks runs as four chunks (a row
+# costs 2 * n steps against runner.STACK_BUDGET), so a pool starts.
+MULTI_CHUNK_N = 10000
 
 
 def dying_chunk(cfg, tasks, timings=False):
@@ -159,6 +168,22 @@ class TestParsing:
                 r"^auxiliaries\[g\]: initial state pmf sums to one violated",
             ),
             ({"input_law": [float("nan"), 1.0]}, r"^input_law: input law must be a pmf"),
+            (
+                {"channel": QUANTUM_GE,
+                 "sweep": {"parameter": "alpha", "values": [float("nan"), 1.0]}},
+                r"^sweep\.values\[0\]: expected a finite number, got nan$",
+            ),
+            (
+                {"channel": QUANTUM_GE,
+                 "sweep": {"parameter": "alpha", "values": [1.0, float("inf")]}},
+                r"^sweep\.values\[1\]: expected a finite number, got inf$",
+            ),
+            (
+                {"channel": dict(QUANTUM_GE, alpha=float("inf")),
+                 "sweep": {"parameter": "p_b", "values": [0.95]}},
+                r"^channel\.alpha: expected a finite number, got inf$",
+            ),
+            ({"channel": {"kind": "bsc", "p": 10**400}}, r"^channel\.p: expected a finite number"),
         ],
     )
     def test_rejections(self, tmp_path, overrides, fragment):
@@ -169,6 +194,27 @@ class TestParsing:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.json")
+
+    def test_auxiliaries_are_built_once(self, tmp_path, monkeypatch):
+        """``load_config`` builds each auxiliary once and keeps it: a sweep
+        of two points and two seeds with two auxiliaries builds two."""
+        built = []
+        make = config.make_auxiliary
+
+        def counting(model, label):
+            built.append(label)
+            return make(model, label)
+
+        monkeypatch.setattr(config, "make_auxiliary", counting)
+        cfg = load_config(write_config(
+            tmp_path,
+            estimators=["ir", "aux_lower"],
+            auxiliaries=[{"kind": "bsc", "label": "a", "p": 0.2},
+                         dict(GE_PARAMS, kind="gilbert_elliott", label="b")],
+        ))
+        out = run_experiment(cfg, tmp_path / "out", write_svg=False)
+        assert len(out.rows) == 2 * 2 * 3 and not out.errors
+        assert built == ["a", "b"]
 
 
 class TestRunner:
@@ -243,9 +289,9 @@ class TestRunner:
 
     def test_timings_cover_each_estimator_alone(self, tmp_path, monkeypatch):
         """Under ``timings`` a row's wallclock is its own set-up (building
-        its auxiliary and its step matrices) plus, per recursion, an equal
-        share of the engine call that ran it; the channel and the sampler
-        are not counted.  With a fake clock that only these calls advance,
+        its step matrices) plus, per recursion, an equal share of the
+        engine call that ran it; the channel and the sampler are not
+        counted.  With a fake clock that only these calls advance,
         by distinct amounts, every row reads exactly its own sum: the BSC
         channel and auxiliary ``a`` (state size 1) share one engine call
         of four recursions, the Gilbert-Elliott auxiliary ``b`` (state
@@ -262,7 +308,6 @@ class TestRunner:
         for module, attr, seconds in [
             (runner, "instantiate_channel", 1000.0),
             (runner, "sample_trajectory", 200.0),
-            (runner, "build_auxiliary", 0.5),
             (runner, "pair_recursions", 0.125),
             (rates, "stacked_forward_logs", 6.0),
         ]:
@@ -285,8 +330,8 @@ class TestRunner:
         assert not errors
         assert {r.estimator_id: r.wallclock_seconds for r in rows} == {
             "ir": 0.125 + 2 * 1.5,
-            "aux_lower:a": 0.5 + 0.125 + 2 * 1.5,
-            "aux_lower:b": 0.5 + 0.125 + 2 * 3.0,
+            "aux_lower:a": 0.125 + 2 * 1.5,
+            "aux_lower:b": 0.125 + 2 * 3.0,
         }
         rows, _ = runner.evaluate_chunk(cfg, [(0.1, 0)])
         assert {r.wallclock_seconds for r in rows} == {0.0}
@@ -331,7 +376,7 @@ class TestRunner:
                 assert abs(row.hxy_bits - r.hxy) <= 1e-12
                 assert abs(row.ir_bits - r.ir) <= 1e-12
                 for spec in cfg.auxiliaries:
-                    b = lower_bound(traj, build_auxiliary(spec), q)
+                    b = lower_bound(traj, spec, q)
                     row = got[(n, f"aux_lower:{spec.label}", seed)]
                     assert (row.ir_bits, row.hx_bits, row.hy_bits, row.hxy_bits) == (
                         b.ir_lower, b.hx, b.aux_hy, b.aux_hxy
@@ -444,7 +489,7 @@ class TestRunner:
         ]
         with pytest.raises(QchanrateError, match=f"^{zero}$"):
             entropy_rate_estimates(instantiate_channel(cfg.channel), cfg.input_law, traj)
-        b = lower_bound(traj, build_auxiliary(cfg.auxiliaries[0]), cfg.input_law)
+        b = lower_bound(traj, cfg.auxiliaries[0], cfg.input_law)
         (row,) = out.rows
         assert (row.estimator_id, row.ir_bits, row.hx_bits, row.hy_bits, row.hxy_bits) == (
             "aux_lower:flat", b.ir_lower, b.hx, b.aux_hy, b.aux_hxy
@@ -523,7 +568,7 @@ class TestRunner:
             ("ir", lambda: entropy_rate_estimates(model, cfg.input_law, traj)),
             *(
                 (f"aux_lower:{spec.label}",
-                 lambda spec=spec: lower_bound(traj, build_auxiliary(spec), cfg.input_law))
+                 lambda spec=spec: lower_bound(traj, spec, cfg.input_law))
                 for spec in cfg.auxiliaries
             ),
         ]:
@@ -540,10 +585,30 @@ class TestRunner:
         assert "polyline" in tags and "text" in tags
 
     def test_worker_pool_matches_serial(self, tmp_path):
-        path = write_config(tmp_path)
-        serial = run_experiment(load_config(path), tmp_path / "s", write_svg=False)
-        pooled = run_experiment(load_config(path), tmp_path / "p", write_svg=False, workers=2)
+        """Two workers write the serial run's bytes; the config's built
+        auxiliary travels to them with it."""
+        path = write_config(
+            tmp_path,
+            n=MULTI_CHUNK_N,
+            estimators=["ir", "aux_lower"],
+            auxiliaries=[dict(GE_PARAMS, kind="gilbert_elliott", label="ge")],
+        )
+        cfg = load_config(path)
+        assert len(runner._chunks(cfg, [(v, s) for v in (0.1, 0.3) for s in (0, 1)])) == 4
+        serial = run_experiment(cfg, tmp_path / "s", write_svg=False)
+        pooled = run_experiment(cfg, tmp_path / "p", write_svg=False, workers=2)
+        assert len(serial.rows) == 8 and not serial.errors
         assert serial.csv_path.read_bytes() == pooled.csv_path.read_bytes()
+
+    def test_one_chunk_runs_without_a_pool(self, tmp_path, monkeypatch):
+        """A sweep of one chunk runs in this process whatever the worker
+        count: no process pool is started."""
+        pools = []
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", lambda **kw: pools.append(kw))
+        cfg = load_config(write_config(tmp_path))
+        assert len(runner._chunks(cfg, [(v, s) for v in (0.1, 0.3) for s in (0, 1)])) == 1
+        out = run_experiment(cfg, tmp_path / "out", write_svg=False, workers=4)
+        assert len(out.rows) == 4 and not pools
 
     def test_sweep_point_at_equal_flip_probabilities(self, tmp_path):
         """At the sweep point where good and bad flips coincide the
@@ -583,6 +648,25 @@ class TestCli:
         assert main(["validate", str(path)]) == 2
         assert "error[ConfigError]" in capsys.readouterr().err
 
+    def test_validate_rejects_non_finite_sweep_value(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path,
+            channel=QUANTUM_GE,
+            sweep={"parameter": "alpha", "values": [float("nan"), 1.0]},
+        )
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error[ConfigError]: sweep.values[0]: expected a finite number, got nan\n"
+        )
+        assert "configuration is valid" not in captured.out
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=[p.stem for p in SHIPPED_CONFIGS])
+    def test_shipped_config_validates_and_passes_oracle(self, path, capsys):
+        assert main(["validate", str(path)]) == 0
+        assert main(["oracle", str(path), "--oracle-n", "3"]) == 0
+        assert capsys.readouterr().out.endswith("oracle cross-check passed\n")
+
     def test_validate_rejects_invalid_initial_pmf(self, tmp_path, capsys):
         """A Gilbert-Elliott initial pmf that does not sum to one fails
         validation instead of passing with a failed check printed."""
@@ -600,11 +684,11 @@ class TestCli:
 
     def test_dead_worker_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(runner, "evaluate_chunk", dying_chunk)
-        path = write_config(tmp_path)
+        path = write_config(tmp_path, n=MULTI_CHUNK_N)
         out_dir = tmp_path / "o"
         assert main(["estimate", str(path), "--threads", "2", "--out-dir", str(out_dir)]) == 3
         err = capsys.readouterr().err
-        assert "error[QchanrateError]: a worker process died before returning chunk 1 of" in err
+        assert "error[QchanrateError]: a worker process died before returning chunk 1 of 4" in err
         assert "Traceback" not in err
         assert not (out_dir / "results.csv").exists()
 
@@ -614,12 +698,12 @@ class TestCli:
         process or in a worker, ends the run with exit 3 naming the chunk
         and its sweep values, and no traceback."""
         monkeypatch.setattr(runner, "evaluate_chunk", failing_chunk)
-        path = write_config(tmp_path)
+        path = write_config(tmp_path, n=MULTI_CHUNK_N)
         out_dir = tmp_path / "o"
         assert main(["estimate", str(path), "--threads", threads, "--out-dir", str(out_dir)]) == 3
         err = capsys.readouterr().err
         assert err == (
-            "error[QchanrateError]: chunk 1 of 1 (p 0.1 to 0.3) failed with RuntimeError: "
+            "error[QchanrateError]: chunk 1 of 4 (p 0.1 to 0.1) failed with RuntimeError: "
             "planted fault; no results were written\n"
         )
         assert not (out_dir / "results.csv").exists()
@@ -720,7 +804,7 @@ class TestCli:
         traj = load_trajectory(traj_path)
         assert len(got) == len(rows) == 3
         for spec in cfg.auxiliaries:
-            b = lower_bound(traj, build_auxiliary(spec), cfg.input_law)
+            b = lower_bound(traj, spec, cfg.input_law)
             row = got[f"aux_lower:{spec.label}"]
             assert (row["sweep_param"], row["sweep_value"], row["seed"], row["n"]) == (
                 "external", "0.0", "4", "300"
@@ -754,6 +838,27 @@ class TestCli:
         assert main(argv + [str(tmp_path / "u")]) == 0
         _, rows = read_rows(tmp_path / "u" / "results.csv")
         assert {r["wallclock_seconds"] for r in rows} == {"0.0"}
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--n", "7"), ("--seeds", "3"), ("--threads", "4")]
+    )
+    def test_bound_trajectory_rejects_run_flags(self, tmp_path, capsys, flag, value):
+        """The trajectory file fixes n and the seed and runs in this
+        process, so ``--n``, ``--seeds`` and ``--threads`` are refused
+        before the file is read or any output is written."""
+        cfg_path = write_config(
+            tmp_path,
+            estimators=["aux_lower"],
+            auxiliaries=[{"kind": "bsc", "label": "a", "p": 0.2}],
+        )
+        out_dir = tmp_path / "o"
+        argv = ["bound", str(cfg_path), "--trajectory", str(tmp_path / "absent.txt"),
+                "--out-dir", str(out_dir), flag, value]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error[ConfigError]: {flag}: does not apply with --trajectory"
+        )
+        assert not out_dir.exists()
 
     def test_bound_rejects_corrupt_trajectory(self, tmp_path, capsys):
         cfg_path = write_config(

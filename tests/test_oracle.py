@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import qchanrate as qc
+from qchanrate import rates
 from qchanrate.errors import OracleBudgetError
 from qchanrate.oracle import (
     brute_force_oracle,
@@ -76,8 +77,8 @@ class TestSequenceProbabilities:
     def test_cross_check_against_recursion(self, quantum_ge, classical_ge, uniform):
         rng = np.random.default_rng(48)
         for model, forward in (
-            (quantum_ge, qc.scaled_forward_quantum),
-            (classical_ge, qc.scaled_forward_classical),
+            (quantum_ge, rates.scaled_forward_quantum),
+            (classical_ge, rates.scaled_forward_classical),
         ):
             for _ in range(20):
                 ys = rng.integers(0, 2, size=5)

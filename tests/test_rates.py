@@ -61,12 +61,12 @@ class TestClassicalForward:
         f = qc.fsmc_from_dmc(w)
         qy = q.p @ w.w
         ys = np.array([0, 1, 1, 0, 1, 0, 0])
-        logs = qc.scaled_forward_classical(f, q, ys)
+        logs = rates.scaled_forward_classical(f, q, ys)
         assert_allclose(logs, -np.log(qy[ys]), atol=1e-14)
 
     def test_uniform_output_scale_factor_is_alphabet_size(self, uniform):
         f = qc.fsmc_from_dmc(qc.build_bsc(0.5))
-        logs = qc.scaled_forward_classical(f, uniform, np.array([0, 1, 1, 0]))
+        logs = rates.scaled_forward_classical(f, uniform, np.array([0, 1, 1, 0]))
         assert_allclose(np.exp(logs), 2.0)
 
     def test_recursion_matches_path_enumeration(self, classical_ge, uniform):
@@ -74,9 +74,9 @@ class TestClassicalForward:
         for _ in range(10):
             ys = rng.integers(0, 2, size=8)
             xs = rng.integers(0, 2, size=8)
-            log_py = -qc.scaled_forward_classical(classical_ge, uniform, ys).sum()
+            log_py = -rates.scaled_forward_classical(classical_ge, uniform, ys).sum()
             assert abs(log_py - math.log(oracle_output_prob(classical_ge, uniform, ys))) <= 1e-12
-            log_pxy = -qc.scaled_forward_classical(classical_ge, uniform, ys, xs).sum()
+            log_pxy = -rates.scaled_forward_classical(classical_ge, uniform, ys, xs).sum()
             assert abs(log_pxy - math.log(oracle_joint_prob(classical_ge, uniform, xs, ys))) <= 1e-12
 
     @pytest.mark.parametrize("n", AGREEMENT_LENGTHS)
@@ -86,13 +86,13 @@ class TestClassicalForward:
         xs = traj.x if joint else None
         ref, _, failure = iterate_steps(classical_ge, uniform, traj.y, xs)
         assert failure is None
-        driver = qc.scaled_forward_classical(classical_ge, uniform, traj.y, xs)
-        assert np.abs(driver - ref).max() <= 1e-12
+        engine_logs = rates.scaled_forward_classical(classical_ge, uniform, traj.y, xs)
+        assert np.abs(engine_logs - ref).max() <= 1e-12
 
     def test_impossible_observation(self, uniform):
         f = qc.fsmc_from_dmc(qc.build_bsc(0.0))
         with pytest.raises(ImpossibleObservationError):
-            qc.scaled_forward_classical(f, uniform, np.array([1]), np.array([0]))
+            rates.scaled_forward_classical(f, uniform, np.array([1]), np.array([0]))
 
 
 class TestQuantumForward:
@@ -100,8 +100,8 @@ class TestQuantumForward:
         t = qc.embed_classical_as_quantum(classical_ge)
         traj = qc.sample_trajectory(classical_ge, uniform, 500, seed=31)
         for xs in (None, traj.x):
-            lc = qc.scaled_forward_classical(classical_ge, uniform, traj.y, xs)
-            lq = qc.scaled_forward_quantum(t, uniform, traj.y, xs)
+            lc = rates.scaled_forward_classical(classical_ge, uniform, traj.y, xs)
+            lq = rates.scaled_forward_quantum(t, uniform, traj.y, xs)
             assert np.abs(lc - lq).max() <= 1e-12
         # state operators stay diagonal with the classical metric on the diagonal
         steps = zip(
@@ -117,9 +117,9 @@ class TestQuantumForward:
         for _ in range(10):
             ys = rng.integers(0, 2, size=8)
             xs = rng.integers(0, 2, size=8)
-            log_py = -qc.scaled_forward_quantum(quantum_ge, uniform, ys).sum()
+            log_py = -rates.scaled_forward_quantum(quantum_ge, uniform, ys).sum()
             assert abs(log_py - math.log(oracle_output_prob(quantum_ge, uniform, ys))) <= 1e-10
-            log_pxy = -qc.scaled_forward_quantum(quantum_ge, uniform, ys, xs).sum()
+            log_pxy = -rates.scaled_forward_quantum(quantum_ge, uniform, ys, xs).sum()
             assert abs(log_pxy - math.log(oracle_joint_prob(quantum_ge, uniform, xs, ys))) <= 1e-10
 
     @pytest.mark.parametrize("n", AGREEMENT_LENGTHS)
@@ -132,8 +132,8 @@ class TestQuantumForward:
         ref, last, failure = iterate_steps(model, uniform, traj.y, xs)
         assert failure is None
         assert abs(np.trace(last).real - 1.0) <= 1e-12
-        driver = qc.scaled_forward_quantum(model, uniform, traj.y, xs)
-        assert np.abs(driver - ref).max() <= 1e-12
+        engine_logs = rates.scaled_forward_quantum(model, uniform, traj.y, xs)
+        assert np.abs(engine_logs - ref).max() <= 1e-12
 
     def test_initial_scale_invariance(self, quantum_ge, uniform):
         """A positive rescaling of the starting state is absorbed by the
@@ -142,8 +142,8 @@ class TestQuantumForward:
             quantum_ge.operators, 2.5 * quantum_ge.initial_state
         )
         ys = np.array([0, 1, 1, 0, 1, 0, 1, 1])
-        base = qc.scaled_forward_quantum(quantum_ge, uniform, ys)
-        resc = qc.scaled_forward_quantum(scaled, uniform, ys)
+        base = rates.scaled_forward_quantum(quantum_ge, uniform, ys)
+        resc = rates.scaled_forward_quantum(scaled, uniform, ys)
         assert np.abs(base[1:] - resc[1:]).max() <= 1e-12
         assert abs((base[0] - resc[0]) - math.log(2.5)) <= 1e-12
         steps = zip(forward_steps(quantum_ge, uniform, ys), forward_steps(scaled, uniform, ys))
@@ -193,7 +193,7 @@ class TestRecursionGuards:
         ys = xs.copy()
         ys[[planted, GUARD_N - 1]] ^= 1
         at = assert_trips_like_reference(
-            qc.scaled_forward_classical, f, uniform, ys, xs, ImpossibleObservationError
+            rates.scaled_forward_classical, f, uniform, ys, xs, ImpossibleObservationError
         )
         assert at == planted
 
@@ -204,7 +204,7 @@ class TestRecursionGuards:
         ys = xs.copy()
         ys[[planted, GUARD_N - 1]] ^= 1
         at = assert_trips_like_reference(
-            qc.scaled_forward_quantum, t, uniform, ys, xs, ImpossibleObservationError
+            rates.scaled_forward_quantum, t, uniform, ys, xs, ImpossibleObservationError
         )
         assert at == planted
 
@@ -214,7 +214,7 @@ class TestRecursionGuards:
         ys = qc.sample_trajectory(quantum_ge, uniform, GUARD_N, seed=45).y
         ys[[planted, GUARD_N - 1]] = 2
         at = assert_trips_like_reference(
-            qc.scaled_forward_quantum, t, uniform, ys, None, NumericalCorruptionError
+            rates.scaled_forward_quantum, t, uniform, ys, None, NumericalCorruptionError
         )
         assert at == planted
 
@@ -228,7 +228,7 @@ class TestRecursionGuards:
         ys = qc.sample_trajectory(quantum_ge, uniform, GUARD_N, seed=46).y
         ys[[planted, GUARD_N - 1]] = 2
         at = assert_trips_like_reference(
-            qc.scaled_forward_quantum, t, uniform, ys, None, NumericalCorruptionError
+            rates.scaled_forward_quantum, t, uniform, ys, None, NumericalCorruptionError
         )
         assert at == planted
 
@@ -244,7 +244,7 @@ class TestRecursionGuards:
         pattern = rf"normalizer is {value} at step {first}$"
         with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 in the products
             with pytest.raises(NumericalCorruptionError, match=pattern):
-                qc.scaled_forward_classical(f, uniform, traj.y, traj.x)
+                rates.scaled_forward_classical(f, uniform, traj.y, traj.x)
             _, _, (at, exc) = iterate_steps(f, uniform, traj.y, traj.x)
         assert at == first and isinstance(exc, NumericalCorruptionError)
 
@@ -255,7 +255,7 @@ class TestRecursionGuards:
         traj = qc.sample_trajectory(quantum_ge, uniform, GUARD_N, seed=48)
         first = int(np.flatnonzero((traj.x == 1) & (traj.y == 0))[0])
         with pytest.raises(NumericalCorruptionError, match=rf"normalizer is nan at step {first}$"):
-            qc.scaled_forward_quantum(t, uniform, traj.y, traj.x)
+            rates.scaled_forward_quantum(t, uniform, traj.y, traj.x)
         _, _, (at, exc) = iterate_steps(t, uniform, traj.y, traj.x)
         assert at == first and isinstance(exc, NumericalCorruptionError)
 
@@ -272,12 +272,12 @@ class TestRecursionGuards:
         xs = traj.x if joint else None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            logs = qc.scaled_forward_quantum(t, uniform, traj.y, xs)
-        assert np.array_equal(logs, qc.scaled_forward_quantum(quantum_ge, uniform, traj.y, xs))
+            logs = rates.scaled_forward_quantum(t, uniform, traj.y, xs)
+        assert np.array_equal(logs, rates.scaled_forward_quantum(quantum_ge, uniform, traj.y, xs))
         ys = traj.y.copy()
         ys[GUARD_STEPS[0]] = 2
         with pytest.raises(NumericalCorruptionError, match=rf"at step {GUARD_STEPS[0]}$"):
-            qc.scaled_forward_quantum(t, uniform, ys, xs)
+            rates.scaled_forward_quantum(t, uniform, ys, xs)
 
     def test_underflowing_block_product_is_recovered(self, uniform, monkeypatch):
         """From state 0 an output 0 is a million times less likely than
@@ -298,14 +298,14 @@ class TestRecursionGuards:
         before = rates.passes
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            driver = qc.scaled_forward_classical(f, q, ys)
+            engine_logs = rates.scaled_forward_classical(f, q, ys)
         assert rates.passes - before == 2  # one resync from the block's end
-        assert np.abs(driver - ref).max() <= 1e-12
+        assert np.abs(engine_logs - ref).max() <= 1e-12
 
         # Stacked with a recursion that settles in one pass, each keeps
         # its own logs, and the rerun covers only the unsettled tail.
         calm = np.ones(4000, dtype=np.int64)
-        calm_logs = qc.scaled_forward_classical(f, q, calm)
+        calm_logs = rates.scaled_forward_classical(f, q, calm)
         one_pass = rates._blocked_pass
         stack_sizes = []
 
@@ -318,7 +318,7 @@ class TestRecursionGuards:
             [rates.recursion(f, q, ys), rates.recursion(f, q, calm)]
         )
         assert stack_sizes == [2, 1]
-        assert np.array_equal(stacked[0], driver)
+        assert np.array_equal(stacked[0], engine_logs)
         assert np.array_equal(stacked[1], calm_logs)
 
     def test_underflowing_rescale_interval_is_recovered(self):
@@ -339,8 +339,8 @@ class TestRecursionGuards:
         assert failure is None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            driver = qc.scaled_forward_classical(f, q, ys)
-        assert np.abs(driver - ref).max() <= 1e-12
+            engine_logs = rates.scaled_forward_classical(f, q, ys)
+        assert np.abs(engine_logs - ref).max() <= 1e-12
 
     @pytest.mark.parametrize("states", [11, 97])
     def test_tiny_probability_rotation_settles_in_one_pass(self, states):
@@ -359,11 +359,11 @@ class TestRecursionGuards:
         before = rates.passes
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            driver = qc.scaled_forward_classical(f, q, ys)
+            engine_logs = rates.scaled_forward_classical(f, q, ys)
         assert rates.passes - before == 1
         ref, _, failure = iterate_steps(f, q, ys)
         assert failure is None
-        assert np.abs(driver - ref).max() <= 1e-12
+        assert np.abs(engine_logs - ref).max() <= 1e-12
 
 
 def memoryless_quantum_bsc(p: float) -> channels.QuantumMemoryChannel:
