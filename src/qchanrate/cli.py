@@ -2,7 +2,9 @@
 
 Verbs:
   validate  parse a config and print the validation reports of its models
-  estimate  run the configured sweep and write CSV (and SVG) results
+  estimate  run the configured sweep and write CSV (and SVG) results, by
+            default in one worker process per CPU this process may use
+            (--threads); --n is rejected on a sweep over n
   bound     like estimate but restricted to auxiliary lower bounds;
             accepts an external trajectory instead of channel sampling,
             evaluated by the sweep's stacked row evaluator (sweep
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from pathlib import Path
 
@@ -39,7 +42,10 @@ def _add_run_flags(sub):
     sub.add_argument("--n", type=int, help="sequence length overriding the config")
     sub.add_argument("--out-dir", default=".", help="output directory (default: cwd)")
     sub.add_argument("--no-svg", action="store_true", help="skip the SVG plot")
-    sub.add_argument("--threads", type=int, default=1, help="worker processes (default 1)")
+    sub.add_argument(
+        "--threads", type=int,
+        help="worker processes (default: the CPUs this process may use)",
+    )
     sub.add_argument(
         "--timings",
         action="store_true",
@@ -48,8 +54,15 @@ def _add_run_flags(sub):
     )
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
 def _apply_overrides(cfg, args):
-    if args.threads < 1:
+    if args.threads is not None and args.threads < 1:
         raise ConfigError("--threads", f"must be >= 1, got {args.threads}")
     updates = {}
     if args.seeds:
@@ -62,6 +75,9 @@ def _apply_overrides(cfg, args):
             raise ConfigError("--seeds", "seeds must be distinct integers in [0, 2^64 - 1]")
         updates["seeds"] = seeds
     if args.n is not None:
+        if cfg.sweep.parameter == "n":
+            raise ConfigError("--n", "does not apply to a sweep over n, whose values "
+                              "set each point's length")
         if args.n < 1:
             raise ConfigError("--n", f"n must be >= 1, got {args.n}")
         if cfg.burn_in >= args.n:
@@ -95,7 +111,7 @@ def _run(cfg, args) -> int:
     out = run_experiment(
         cfg,
         _out_dir(args),
-        workers=args.threads,
+        workers=_usable_cpus() if args.threads is None else args.threads,
         write_svg=not args.no_svg,
         timings=args.timings,
     )
@@ -117,7 +133,7 @@ def cmd_estimate(args) -> int:
 def cmd_bound(args) -> int:
     if args.trajectory:
         for flag, given in (("--n", args.n is not None), ("--seeds", bool(args.seeds)),
-                            ("--threads", args.threads != 1)):
+                            ("--threads", args.threads not in (None, 1))):
             if given:
                 raise ConfigError(flag, "does not apply with --trajectory, whose file "
                                   "gives n and the seed and runs in this process")

@@ -44,6 +44,10 @@ CHANNEL_KINDS = (
     "custom_fsmc",
 )
 
+# Kinds built as quantum models (compiled transfer operators), which the
+# quantum sampler samples.
+QUANTUM_KINDS = ("quantum_ge", "quantum_ge_2qubit", "custom_kraus")
+
 # Channel parameters a sweep may vary, per kind; "n" is sweepable always.
 SWEEPABLE = {
     "bsc": {"p"},

@@ -65,6 +65,12 @@ there, and that recursion's steps after the block are then evaluated
 again from the block's end state, in a stack with the other unsettled
 recursions of the same remaining length.
 
+A stack of one-state recursions (a memoryless model, closure of size 1)
+runs no pass: its normalized state is 1 after every step, so each step's
+normalizer is its prescaled matrix's single entry (times the start on
+the first step), and the logs and the guards, in the same order and at
+the same step, follow in closed form, equal to the pass's bit for bit.
+
 Running the output-only recursion gives the output entropy rate; running
 it with the inputs pinned (input-law factors included) gives the joint
 entropy rate; the input entropy rate of an i.i.d. process is evaluated
@@ -123,7 +129,8 @@ RESCALE_EVERY = 8
 PRODUCT_BUDGET = 2**14
 
 # Three-phase passes run so far (each over a stack of recursions): a
-# recursion that loses accuracy in its block products takes more than one.
+# recursion that loses accuracy in its block products takes more than one,
+# and a one-state stack takes none.
 passes = 0
 
 
@@ -362,10 +369,54 @@ def _blocked_pass(
     return out
 
 
+def _one_state_logs(
+    table: RealForm, guarded: np.ndarray, exps: np.ndarray, rec: Recursion, shift: int
+):
+    """The logs of a one-state recursion, or the error of its earliest
+    guard trip, in closed form: its normalized state is 1 after every
+    step, so each normalizer is its step's prescaled entry (times the
+    start on the first step), as the blocked pass computes it."""
+    matrix = rec.index + shift
+    totals = table.mats[matrix, 0, 0]
+    totals[0] *= rec.start[0]
+    bad = ~((totals > 0.0) & (totals < np.inf)) | guarded[matrix]
+    if bad.any():
+        fail = int(np.argmax(bad))
+        return _guard_error(totals[fail], table, matrix[fail], fail)
+    logs = np.log(totals, out=totals)
+    np.negative(logs, out=logs)
+    logs -= LN2 * exps[matrix]
+    return logs
+
+
 def stack_key(rec: Recursion) -> tuple[int, bytes]:
     """Recursions with equal keys (length and closure, hence state size)
     can run as one stack."""
     return rec.index.size, rec.closure.tobytes()
+
+
+def _stack_table(recs: Sequence[Recursion]) -> tuple:
+    """One matrix table for a stack, the identity last, with the flags of
+    its guarded matrices, each matrix's power-of-two exponent and each
+    recursion's shift to its own matrices.
+
+    Every matrix is scaled by an exact power of two to a largest entry in
+    [0.5, 1), so that block products of steps of tiny probability do not
+    underflow; a state normalized after such a step is unchanged, and the
+    step's log gets the power's log back.
+    """
+    mats = np.concatenate([r.form.mats for r in recs] + [np.eye(recs[0].closure.size)[None]])
+    exps = np.frexp(np.abs(mats).max(axis=(1, 2)))[1]
+    table = RealForm(
+        np.ldexp(mats, -exps[:, None, None]),
+        np.concatenate([r.form.imag_residue for r in recs] + [[0.0]]),
+        np.concatenate([r.form.herm_residue for r in recs] + [[0.0]]),
+    )
+    guarded = ~(table.imag_residue <= PMF_IMAG_GUARD) | ~(
+        table.herm_residue <= STATE_HERMITICITY_GUARD
+    )
+    shifts = np.cumsum([0] + [len(r.form.mats) for r in recs[:-1]])
+    return table, guarded, exps, shifts
 
 
 def stacked_forward_logs(recs: Sequence[Recursion]) -> list:
@@ -381,23 +432,10 @@ def stacked_forward_logs(recs: Sequence[Recursion]) -> list:
     n = recs[0].index.size
     if any(stack_key(r) != stack_key(recs[0]) for r in recs):
         raise ValueError("stacked recursions must share their length and closure")
-    # One matrix table for the stack, the identity last; each
-    # recursion's indices are shifted to its own matrices.  Every matrix
-    # is scaled by an exact power of two to a largest entry in [0.5, 1),
-    # so that block products of steps of tiny probability do not
-    # underflow; a state normalized after such a step is unchanged, and
-    # the step's log gets the power's log back.
-    mats = np.concatenate([r.form.mats for r in recs] + [np.eye(closure.size)[None]])
-    exps = np.frexp(np.abs(mats).max(axis=(1, 2)))[1]
-    table = RealForm(
-        np.ldexp(mats, -exps[:, None, None]),
-        np.concatenate([r.form.imag_residue for r in recs] + [[0.0]]),
-        np.concatenate([r.form.herm_residue for r in recs] + [[0.0]]),
-    )
-    guarded = ~(table.imag_residue <= PMF_IMAG_GUARD) | ~(
-        table.herm_residue <= STATE_HERMITICITY_GUARD
-    )
-    shifts = np.cumsum([0] + [len(r.form.mats) for r in recs[:-1]])
+    table, guarded, exps, shifts = _stack_table(recs)
+    if closure.size == 1:
+        return [_one_state_logs(table, guarded, exps, rec, shift)
+                for rec, shift in zip(recs, shifts)]
 
     results: list = [None] * len(recs)
     parts: list[list[np.ndarray]] = [[] for _ in recs]

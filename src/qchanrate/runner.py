@@ -11,7 +11,9 @@ closure, state size and length, so that the engine's per-iteration cost
 is shared across points.  An ``ir`` row on a quantum channel runs
 only its output-only recursion: its trajectory's sampler carried the
 joint recursion's state, so the row's joint sum is the input's log
-losses plus the sampler's (``rates.sampled_joint_logs``).  A
+losses plus the sampler's (``rates.sampled_joint_logs``).  A chunk's
+budget counts the recursions each row really runs: one for such a row,
+two for any other, the channel's kind telling which.  A
 recursion's result does not depend on the stack it runs in, so the
 output does not depend on the chunking or on the number of workers.
 The row evaluator (``evaluate_samples``) takes the sampled trajectories,
@@ -54,7 +56,7 @@ from .bounds import AuxiliaryModel, auxiliary_error
 # Not called here, but the traced benchmark (perfbench/tracer.py) wraps it
 # by this module attribute.
 from .bounds import lower_bound  # noqa: F401
-from .config import ExperimentConfig, instantiate_channel
+from .config import QUANTUM_KINDS, ExperimentConfig, instantiate_channel
 from .errors import ConfigError, QchanrateError
 from .rates import (
     Recursion,
@@ -141,9 +143,12 @@ def _task_n(cfg: ExperimentConfig, value) -> int:
 
 
 def _chunks(cfg: ExperimentConfig, tasks: list) -> list[list]:
-    """Consecutive runs of tasks whose recursions (two per row) hold at
-    most STACK_BUDGET steps together, and one task at least."""
-    per_task = 2 * len(_estimators(cfg))
+    """Consecutive runs of tasks whose recursions hold at most
+    STACK_BUDGET steps together, and one task at least.  A row runs two
+    recursions, except an ``ir`` row on a quantum channel, which runs
+    only its output-only one."""
+    ir_recursions = 1 if cfg.channel.kind in QUANTUM_KINDS else 2
+    per_task = sum(ir_recursions if aux is None else 2 for _, aux in _estimators(cfg))
     chunks: list[list] = []
     steps = 0
     for value, seed in tasks:

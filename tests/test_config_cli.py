@@ -38,8 +38,9 @@ GE_PARAMS = {"p_g": 0.1, "p_b": 0.4, "transition": [[0.9, 0.1], [0.2, 0.8]]}
 
 QUANTUM_GE = {"kind": "quantum_ge", "p_g": 0.05, "p_b": 0.95, "alpha": 1.0}
 
-# At this n, write_config's sweep of four tasks runs as four chunks (a row
-# costs 2 * n steps against runner.STACK_BUDGET), so a pool starts.
+# At this n, write_config's sweep of four tasks runs as four chunks (a
+# classical row costs 2 * n steps against runner.STACK_BUDGET), so a pool
+# starts.
 MULTI_CHUNK_N = 10000
 
 
@@ -384,9 +385,90 @@ class TestRunner:
 
         monkeypatch.setattr(runner, "STACK_BUDGET", 2500)
         tasks = [(v, s) for v in (150, 200, 233) for s in (0, 1)]
-        assert [len(c) for c in runner._chunks(cfg, tasks)] == [2, 2, 1, 1]
+        assert [len(c) for c in runner._chunks(cfg, tasks)] == [3, 2, 1]
         split = run_experiment(cfg, tmp_path / "split", write_svg=False)
         assert split.csv_path.read_bytes() == whole.csv_path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "channel, per_task, split",
+        [(QUANTUM_GE, 5, [3, 3]), (dict(GE_PARAMS, kind="gilbert_elliott"), 6, [2, 2, 2])],
+        ids=["quantum", "classical"],
+    )
+    def test_chunks_charge_the_recursions_rows_run(
+        self, tmp_path, monkeypatch, channel, per_task, split
+    ):
+        """``_chunks`` charges each row the recursions it runs: one for a
+        quantum ``ir`` row, two for a classical one and for each
+        auxiliary (here of state sizes 2 and 1).  Each chunk's engine
+        calls run exactly the steps of its tasks run alone, within
+        ``STACK_BUDGET``, and the next chunk's first task would not fit.
+        Charging two recursions per row, the quantum sweep would split
+        as [2, 2, 2]."""
+        cfg = load_config(
+            write_config(
+                tmp_path,
+                channel=channel,
+                n=300,
+                sweep={"parameter": "p_b", "values": [0.3, 0.6, 0.9]},
+                estimators=["ir", "aux_lower"],
+                auxiliaries=[dict(GE_PARAMS, kind="gilbert_elliott", label="ge"),
+                             {"kind": "bsc", "label": "bsc", "p": 0.2}],
+            )
+        )
+        monkeypatch.setattr(runner, "STACK_BUDGET", 4500)
+        steps = []
+        engine = rates.stacked_forward_logs
+
+        def spy(recs):
+            steps[-1] += sum(rec.index.size for rec in recs)
+            return engine(recs)
+
+        monkeypatch.setattr(rates, "stacked_forward_logs", spy)
+
+        def run(tasks):
+            steps.append(0)
+            rows, errors = runner.evaluate_chunk(cfg, tasks)
+            assert len(rows) == 3 * len(tasks) and not errors
+            return steps[-1]
+
+        tasks = [(v, s) for v in (0.3, 0.6, 0.9) for s in (0, 1)]
+        alone = {task: run([task]) for task in tasks}
+        assert set(alone.values()) == {per_task * 300}
+        chunks = runner._chunks(cfg, tasks)
+        assert [len(c) for c in chunks] == split
+        for chunk, after in zip(chunks, chunks[1:] + [None]):
+            ran = run(chunk)
+            assert ran == sum(alone[t] for t in chunk) <= runner.STACK_BUDGET
+            if after:
+                assert ran + alone[after[0]] > runner.STACK_BUDGET
+
+    def test_quantum_kinds_are_the_sampled_quantum_models(self, tmp_path):
+        """``_chunks`` tells a quantum channel by its kind, without building
+        it: the kinds in ``config.QUANTUM_KINDS`` are exactly those whose
+        trajectories carry the sampler's joint logs."""
+
+        def matrix(m):
+            return [[[float(v), 0.0] for v in row] for row in m]
+
+        channels_by_kind = {
+            "bsc": {"p": 0.1},
+            "gilbert_elliott": GE_PARAMS,
+            "quantum_ge": QUANTUM_GE,
+            "quantum_ge_2qubit": dict(QUANTUM_GE, kind="quantum_ge_2qubit"),
+            "custom_kraus": {"state_dim": 1,
+                             "encodings": [matrix(np.diag(np.eye(2)[x])) for x in range(2)],
+                             "kraus": [matrix(np.eye(2))],
+                             "measurements": [matrix(np.diag(np.eye(2)[y])) for y in range(2)]},
+            "custom_fsmc": {"kernel": [[[[1.0, 0.0]], [[0.0, 1.0]]]], "initial": [1.0]},
+        }
+        assert set(channels_by_kind) == set(config.CHANNEL_KINDS)
+        for kind, params in channels_by_kind.items():
+            cfg = load_config(write_config(
+                tmp_path, channel=dict(params, kind=kind), n=50,
+                sweep={"parameter": "n", "values": [50]},
+            ))
+            traj = sample_trajectory(instantiate_channel(cfg.channel), cfg.input_law, 50, 0)
+            assert (traj.conditional_log_loss is not None) == (kind in config.QUANTUM_KINDS)
 
     def test_quantum_ir_row_with_burn_in_matches_estimates(self, tmp_path):
         """A quantum ``ir`` row takes its joint sum from the sampler's logs
@@ -976,6 +1058,51 @@ class TestCli:
         assert len(lines) == 1
         assert lines[0].startswith(f"error[ConfigError]: {out_dir / blocked}: cannot write file: ")
         assert not sampled
+
+    @pytest.mark.parametrize("verb", ["estimate", "bound"])
+    def test_n_override_on_n_sweep_exits_2(self, tmp_path, capsys, verb):
+        """On a sweep over n, whose values set each point's length, ``--n``
+        is refused before anything is written."""
+        path = write_config(
+            tmp_path,
+            sweep={"parameter": "n", "values": [200, 300]},
+            estimators=["ir", "aux_lower"],
+            auxiliaries=[{"kind": "bsc", "label": "a", "p": 0.2}],
+        )
+        out_dir = tmp_path / "o"
+        assert main([verb, str(path), "--n", "1000", "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == (
+            "error[ConfigError]: --n: does not apply to a sweep over n, "
+            "whose values set each point's length\n"
+        )
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu_count"])
+    def test_threads_default_to_usable_cpus(self, tmp_path, monkeypatch, affinity):
+        """Without ``--threads`` a sweep may use one worker per CPU this
+        process may use (``os.cpu_count()`` where CPU affinity is not
+        available); an explicit ``--threads`` wins."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2}, raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        expected = 2 if affinity else 3
+        workers = []
+        chunk_results = runner._chunk_results
+
+        def spy(cfg, chunks, count, timings):
+            workers.append(count)
+            return chunk_results(cfg, chunks, count, timings)
+
+        monkeypatch.setattr(runner, "_chunk_results", spy)
+        path = write_config(tmp_path)
+        assert main(["estimate", str(path), "--out-dir", str(tmp_path / "a")]) == 0
+        assert main(["estimate", str(path), "--threads", "1", "--out-dir", str(tmp_path / "b")]) == 0
+        assert workers == [expected, 1]
+        assert (tmp_path / "a" / "results.csv").read_bytes() == (
+            tmp_path / "b" / "results.csv"
+        ).read_bytes()
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_exits_2(self, tmp_path, capsys, threads):

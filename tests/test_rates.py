@@ -382,6 +382,125 @@ def memoryless_quantum_bsc(p: float) -> channels.QuantumMemoryChannel:
     )
 
 
+def one_state_models():
+    """A classical and a quantum one-state model, three outputs, whose
+    recursions share a closure of size 1 and so stack together."""
+    w = qc.Dmc(np.array([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]]))
+    basis = np.stack([np.diag(np.eye(3)[y]) for y in range(3)]).astype(complex)
+    encodings = np.stack([np.diag(row) for row in w.w]).astype(complex)
+    quantum = channels.QuantumMemoryChannel(
+        state_dim=1,
+        encodings=encodings,
+        kraus=np.eye(3, dtype=complex)[None],
+        measurements=basis,
+        inter_use_unitary=np.eye(1, dtype=complex),
+        initial_state=np.eye(1, dtype=complex),
+    )
+    return [qc.fsmc_from_dmc(w), qc.compile_transfer_operators(quantum)]
+
+
+def blocked_logs(recs):
+    """Each recursion's logs from one three-phase pass of the stack, the
+    way the engine ran a one-state stack before its closed form."""
+    table, guarded, exps, shifts = rates._stack_table(recs)
+    outs = rates._blocked_pass(
+        table, guarded, recs[0].closure, np.stack([r.start for r in recs]),
+        [r.index for r in recs], list(shifts), 0,
+    )
+    return [logs - rates.LN2 * exps[rec.index + shift]
+            for rec, shift, (logs, _) in zip(recs, shifts, outs)]
+
+
+class TestOneStateStacks:
+    """A stack of one-state recursions is settled in closed form, without
+    a three-phase pass, with the pass's logs and guards."""
+
+    Q = qc.InputLaw([0.6, 0.4])
+
+    def sample(self, n, seed):
+        return qc.sample_trajectory(one_state_models()[0], self.Q, n, seed=seed)
+
+    @pytest.mark.parametrize("n", AGREEMENT_LENGTHS)
+    def test_closed_form_equals_blocked_pass(self, n):
+        """Also from an unnormalized start, which only the first step's
+        normalizer sees."""
+        traj = self.sample(n, 50)
+        classical, quantum = one_state_models()
+        scaled = channels.TransferOperatorSet(quantum.operators, 2.5 * quantum.initial_state)
+        recs = [rates.recursion(m, self.Q, traj.y, xs)
+                for m in (classical, quantum, scaled) for xs in (None, traj.x)]
+        assert len({rates.stack_key(r) for r in recs}) == 1
+        closed = rates.stacked_forward_logs(recs)
+        for got, ref in zip(closed, blocked_logs(recs)):
+            assert got.size == n and np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("n", AGREEMENT_LENGTHS)
+    @pytest.mark.parametrize("joint", [False, True], ids=["y", "xy"])
+    def test_closed_form_agrees_with_reference(self, n, joint):
+        traj = self.sample(n, 51)
+        xs = traj.x if joint else None
+        for model in one_state_models():
+            ref, _, failure = iterate_steps(model, self.Q, traj.y, xs)
+            assert failure is None
+            (logs,) = rates.stacked_forward_logs([rates.recursion(model, self.Q, traj.y, xs)])
+            assert np.abs(logs - ref).max() <= 1e-12
+
+    def test_runs_no_pass(self):
+        traj = self.sample(1000, 52)
+        before = rates.passes
+        rates.stacked_forward_logs(
+            [rates.recursion(m, self.Q, traj.y, traj.x) for m in one_state_models()]
+        )
+        assert rates.passes == before
+
+    @pytest.mark.parametrize("planted", GUARD_STEPS)
+    def test_zero_probability_step(self, uniform, planted):
+        """A noiseless one-state quantum channel: the flipped output has
+        zero probability at its step, and a clean recursion stacked with
+        it keeps its logs."""
+        t = qc.compile_transfer_operators(memoryless_quantum_bsc(0.0))
+        xs = np.random.default_rng(53).integers(0, 2, GUARD_N)
+        ys = xs.copy()
+        ys[[planted, GUARD_N - 1]] ^= 1
+        at = assert_trips_like_reference(
+            rates.scaled_forward_quantum, t, uniform, ys, xs, ImpossibleObservationError
+        )
+        assert at == planted
+        clean = rates.recursion(t, uniform, xs, xs)
+        bad, good = rates.stacked_forward_logs([rates.recursion(t, uniform, ys, xs), clean])
+        assert isinstance(bad, ImpossibleObservationError)
+        assert np.array_equal(good, rates.stacked_forward_logs([clean])[0])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entry(self, value):
+        f = one_state_models()[0]
+        kernel = f.kernel.copy()
+        kernel[0, 1, 0, 0] = value
+        corrupt = qc.ClassicalFsmc(kernel, f.initial)
+        traj = self.sample(GUARD_N, 54)
+        first = int(np.flatnonzero((traj.x == 1) & (traj.y == 0))[0])
+        with pytest.raises(NumericalCorruptionError, match=rf"normalizer is {value} at step {first}$"):
+            rates.scaled_forward_classical(corrupt, self.Q, traj.y, traj.x)
+        with np.errstate(invalid="ignore"):  # inf * 0j in the reference's complex step
+            _, _, (at, exc) = iterate_steps(corrupt, self.Q, traj.y, traj.x)
+        assert at == first and isinstance(exc, NumericalCorruptionError)
+
+    @pytest.mark.parametrize("planted", GUARD_STEPS)
+    def test_guarded_matrix_trips_at_first_use(self, uniform, planted):
+        """A one-state quantum channel (a ``custom_kraus`` of
+        ``state_dim`` 1) with an extra output whose trace is complex."""
+        t = qc.compile_transfer_operators(memoryless_quantum_bsc(0.1))
+        guarded = with_extra_output(t, np.exp(0.3j) * t.chain_operators[:, 0])
+        ys = qc.sample_trajectory(t, uniform, GUARD_N, seed=55).y
+        ys[[planted, GUARD_N - 1]] = 2
+        at = assert_trips_like_reference(
+            rates.scaled_forward_quantum, guarded, uniform, ys, None, NumericalCorruptionError
+        )
+        assert at == planted
+        with pytest.raises(NumericalCorruptionError, match="imaginary residue"):
+            rates.scaled_forward_quantum(guarded, uniform, ys)
+
+
 class TestEntropyRateEstimates:
     def test_memoryless_classical_embedding(self, uniform):
         p = 0.11
