@@ -65,7 +65,7 @@ def _apply_overrides(cfg, args):
     if args.threads is not None and args.threads < 1:
         raise ConfigError("--threads", f"must be >= 1, got {args.threads}")
     updates = {}
-    if args.seeds:
+    if args.seeds is not None:
         try:
             seeds = tuple(int(s) for s in args.seeds.split(","))
         except ValueError:
@@ -132,7 +132,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_bound(args) -> int:
     if args.trajectory:
-        for flag, given in (("--n", args.n is not None), ("--seeds", bool(args.seeds)),
+        for flag, given in (("--n", args.n is not None), ("--seeds", args.seeds is not None),
                             ("--threads", args.threads not in (None, 1))):
             if given:
                 raise ConfigError(flag, "does not apply with --trajectory, whose file "

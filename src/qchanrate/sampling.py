@@ -22,23 +22,41 @@ During quantum sampling the memory is tracked as the conditional state
 given everything sent and observed so far, in the real packed form of
 ``linalg.real_transfer_form``.  Each input's real step matrices for every
 output sit side by side, followed by one column per output that closes
-them with the trace, so a step is one real vector-matrix product, then
-the pmf guards and the draw on Python floats (summed in numpy's
-``add.reduce`` order).  The state is carried unnormalized: a step
-multiplies the drawn output's slice of the previous product, whose
-weight, the state's trace, is kept as a Python float.  The guards compare
-against the trace and report normalized values; the draw divides by the
-total weight.  Below ``RESCALE_FLOOR`` the state and its trace are scaled
-by an exact power of two.  Products alternate between two buffers
-allocated once per trajectory.  The packed state is Hermitian by
-construction; the imaginary-residue and Hermiticity guards are measured
-once per input on its step matrices and trip at the first step that uses
-a failing input.
+them with the trace.  The sampler walks the trajectory in words of two
+steps, one real vector-matrix product each.  Once per trajectory it
+builds, for every input pair (x, x'), a table of S*S rows: the Y*Y
+states after each output pair (y, y') side by side (the products of the
+two steps' matrices), then the first step's Y trace columns, then the
+Y*Y second-step trace columns of (y, y').  One product and one
+``tolist`` of the weight columns give both steps; the first draw picks y
+from the first step's weights, and the second draw reads the Y weights
+of branch y.  A final odd step is a one-step word, one product of the
+input's step matrix; a model whose pair tables would hold more than
+``PAIR_BUDGET`` entries walks one-step words only.  The pmf guards and
+the draws run on Python floats (summed in numpy's ``add.reduce`` order).
+
+The state is carried unnormalized: a word multiplies the picked state's
+slice of the previous product, whose weight, the state's trace, is kept
+as a Python float.  The guards compare against the trace and report
+normalized values; the draw divides by the total weight.  After each
+word whose trace fell below ``RESCALE_FLOOR``, the product and its trace
+are scaled by an exact power of two.  A pair word starts from a trace of
+at least 2**-500 and multiplies two steps' probabilities into it without
+a rescale between them, so its states reach the subnormal range (below
+2**-1022) only if the two probabilities multiply below 2**-522.
+Products alternate between two buffers allocated once per trajectory.
+The packed state is Hermitian by construction; the imaginary-residue and
+Hermiticity guards are measured once per input on its step matrices and
+trip at the first step that uses a failing input, in either position of
+a pair.  A zero or clipped weight drawn through roundoff leaves a NaN
+trace, so the next step's pmf guard trips: the second step of its pair,
+or the first step of the next word.
 
 The carried state is the joint recursion's: conditioned on the inputs
 and outputs so far.  So the picked weight over the trace is
 p(y_t | x^t, y^{t-1}), a ratio that the power-of-two rescale leaves
-unchanged.  Each step stores it, one ``np.log`` after the loop turns
+unchanged.  Each step stores it (the second step of a pair divides by
+the first step's picked weight), one ``np.log`` after the loop turns
 the ratios into per-step log losses, and the trajectory carries them
 as ``conditional_log_loss``.  A sweep's quantum ``ir`` rows take their
 joint entropy from these instead of running the joint recursion.  A
@@ -83,9 +101,13 @@ PMF_SUM_GUARD = 1e-9
 STATE_HERMITICITY_GUARD = 1e-9
 
 # The quantum sampler carries its state unnormalized and scales it by an
-# exact power of two once its trace falls below this floor, which keeps
-# the state's entries far above the subnormal range (below 2**-1022).
+# exact power of two after a word whose trace fell below this floor, which
+# keeps the state's entries far above the subnormal range (below 2**-1022).
 RESCALE_FLOOR = 2.0**-500
+
+# Most entries that a quantum model's two-step tables (one per input
+# pair) may hold; a larger model walks its trajectory one step a product.
+PAIR_BUDGET = 2**16
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -272,6 +294,35 @@ def _quantum_step_matrices(
     return steps, form.imag_residue.max(axis=1).tolist(), form.herm_residue.max(axis=1).tolist()
 
 
+def _pair_tables(steps: list[np.ndarray], y_size: int) -> list[np.ndarray] | None:
+    """Per input pair (x, x'), at ``x * X + x'``: the real
+    (S*S, Y*Y*S*S + Y + Y*Y) table of two steps, built from the step
+    matrices of ``_quantum_step_matrices``.  Its columns are the states
+    after each output pair (y, y'), at ``y * Y + y'``, side by side, the
+    first step's Y trace columns, then the Y*Y second-step trace columns
+    of (y, y').  None when the tables would hold more than
+    ``PAIR_BUDGET`` entries."""
+    x_size = len(steps)
+    d = steps[0].shape[0]
+    span = y_size * d  # state columns of one step
+    cols = y_size * span + y_size + y_size * y_size
+    if x_size * x_size * d * cols > PAIR_BUDGET:
+        return None
+    stacked = np.stack(steps)  # (X, S*S, Y*S*S + Y)
+    mats = stacked[:, :, :span].reshape(x_size, d, y_size, d).transpose(0, 2, 1, 3)
+    # each first-step output's matrix times the whole second step matrix
+    prod = (mats[:, None] @ stacked[None, :, None]).transpose(0, 1, 3, 2, 4)  # (X, X, S*S, Y, cols)
+    tables = np.concatenate(
+        [
+            prod[..., :span].reshape(x_size, x_size, d, y_size * span),
+            np.broadcast_to(stacked[:, None, :, span:], (x_size, x_size, d, y_size)),
+            prod[..., span:].reshape(x_size, x_size, d, y_size * y_size),
+        ],
+        axis=-1,
+    )
+    return list(tables.reshape(x_size * x_size, d, cols))
+
+
 def _input_guards(imag: float, herm: float, weights: list[float], trace: float, step: int) -> None:
     """Raise the guard that a failing input's step trips, in the order of
     a single step: imaginary weights, then the pmf, then the state."""
@@ -285,80 +336,156 @@ def _input_guards(imag: float, herm: float, weights: list[float], trace: float, 
     )
 
 
+def _draw(weights: list[float], trace: float, u: float, step: int) -> int:
+    """The pmf guards and the draw of one quantum step, from its output
+    weights and the carried trace."""
+    if len(weights) == 2:
+        w0, w1 = weights
+        lo = w1 if w1 < w0 else w0  # builtin min, NaN included
+        total = w0 + w1  # _add_reduce on two terms
+    else:
+        lo = min(weights)
+        total = _add_reduce(weights)
+    if not (lo >= PMF_NEGATIVE_GUARD * trace and abs(total - trace) <= PMF_SUM_GUARD * trace):
+        _check_pmf(lo / trace, total / trace, step)
+    if len(weights) == 2:
+        # The two-entry table walk (see the module docstring), without the
+        # clip or the clamp to the last positive index: neither can change
+        # the pick while u < 1, since a w0 <= 0 loses to every u and a
+        # w1 <= 0 makes w0 / total >= 1 > u.
+        return 0 if u < w0 / total else 1
+    if lo < 0.0:
+        weights = [w if w > 0.0 else 0.0 for w in weights]
+        total = _add_reduce(weights)
+    cum, last = _cdf_table(weights, total)
+    pick = bisect_right(cum, u)
+    return last if pick > last else pick
+
+
+def _rescaled(trace: float, out: np.ndarray) -> float:
+    """The carried trace after scaling the product ``out`` by an exact
+    power of two, or NaN for a zero or clipped weight drawn through
+    roundoff: the next step's pmf guard trips on it, and on the last step
+    the log is not finite."""
+    if trace > 0.0:
+        trace, exponent = frexp(trace)
+        out *= ldexp(1.0, -exponent)
+        return trace
+    return nan
+
+
 def _sample_outputs_quantum(
     t: TransferOperatorSet, x: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """The outputs drawn on the inputs ``x`` and each step's
     -ln p(y_t | x^t, y^{t-1}): the picked weight over the carried trace."""
-    s = t.state_dim
-    d = s * s
-    us = rng.random(len(x)).tolist()
+    d = t.state_dim ** 2
+    y_size, x_size = t.y_size, t.x_size
+    xs = x.tolist()
+    n = len(xs)
+    us = rng.random(n).tolist()
     steps, imag, herm = _quantum_step_matrices(t)
+    pairs = _pair_tables(steps, y_size)
     failing = [
         not (i <= PMF_IMAG_GUARD and h <= STATE_HERMITICITY_GUARD) for i, h in zip(imag, herm)
     ]
-    closures = t.y_size * d  # the weight columns start here
-    binary = t.y_size == 2
-    negative_guard, sum_guard = PMF_NEGATIVE_GUARD, PMF_SUM_GUARD
-    # Each step multiplies the picked output's slice of one buffer into
-    # the other, so a product never reads its own output.  A leg holds one
-    # buffer's bound slice products, the other buffer and its weights.
-    first, second = np.empty(closures + t.y_size), np.empty(closures + t.y_size)
-    legs = [
-        ([src[y * d:(y + 1) * d].dot for y in range(t.y_size)], dst, dst[closures:])
+    paired = 0 if pairs is None else n - n % 2  # the steps walked as pair words
+    slices = y_size if pairs is None else y_size * y_size  # states in a product
+    step_cols = y_size * d + y_size
+    pair_cols = 0 if pairs is None else pairs[0].shape[1]
+    # Each word multiplies the carried state's slice of one buffer into the
+    # other, so a product never reads its own output.  A leg holds one
+    # buffer's bound slice products, then the other buffer's product and
+    # weight views for a pair word and for a one-step word.
+    size = max(step_cols, pair_cols)
+    first, second = np.empty(size), np.empty(size)
+    legs = cycle([
+        (
+            [src[k * d:(k + 1) * d].dot for k in range(slices)],
+            dst[:pair_cols], dst[slices * d:pair_cols],
+            dst[:step_cols], dst[y_size * d:step_cols],
+        )
         for src, dst in ((first, second), (second, first))
-    ]
-    first[:d] = pack_hermitian(t.initial_state).reshape(d)  # as output 0's slice
-    pick = 0
-    trace = 1.0  # of the state in the picked slice
-    ys = []
+    ])
+    first[:d] = pack_hermitian(t.initial_state).reshape(d)  # as slice 0
+    pick = 0  # the carried state's slice
+    trace = 1.0  # of the carried state
+    picks = []  # of a word: the output pair at y * Y + y', or the output
     ratios = []  # the picked weight over the trace; the rescale leaves it unchanged
-    for step, (x_step, u, (dots, out, weight_view)) in enumerate(
-        zip(x.tolist(), us, cycle(legs))
+    binary = y_size == 2
+    negative_guard, sum_guard = PMF_NEGATIVE_GUARD, PMF_SUM_GUARD
+    # zip stops at the exhausted range before it takes a leg, so the
+    # one-step words go on from the buffer that the pair words wrote last
+    for step, x0, x1, u0, u1, (dots, out, weight_view, _, _) in zip(
+        range(0, paired, 2), xs[0:paired:2], xs[1:paired:2], us[0:paired:2], us[1:paired:2], legs
     ):
-        dots[pick](steps[x_step], out=out)
-        weights = weight_view.tolist()
-        if failing[x_step]:
-            _input_guards(imag[x_step], herm[x_step], weights, trace, step)
+        dots[pick](pairs[x0 * x_size + x1], out=out)
         if binary:
-            w0, w1 = weights
+            w0, w1, a0, a1, b0, b1 = weight_view.tolist()
+            if failing[x0]:
+                _input_guards(imag[x0], herm[x0], [w0, w1], trace, step)
             lo = w1 if w1 < w0 else w0  # builtin min, NaN included
             total = w0 + w1  # _add_reduce on two terms
+            if not (lo >= negative_guard * trace and abs(total - trace) <= sum_guard * trace):
+                _check_pmf(lo / trace, total / trace, step)
+            # the draw never picks a weight <= 0 (see _draw), so w > 0
+            if u0 < w0 / total:
+                pick, w = 0, w0
+            else:
+                pick, w, a0, a1 = 2, w1, b0, b1
+            ratios.append(w / trace)
+            if failing[x1]:
+                _input_guards(imag[x1], herm[x1], [a0, a1], w, step + 1)
+            lo = a1 if a1 < a0 else a0
+            total = a0 + a1
+            if not (lo >= negative_guard * w and abs(total - w) <= sum_guard * w):
+                _check_pmf(lo / w, total / w, step + 1)
+            if u1 < a0 / total:
+                trace = a0
+            else:
+                pick += 1
+                trace = a1
+            ratios.append(trace / w)
+            picks.append(pick)
         else:
-            lo = min(weights)
-            total = _add_reduce(weights)
-        if not (lo >= negative_guard * trace and abs(total - trace) <= sum_guard * trace):
-            _check_pmf(lo / trace, total / trace, step)
-        if binary:
-            # The two-entry table walk (see the module docstring), without
-            # the clip or the clamp to the last positive index: neither can
-            # change the pick while u < 1, since a w0 <= 0 loses to every u
-            # and a w1 <= 0 makes w0 / total >= 1 > u.
-            pick = 0 if u < w0 / total else 1
-        else:
-            pmf = weights
-            if lo < 0.0:
-                pmf = [w if w > 0.0 else 0.0 for w in weights]
-                total = _add_reduce(pmf)
-            cum, last = _cdf_table(pmf, total)
-            pick = bisect_right(cum, u)
-            if pick > last:
-                pick = last
-        ys.append(pick)
+            weights = weight_view.tolist()
+            head = weights[:y_size]
+            if failing[x0]:
+                _input_guards(imag[x0], herm[x0], head, trace, step)
+            y0 = _draw(head, trace, u0, step)
+            w = head[y0]
+            ratios.append(w / trace)
+            if not w > 0.0:
+                w = nan  # the second step's pmf guard trips
+            branch = weights[(y0 + 1) * y_size:(y0 + 2) * y_size]
+            if failing[x1]:
+                _input_guards(imag[x1], herm[x1], branch, w, step + 1)
+            y1 = _draw(branch, w, u1, step + 1)
+            trace = branch[y1]
+            ratios.append(trace / w)
+            pick = y0 * y_size + y1
+            picks.append(pick)
+        if trace < RESCALE_FLOOR:
+            trace = _rescaled(trace, out)
+    for step, x0, u0, (dots, _, _, out, weight_view) in zip(
+        range(paired, n), xs[paired:], us[paired:], legs
+    ):
+        dots[pick](steps[x0], out=out)
+        weights = weight_view.tolist()
+        if failing[x0]:
+            _input_guards(imag[x0], herm[x0], weights, trace, step)
+        pick = _draw(weights, trace, u0, step)
+        picks.append(pick)
         ratios.append(weights[pick] / trace)
         trace = weights[pick]
         if trace < RESCALE_FLOOR:
-            if trace > 0.0:
-                trace, exponent = frexp(trace)
-                out *= ldexp(1.0, -exponent)
-            else:
-                # a zero or clipped weight drawn through roundoff: the next
-                # step's pmf guard trips on the NaN, and on the last step the
-                # log is not finite
-                trace = nan
+            trace = _rescaled(trace, out)
+    picks = np.array(picks, dtype=np.int64)
+    words = paired // 2
+    ys = np.concatenate([np.column_stack(np.divmod(picks[:words], y_size)).reshape(-1), picks[words:]])
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = np.log(np.array(ratios))
-    return np.array(ys, dtype=np.int64), np.negative(logs, out=logs)
+    return ys, np.negative(logs, out=logs)
 
 
 def sample_trajectory(model, q: InputLaw, n: int, seed: int) -> Trajectory:

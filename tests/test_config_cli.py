@@ -807,6 +807,14 @@ class TestCli:
         ) == 2
         assert "error[ConfigError]: --seeds" in capsys.readouterr().err
 
+    def test_empty_seeds_override_exits_2(self, tmp_path, capsys):
+        """An empty ``--seeds`` is refused, not read as no override."""
+        path = write_config(tmp_path)
+        out_dir = tmp_path / "o"
+        assert main(["estimate", str(path), "--seeds", "", "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err.startswith("error[ConfigError]: --seeds: ")
+        assert not out_dir.exists()
+
     def test_sample_seed_out_of_range_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path)
         for seed in ("-1", "18446744073709551616"):
@@ -922,12 +930,13 @@ class TestCli:
         assert {r["wallclock_seconds"] for r in rows} == {"0.0"}
 
     @pytest.mark.parametrize(
-        "flag, value", [("--n", "7"), ("--seeds", "3"), ("--threads", "4")]
+        "flag, value", [("--n", "7"), ("--seeds", "3"), ("--threads", "4"), ("--seeds", "")]
     )
     def test_bound_trajectory_rejects_run_flags(self, tmp_path, capsys, flag, value):
         """The trajectory file fixes n and the seed and runs in this
-        process, so ``--n``, ``--seeds`` and ``--threads`` are refused
-        before the file is read or any output is written."""
+        process, so ``--n``, ``--seeds`` (an empty one too) and
+        ``--threads`` are refused before the file is read or any output is
+        written."""
         cfg_path = write_config(
             tmp_path,
             estimators=["aux_lower"],

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -418,6 +419,92 @@ class TestConditionalLogLoss:
         assert np.array_equal(loaded.y, traj.y)
 
 
+def assert_matches_single_step_route(t, n, seed):
+    """The sampler draws the outputs of the single-step route on the
+    stream of ``seed``, and its logs plus the inputs' match the joint
+    recursion's per step."""
+    q = qc.uniform_input(t.x_size)
+    ref_rng = qc.make_rng(seed)
+    x = qc.sample_input(q, n, ref_rng)
+    y, failure = reference.sample_outputs(t, x, ref_rng.random(n))
+    assert failure is None
+    traj = qc.sample_trajectory(t, q, n, seed)
+    assert np.array_equal(traj.x, x)
+    assert np.array_equal(traj.y, y)
+    _, joint = rates.pair_logs(t, q, traj)
+    logs = traj.conditional_log_loss + rates.input_log_loss(q, traj.x)
+    assert_allclose(logs, joint, rtol=0.0, atol=1e-12)
+    return traj
+
+
+def random_model(seed, state_dim, x_size, y_size):
+    return qc.compile_transfer_operators(
+        qc.random_quantum_memory_channel(
+            np.random.default_rng(seed), state_dim=state_dim, x_size=x_size, y_size=y_size
+        )
+    )
+
+
+def pair_tables(t):
+    steps, _, _ = sampling._quantum_step_matrices(t)
+    return sampling._pair_tables(steps, t.y_size)
+
+
+class TestPairWords:
+    """The sampler walks its steps in words of two, one product of a pair
+    table each; a last odd step, and every step of a model above
+    ``PAIR_BUDGET``, is a one-step word."""
+
+    @pytest.mark.parametrize("model", real_form_models(), ids=lambda t: f"S{t.state_dim}")
+    def test_pair_table_matches_two_steps(self, model):
+        """The packed state times a pair table gives the state after each
+        output pair (y, y'), the first step's weights and the second
+        step's weights on each branch, as two one-step products do."""
+        rng = np.random.default_rng(34)
+        x_size, y_size, d = model.x_size, model.y_size, model.state_dim ** 2
+        steps, _, _ = sampling._quantum_step_matrices(model)
+        tables = sampling._pair_tables(steps, y_size)
+        sigma = channels._random_density(rng, model.state_dim)
+        packed = linalg.pack_hermitian(sigma).reshape(d)
+        for x0, x1 in itertools.product(range(x_size), repeat=2):
+            table = tables[x0 * x_size + x1]
+            assert table.shape == (d, y_size * y_size * (d + 1) + y_size)
+            out = packed @ table
+            once = packed @ steps[x0]
+            assert np.abs(out[y_size * y_size * d:][:y_size] - once[y_size * d:]).max() <= 1e-14
+            for y0, y1 in itertools.product(range(y_size), repeat=2):
+                twice = once[y0 * d:(y0 + 1) * d] @ steps[x1]
+                k = y0 * y_size + y1
+                assert np.abs(out[k * d:(k + 1) * d] - twice[y1 * d:(y1 + 1) * d]).max() <= 1e-14
+                weight = out[y_size * y_size * d + y_size + k]
+                assert abs(weight - twice[y_size * d + y1]) <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 1001])
+    @pytest.mark.parametrize("name", ["quantum_ge", "random"])
+    def test_matches_single_step_route(self, name, n):
+        """One odd step, one pair, and pairs then an odd step; the random
+        S=3, X=3, Y=3 model walks the cumulative table on both steps of
+        a pair."""
+        t = random_model(30, 3, 3, 3) if name == "random" else pinned_model(name)
+        assert pair_tables(t) is not None
+        assert_matches_single_step_route(t, n, 7)
+
+    @pytest.mark.parametrize("name, seed", [("quantum_ge", 2**64 - 1), ("two_qubit", 1)])
+    def test_rescale_waits_for_the_pair_boundary(self, name, seed):
+        """The trace first falls below RESCALE_FLOOR on the first step of
+        a pair: the second step runs on it unscaled, and the rescale
+        follows the pair."""
+        traj = assert_matches_single_step_route(pinned_model(name), 2000, seed)
+        below = np.cumsum(traj.conditional_log_loss) > -np.log(sampling.RESCALE_FLOOR)
+        assert below[-1] and np.argmax(below) % 2 == 0
+
+    def test_model_above_pair_budget_walks_one_step_words(self):
+        t = random_model(33, 4, 8, 2)
+        assert 8 * 8 * 16 * (4 * 16 + 2 + 4) > sampling.PAIR_BUDGET
+        assert pair_tables(t) is None
+        assert_matches_single_step_route(t, 301, 7)
+
+
 class FixedUniforms:
     """Stands in for the generator: ``random(n)`` returns chosen uniforms."""
 
@@ -476,13 +563,16 @@ class TestBinaryDraw:
 
 
 # A rare input symbol carries each planted fault, so the guard first
-# fires at the first use of that symbol: step 20 for this law and seed.
+# fires at the first use of that symbol: step 20 for this law and seed,
+# the first step of a pair word, and step 25, the second step of one,
+# for the odd seed.
 RARE_LAW = qc.InputLaw([0.97, 0.03])
 FAULT_SEED = 1
+ODD_FAULT_SEED = 5
 
 
-def first_rare_step():
-    x = qc.sample_input(RARE_LAW, 400, qc.make_rng(FAULT_SEED))
+def first_rare_step(seed=FAULT_SEED):
+    x = qc.sample_input(RARE_LAW, 400, qc.make_rng(seed))
     return int(np.flatnonzero(x == 1)[0])
 
 
@@ -514,6 +604,26 @@ def planted_classical(fault):
     else:
         kernel[:, 1, 0, 0] = np.nan
     return channels.ClassicalFsmc(kernel, np.array([0.5, 0.5]))
+
+
+# Output 1 has zero weight on both inputs; three outputs take the
+# cumulative table, whose bisection zero_weight_draw overrides.
+ZERO_WEIGHT_MODEL = qc.embed_classical_as_quantum(
+    channels.ClassicalFsmc(
+        np.array([[[[0.5, 0.0, 0.5]], [[0.25, 0.0, 0.75]]]]), np.array([1.0])  # (S, X, S, Y)
+    )
+)
+
+
+def zero_weight_draw(monkeypatch, draw):
+    """Make the quantum sampler's draw number ``draw`` (its step) pick
+    output 1, as Kahan roundoff could."""
+    draws = itertools.count()
+    bisect_right = sampling.bisect_right
+    monkeypatch.setattr(
+        sampling, "bisect_right",
+        lambda cum, u: 1 if next(draws) == draw else bisect_right(cum, u),
+    )
 
 
 GUARD_MESSAGES = {
@@ -560,19 +670,53 @@ class TestSamplerGuards:
             qc.sample_trajectory(t, RARE_LAW, 400, FAULT_SEED)
         assert str(info.value) == expected
 
+    def test_faults_first_reached_at_step_25_with_odd_seed(self):
+        assert first_rare_step(ODD_FAULT_SEED) == 25
+
+    @pytest.mark.parametrize("fault", ["imaginary", "negative", "total", "hermiticity"])
+    def test_quantum_guard_on_second_step_of_pair(self, fault):
+        """Each fault trips on the second step of a pair word, at the step
+        of the single-step route.  The pmf guards give its message; the
+        imaginary and Hermiticity residues are measured per input, on its
+        step matrices, so they give its guard but their own value."""
+        t = planted_quantum(fault)
+        expected = single_step_guard_message(t, RARE_LAW, 400, ODD_FAULT_SEED)
+        assert expected is not None and expected.endswith(" at step 25")
+        pattern = rf"{GUARD_MESSAGES[fault]}.* at step 25$"
+        assert re.search(pattern, expected)
+        with pytest.raises(NumericalCorruptionError, match=pattern) as info:
+            qc.sample_trajectory(t, RARE_LAW, 400, ODD_FAULT_SEED)
+        if fault in ("negative", "total"):
+            assert str(info.value) == expected
+
     def test_zero_weight_pick_trips_next_step(self, monkeypatch):
         """Kahan roundoff can draw an output of zero weight, leaving a
-        carried state of zero trace: the next step's pmf guard trips."""
-        kernel = np.array([[[[0.5, 0.0, 0.5]], [[0.25, 0.0, 0.75]]]])  # (S, X, S, Y)
-        t = qc.embed_classical_as_quantum(channels.ClassicalFsmc(kernel, np.array([1.0])))
-        draws = itertools.count()
-        bisect_right = sampling.bisect_right
-        monkeypatch.setattr(
-            sampling, "bisect_right",
-            lambda cum, u: 1 if next(draws) == 5 else bisect_right(cum, u),
-        )
+        carried state of zero trace: the next step's pmf guard trips, here
+        after a pair word."""
+        zero_weight_draw(monkeypatch, 5)
         with pytest.raises(NumericalCorruptionError, match=r"below the roundoff guard at step 6$"):
-            qc.sample_trajectory(t, qc.uniform_input(), 50, 3)
+            qc.sample_trajectory(ZERO_WEIGHT_MODEL, qc.uniform_input(), 50, 3)
+
+    def test_zero_weight_pick_on_first_step_of_pair_trips_second(self, monkeypatch):
+        zero_weight_draw(monkeypatch, 4)
+        with pytest.raises(NumericalCorruptionError, match=r"below the roundoff guard at step 5$"):
+            qc.sample_trajectory(ZERO_WEIGHT_MODEL, qc.uniform_input(), 50, 3)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_zero_weight_pick_on_last_step_leaves_non_finite_log(self, monkeypatch, n):
+        """No later guard sees a zero weight drawn on the last step, a
+        one-step word (n = 7) or the second step of a pair (n = 8): its
+        log is not finite, and the joint logs report it."""
+        zero_weight_draw(monkeypatch, n - 1)
+        q = qc.uniform_input()
+        traj = qc.sample_trajectory(ZERO_WEIGHT_MODEL, q, n, 3)
+        assert traj.y[-1] == 1
+        logs = traj.conditional_log_loss
+        assert np.isfinite(logs[:-1]).all() and not np.isfinite(logs[-1])
+        with pytest.raises(
+            ImpossibleObservationError, match=rf"^observation at step {n - 1} has zero probability"
+        ):
+            rates.sampled_joint_logs(rates.input_log_loss(q, traj.x), traj)
 
     @pytest.mark.parametrize("fault", ["negative", "total", "nan"])
     def test_classical_guard_names_step(self, fault):
