@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import channels, rates
-from .config import instantiate_channel, load_config
+from .config import instantiate_channel, load_config, parse_seeds
 from .errors import ConfigError, QchanrateError
 from .oracle import brute_force_oracle
 from .runner import check_writable, evaluate_samples, run_experiment, write_output, write_rows_csv
@@ -67,13 +67,10 @@ def _apply_overrides(cfg, args):
     updates = {}
     if args.seeds is not None:
         try:
-            seeds = tuple(int(s) for s in args.seeds.split(","))
+            seeds = [int(s) for s in args.seeds.split(",")]
         except ValueError:
             raise ConfigError("--seeds", f"expected comma-separated integers, got {args.seeds!r}")
-        in_range = all(0 <= s <= MAX_SEED for s in seeds)
-        if not seeds or not in_range or len(set(seeds)) != len(seeds):
-            raise ConfigError("--seeds", "seeds must be distinct integers in [0, 2^64 - 1]")
-        updates["seeds"] = seeds
+        updates["seeds"] = parse_seeds(seeds, "--seeds")
     if args.n is not None:
         if cfg.sweep.parameter == "n":
             raise ConfigError("--n", "does not apply to a sweep over n, whose values "
@@ -131,7 +128,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    if args.trajectory:
+    if args.trajectory is not None:
         for flag, given in (("--n", args.n is not None), ("--seeds", args.seeds is not None),
                             ("--threads", args.threads not in (None, 1))):
             if given:
@@ -141,7 +138,7 @@ def cmd_bound(args) -> int:
     if not cfg.auxiliaries:
         raise ConfigError("auxiliaries", "bound requires at least one auxiliary model")
     cfg = dataclasses.replace(cfg, estimators=("aux_lower",))
-    if args.trajectory:
+    if args.trajectory is not None:
         try:
             traj = load_trajectory(args.trajectory)
         except OSError as exc:

@@ -33,6 +33,7 @@ from . import channels
 from .bounds import AuxiliaryModel, make_auxiliary
 from .channels import InputLaw
 from .errors import ConfigError, QchanrateError
+from .linalg import MAX_DIM
 from .sampling import MAX_SEED
 
 CHANNEL_KINDS = (
@@ -119,31 +120,45 @@ def _integer(node, path: str) -> int:
     return node
 
 
-def parse_complex_matrix(node, path: str) -> np.ndarray:
-    """Square matrix from row-major rows of [re, im] entry pairs."""
-    if not isinstance(node, list) or not node:
-        _fail(path, "expected a nonempty list of rows")
-    dim = len(node)
-    out = np.empty((dim, dim), dtype=complex)
-    for i, row in enumerate(node):
-        if not isinstance(row, list) or len(row) != dim:
-            _fail(f"{path}[{i}]", f"expected a row of {dim} [re, im] pairs")
-        for j, entry in enumerate(row):
-            if not isinstance(entry, list) or len(entry) != 2:
-                _fail(f"{path}[{i}][{j}]", f"expected an [re, im] pair, got {entry!r}")
-            out[i, j] = complex(
-                _number(entry[0], f"{path}[{i}][{j}][0]"),
-                _number(entry[1], f"{path}[{i}][{j}][1]"),
-            )
-    return out
+def _list(node, path: str, what: str, nonempty: bool = True) -> list:
+    if not isinstance(node, list) or (nonempty and not node):
+        _fail(path, f"expected a {'nonempty ' if nonempty else ''}list of {what}")
+    return node
 
 
 def _real_array(node, path: str) -> np.ndarray:
-    arr = np.asarray(node, dtype=object)
+    """Real array from nested lists, each entry read by ``_number`` at its
+    own path (e.g. ``channel.transition[1][0]``)."""
+
+    def read(node, path):
+        if isinstance(node, list):
+            return [read(v, f"{path}[{i}]") for i, v in enumerate(node)]
+        return _number(node, path)
+
     try:
-        return np.asarray(node, dtype=float)
-    except (TypeError, ValueError):
-        _fail(path, f"expected a numeric array, got shape {arr.shape}")
+        return np.array(read(node, path), dtype=float)
+    except (ValueError, RecursionError):
+        _fail(path, "expected a rectangular array, got ragged or too deeply nested lists")
+
+
+def parse_complex_matrix(node, path: str) -> np.ndarray:
+    """Square matrix from row-major rows of [re, im] entry pairs."""
+    dim = len(_list(node, path, "rows"))
+    pairs = _real_array(node, path)
+    if pairs.shape != (dim, dim, 2):
+        _fail(path, f"expected {dim} rows of {dim} [re, im] pairs, got shape {pairs.shape}")
+    return pairs.view(complex)[..., 0]
+
+
+def parse_seeds(node, path: str) -> tuple[int, ...]:
+    """Distinct seeds in [0, 2^64 - 1] from a nonempty list of integers."""
+    seeds = tuple(_integer(s, f"{path}[{i}]") for i, s in enumerate(_list(node, path, "integers")))
+    for i, s in enumerate(seeds):
+        if not 0 <= s <= MAX_SEED:
+            _fail(f"{path}[{i}]", f"seeds must lie in [0, 2^64 - 1], got {s}")
+    if len(set(seeds)) != len(seeds):
+        _fail(path, "seeds must be distinct")
+    return seeds
 
 
 def _parse_channel(node, path: str) -> ChannelSpec:
@@ -219,11 +234,11 @@ def _build_channel(kind: str, params: dict, path: str):
                 if name not in known:
                     _fail(f"{path}.{name}", "required parameter missing")
             state_dim = _integer(known.pop("state_dim"), f"{path}.state_dim")
+            if not 1 <= state_dim <= MAX_DIM:
+                _fail(f"{path}.state_dim", f"must lie in [1, {MAX_DIM}], got {state_dim}")
 
             def matrix_list(name):
-                node = known.pop(name)
-                if not isinstance(node, list) or not node:
-                    _fail(f"{path}.{name}", "expected a nonempty list of matrices")
+                node = _list(known.pop(name), f"{path}.{name}", "matrices")
                 return np.stack(
                     [parse_complex_matrix(m, f"{path}.{name}[{i}]") for i, m in enumerate(node)]
                 )
@@ -296,7 +311,7 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(str(path), f"cannot read file: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(str(path), f"not UTF-8 text: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too many digits or too deep
         raise ConfigError(str(path), f"invalid JSON: {exc}") from None
     _expect_dict(root, "config", _ROOT_KEYS)
     for key in ("channel", "input_law", "sweep"):
@@ -305,11 +320,9 @@ def load_config(path) -> ExperimentConfig:
 
     channel = _parse_channel(root["channel"], "channel")
 
-    law_node = root["input_law"]
-    if not isinstance(law_node, list) or not law_node:
-        _fail("input_law", "expected a nonempty probability list")
+    law = _real_array(_list(root["input_law"], "input_law", "probabilities"), "input_law")
     try:
-        input_law = InputLaw(np.asarray(law_node, dtype=float))
+        input_law = InputLaw(law)
     except ValueError as exc:
         raise ConfigError("input_law", str(exc)) from exc
 
@@ -317,15 +330,7 @@ def load_config(path) -> ExperimentConfig:
     if n < 1:
         _fail("n", f"n must be >= 1, got {n}")
 
-    seeds_node = root.get("seeds", [0])
-    if not isinstance(seeds_node, list) or not seeds_node:
-        _fail("seeds", "expected a nonempty list of integers")
-    seeds = tuple(_integer(s, f"seeds[{i}]") for i, s in enumerate(seeds_node))
-    for i, s in enumerate(seeds):
-        if not 0 <= s <= MAX_SEED:
-            _fail(f"seeds[{i}]", f"seeds must lie in [0, 2^64 - 1], got {s}")
-    if len(set(seeds)) != len(seeds):
-        _fail("seeds", "seeds must be distinct")
+    seeds = parse_seeds(root.get("seeds", [0]), "seeds")
 
     sweep_node = _expect_dict(root["sweep"], "sweep", {"parameter", "values", "exclude"})
     parameter = sweep_node.get("parameter")
@@ -338,9 +343,7 @@ def load_config(path) -> ExperimentConfig:
             f"{parameter!r} is not sweepable for kind {channel.kind!r}; "
             f"allowed: {sorted(allowed)}",
         )
-    values_node = sweep_node.get("values")
-    if not isinstance(values_node, list) or not values_node:
-        _fail("sweep.values", "expected a nonempty list of values")
+    values_node = _list(sweep_node.get("values"), "sweep.values", "values")
     if parameter == "n":
         values = tuple(_integer(v, f"sweep.values[{i}]") for i, v in enumerate(values_node))
         if min(values) < 1:
@@ -349,12 +352,8 @@ def load_config(path) -> ExperimentConfig:
         values = tuple(_number(v, f"sweep.values[{i}]") for i, v in enumerate(values_node))
     if len(set(values)) != len(values):
         _fail("sweep.values", "sweep values must be distinct")
-    exclude_node = sweep_node.get("exclude", [])
-    if not isinstance(exclude_node, list):
-        _fail("sweep.exclude", "expected a list of values")
-    exclude = tuple(
-        _number(v, f"sweep.exclude[{i}]") for i, v in enumerate(exclude_node)
-    )
+    exclude_node = _list(sweep_node.get("exclude", []), "sweep.exclude", "values", nonempty=False)
+    exclude = tuple(_number(v, f"sweep.exclude[{i}]") for i, v in enumerate(exclude_node))
     if parameter in ("p", "p_g", "p_b"):
         for i, v in enumerate(values):
             if not 0.0 <= v <= 1.0:
@@ -363,18 +362,12 @@ def load_config(path) -> ExperimentConfig:
     if not sweep.active_values():
         _fail("sweep", "every sweep value is excluded")
 
-    est_node = root.get("estimators", ["ir"])
-    if not isinstance(est_node, list) or not est_node:
-        _fail("estimators", "expected a nonempty list")
-    estimators = []
-    for i, name in enumerate(est_node):
+    estimators = tuple(_list(root.get("estimators", ["ir"]), "estimators", "estimator ids"))
+    for i, name in enumerate(estimators):
         if name not in ESTIMATOR_IDS:
             _fail(f"estimators[{i}]", f"expected one of {ESTIMATOR_IDS}, got {name!r}")
-        estimators.append(name)
 
-    aux_node = root.get("auxiliaries", [])
-    if not isinstance(aux_node, list):
-        _fail("auxiliaries", "expected a list")
+    aux_node = _list(root.get("auxiliaries", []), "auxiliaries", "models", nonempty=False)
     aux_specs = []
     seen_labels = set()
     for i, node in enumerate(aux_node):
@@ -430,7 +423,7 @@ def load_config(path) -> ExperimentConfig:
         n=n,
         seeds=seeds,
         sweep=sweep,
-        estimators=tuple(estimators),
+        estimators=estimators,
         auxiliaries=tuple(auxiliaries),
         burn_in=burn_in,
         csv_name=csv_name,

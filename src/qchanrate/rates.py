@@ -91,7 +91,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import ClassicalFsmc, InputLaw, TransferOperatorSet, as_recursion_model
+from .channels import ClassicalFsmc, Dmc, InputLaw, TransferOperatorSet, as_recursion_model
 from .errors import (
     ImpossibleObservationError,
     NumericalCorruptionError,

@@ -168,7 +168,10 @@ class TestParsing:
                                       initial=[0.2, 0.2])]},
                 r"^auxiliaries\[g\]: initial state pmf sums to one violated",
             ),
-            ({"input_law": [float("nan"), 1.0]}, r"^input_law: input law must be a pmf"),
+            (
+                {"input_law": [float("nan"), 1.0]},
+                r"^input_law\[0\]: expected a finite number, got nan$",
+            ),
             (
                 {"channel": QUANTUM_GE,
                  "sweep": {"parameter": "alpha", "values": [float("nan"), 1.0]}},
@@ -185,12 +188,73 @@ class TestParsing:
                 r"^channel\.alpha: expected a finite number, got inf$",
             ),
             ({"channel": {"kind": "bsc", "p": 10**400}}, r"^channel\.p: expected a finite number"),
+            # Entries of numeric arrays are read like scalar fields, each at
+            # its own path.
+            ({"input_law": [{}, 0.5]}, r"^input_law\[0\]: expected a number, got \{\}$"),
+            ({"input_law": ["0.5", "0.5"]}, r"^input_law\[0\]: expected a number, got '0\.5'$"),
+            ({"input_law": [True, False]}, r"^input_law\[0\]: expected a number, got True$"),
+            ({"input_law": [None, 1.0]}, r"^input_law\[0\]: expected a number, got None$"),
+            ({"input_law": [0.5, 10**400]}, r"^input_law\[1\]: expected a finite number"),
+            ({"input_law": [0.5, [0.5]]}, r"^input_law: expected a rectangular array"),
+            ({"input_law": {}}, r"^input_law: expected a nonempty list of probabilities$"),
+            (
+                {"channel": {"kind": "gilbert_elliott", "p_g": 0.1, "p_b": 0.4,
+                             "transition": [["0.9", "0.1"], ["0.2", "0.8"]]},
+                 "sweep": {"parameter": "p_b", "values": [0.4]}},
+                r"^channel\.transition\[0\]\[0\]: expected a number, got '0\.9'$",
+            ),
+            (
+                {"estimators": ["ir", "aux_lower"],
+                 "auxiliaries": [dict(GE_PARAMS, kind="gilbert_elliott", label="g",
+                                      transition=[[0.9, 0.1], [10**400, 0.8]])]},
+                r"^auxiliaries\[g\]\.transition\[1\]\[0\]: expected a finite number",
+            ),
+            (
+                {"channel": dict(QUANTUM_GE, hamiltonian=[[[1, 0], [0, 0]], [[0, 0]]]),
+                 "sweep": {"parameter": "p_b", "values": [0.95]}},
+                r"^channel\.hamiltonian: expected a rectangular array",
+            ),
+            (
+                {"channel": dict(QUANTUM_GE, hamiltonian=[[[1, 0, 0], [0, 0, 0]]] * 2),
+                 "sweep": {"parameter": "p_b", "values": [0.95]}},
+                r"^channel\.hamiltonian: expected 2 rows of 2 \[re, im\] pairs, got shape "
+                r"\(2, 2, 3\)$",
+            ),
+            # refused before a default state of that size is allocated
+            *(
+                ({"channel": {"kind": "custom_kraus", "state_dim": dim, "encodings": [],
+                              "kraus": [], "measurements": []},
+                  "sweep": {"parameter": "n", "values": [100]}},
+                 rf"^channel\.state_dim: must lie in \[1, 64\], got {dim}$")
+                for dim in (0, 65, 10**6)
+            ),
+            ({"seeds": []}, r"^seeds: expected a nonempty list of integers$"),
+            ({"sweep": {"parameter": "p", "values": [0.1], "exclude": 0.1}},
+             r"^sweep\.exclude: expected a list of values$"),
         ],
     )
     def test_rejections(self, tmp_path, overrides, fragment):
         path = write_config(tmp_path, **overrides)
         with pytest.raises(ConfigError, match=fragment):
             load_config(path)
+
+    def test_json_beyond_the_reader_exits_2(self, tmp_path, capsys):
+        """An integer of more digits than Python converts, or lists nested
+        deeper than the JSON reader recurses, is invalid JSON; an array
+        nested deeper than its entries can be read is refused at its
+        path.  Neither ends in a traceback."""
+        path = tmp_path / "big.json"
+        deep_law = write_config(tmp_path).read_text().replace(
+            "[\n  0.5,\n  0.5\n ]", "[" * 900 + "0.5" + "]" * 900
+        )
+        for text, prefix in [
+            ("[" + "1" * 5000 + "]", f"{path}: invalid JSON: "),
+            ("[" * 100000 + "]" * 100000, f"{path}: invalid JSON: "),
+            (deep_law, "input_law: expected a rectangular array"),
+        ]:
+            path.write_text(text)
+            assert main(["validate", str(path)]) == 2
+            assert capsys.readouterr().err.startswith(f"error[ConfigError]: {prefix}")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -682,6 +746,39 @@ class TestRunner:
         assert len(serial.rows) == 8 and not serial.errors
         assert serial.csv_path.read_bytes() == pooled.csv_path.read_bytes()
 
+    @pytest.mark.parametrize("kind", ["quantum", "classical"])
+    def test_budgets_leave_output_bytes_alone(self, tmp_path, monkeypatch, kind):
+        """The budgets that only bound memory, a chunk's recursion steps and
+        the entries of the engine's block products, do not move a CSV byte,
+        nor does the worker count.  (A monkeypatch does not reach spawned
+        workers, so the budgets are varied in one process.)"""
+        sweep = {"parameter": "p_b", "values": [0.1, 0.5, 0.9]}
+        if kind == "quantum":
+            overrides = dict(
+                channel=QUANTUM_GE, sweep=sweep, estimators=["ir", "aux_lower"],
+                auxiliaries=[{"kind": "bsc", "label": "bsc", "p": 0.25},
+                             dict(GE_PARAMS, kind="gilbert_elliott", label="ge")],
+            )
+        else:
+            overrides = dict(channel=dict(GE_PARAMS, kind="gilbert_elliott"), sweep=sweep)
+        cfg = load_config(write_config(tmp_path, n=3000, **overrides))
+        assert len(runner._chunks(cfg, [(v, s) for v in sweep["values"] for s in (0, 1)])) > 1
+
+        def csv_bytes(label, workers=1):
+            out = run_experiment(cfg, tmp_path / label, write_svg=False, workers=workers)
+            assert not out.errors
+            return out.csv_path.read_bytes()
+
+        default = csv_bytes("default")
+        runs = {"two-workers": csv_bytes("two-workers", workers=2)}
+        for module, name, values in ((runner, "STACK_BUDGET", (1, 2**24)),
+                                     (rates, "PRODUCT_BUDGET", (1, 2**6))):
+            for value in values:
+                monkeypatch.setattr(module, name, value)
+                runs[f"{name}-{value}"] = csv_bytes(f"{name}-{value}")
+            monkeypatch.undo()
+        assert [label for label, got in runs.items() if got != default] == []
+
     def test_one_chunk_runs_without_a_pool(self, tmp_path, monkeypatch):
         """A sweep of one chunk runs in this process whatever the worker
         count: no process pool is started."""
@@ -950,6 +1047,21 @@ class TestCli:
             f"error[ConfigError]: {flag}: does not apply with --trajectory"
         )
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("extra, flag", [(["--n", "50"], "--n"), ([], "--trajectory")])
+    def test_bound_empty_trajectory_is_not_ignored(self, tmp_path, capsys, extra, flag):
+        """``--trajectory ""`` names a file like any other value: it is not
+        read as no trajectory, so no simulated sweep runs."""
+        cfg_path = write_config(
+            tmp_path,
+            estimators=["aux_lower"],
+            auxiliaries=[{"kind": "bsc", "label": "a", "p": 0.2}],
+        )
+        out_dir = tmp_path / "o"
+        argv = ["bound", str(cfg_path), "--trajectory", "", "--out-dir", str(out_dir)]
+        assert main(argv + extra) == 2
+        assert capsys.readouterr().err.startswith(f"error[ConfigError]: {flag}: ")
+        assert not (out_dir / "results.csv").exists()
 
     def test_bound_rejects_corrupt_trajectory(self, tmp_path, capsys):
         cfg_path = write_config(
