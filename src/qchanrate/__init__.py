@@ -40,7 +40,7 @@ from .errors import (
     SequenceError,
     TrajectoryFormatError,
 )
-from .linalg import expm_skew_hermitian, hermitian_eigenvalues, is_psd, kron, partial_trace
+from .linalg import expm_skew_hermitian, is_psd
 from .oracle import OracleTables, brute_force_oracle, oracle_joint_prob, oracle_output_prob
 from .rates import RateEstimate, dmc_information_rate, entropy_rate_estimates
 from .runner import run_experiment

@@ -30,8 +30,15 @@ import numpy as np
 from . import channels, rates
 from .config import instantiate_channel, load_config, parse_seeds
 from .errors import ConfigError, QchanrateError
-from .oracle import brute_force_oracle
-from .runner import check_writable, evaluate_samples, run_experiment, write_output, write_rows_csv
+from .oracle import MAX_ORACLE_N, brute_force_oracle
+from .runner import (
+    check_writable,
+    evaluate_samples,
+    run_experiment,
+    write_errors_csv,
+    write_output,
+    write_rows_csv,
+)
 from .sampling import MAX_SEED, load_trajectory, sample_trajectory, save_trajectory
 
 ORACLE_CHECK_TOL = 1e-9
@@ -146,12 +153,16 @@ def cmd_bound(args) -> int:
                 "--trajectory", f"cannot read {args.trajectory}: {exc.strerror}"
             ) from None
         csv_path = _out_dir(args) / cfg.csv_name
-        check_writable(csv_path)
+        errors_path = csv_path.with_suffix(".errors.csv")
+        check_writable(csv_path, errors_path)
         # estimators are auxiliaries only, so no channel model is needed
         rows, errors = evaluate_samples(cfg, [(0.0, None, traj)], args.timings)
         rows.sort(key=lambda r: (r.sweep_value, r.estimator_id, r.seed))
+        errors.sort(key=lambda e: (e.sweep_value, e.estimator_id, e.seed))
         write_output(csv_path, write_rows_csv, "external", rows)
         print(f"wrote {csv_path} ({len(rows)} rows)")
+        if errors:
+            write_output(errors_path, write_errors_csv, "external", errors)
         for e in errors:
             print(f"warning: {e.estimator_id} failed [{e.category}]: {e.message}")
         if not rows:
@@ -179,10 +190,12 @@ def cmd_sample(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    n = args.oracle_n
+    if not 1 <= n <= MAX_ORACLE_N:
+        raise ConfigError("--oracle-n", f"must lie in [1, {MAX_ORACLE_N}], got {n}")
     cfg = load_config(args.config)
     model = instantiate_channel(cfg.channel)
     q = cfg.input_law
-    n = args.oracle_n
     tables = brute_force_oracle(model, q, n)
     total_dev = abs(float(tables.joint.sum()) - 1.0)
     min_entry = float(tables.joint.min())

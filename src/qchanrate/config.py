@@ -36,15 +36,6 @@ from .errors import ConfigError, QchanrateError
 from .linalg import MAX_DIM
 from .sampling import MAX_SEED
 
-CHANNEL_KINDS = (
-    "bsc",
-    "gilbert_elliott",
-    "quantum_ge",
-    "quantum_ge_2qubit",
-    "custom_kraus",
-    "custom_fsmc",
-)
-
 # Kinds built as quantum models (compiled transfer operators), which the
 # quantum sampler samples.
 QUANTUM_KINDS = ("quantum_ge", "quantum_ge_2qubit", "custom_kraus")
@@ -58,6 +49,7 @@ SWEEPABLE = {
     "custom_kraus": set(),
     "custom_fsmc": set(),
 }
+CHANNEL_KINDS = tuple(SWEEPABLE)
 
 ESTIMATOR_IDS = ("ir", "aux_lower")
 
@@ -110,7 +102,8 @@ def _number(node, path: str) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         _fail(path, f"expected a number, got {node!r}")
     if not abs(node) <= sys.float_info.max:  # NaN, an infinity, or an int beyond floats
-        _fail(path, f"expected a finite number, got {node!r}")
+        got = f"an integer of {len(str(abs(node)))} digits" if isinstance(node, int) else repr(node)
+        _fail(path, f"expected a finite number, got {got}")
     return float(node)
 
 

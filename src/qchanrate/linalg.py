@@ -3,13 +3,13 @@
 Operators are plain square ``numpy`` arrays of complex128.  Two layout
 conventions are fixed here once and used by the whole package:
 
-* ``kron(a, b)`` uses standard Kronecker ordering: the row index of the
-  result is the pair ``(i_a, i_b)`` with ``i_a`` the slow (most
-  significant) index.
+* Kronecker products are ``np.kron(a, b)``, in standard ordering: the
+  row index of the result is the pair ``(i_a, i_b)`` with ``i_a`` the
+  slow (most significant) index.
 
 * Joint (memory state, transmit) spaces are flattened with the *state*
   index slow and the transmit index fast, i.e. the matrix of a joint
-  operator ``state_part (x) transmit_part`` is ``kron(state_part,
+  operator ``state_part (x) transmit_part`` is ``np.kron(state_part,
   transmit_part)``.  Under this reading the 4x4 interaction operators of
   the built-in quantum Gilbert-Elliott channel act block-diagonally: the
   top-left 2x2 block is the transmit-system action while the memory
@@ -63,32 +63,6 @@ def as_operator(a, name: str = "operator") -> np.ndarray:
     if not np.all(np.isfinite(arr.view(np.float64))):
         raise OperatorError(f"{name} contains non-finite entries")
     return arr
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the first factor's index slow."""
-    return np.kron(as_operator(a, "kron factor"), as_operator(b, "kron factor"))
-
-
-def partial_trace(a, dims: tuple[int, int], keep: str = "first") -> np.ndarray:
-    """Trace out one tensor factor of an operator on a bipartite space.
-
-    ``dims = (d1, d2)`` gives the factor dimensions, first factor slow.
-    ``keep`` selects which factor survives.  The full trace is preserved:
-    ``trace(result) == trace(a)``.
-    """
-    arr = as_operator(a, "partial_trace input")
-    d1, d2 = dims
-    if d1 < 1 or d2 < 1 or d1 * d2 != arr.shape[0]:
-        raise OperatorError(
-            f"partial_trace dims {dims} incompatible with operator dimension {arr.shape[0]}"
-        )
-    t = arr.reshape(d1, d2, d1, d2)
-    if keep == "first":
-        return np.einsum("ijkj->ik", t)
-    if keep == "second":
-        return np.einsum("ijil->jl", t)
-    raise OperatorError(f"keep must be 'first' or 'second', got {keep!r}")
 
 
 def hermiticity_residue(a: np.ndarray) -> float | np.ndarray:
@@ -152,19 +126,6 @@ def real_transfer_form(mats: np.ndarray) -> RealForm:
 
 def _scale(a: np.ndarray) -> float:
     return float(np.abs(a).max())
-
-
-def hermitian_eigenvalues(a) -> np.ndarray:
-    """Real eigenvalues of a Hermitian operator, ascending.
-
-    Raises ``OperatorError`` when the input is not Hermitian within
-    ``EPS_HERMITIAN`` (relative to the largest entry).
-    """
-    arr = as_operator(a)
-    res = hermiticity_residue(arr)
-    if res > EPS_HERMITIAN * _scale(arr):
-        raise OperatorError(f"not Hermitian: residue {res:.3e}")
-    return np.linalg.eigvalsh(0.5 * (arr + arr.conj().T))
 
 
 @dataclass(frozen=True)

@@ -91,7 +91,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import ClassicalFsmc, Dmc, InputLaw, TransferOperatorSet, as_recursion_model
+from .channels import ClassicalFsmc, Dmc, InputLaw, as_recursion_model
 from .errors import (
     ImpossibleObservationError,
     NumericalCorruptionError,
@@ -470,38 +470,24 @@ def stacked_forward_logs(recs: Sequence[Recursion]) -> list:
     return results
 
 
-def _forward_logs(rec: Recursion) -> np.ndarray:
-    (logs,) = stacked_forward_logs([rec])
+# Not called here, but the traced benchmark (perfbench/tracer.py) wraps
+# both names by this module attribute.
+def scaled_forward_classical(
+    model, q: InputLaw, ys: np.ndarray, xs: np.ndarray | None = None
+) -> np.ndarray:
+    """Per-step natural scale logs of the forward recursion of any channel
+    model, classical or quantum (see ``recursion``).
+
+    The sum of the returned array is -log p(ys) (xs marginalized) or
+    -log p(xs, ys) (xs pinned, input-law factors included).
+    """
+    (logs,) = stacked_forward_logs([recursion(model, q, ys, xs)])
     if isinstance(logs, QchanrateError):
         raise logs
     return logs
 
 
-# Not called here, but the traced benchmark (perfbench/tracer.py) wraps
-# these two by this module attribute.
-def scaled_forward_classical(
-    f: ClassicalFsmc,
-    q: InputLaw,
-    ys: np.ndarray,
-    xs: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-step natural scale logs of the classical forward recursion.
-
-    The sum of the returned array is -log p(ys) (xs marginalized) or
-    -log p(xs, ys) (xs pinned, input-law factors included).
-    """
-    return _forward_logs(recursion(f, q, ys, xs))
-
-
-def scaled_forward_quantum(
-    t: TransferOperatorSet,
-    q: InputLaw,
-    ys: np.ndarray,
-    xs: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-step natural scale logs of the quantum forward recursion, run
-    on the real packed form of the state and step matrices."""
-    return _forward_logs(recursion(t, q, ys, xs))
+scaled_forward_quantum = scaled_forward_classical
 
 
 def input_log_loss(q: InputLaw, xs: np.ndarray) -> np.ndarray:

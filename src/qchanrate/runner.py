@@ -349,7 +349,7 @@ def check_writable(*paths) -> None:
             raise _unwritable(path, os.strerror(code))
 
 
-def _write_errors_csv(path, sweep_param: str, errors) -> None:
+def write_errors_csv(path, sweep_param: str, errors) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(ERROR_COLUMNS) + "\n")
         for e in errors:
@@ -449,7 +449,7 @@ def run_experiment(
 
     write_output(csv_path, write_rows_csv, cfg.sweep.parameter, rows)
     if errors:
-        write_output(errors_path, _write_errors_csv, cfg.sweep.parameter, errors)
+        write_output(errors_path, write_errors_csv, cfg.sweep.parameter, errors)
     write_svg = write_svg and bool(rows)
     if write_svg:
         write_output(

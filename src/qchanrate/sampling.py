@@ -7,11 +7,12 @@ recorded on every trajectory.  Stream layout per trajectory: the first
 for the initial latent state followed by ``n`` uniforms for the joint
 (next state, output) draws, or (quantum models) ``n`` uniforms for the
 output draws.  Categorical draws go through an inverse-CDF walk over
-Kahan-compensated cumulative weights.  A quantum step with two outputs
-draws by one comparison instead, output 0 when ``u < w0 / total``: the
-first Kahan carry is exactly 0, so the table of two weights is
-``[w0 / total, w0 / total + w1 / total]``, in order, and the walk over
-it picks the same output.  Larger output alphabets walk the table.
+Kahan-compensated cumulative weights.  A pair word of a quantum model
+with two outputs draws each step by one comparison instead, output 0
+when ``u < w0 / total``: the first Kahan carry is exactly 0, so the
+table of two weights is ``[w0 / total, w0 / total + w1 / total]``, in
+order, and the walk over it picks the same output.  The odd last step,
+one-step words and larger output alphabets walk the table.
 
 Classical models (a ``Dmc`` runs as a one-state ``ClassicalFsmc``) build
 the guarded pmf of each (state, input) pair, its Kahan cumulative table
@@ -153,27 +154,14 @@ def kahan_cumulative(weights: np.ndarray) -> np.ndarray:
 
 
 def _add_reduce(values: list[float]) -> float:
-    """Sum in the order of numpy's ``add.reduce`` over a contiguous float64
-    vector: sequential below eight terms, eight interleaved partial sums
-    up to 128, halved in multiples of eight beyond.  (Builtin ``sum``
-    compensates its rounding from Python 3.12 on, so it would not.)"""
-    n = len(values)
-    if n < 8:
-        total = -0.0
-        for v in values:
-            total += v
-        return total
-    if n > 128:
-        half = n // 2
-        half -= half % 8
-        return _add_reduce(values[:half]) + _add_reduce(values[half:])
-    acc = values[:8]
-    stop = n - n % 8
-    for i in range(8, stop, 8):
-        for j in range(8):
-            acc[j] += values[i + j]
-    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    for v in values[stop:]:
+    """Sum in the order of numpy's ``add.reduce`` over a float64 vector:
+    sequential below eight terms, numpy's own pairwise sum from eight on.
+    (Builtin ``sum`` compensates its rounding from Python 3.12 on, so it
+    would not.)"""
+    if len(values) >= 8:
+        return float(np.add.reduce(values))
+    total = -0.0
+    for v in values:
         total += v
     return total
 
@@ -339,21 +327,10 @@ def _input_guards(imag: float, herm: float, weights: list[float], trace: float, 
 def _draw(weights: list[float], trace: float, u: float, step: int) -> int:
     """The pmf guards and the draw of one quantum step, from its output
     weights and the carried trace."""
-    if len(weights) == 2:
-        w0, w1 = weights
-        lo = w1 if w1 < w0 else w0  # builtin min, NaN included
-        total = w0 + w1  # _add_reduce on two terms
-    else:
-        lo = min(weights)
-        total = _add_reduce(weights)
+    lo = min(weights)
+    total = _add_reduce(weights)
     if not (lo >= PMF_NEGATIVE_GUARD * trace and abs(total - trace) <= PMF_SUM_GUARD * trace):
         _check_pmf(lo / trace, total / trace, step)
-    if len(weights) == 2:
-        # The two-entry table walk (see the module docstring), without the
-        # clip or the clamp to the last positive index: neither can change
-        # the pick while u < 1, since a w0 <= 0 loses to every u and a
-        # w1 <= 0 makes w0 / total >= 1 > u.
-        return 0 if u < w0 / total else 1
     if lo < 0.0:
         weights = [w if w > 0.0 else 0.0 for w in weights]
         total = _add_reduce(weights)
@@ -428,7 +405,10 @@ def _sample_outputs_quantum(
             total = w0 + w1  # _add_reduce on two terms
             if not (lo >= negative_guard * trace and abs(total - trace) <= sum_guard * trace):
                 _check_pmf(lo / trace, total / trace, step)
-            # the draw never picks a weight <= 0 (see _draw), so w > 0
+            # _draw's table walk without the clip or the clamp to the last
+            # positive index: neither changes the pick while u < 1, since a
+            # w0 <= 0 loses to every u and a w1 <= 0 makes w0 / total >= 1 > u.
+            # So the picked weight w is positive.
             if u0 < w0 / total:
                 pick, w = 0, w0
             else:

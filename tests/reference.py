@@ -14,6 +14,10 @@ The same step without the input-law factor conditions the quantum
 sampler's state.  The sampler's single-step route weighs every output
 from the state, then calls ``sampling._finalize_pmf`` and
 ``sampling.draw_index``, then conditions the state on the drawn output.
+
+``partial_trace_oracle`` traces out one factor of a bipartite operator by
+a direct double sum, for tests that follow the channel's physics from
+its pieces.
 """
 
 import math
@@ -129,3 +133,20 @@ def sample_outputs(model, xs, us):
     except QchanrateError as exc:
         return np.array(ys, dtype=np.int64), (len(ys), exc)
     return np.array(ys, dtype=np.int64), None
+
+
+def partial_trace_oracle(a, d1, d2, keep):
+    """Direct double-sum over the traced index of an operator on a
+    ``d1 * d2`` space, first factor slow; ``keep`` names the factor that
+    survives ("first" or "second")."""
+    if keep == "first":
+        out = np.zeros((d1, d1), dtype=complex)
+        for i in range(d1):
+            for k in range(d1):
+                out[i, k] = sum(a[i * d2 + j, k * d2 + j] for j in range(d2))
+    else:
+        out = np.zeros((d2, d2), dtype=complex)
+        for j in range(d2):
+            for l in range(d2):
+                out[j, l] = sum(a[i * d2 + j, i * d2 + l] for i in range(d1))
+    return out

@@ -12,6 +12,7 @@ from qchanrate.bounds import lower_bound
 from qchanrate.cli import main
 from qchanrate.config import instantiate_channel, load_config
 from qchanrate.errors import ConfigError, QchanrateError
+from qchanrate.oracle import MAX_ORACLE_N
 from qchanrate.rates import entropy_rate_estimates
 from qchanrate.runner import CSV_COLUMNS, run_experiment
 from qchanrate.sampling import Trajectory, load_trajectory, sample_trajectory
@@ -231,6 +232,12 @@ class TestParsing:
             ({"seeds": []}, r"^seeds: expected a nonempty list of integers$"),
             ({"sweep": {"parameter": "p", "values": [0.1], "exclude": 0.1}},
              r"^sweep\.exclude: expected a list of values$"),
+            # an integer beyond floats is named by its size, not printed
+            (
+                {"channel": dict(QUANTUM_GE, p_g=10**4000),
+                 "sweep": {"parameter": "p_b", "values": [0.95]}},
+                r"^channel\.p_g: expected a finite number, got an integer of 4001 digits$",
+            ),
         ],
     )
     def test_rejections(self, tmp_path, overrides, fragment):
@@ -1101,6 +1108,12 @@ class TestCli:
         captured = capsys.readouterr()
         assert "aux_lower:a failed [SequenceError]" in captured.out
         assert "error[QchanrateError]" in captured.err
+        # the failure is also recorded next to the header-only results file
+        with open(tmp_path / "results.errors.csv", encoding="utf-8") as fh:
+            header, *rows = fh.read().splitlines()
+        assert header == ",".join(runner.ERROR_COLUMNS)
+        assert len(rows) == 1
+        assert rows[0].startswith("external,0.0,aux_lower:a,1,SequenceError,")
 
     @pytest.mark.parametrize(
         "case",
@@ -1154,8 +1167,10 @@ class TestCli:
     @pytest.mark.parametrize(
         "verb, blocked",
         [("estimate", "results.csv"), ("estimate", "results.svg"),
-         ("estimate", "results.errors.csv"), ("bound", "results.csv")],
-        ids=["estimate-csv", "estimate-svg", "estimate-errors-csv", "bound-trajectory-csv"],
+         ("estimate", "results.errors.csv"), ("bound", "results.csv"),
+         ("bound", "results.errors.csv")],
+        ids=["estimate-csv", "estimate-svg", "estimate-errors-csv", "bound-trajectory-csv",
+             "bound-trajectory-errors-csv"],
     )
     def test_unwritable_result_file_exits_2(self, tmp_path, capsys, monkeypatch, verb, blocked):
         """A result file that cannot be written (here a directory of that
@@ -1241,3 +1256,14 @@ class TestCli:
         )
         assert main(["oracle", str(path), "--oracle-n", "3"]) == 0
         assert "oracle cross-check passed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n", [0, MAX_ORACLE_N + 1])
+    def test_oracle_n_out_of_range_exits_2(self, tmp_path, capsys, n):
+        """An ``--oracle-n`` outside [1, MAX_ORACLE_N] is a flag error, like
+        every other out-of-range flag; only a joint table beyond the term
+        budget at an allowed length is a runtime failure."""
+        path = write_config(tmp_path)
+        assert main(["oracle", str(path), "--oracle-n", str(n)]) == 2
+        assert capsys.readouterr().err == (
+            f"error[ConfigError]: --oracle-n: must lie in [1, {MAX_ORACLE_N}], got {n}\n"
+        )

@@ -15,85 +15,6 @@ def random_hermitian(rng, n):
     return 0.5 * (a + a.conj().T)
 
 
-class TestKron:
-    def test_identity(self):
-        assert_allclose(la.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_diagonal(self):
-        got = la.kron(np.diag([1.0, 0.0]), np.diag([0.3, 0.7]))
-        assert_allclose(got, np.diag([0.3, 0.7, 0.0, 0.0]))
-
-    def test_first_factor_slow(self):
-        # Expanding the definition by hand: with the first index slow,
-        # diag(1,0) (x) rho embeds rho as the top-left block.
-        rng = np.random.default_rng(1)
-        rho = random_hermitian(rng, 2)
-        got = la.kron(np.diag([1.0, 0.0]), rho)
-        assert_allclose(got[:2, :2], rho)
-        assert_allclose(got[2:, :], 0.0)
-        assert_allclose(got[:, 2:], 0.0)
-
-    def test_associativity(self):
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            dims = rng.integers(1, 5, size=3)
-            a, b, c = (random_complex(rng, d) for d in dims)
-            left = la.kron(la.kron(a, b), c)
-            right = la.kron(a, la.kron(b, c))
-            assert np.abs(left - right).max() <= 1e-12 * max(1.0, np.abs(left).max())
-
-    def test_trace_multiplicative(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            a = random_complex(rng, int(rng.integers(1, 5)))
-            b = random_complex(rng, int(rng.integers(1, 5)))
-            assert abs(np.trace(la.kron(a, b)) - np.trace(a) * np.trace(b)) <= 1e-12 * (
-                1 + abs(np.trace(a) * np.trace(b))
-            )
-
-
-def partial_trace_oracle(a, d1, d2, keep):
-    """Direct double-sum over the traced index."""
-    if keep == "first":
-        out = np.zeros((d1, d1), dtype=complex)
-        for i in range(d1):
-            for k in range(d1):
-                out[i, k] = sum(a[i * d2 + j, k * d2 + j] for j in range(d2))
-    else:
-        out = np.zeros((d2, d2), dtype=complex)
-        for j in range(d2):
-            for l in range(d2):
-                out[j, l] = sum(a[i * d2 + j, i * d2 + l] for i in range(d1))
-    return out
-
-
-class TestPartialTrace:
-    def test_product_state(self):
-        rng = np.random.default_rng(4)
-        a = random_complex(rng, 3)
-        b = random_complex(rng, 2)
-        got = la.partial_trace(la.kron(a, b), (3, 2), keep="first")
-        assert np.abs(got - a * np.trace(b)).max() <= 1e-12 * np.abs(a).max()
-
-    def test_identity(self):
-        assert_allclose(la.partial_trace(np.eye(4), (2, 2), keep="second"), 2 * np.eye(2))
-
-    @pytest.mark.parametrize("keep", ["first", "second"])
-    def test_against_double_sum(self, keep):
-        rng = np.random.default_rng(5)
-        g = random_complex(rng, 4)
-        a = g @ g.conj().T  # p.s.d. input
-        got = la.partial_trace(a, (2, 2), keep=keep)
-        assert_allclose(got, partial_trace_oracle(a, 2, 2, keep), atol=1e-13)
-        assert abs(np.trace(got) - np.trace(a)) <= 1e-12 * abs(np.trace(a))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(OperatorError):
-            la.partial_trace(np.eye(4), (3, 2))
-        with pytest.raises(OperatorError):
-            la.partial_trace(np.eye(4), (2, 2), keep="third")
-
-
 def expm_taylor(h, alpha, terms=25):
     """Scaling-and-squaring Taylor series, scaled well past convergence."""
     a = -1j * alpha * np.asarray(h, dtype=complex)
@@ -134,26 +55,6 @@ class TestExpm:
             la.expm_skew_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
 
-class TestHermitianEigenvalues:
-    def test_identity(self):
-        assert_allclose(la.hermitian_eigenvalues(np.eye(2)), [1.0, 1.0])
-
-    def test_pauli_x(self):
-        assert_allclose(la.hermitian_eigenvalues(np.array([[0, 1], [1, 0]])), [-1.0, 1.0])
-
-    def test_trace_identity(self):
-        rng = np.random.default_rng(8)
-        for _ in range(10):
-            h = random_hermitian(rng, 4)
-            evals = la.hermitian_eigenvalues(h)
-            assert np.all(np.diff(evals) >= 0)
-            assert abs(evals.sum() - np.trace(h).real) <= 1e-10 * max(1.0, abs(np.trace(h)))
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(OperatorError):
-            la.hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 class TestIsPsd:
     def test_projector(self):
         check = la.is_psd(np.diag([1.0, 0.0]))
@@ -169,7 +70,7 @@ class TestIsPsd:
         rng = np.random.default_rng(9)
         for _ in range(10):
             g = random_complex(rng, 4)
-            evals = la.hermitian_eigenvalues(g.conj().T @ g)
+            evals = np.linalg.eigvalsh(g.conj().T @ g)
             assert evals[0] >= -1e-10
             assert la.is_psd(g.conj().T @ g)
 

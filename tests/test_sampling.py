@@ -39,8 +39,9 @@ class TestDraws:
 
     def test_add_reduce_matches_numpy_sum(self):
         """The Python-float pmf total sums in numpy's order: lengths cover the
-        sequential, eight-accumulator and halving regimes, and the wide
-        spread of magnitudes makes every other order round differently."""
+        sequential loop below eight terms and numpy's pairwise sum from eight
+        on, and the wide spread of magnitudes makes every other order round
+        differently."""
         rng = np.random.default_rng(25)
         for n in list(range(1, 40)) + [127, 128, 129, 200, 300]:
             for _ in range(20):
@@ -68,10 +69,10 @@ def measurement_route_pmf(ch: channels.QuantumMemoryChannel, state, x):
     """Output distribution straight from the channel pieces: evolve the
     joint encoding-memory state through the interaction, trace out the
     memory, apply the measurement operators."""
-    joint = linalg.kron(state, ch.encodings[x])
-    fold = linalg.kron(ch.inter_use_unitary, np.eye(ch.transmit_dim))
+    joint = np.kron(state, ch.encodings[x])
+    fold = np.kron(ch.inter_use_unitary, np.eye(ch.transmit_dim))
     moved = sum((fold @ e) @ joint @ (fold @ e).conj().T for e in ch.kraus)
-    rho_b = linalg.partial_trace(moved, (ch.state_dim, ch.transmit_dim), keep="second")
+    rho_b = reference.partial_trace_oracle(moved, ch.state_dim, ch.transmit_dim, "second")
     return np.array(
         [np.trace(m @ rho_b @ m.conj().T).real for m in ch.measurements]
     )
@@ -79,12 +80,12 @@ def measurement_route_pmf(ch: channels.QuantumMemoryChannel, state, x):
 
 def posterior_route(ch: channels.QuantumMemoryChannel, state, x, y):
     """Conditioned memory state straight from the channel pieces."""
-    joint = linalg.kron(state, ch.encodings[x])
-    fold = linalg.kron(ch.inter_use_unitary, np.eye(ch.transmit_dim))
+    joint = np.kron(state, ch.encodings[x])
+    fold = np.kron(ch.inter_use_unitary, np.eye(ch.transmit_dim))
     moved = sum((fold @ e) @ joint @ (fold @ e).conj().T for e in ch.kraus)
-    m_joint = linalg.kron(np.eye(ch.state_dim), ch.measurements[y])
+    m_joint = np.kron(np.eye(ch.state_dim), ch.measurements[y])
     selected = m_joint @ moved @ m_joint.conj().T
-    reduced = linalg.partial_trace(selected, (ch.state_dim, ch.transmit_dim), keep="first")
+    reduced = reference.partial_trace_oracle(selected, ch.state_dim, ch.transmit_dim, "first")
     return reduced / np.trace(reduced).real
 
 
@@ -560,6 +561,22 @@ class TestBinaryDraw:
         t = channels.TransferOperatorSet(w.reshape(1, 2, 1, 1), np.eye(1))
         picks, _ = sampling._sample_outputs_quantum(t, np.zeros(3, dtype=np.int64), FixedUniforms([u] * 3))
         assert picks.tolist() == [1 - negative] * 3
+
+    @pytest.mark.parametrize(
+        "w0, w1", [(0.3, 0.7), (0.0, 1.0), (1.0, 0.0), (-1e-12, 1.0), (1.0, -1e-12)]
+    )
+    @pytest.mark.parametrize("trace", [1.0, 2.0**-300])
+    def test_table_walk_draws_the_pair_loops_binary_rule(self, w0, w1, trace):
+        """The one-step words walk the two-entry table (``_draw``), the pair
+        words compare inline: both pick output 0 exactly when
+        ``u < w0 / total`` on the unclipped total, at the boundary, at a
+        zero weight and at a tiny negative one clipped by the walk."""
+        w0, w1 = w0 * trace, w1 * trace
+        edge = w0 / (w0 + w1)
+        us = [u for u in [*np.arange(100) / 100, edge, np.nextafter(edge, 0.0),
+                          np.nextafter(edge, 1.0), 1.0 - 2.0**-53] if 0.0 <= u < 1.0]
+        for u in us:
+            assert sampling._draw([w0, w1], trace, float(u), 0) == (0 if u < edge else 1)
 
 
 # A rare input symbol carries each planted fault, so the guard first
