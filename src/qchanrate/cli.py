@@ -14,7 +14,9 @@ Verbs:
   oracle    small-length exact check of the recursions against brute force
 
 Exit codes: 0 success, 2 configuration/validation failure, 3 runtime
-failure.  Failures print one line ``error[<category>]: <message>``.
+failure, running out of memory included.  Failures print one line
+``error[<category>]: <message>``.  Every verb checks its output paths
+before it samples or computes.
 """
 
 from __future__ import annotations
@@ -31,14 +33,7 @@ from . import channels, rates
 from .config import instantiate_channel, load_config, parse_seeds
 from .errors import ConfigError, QchanrateError
 from .oracle import MAX_ORACLE_N, brute_force_oracle
-from .runner import (
-    check_writable,
-    evaluate_samples,
-    run_experiment,
-    write_errors_csv,
-    write_output,
-    write_rows_csv,
-)
+from .runner import check_writable, evaluate_samples, run_experiment, write_results
 from .sampling import MAX_SEED, load_trajectory, sample_trajectory, save_trajectory
 
 ORACLE_CHECK_TOL = 1e-9
@@ -157,12 +152,8 @@ def cmd_bound(args) -> int:
         check_writable(csv_path, errors_path)
         # estimators are auxiliaries only, so no channel model is needed
         rows, errors = evaluate_samples(cfg, [(0.0, None, traj)], args.timings)
-        rows.sort(key=lambda r: (r.sweep_value, r.estimator_id, r.seed))
-        errors.sort(key=lambda e: (e.sweep_value, e.estimator_id, e.seed))
-        write_output(csv_path, write_rows_csv, "external", rows)
+        write_results(csv_path, errors_path, "external", rows, errors)
         print(f"wrote {csv_path} ({len(rows)} rows)")
-        if errors:
-            write_output(errors_path, write_errors_csv, "external", errors)
         for e in errors:
             print(f"warning: {e.estimator_id} failed [{e.category}]: {e.message}")
         if not rows:
@@ -180,6 +171,7 @@ def cmd_sample(args) -> int:
     seed = args.seed if args.seed is not None else cfg.seeds[0]
     if not 0 <= seed <= MAX_SEED:
         raise ConfigError("--seed", f"seed must lie in [0, 2^64 - 1], got {seed}")
+    check_writable(args.output, option="--output")
     traj = sample_trajectory(model, cfg.input_law, n, seed)
     try:
         save_trajectory(traj, args.output)
@@ -272,6 +264,10 @@ def main(argv=None) -> int:
         return 2
     except QchanrateError as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # numpy's subclass names the allocation
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error[MemoryError]: out of memory{detail}", file=sys.stderr)
         return 3
 
 

@@ -319,11 +319,13 @@ def write_rows_csv(path, sweep_param: str, rows) -> None:
             fh.write(",".join(fields) + "\n")
 
 
-def _unwritable(path, reason: str) -> ConfigError:
-    return ConfigError(str(path), f"cannot write file: {reason}")
+def _unwritable(path, reason: str, option: str | None = None) -> ConfigError:
+    if option is None:
+        return ConfigError(str(path), f"cannot write file: {reason}")
+    return ConfigError(option, f"cannot write {path}: {reason}")
 
 
-def write_output(path, write, *args, **kwargs) -> None:
+def _write_output(path, write, *args, **kwargs) -> None:
     """``write(path, *args, **kwargs)``; a file that cannot be written (a
     directory of that name, say) is a ``ConfigError`` naming it."""
     try:
@@ -332,10 +334,11 @@ def write_output(path, write, *args, **kwargs) -> None:
         raise _unwritable(path, exc.strerror) from None
 
 
-def check_writable(*paths) -> None:
-    """Raise the ``ConfigError`` that ``write_output`` would raise on the
+def check_writable(*paths, option: str | None = None) -> None:
+    """Raise the ``ConfigError`` that ``_write_output`` would raise on the
     first of ``paths`` that cannot be written, without creating any file,
-    so that a run fails before it computes anything."""
+    so that a run fails before it computes anything.  Given the command
+    line ``option`` that named the path, the error names the option."""
     for path in map(Path, paths):
         if path.is_dir():
             code = errno.EISDIR
@@ -346,10 +349,10 @@ def check_writable(*paths) -> None:
         else:
             code = None if os.access(path.parent, os.W_OK | os.X_OK) else errno.EACCES
         if code is not None:
-            raise _unwritable(path, os.strerror(code))
+            raise _unwritable(path, os.strerror(code), option)
 
 
-def write_errors_csv(path, sweep_param: str, errors) -> None:
+def _write_errors_csv(path, sweep_param: str, errors) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(ERROR_COLUMNS) + "\n")
         for e in errors:
@@ -361,6 +364,16 @@ def write_errors_csv(path, sweep_param: str, errors) -> None:
                 )
                 + "\n"
             )
+
+
+def write_results(csv_path, errors_path, sweep_param: str, rows: list, errors: list) -> None:
+    """Sort ``rows`` and ``errors`` in place by (sweep value, estimator,
+    seed), write the rows' CSV, and the errors' CSV if there are any."""
+    rows.sort(key=lambda r: (r.sweep_value, r.estimator_id, r.seed))
+    errors.sort(key=lambda e: (e.sweep_value, e.estimator_id, e.seed))
+    _write_output(csv_path, write_rows_csv, sweep_param, rows)
+    if errors:
+        _write_output(errors_path, _write_errors_csv, sweep_param, errors)
 
 
 def _svg_series(rows) -> list[Series]:
@@ -443,16 +456,10 @@ def run_experiment(
     for got_rows, got_errors in _chunk_results(cfg, _chunks(cfg, tasks), workers, timings):
         rows.extend(got_rows)
         errors.extend(got_errors)
-
-    rows.sort(key=lambda r: (r.sweep_value, r.estimator_id, r.seed))
-    errors.sort(key=lambda e: (e.sweep_value, e.estimator_id, e.seed))
-
-    write_output(csv_path, write_rows_csv, cfg.sweep.parameter, rows)
-    if errors:
-        write_output(errors_path, write_errors_csv, cfg.sweep.parameter, errors)
+    write_results(csv_path, errors_path, cfg.sweep.parameter, rows, errors)
     write_svg = write_svg and bool(rows)
     if write_svg:
-        write_output(
+        _write_output(
             svg_path,
             write_line_plot,
             _svg_series(rows),

@@ -7,12 +7,13 @@ recorded on every trajectory.  Stream layout per trajectory: the first
 for the initial latent state followed by ``n`` uniforms for the joint
 (next state, output) draws, or (quantum models) ``n`` uniforms for the
 output draws.  Categorical draws go through an inverse-CDF walk over
-Kahan-compensated cumulative weights.  A pair word of a quantum model
-with two outputs draws each step by one comparison instead, output 0
-when ``u < w0 / total``: the first Kahan carry is exactly 0, so the
-table of two weights is ``[w0 / total, w0 / total + w1 / total]``, in
-order, and the walk over it picks the same output.  The odd last step,
-one-step words and larger output alphabets walk the table.
+Kahan-compensated cumulative weights.  A pair word (two steps of a
+quantum model with two outputs, below) draws each step by one
+comparison instead, output 0 when ``u < w0 / total``: the first Kahan
+carry is exactly 0, so the table of two weights is
+``[w0 / total, w0 / total + w1 / total]``, in order, and the walk over
+it picks the same output.  The odd last step and one-step words walk
+the table.
 
 Classical models (a ``Dmc`` runs as a one-state ``ClassicalFsmc``) build
 the guarded pmf of each (state, input) pair, its Kahan cumulative table
@@ -23,18 +24,19 @@ During quantum sampling the memory is tracked as the conditional state
 given everything sent and observed so far, in the real packed form of
 ``linalg.real_transfer_form``.  Each input's real step matrices for every
 output sit side by side, followed by one column per output that closes
-them with the trace.  The sampler walks the trajectory in words of two
-steps, one real vector-matrix product each.  Once per trajectory it
-builds, for every input pair (x, x'), a table of S*S rows: the Y*Y
-states after each output pair (y, y') side by side (the products of the
-two steps' matrices), then the first step's Y trace columns, then the
-Y*Y second-step trace columns of (y, y').  One product and one
-``tolist`` of the weight columns give both steps; the first draw picks y
-from the first step's weights, and the second draw reads the Y weights
-of branch y.  A final odd step is a one-step word, one product of the
-input's step matrix; a model whose pair tables would hold more than
-``PAIR_BUDGET`` entries walks one-step words only.  The pmf guards and
-the draws run on Python floats (summed in numpy's ``add.reduce`` order).
+them with the trace.  A model with two outputs walks the trajectory in
+words of two steps, one real vector-matrix product each.  Once per
+trajectory it builds, for every input pair (x, x'), a table of S*S rows:
+the four states after each output pair (y, y') side by side (the
+products of the two steps' matrices), then the first step's weights
+w0, w1, then the second step's a0, a1 after y = 0 and b0, b1 after
+y = 1.  One product and one ``tolist`` of these six weights give both
+steps; the first draw picks y from w0, w1, and the second draw reads
+branch y's pair.  A final odd step is a one-step word, one product of
+the input's step matrix.  A model with any other number of outputs, or
+whose pair tables would hold more than ``PAIR_BUDGET`` entries, walks
+one-step words only.  The pmf guards and the draws run on Python floats
+(summed in numpy's ``add.reduce`` order).
 
 The state is carried unnormalized: a word multiplies the picked state's
 slice of the previous product, whose weight, the state's trace, is kept
@@ -49,9 +51,9 @@ Products alternate between two buffers allocated once per trajectory.
 The packed state is Hermitian by construction; the imaginary-residue and
 Hermiticity guards are measured once per input on its step matrices and
 trip at the first step that uses a failing input, in either position of
-a pair.  A zero or clipped weight drawn through roundoff leaves a NaN
-trace, so the next step's pmf guard trips: the second step of its pair,
-or the first step of the next word.
+a pair.  A zero or clipped weight drawn through roundoff by a one-step
+word leaves a NaN trace, so the next word's first pmf guard trips; a
+pair word's comparison never picks a weight <= 0.
 
 The carried state is the joint recursion's: conditioned on the inputs
 and outputs so far.  So the picked weight over the trace is
@@ -106,8 +108,9 @@ STATE_HERMITICITY_GUARD = 1e-9
 # keeps the state's entries far above the subnormal range (below 2**-1022).
 RESCALE_FLOOR = 2.0**-500
 
-# Most entries that a quantum model's two-step tables (one per input
-# pair) may hold; a larger model walks its trajectory one step a product.
+# Most entries that a two-output quantum model's two-step tables (one per
+# input pair) may hold; a larger model walks its trajectory one step a
+# product.
 PAIR_BUDGET = 2**16
 
 
@@ -284,17 +287,19 @@ def _quantum_step_matrices(
 
 def _pair_tables(steps: list[np.ndarray], y_size: int) -> list[np.ndarray] | None:
     """Per input pair (x, x'), at ``x * X + x'``: the real
-    (S*S, Y*Y*S*S + Y + Y*Y) table of two steps, built from the step
-    matrices of ``_quantum_step_matrices``.  Its columns are the states
-    after each output pair (y, y'), at ``y * Y + y'``, side by side, the
-    first step's Y trace columns, then the Y*Y second-step trace columns
-    of (y, y').  None when the tables would hold more than
+    (S*S, 4*S*S + 6) table of two steps of a two-output model, built from
+    the step matrices of ``_quantum_step_matrices``.  Its columns are the
+    four states after each output pair (y, y'), at ``2 * y + y'``, side by
+    side, then the first step's weights w0, w1, then the second step's
+    a0, a1 after y = 0 and b0, b1 after y = 1.  None for any other output
+    alphabet, whose words of two steps were measured no faster than
+    one-step words, and when the tables would hold more than
     ``PAIR_BUDGET`` entries."""
     x_size = len(steps)
     d = steps[0].shape[0]
     span = y_size * d  # state columns of one step
     cols = y_size * span + y_size + y_size * y_size
-    if x_size * x_size * d * cols > PAIR_BUDGET:
+    if y_size != 2 or x_size * x_size * d * cols > PAIR_BUDGET:
         return None
     stacked = np.stack(steps)  # (X, S*S, Y*S*S + Y)
     mats = stacked[:, :, :span].reshape(x_size, d, y_size, d).transpose(0, 2, 1, 3)
@@ -389,7 +394,6 @@ def _sample_outputs_quantum(
     trace = 1.0  # of the carried state
     picks = []  # of a word: the output pair at y * Y + y', or the output
     ratios = []  # the picked weight over the trace; the rescale leaves it unchanged
-    binary = y_size == 2
     negative_guard, sum_guard = PMF_NEGATIVE_GUARD, PMF_SUM_GUARD
     # zip stops at the exhausted range before it takes a leg, so the
     # one-step words go on from the buffer that the pair words wrote last
@@ -397,54 +401,35 @@ def _sample_outputs_quantum(
         range(0, paired, 2), xs[0:paired:2], xs[1:paired:2], us[0:paired:2], us[1:paired:2], legs
     ):
         dots[pick](pairs[x0 * x_size + x1], out=out)
-        if binary:
-            w0, w1, a0, a1, b0, b1 = weight_view.tolist()
-            if failing[x0]:
-                _input_guards(imag[x0], herm[x0], [w0, w1], trace, step)
-            lo = w1 if w1 < w0 else w0  # builtin min, NaN included
-            total = w0 + w1  # _add_reduce on two terms
-            if not (lo >= negative_guard * trace and abs(total - trace) <= sum_guard * trace):
-                _check_pmf(lo / trace, total / trace, step)
-            # _draw's table walk without the clip or the clamp to the last
-            # positive index: neither changes the pick while u < 1, since a
-            # w0 <= 0 loses to every u and a w1 <= 0 makes w0 / total >= 1 > u.
-            # So the picked weight w is positive.
-            if u0 < w0 / total:
-                pick, w = 0, w0
-            else:
-                pick, w, a0, a1 = 2, w1, b0, b1
-            ratios.append(w / trace)
-            if failing[x1]:
-                _input_guards(imag[x1], herm[x1], [a0, a1], w, step + 1)
-            lo = a1 if a1 < a0 else a0
-            total = a0 + a1
-            if not (lo >= negative_guard * w and abs(total - w) <= sum_guard * w):
-                _check_pmf(lo / w, total / w, step + 1)
-            if u1 < a0 / total:
-                trace = a0
-            else:
-                pick += 1
-                trace = a1
-            ratios.append(trace / w)
-            picks.append(pick)
+        w0, w1, a0, a1, b0, b1 = weight_view.tolist()
+        if failing[x0]:
+            _input_guards(imag[x0], herm[x0], [w0, w1], trace, step)
+        lo = w1 if w1 < w0 else w0  # builtin min, NaN included
+        total = w0 + w1  # _add_reduce on two terms
+        if not (lo >= negative_guard * trace and abs(total - trace) <= sum_guard * trace):
+            _check_pmf(lo / trace, total / trace, step)
+        # _draw's table walk without the clip or the clamp to the last
+        # positive index: neither changes the pick while u < 1, since a
+        # w0 <= 0 loses to every u and a w1 <= 0 makes w0 / total >= 1 > u.
+        # So the picked weight w is positive.
+        if u0 < w0 / total:
+            pick, w = 0, w0
         else:
-            weights = weight_view.tolist()
-            head = weights[:y_size]
-            if failing[x0]:
-                _input_guards(imag[x0], herm[x0], head, trace, step)
-            y0 = _draw(head, trace, u0, step)
-            w = head[y0]
-            ratios.append(w / trace)
-            if not w > 0.0:
-                w = nan  # the second step's pmf guard trips
-            branch = weights[(y0 + 1) * y_size:(y0 + 2) * y_size]
-            if failing[x1]:
-                _input_guards(imag[x1], herm[x1], branch, w, step + 1)
-            y1 = _draw(branch, w, u1, step + 1)
-            trace = branch[y1]
-            ratios.append(trace / w)
-            pick = y0 * y_size + y1
-            picks.append(pick)
+            pick, w, a0, a1 = 2, w1, b0, b1
+        ratios.append(w / trace)
+        if failing[x1]:
+            _input_guards(imag[x1], herm[x1], [a0, a1], w, step + 1)
+        lo = a1 if a1 < a0 else a0
+        total = a0 + a1
+        if not (lo >= negative_guard * w and abs(total - w) <= sum_guard * w):
+            _check_pmf(lo / w, total / w, step + 1)
+        if u1 < a0 / total:
+            trace = a0
+        else:
+            pick += 1
+            trace = a1
+        ratios.append(trace / w)
+        picks.append(pick)
         if trace < RESCALE_FLOOR:
             trace = _rescaled(trace, out)
     for step, x0, u0, (dots, _, _, out, weight_view) in zip(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import qchanrate as qc
-from qchanrate import config, rates, runner
+from qchanrate import cli, config, rates, runner
 from qchanrate.bounds import lower_bound
 from qchanrate.cli import main
 from qchanrate.config import instantiate_channel, load_config
@@ -544,25 +544,42 @@ class TestRunner:
     def test_quantum_ir_row_with_burn_in_matches_estimates(self, tmp_path):
         """A quantum ``ir`` row takes its joint sum from the sampler's logs
         from the burn-in on: ``hx`` and ``hy`` equal the per-point
-        estimates bit for bit, ``hxy`` and ``ir`` within 1e-12."""
-        cfg = load_config(
-            write_config(
-                tmp_path,
-                channel={"kind": "quantum_ge_2qubit", "p_g": 0.05, "p_b": 0.4, "alpha": 1.2},
-                n=1500,
-                seeds=[7],
-                burn_in=400,
-                sweep={"parameter": "p_b", "values": [0.4]},
+        estimates bit for bit, ``hxy`` and ``ir`` within 1e-12.  Checked
+        on the two-qubit channel, sampled in pair words, and on a random
+        three-output ``custom_kraus`` one, sampled in one-step words."""
+
+        def matrices(ms):
+            return [[[[v.real, v.imag] for v in row] for row in m] for m in ms]
+
+        ch = qc.random_quantum_memory_channel(np.random.default_rng(5), state_dim=2, y_size=3)
+        three_outputs = {
+            "kind": "custom_kraus", "state_dim": 2,
+            "encodings": matrices(ch.encodings), "kraus": matrices(ch.kraus),
+            "measurements": matrices(ch.measurements),
+            "unitary": matrices([ch.inter_use_unitary])[0],
+            "initial_state": matrices([ch.initial_state])[0],
+        }
+        two_qubit = {"kind": "quantum_ge_2qubit", "p_g": 0.05, "p_b": 0.4, "alpha": 1.2}
+        for channel, y_size in ((two_qubit, 2), (three_outputs, 3)):
+            cfg = load_config(
+                write_config(
+                    tmp_path,
+                    channel=channel,
+                    n=1500,
+                    seeds=[7],
+                    burn_in=400,
+                    sweep={"parameter": "n", "values": [1500]},
+                )
             )
-        )
-        (row,), errors = runner.evaluate_chunk(cfg, [(0.4, 7)])
-        assert not errors
-        model = instantiate_channel(cfg.channel)
-        traj = sample_trajectory(model, cfg.input_law, 1500, 7)
-        r = entropy_rate_estimates(model, cfg.input_law, traj, burn_in=400)
-        assert (row.hx_bits, row.hy_bits) == (r.hx, r.hy)
-        assert abs(row.hxy_bits - r.hxy) <= 1e-12
-        assert abs(row.ir_bits - r.ir) <= 1e-12
+            (row,), errors = runner.evaluate_chunk(cfg, [(1500, 7)])
+            assert not errors
+            model = instantiate_channel(cfg.channel)
+            assert model.y_size == y_size
+            traj = sample_trajectory(model, cfg.input_law, 1500, 7)
+            r = entropy_rate_estimates(model, cfg.input_law, traj, burn_in=400)
+            assert (row.hx_bits, row.hy_bits) == (r.hx, r.hy)
+            assert abs(row.hxy_bits - r.hxy) <= 1e-12
+            assert abs(row.ir_bits - r.ir) <= 1e-12
 
     def test_quantum_stacks_hold_only_output_recursions(self, tmp_path, monkeypatch):
         """A two-qubit ``ir`` sweep runs no joint recursion: every
@@ -1194,6 +1211,32 @@ class TestCli:
         assert len(lines) == 1
         assert lines[0].startswith(f"error[ConfigError]: {out_dir / blocked}: cannot write file: ")
         assert not sampled
+
+    def test_sample_checks_output_before_sampling(self, tmp_path, capsys, monkeypatch):
+        """An output path in a missing directory exits 2 before the sampler
+        is called."""
+        cfg_path = write_config(tmp_path)
+        sampled = []
+        monkeypatch.setattr(cli, "sample_trajectory", lambda *args: sampled.append(args))
+        out = tmp_path / "no" / "t.txt"
+        assert main(["sample", str(cfg_path), "-o", str(out), "--n", "1000000"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error[ConfigError]: --output: cannot write {out}: No such file or directory"]
+        assert not sampled
+
+    def test_out_of_memory_exits_3(self, tmp_path, capsys, monkeypatch):
+        """Running out of memory is one error line with exit 3, not a
+        traceback (the sampler's failure is planted, nothing is allocated)."""
+        cfg_path = write_config(tmp_path)
+
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(cli, "sample_trajectory", exhausted)
+        assert main(["sample", str(cfg_path), "-o", str(tmp_path / "t.txt")]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["error[MemoryError]: out of memory: Unable to allocate 745. GiB for an array"]
+        assert not (tmp_path / "t.txt").exists()
 
     @pytest.mark.parametrize("verb", ["estimate", "bound"])
     def test_n_override_on_n_sweep_exits_2(self, tmp_path, capsys, verb):

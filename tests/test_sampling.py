@@ -452,19 +452,24 @@ def pair_tables(t):
 
 
 class TestPairWords:
-    """The sampler walks its steps in words of two, one product of a pair
-    table each; a last odd step, and every step of a model above
-    ``PAIR_BUDGET``, is a one-step word."""
+    """A two-output model walks its steps in words of two, one product of
+    a pair table each; a last odd step, every step of a model above
+    ``PAIR_BUDGET`` and every step of a model with any other number of
+    outputs is a one-step word."""
 
     @pytest.mark.parametrize("model", real_form_models(), ids=lambda t: f"S{t.state_dim}")
     def test_pair_table_matches_two_steps(self, model):
-        """The packed state times a pair table gives the state after each
-        output pair (y, y'), the first step's weights and the second
-        step's weights on each branch, as two one-step products do."""
+        """For a two-output model, the packed state times a pair table
+        gives the state after each output pair (y, y'), the first step's
+        weights and the second step's weights on each branch, as two
+        one-step products do.  Other alphabets get no tables."""
         rng = np.random.default_rng(34)
         x_size, y_size, d = model.x_size, model.y_size, model.state_dim ** 2
         steps, _, _ = sampling._quantum_step_matrices(model)
         tables = sampling._pair_tables(steps, y_size)
+        if y_size != 2:
+            assert tables is None
+            return
         sigma = channels._random_density(rng, model.state_dim)
         packed = linalg.pack_hermitian(sigma).reshape(d)
         for x0, x1 in itertools.product(range(x_size), repeat=2):
@@ -483,11 +488,19 @@ class TestPairWords:
     @pytest.mark.parametrize("n", [1, 2, 1001])
     @pytest.mark.parametrize("name", ["quantum_ge", "random"])
     def test_matches_single_step_route(self, name, n):
-        """One odd step, one pair, and pairs then an odd step; the random
-        S=3, X=3, Y=3 model walks the cumulative table on both steps of
-        a pair."""
-        t = random_model(30, 3, 3, 3) if name == "random" else pinned_model(name)
+        """One odd step, one pair, and pairs then an odd step, on the
+        pinned model and a random S=3, X=3, Y=2 one."""
+        t = random_model(30, 3, 3, 2) if name == "random" else pinned_model(name)
         assert pair_tables(t) is not None
+        assert_matches_single_step_route(t, n, 7)
+
+    @pytest.mark.parametrize("n", [301, 302])
+    @pytest.mark.parametrize("y_size", [3, 4])
+    def test_wider_alphabet_walks_one_step_words(self, y_size, n):
+        """A model with three or four outputs gets no pair tables, however
+        small, and draws the single-step route's outputs."""
+        t = random_model(35, 2, 2, y_size)
+        assert pair_tables(t) is None
         assert_matches_single_step_route(t, n, 7)
 
     @pytest.mark.parametrize("name, seed", [("quantum_ge", 2**64 - 1), ("two_qubit", 1)])
@@ -623,8 +636,10 @@ def planted_classical(fault):
     return channels.ClassicalFsmc(kernel, np.array([0.5, 0.5]))
 
 
-# Output 1 has zero weight on both inputs; three outputs take the
-# cumulative table, whose bisection zero_weight_draw overrides.
+# Output 1 has zero weight on both inputs; three outputs walk one-step
+# words, each bisecting the cumulative table, whose bisection
+# zero_weight_draw overrides.  (A two-output pair word never picks a zero
+# weight: see TestBinaryDraw.)
 ZERO_WEIGHT_MODEL = qc.embed_classical_as_quantum(
     channels.ClassicalFsmc(
         np.array([[[[0.5, 0.0, 0.5]], [[0.25, 0.0, 0.75]]]]), np.array([1.0])  # (S, X, S, Y)
@@ -709,21 +724,23 @@ class TestSamplerGuards:
     def test_zero_weight_pick_trips_next_step(self, monkeypatch):
         """Kahan roundoff can draw an output of zero weight, leaving a
         carried state of zero trace: the next step's pmf guard trips, here
-        after a pair word."""
+        after an odd step."""
         zero_weight_draw(monkeypatch, 5)
         with pytest.raises(NumericalCorruptionError, match=r"below the roundoff guard at step 6$"):
             qc.sample_trajectory(ZERO_WEIGHT_MODEL, qc.uniform_input(), 50, 3)
 
     def test_zero_weight_pick_on_first_step_of_pair_trips_second(self, monkeypatch):
+        """The same after an even step, which would open a pair word if
+        the model had two outputs."""
         zero_weight_draw(monkeypatch, 4)
         with pytest.raises(NumericalCorruptionError, match=r"below the roundoff guard at step 5$"):
             qc.sample_trajectory(ZERO_WEIGHT_MODEL, qc.uniform_input(), 50, 3)
 
     @pytest.mark.parametrize("n", [7, 8])
     def test_zero_weight_pick_on_last_step_leaves_non_finite_log(self, monkeypatch, n):
-        """No later guard sees a zero weight drawn on the last step, a
-        one-step word (n = 7) or the second step of a pair (n = 8): its
-        log is not finite, and the joint logs report it."""
+        """No later guard sees a zero weight drawn on the last step, at an
+        odd or an even n: its log is not finite, and the joint logs
+        report it."""
         zero_weight_draw(monkeypatch, n - 1)
         q = qc.uniform_input()
         traj = qc.sample_trajectory(ZERO_WEIGHT_MODEL, q, n, 3)
