@@ -13,6 +13,10 @@ Verbs:
   sample    draw one trajectory from the configured channel to a file
   oracle    small-length exact check of the recursions against brute force
 
+Results are a pure function of the config and the --seeds and --n
+given: the same run writes the same CSV and SVG bytes under any
+--threads, and the CSV's wallclock_seconds column is always 0.0.
+
 Exit codes: 0 success, 2 configuration/validation failure, 3 runtime
 failure, running out of memory included.  Failures print one line
 ``error[<category>]: <message>``.  Every verb checks its output paths
@@ -47,12 +51,6 @@ def _add_run_flags(sub):
     sub.add_argument(
         "--threads", type=int,
         help="worker processes (default: the CPUs this process may use)",
-    )
-    sub.add_argument(
-        "--timings",
-        action="store_true",
-        help="record each row's set-up time plus its share of the stacked recursions "
-        "(breaks byte-for-byte reproducibility)",
     )
 
 
@@ -112,7 +110,6 @@ def _run(cfg, args) -> int:
         _out_dir(args),
         workers=_usable_cpus() if args.threads is None else args.threads,
         write_svg=not args.no_svg,
-        timings=args.timings,
     )
     print(f"wrote {out.csv_path} ({len(out.rows)} rows)")
     if out.svg_path:
@@ -151,7 +148,7 @@ def cmd_bound(args) -> int:
         errors_path = csv_path.with_suffix(".errors.csv")
         check_writable(csv_path, errors_path)
         # estimators are auxiliaries only, so no channel model is needed
-        rows, errors = evaluate_samples(cfg, [(0.0, None, traj)], args.timings)
+        rows, errors = evaluate_samples(cfg, [(0.0, None, traj)])
         write_results(csv_path, errors_path, "external", rows, errors)
         print(f"wrote {csv_path} ({len(rows)} rows)")
         for e in errors:

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import PurePath
 
 import numpy as np
 
@@ -82,7 +83,6 @@ class ExperimentConfig:
     burn_in: int = 0
     csv_name: str = "results.csv"
     svg_name: str = "results.svg"
-    source_path: str | None = field(default=None, compare=False)
 
 
 def _fail(path: str, msg: str):
@@ -372,6 +372,10 @@ def load_config(path) -> ExperimentConfig:
         label = node.get("label", f"{kind}-{i}")
         if not isinstance(label, str):
             _fail(f"auxiliaries[{i}].label", "expected a string")
+        # the label goes unescaped into the CSV's estimator ids and the SVG legend
+        if not label or not label.isprintable() or set(label) & set(',"<>&'):
+            _fail(f"auxiliaries[{i}].label",
+                  f"expected a nonempty printable label without , \" < > or &, got {label!r}")
         if label in seen_labels:
             _fail(f"auxiliaries[{i}].label", f"duplicate label {label!r}")
         seen_labels.add(label)
@@ -392,8 +396,12 @@ def load_config(path) -> ExperimentConfig:
     csv_name = out_node.get("csv", "results.csv")
     svg_name = out_node.get("svg", "results.svg")
     for key, value in (("csv", csv_name), ("svg", svg_name)):
-        if not isinstance(value, str) or not value:
-            _fail(f"output.{key}", "expected a nonempty file name")
+        if (not isinstance(value, str) or value in ("", ".", "..") or not value.isprintable()
+                or set(value) & set("/\\")):
+            _fail(f"output.{key}", f"expected a plain file name, got {value!r}")
+    errors_name = PurePath(csv_name).with_suffix(".errors.csv").name
+    if svg_name in (csv_name, errors_name):
+        _fail("output.svg", f"{svg_name!r} would overwrite the CSV or its errors file")
 
     # Building the base channel and the auxiliaries exercises every model
     # invariant; sweeps re-apply overrides to an already-valid spec.
@@ -421,5 +429,4 @@ def load_config(path) -> ExperimentConfig:
         burn_in=burn_in,
         csv_name=csv_name,
         svg_name=svg_name,
-        source_path=str(path),
     )

@@ -23,12 +23,9 @@ Rows are gathered and sorted deterministically before writing; per-row
 estimation failures are recorded in a companion errors file and the run
 continues.
 
-``wallclock_seconds`` is written as 0 unless timing capture is switched
-on: measured times would break the byte-for-byte reproducibility of the
-output, which is the stronger contract.  With it, a row's time is its
-own set-up (building its step matrices) plus an equal share, per
-recursion, of each engine call that ran it; a quantum ``ir`` row is
-charged for no joint recursion.
+The CSV is a pure function of the config and the seeds: its
+``wallclock_seconds`` column is always ``0.0``, since a measured time
+would break byte-for-byte reproducibility.
 
 Output paths that cannot be written are reported before the first
 chunk.  A pool has at most one worker per chunk.  A chunk that fails
@@ -46,7 +43,6 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from time import perf_counter
 
 import numpy as np
 
@@ -106,7 +102,6 @@ class ResultRow:
     hx_bits: float
     hy_bits: float
     hxy_bits: float
-    wallclock_seconds: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -180,25 +175,18 @@ class _PendingRow:
     sum_x: float
     outcomes: list
     auxiliary: str | None  # label of the auxiliary model, None for ir
-    seconds: float
 
 
-def _run_stack(members: list[tuple[_PendingRow, int]], since) -> None:
-    """Run the recursions ``row.outcomes[slot]`` as one engine stack; each
-    row is charged an equal share of the call per recursion."""
-    started = perf_counter()
+def _run_stack(members: list[tuple[_PendingRow, int]]) -> None:
+    """Run the recursions ``row.outcomes[slot]`` as one engine stack."""
     outcomes = rates.stacked_forward_logs([row.outcomes[slot] for row, slot in members])
-    share = since(started) / len(members)
     for (row, slot), logs in zip(members, outcomes):
-        row.seconds += share
         if not isinstance(logs, QchanrateError):
             logs = float(logs[row.burn_in:].sum())
         row.outcomes[slot] = logs
 
 
-def evaluate_chunk(
-    cfg: ExperimentConfig, tasks, timings: bool = False
-) -> tuple[list[ResultRow], list[RowError]]:
+def evaluate_chunk(cfg: ExperimentConfig, tasks) -> tuple[list[ResultRow], list[RowError]]:
     """Run every configured estimator at each (sweep value, seed) task.
 
     Each task builds its channel and samples its own trajectory, and
@@ -217,7 +205,7 @@ def evaluate_chunk(
             errors.extend(_row_error(value, est_id, seed, exc) for est_id, _ in _estimators(cfg))
             continue
         samples.append((value, model, traj))
-    rows, row_errors = evaluate_samples(cfg, samples, timings)
+    rows, row_errors = evaluate_samples(cfg, samples)
     return rows, errors + row_errors
 
 
@@ -225,9 +213,7 @@ def _row_error(value, est_id: str, seed: int, exc: QchanrateError) -> RowError:
     return RowError(float(value), est_id, seed, type(exc).__name__, str(exc))
 
 
-def evaluate_samples(
-    cfg: ExperimentConfig, samples, timings: bool = False
-) -> tuple[list[ResultRow], list[RowError]]:
+def evaluate_samples(cfg: ExperimentConfig, samples) -> tuple[list[ResultRow], list[RowError]]:
     """Run every configured estimator on each (sweep value, model,
     trajectory) sample; a row takes its seed and n from the trajectory.
 
@@ -239,20 +225,11 @@ def evaluate_samples(
     recursion's logs are reduced to their sum at once.  A quantum ``ir``
     row's joint sum comes from its sampler's logs instead, and the row
     runs no joint recursion.
-
-    With ``timings`` each row's ``wallclock_seconds`` is its own set-up
-    (building its step matrices) plus, for each of its recursions, an
-    equal share of the engine call that ran it; the channel and the
-    trajectory are not counted.
     """
     rows: list[ResultRow] = []
     errors: list[RowError] = []
     q = cfg.input_law
     estimators = _estimators(cfg)
-
-    def since(started: float) -> float:
-        return perf_counter() - started if timings else 0.0
-
     pending: list[_PendingRow] = []
     for value, model, traj in samples:
         try:
@@ -264,9 +241,7 @@ def evaluate_samples(
             burn_in = cfg.burn_in if aux is None else 0
             # the sampler's logs belong to the sampled model, the ir row's target
             sampled = aux is None and traj.conditional_log_loss is not None
-            started = perf_counter()
             recs = pair_recursions(model if aux is None else aux.model, q, traj, joint=not sampled)
-            seconds = since(started)
             if sampled:
                 try:
                     recs.append(float(sampled_joint_logs(log_px, traj)[burn_in:].sum()))
@@ -274,7 +249,7 @@ def evaluate_samples(
                     recs.append(exc)
             pending.append(_PendingRow(
                 float(value), est_id, traj.seed, traj.n, burn_in, float(log_px[burn_in:].sum()),
-                recs, None if aux is None else aux.label, seconds,
+                recs, None if aux is None else aux.label,
             ))
 
     stacks: dict[tuple, list[tuple[_PendingRow, int]]] = {}
@@ -283,7 +258,7 @@ def evaluate_samples(
             if isinstance(rec, Recursion):
                 stacks.setdefault(stack_key(rec), []).append((row, slot))
     for members in stacks.values():
-        _run_stack(members, since)
+        _run_stack(members)
 
     for row in pending:
         exc = next((o for o in row.outcomes if isinstance(o, QchanrateError)), None)
@@ -294,7 +269,7 @@ def evaluate_samples(
             continue
         r = combine_sums(row.n, row.burn_in, row.sum_x, *row.outcomes)
         rows.append(ResultRow(
-            row.value, row.estimator_id, row.seed, row.n, r.ir, r.hx, r.hy, r.hxy, row.seconds
+            row.value, row.estimator_id, row.seed, row.n, r.ir, r.hx, r.hy, r.hxy
         ))
     return rows, errors
 
@@ -313,8 +288,7 @@ def write_rows_csv(path, sweep_param: str, rows) -> None:
         for r in rows:
             fields = (
                 sweep_param, _fmt(r.sweep_value), r.estimator_id, _fmt(r.seed), _fmt(r.n),
-                _fmt(r.ir_bits), _fmt(r.hx_bits), _fmt(r.hy_bits), _fmt(r.hxy_bits),
-                _fmt(r.wallclock_seconds),
+                _fmt(r.ir_bits), _fmt(r.hx_bits), _fmt(r.hy_bits), _fmt(r.hxy_bits), "0.0",
             )
             fh.write(",".join(fields) + "\n")
 
@@ -390,7 +364,7 @@ def _svg_series(rows) -> list[Series]:
     return series
 
 
-def _chunk_results(cfg: ExperimentConfig, chunks: list[list], workers: int, timings: bool) -> list:
+def _chunk_results(cfg: ExperimentConfig, chunks: list[list], workers: int) -> list:
     """``evaluate_chunk`` of every chunk, in order, in a pool of up to
     ``workers`` processes, at most one per chunk, or else in this one.
 
@@ -402,7 +376,7 @@ def _chunk_results(cfg: ExperimentConfig, chunks: list[list], workers: int, timi
     results = []
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         if pool is not None:
-            futures = [pool.submit(evaluate_chunk, cfg, chunk, timings) for chunk in chunks]
+            futures = [pool.submit(evaluate_chunk, cfg, chunk) for chunk in chunks]
         for k, chunk in enumerate(chunks, start=1):
             where = (
                 f"chunk {k} of {len(chunks)} "
@@ -410,7 +384,7 @@ def _chunk_results(cfg: ExperimentConfig, chunks: list[list], workers: int, timi
             )
             try:
                 if pool is None:
-                    results.append(evaluate_chunk(cfg, chunk, timings))
+                    results.append(evaluate_chunk(cfg, chunk))
                 else:
                     results.append(futures[k - 1].result())
             except BrokenProcessPool as exc:
@@ -431,7 +405,6 @@ def run_experiment(
     out_dir,
     workers: int = 1,
     write_svg: bool = True,
-    timings: bool = False,
 ) -> ExperimentOutput:
     """Execute the configured sweep and write CSV/SVG outputs.
 
@@ -453,7 +426,7 @@ def run_experiment(
     tasks = [(value, seed) for value in cfg.sweep.active_values() for seed in cfg.seeds]
     rows: list[ResultRow] = []
     errors: list[RowError] = []
-    for got_rows, got_errors in _chunk_results(cfg, _chunks(cfg, tasks), workers, timings):
+    for got_rows, got_errors in _chunk_results(cfg, _chunks(cfg, tasks), workers):
         rows.extend(got_rows)
         errors.extend(got_errors)
     write_results(csv_path, errors_path, cfg.sweep.parameter, rows, errors)

@@ -476,8 +476,7 @@ def sample_trajectory(model, q: InputLaw, n: int, seed: int) -> Trajectory:
 def save_trajectory(traj: Trajectory, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"n={traj.n} seed={traj.seed} gen={traj.generator_id}\n")
-        for xv, yv in zip(traj.x, traj.y):
-            fh.write(f"{xv} {yv}\n")
+        fh.write("".join(f"{xv} {yv}\n" for xv, yv in zip(traj.x.tolist(), traj.y.tolist())))
 
 
 def load_trajectory(path) -> Trajectory:

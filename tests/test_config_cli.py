@@ -45,12 +45,12 @@ QUANTUM_GE = {"kind": "quantum_ge", "p_g": 0.05, "p_b": 0.95, "alpha": 1.0}
 MULTI_CHUNK_N = 10000
 
 
-def dying_chunk(cfg, tasks, timings=False):
+def dying_chunk(cfg, tasks):
     """Stands in for ``runner.evaluate_chunk``: the worker ends at once."""
     os._exit(1)
 
 
-def failing_chunk(cfg, tasks, timings=False):
+def failing_chunk(cfg, tasks):
     """Stands in for ``runner.evaluate_chunk``: a fault outside the
     package's error types."""
     raise RuntimeError("planted fault")
@@ -238,6 +238,26 @@ class TestParsing:
                  "sweep": {"parameter": "p_b", "values": [0.95]}},
                 r"^channel\.p_g: expected a finite number, got an integer of 4001 digits$",
             ),
+            # output names are plain file names in --out-dir that overwrite no other output
+            *(
+                ({"output": {key: name}}, rf"^output\.{key}: expected a plain file name, got ")
+                for key, name in [
+                    ("csv", "../escape.csv"), ("svg", "sub/plot.svg"), ("csv", "a\\b.csv"),
+                    ("csv", ""), ("csv", "."), ("svg", ".."), ("csv", "a\x00b.csv"), ("svg", 5),
+                ]
+            ),
+            ({"output": {"csv": "same.csv", "svg": "same.csv"}},
+             r"^output\.svg: 'same\.csv' would overwrite the CSV or its errors file$"),
+            ({"output": {"csv": "r.csv", "svg": "r.errors.csv"}},
+             r"^output\.svg: 'r\.errors\.csv' would overwrite the CSV or its errors file$"),
+            # a label goes unescaped into the CSV and the SVG legend
+            *(
+                ({"estimators": ["aux_lower"],
+                  "auxiliaries": [{"kind": "bsc", "label": "ok", "p": 0.2},
+                                  {"kind": "bsc", "label": label, "p": 0.2}]},
+                 r"^auxiliaries\[1\]\.label: expected a nonempty printable label")
+                for label in ["", "a,b", 'a"b', "a<b", "a>b", "a&b", "a\nb", 'a,b<c&"d\n']
+            ),
         ],
     )
     def test_rejections(self, tmp_path, overrides, fragment):
@@ -358,55 +378,6 @@ class TestRunner:
         assert out.errors[0].estimator_id == "aux_lower:impossible"
         assert out.errors_path is not None and out.errors_path.exists()
         assert "AuxiliaryLikelihoodError" in out.errors_path.read_text()
-
-    def test_timings_cover_each_estimator_alone(self, tmp_path, monkeypatch):
-        """Under ``timings`` a row's wallclock is its own set-up (building
-        its step matrices) plus, per recursion, an equal share of the
-        engine call that ran it; the channel and the sampler are not
-        counted.  With a fake clock that only these calls advance,
-        by distinct amounts, every row reads exactly its own sum: the BSC
-        channel and auxiliary ``a`` (state size 1) share one engine call
-        of four recursions, the Gilbert-Elliott auxiliary ``b`` (state
-        size 2) has one of two."""
-        now = [0.0]
-
-        def costing(fn, seconds):
-            def timed(*args, **kwargs):
-                now[0] += seconds
-                return fn(*args, **kwargs)
-            return timed
-
-        monkeypatch.setattr(runner, "perf_counter", lambda: now[0])
-        for module, attr, seconds in [
-            (runner, "instantiate_channel", 1000.0),
-            (runner, "sample_trajectory", 200.0),
-            (runner, "pair_recursions", 0.125),
-            (rates, "stacked_forward_logs", 6.0),
-        ]:
-            monkeypatch.setattr(module, attr, costing(getattr(module, attr), seconds))
-        cfg = load_config(
-            write_config(
-                tmp_path,
-                seeds=[0],
-                n=200,
-                sweep={"parameter": "p", "values": [0.1]},
-                estimators=["ir", "aux_lower"],
-                auxiliaries=[
-                    {"kind": "bsc", "label": "a", "p": 0.2},
-                    {"kind": "gilbert_elliott", "label": "b", "p_g": 0.1, "p_b": 0.4,
-                     "transition": [[0.9, 0.1], [0.2, 0.8]]},
-                ],
-            )
-        )
-        rows, errors = runner.evaluate_chunk(cfg, [(0.1, 0)], timings=True)
-        assert not errors
-        assert {r.estimator_id: r.wallclock_seconds for r in rows} == {
-            "ir": 0.125 + 2 * 1.5,
-            "aux_lower:a": 0.125 + 2 * 1.5,
-            "aux_lower:b": 0.125 + 2 * 3.0,
-        }
-        rows, _ = runner.evaluate_chunk(cfg, [(0.1, 0)])
-        assert {r.wallclock_seconds for r in rows} == {0.0}
 
     def test_stacked_rows_match_per_point_estimates(self, tmp_path, monkeypatch):
         """The sweep runs its recursions stacked across points, yet every
@@ -1024,31 +995,21 @@ class TestCli:
                 b.ir_lower, b.hx, b.aux_hy, b.aux_hxy
             ]
 
-    def test_bound_trajectory_timings(self, tmp_path, monkeypatch):
-        """``--timings`` applies to ``bound --trajectory``: with a fake
-        clock that advances one second per reading, each row is charged
-        one second of set-up and half of each of its two stacks' seconds
-        (a BSC and a Gilbert-Elliott auxiliary, one stack of two
-        recursions each); without the flag every row reads 0."""
-        cfg_path = write_config(
-            tmp_path,
-            estimators=["aux_lower"],
-            auxiliaries=[{"kind": "bsc", "label": "a", "p": 0.2},
-                         dict(GE_PARAMS, kind="gilbert_elliott", label="b")],
+    def test_timings_flag_is_a_usage_error(self, tmp_path, capsys):
+        """Result files hold no measured times, so neither ``estimate`` nor
+        ``bound`` takes ``--timings``; argparse refuses it before any output
+        is written."""
+        path = write_config(
+            tmp_path, estimators=["aux_lower"],
+            auxiliaries=[{"kind": "bsc", "label": "a", "p": 0.2}],
         )
-        traj_path = tmp_path / "traj.txt"
-        assert main(["sample", str(cfg_path), "-o", str(traj_path)]) == 0
-        ticks = iter(range(10**6))
-        monkeypatch.setattr(runner, "perf_counter", lambda: float(next(ticks)))
-        argv = ["bound", str(cfg_path), "--trajectory", str(traj_path), "--out-dir"]
-        assert main(argv + [str(tmp_path / "t"), "--timings"]) == 0
-        _, rows = read_rows(tmp_path / "t" / "results.csv")
-        assert {r["estimator_id"]: r["wallclock_seconds"] for r in rows} == {
-            "aux_lower:a": "2.0", "aux_lower:b": "2.0"
-        }
-        assert main(argv + [str(tmp_path / "u")]) == 0
-        _, rows = read_rows(tmp_path / "u" / "results.csv")
-        assert {r["wallclock_seconds"] for r in rows} == {"0.0"}
+        out_dir = tmp_path / "o"
+        for verb in ("estimate", "bound"):
+            with pytest.raises(SystemExit) as exc:
+                main([verb, str(path), "--out-dir", str(out_dir), "--timings"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --timings" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "flag, value", [("--n", "7"), ("--seeds", "3"), ("--threads", "4"), ("--seeds", "")]
@@ -1270,9 +1231,9 @@ class TestCli:
         workers = []
         chunk_results = runner._chunk_results
 
-        def spy(cfg, chunks, count, timings):
+        def spy(cfg, chunks, count):
             workers.append(count)
-            return chunk_results(cfg, chunks, count, timings)
+            return chunk_results(cfg, chunks, count)
 
         monkeypatch.setattr(runner, "_chunk_results", spy)
         path = write_config(tmp_path)

@@ -235,6 +235,22 @@ class TestTrajectoryIO:
         assert np.array_equal(back.x, traj.x) and np.array_equal(back.y, traj.y)
         assert back.seed == traj.seed and back.generator_id == traj.generator_id
 
+    @pytest.mark.parametrize("symbols", ["sampled", "wide"])
+    def test_file_bytes_match_per_line_format(self, uniform, tmp_path, symbols):
+        """The saved file equals one f-string per numpy symbol pair, the
+        format written before the body was joined at once: on a sampled
+        quantum trajectory of odd n, and on symbols up to 2^63 - 1."""
+        if symbols == "sampled":
+            traj = qc.sample_trajectory(pinned_model("quantum_ge"), uniform, 1001, seed=7)
+        else:
+            traj = qc.Trajectory(np.array([0, 9, 2**63 - 1]), np.array([10**12, 0, 1]), seed=5)
+        expected = f"n={traj.n} seed={traj.seed} gen={traj.generator_id}\n" + "".join(
+            f"{xv} {yv}\n" for xv, yv in zip(traj.x, traj.y)
+        )
+        path = tmp_path / "traj.txt"
+        qc.save_trajectory(traj, path)
+        assert path.read_bytes() == expected.encode("ascii")
+
     def test_header_length_mismatch(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("n=3 seed=1 gen=test\n0 1\n1 0\n")
