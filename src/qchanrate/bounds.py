@@ -25,7 +25,7 @@ import numpy as np
 
 from .channels import ClassicalFsmc, InputLaw, TransferOperatorSet, as_recursion_model
 from .errors import AuxiliaryLikelihoodError, ImpossibleObservationError, QchanrateError
-from .rates import combine_sums, input_log_loss, pair_logs
+from .rates import RateRow, estimate_rows, input_log_loss
 from .sampling import Trajectory
 
 KERNEL_FLOOR = 1e-12
@@ -92,12 +92,9 @@ def lower_bound(traj: Trajectory, aux: AuxiliaryModel, q: InputLaw) -> LowerBoun
     """Evaluate an auxiliary decoding metric on a true-channel trajectory."""
     if not isinstance(aux, AuxiliaryModel):
         aux = AuxiliaryModel(as_recursion_model(aux), label=type(aux).__name__)
-    sum_x = float(input_log_loss(q, traj.x).sum())
-    try:
-        ly, lxy = pair_logs(aux.model, q, traj)
-    except ImpossibleObservationError as exc:
-        raise auxiliary_error(aux.label, exc) from exc
-    r = combine_sums(traj.n, 0, sum_x, float(ly.sum()), float(lxy.sum()))
+    (r,) = estimate_rows([RateRow(aux.model, q, traj, 0, input_log_loss(q, traj.x))])
+    if isinstance(r, QchanrateError):
+        raise auxiliary_error(aux.label, r)
     return LowerBoundEstimate(
         n=traj.n, seed=traj.seed, hx=r.hx, aux_hy=r.hy, aux_hxy=r.hxy, ir_lower=r.ir
     )

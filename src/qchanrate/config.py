@@ -347,6 +347,9 @@ def load_config(path) -> ExperimentConfig:
         _fail("sweep.values", "sweep values must be distinct")
     exclude_node = _list(sweep_node.get("exclude", []), "sweep.exclude", "values", nonempty=False)
     exclude = tuple(_number(v, f"sweep.exclude[{i}]") for i, v in enumerate(exclude_node))
+    for i, v in enumerate(exclude):
+        if v not in values:
+            _fail(f"sweep.exclude[{i}]", f"{v!r} is not one of sweep.values")
     if parameter in ("p", "p_g", "p_b"):
         for i, v in enumerate(values):
             if not 0.0 <= v <= 1.0:

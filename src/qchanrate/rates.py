@@ -75,8 +75,13 @@ Running the output-only recursion gives the output entropy rate; running
 it with the inputs pinned (input-law factors included) gives the joint
 entropy rate; the input entropy rate of an i.i.d. process is evaluated
 in closed form.  Logs are natural internally and converted to bits at
-the boundary.  A sweep's quantum ``ir`` rows take the joint rate from
-the sampler instead (``sampled_joint_logs``): the state it carries is
+the boundary.  One row evaluator, ``estimate_rows``, turns rows of a
+model, an input law and a trajectory into rate estimates, running the
+recursions of all its rows as engine stacks; the sweep, the single-row
+``entropy_rate_estimates`` and the mismatched-decoding bound all call
+it, an auxiliary model simply taking the true model's place.  A row may
+take its joint rate from the sampler instead (``sampled_joint_logs``),
+as a sweep's quantum ``ir`` rows do: the state the sampler carries is
 the joint recursion's, so its per-step log losses plus the input's are
 the joint recursion's logs.  The engine stays the reference for them,
 and the only route for auxiliary models, classical models and
@@ -508,6 +513,7 @@ def pair_recursions(model, q: InputLaw, traj: Trajectory, joint: bool = True) ->
     Building stops at the first recursion that cannot be built (a symbol
     outside the model's alphabet, say), whose error takes its place.
     """
+    model = as_recursion_model(model)
     out: list = []
     for xs in (None, traj.x) if joint else (None,):
         try:
@@ -534,25 +540,64 @@ def sampled_joint_logs(log_px: np.ndarray, traj: Trajectory) -> np.ndarray:
     return log_px + logs
 
 
-def pair_logs(model, q: InputLaw, traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """Per-step logs of the output-only and the joint recursion, run as one
-    stack; the output-only recursion's error comes first."""
-    recs = pair_recursions(model, q, traj)
-    built = [r for r in recs if isinstance(r, Recursion)]
-    outcomes = (stacked_forward_logs(built) if built else []) + recs[len(built):]
-    for outcome in outcomes:
-        if isinstance(outcome, QchanrateError):
-            raise outcome
-    ly, lxy = outcomes
-    return ly, lxy
+class RateRow(NamedTuple):
+    """One row of ``estimate_rows``: ``model`` evaluated on ``traj`` under
+    the input law ``q``, averaged over steps ``burn_in..n-1``.
+
+    ``log_px`` is the input's per-step log losses (``input_log_loss``).
+    With ``sampled_joint`` the joint sum comes from the sampler
+    (``sampled_joint_logs``), which must have run ``model`` itself, and
+    the row runs its output-only recursion only.
+    """
+
+    model: object
+    q: InputLaw
+    traj: Trajectory
+    burn_in: int
+    log_px: np.ndarray
+    sampled_joint: bool = False
 
 
-def combine_sums(n: int, burn_in: int, sum_x: float, sum_y: float, sum_xy: float) -> RateEstimate:
-    """Entropy and information rates from the summed per-step logs of the
-    input, output-only and joint series over steps ``burn_in..n-1``."""
-    steps = n - burn_in
-    hx, hy, hxy = (s / (steps * LN2) for s in (sum_x, sum_y, sum_xy))
-    return RateEstimate(n=n, hx=hx, hy=hy, hxy=hxy, ir=hx + hy - hxy)
+def estimate_rows(rows: Sequence[RateRow]) -> list:
+    """The ``RateEstimate`` of each row, or the error that stopped it.
+
+    The output-only and joint recursions of every row run in one engine
+    stack per ``stack_key`` group, and each recursion's logs are reduced
+    to their sum from its row's burn-in on at once.  A row's error is its
+    first: the output-only recursion's, then the joint one's.
+    """
+    sums: list[list] = []
+    for row in rows:
+        parts = pair_recursions(row.model, row.q, row.traj, joint=not row.sampled_joint)
+        if row.sampled_joint:
+            try:
+                parts.append(float(sampled_joint_logs(row.log_px, row.traj)[row.burn_in:].sum()))
+            except QchanrateError as exc:
+                parts.append(exc)
+        sums.append(parts)
+
+    stacks: dict[tuple, list[tuple[int, int]]] = {}
+    for r, parts in enumerate(sums):
+        for slot, rec in enumerate(parts):
+            if isinstance(rec, Recursion):
+                stacks.setdefault(stack_key(rec), []).append((r, slot))
+    for members in stacks.values():
+        outcomes = stacked_forward_logs([sums[r][slot] for r, slot in members])
+        for (r, slot), logs in zip(members, outcomes):
+            if not isinstance(logs, QchanrateError):
+                logs = float(logs[rows[r].burn_in:].sum())
+            sums[r][slot] = logs
+
+    out: list = []
+    for row, parts in zip(rows, sums):
+        exc = next((p for p in parts if isinstance(p, QchanrateError)), None)
+        if exc is not None:
+            out.append(exc)
+            continue
+        scale = (row.traj.n - row.burn_in) * LN2
+        hx, hy, hxy = (s / scale for s in (float(row.log_px[row.burn_in:].sum()), *parts))
+        out.append(RateEstimate(n=row.traj.n, hx=hx, hy=hy, hxy=hxy, ir=hx + hy - hxy))
+    return out
 
 
 def entropy_rate_estimates(
@@ -561,16 +606,13 @@ def entropy_rate_estimates(
     """Estimate the entropy rates and information rate from one trajectory.
 
     ``burn_in`` discards the first steps from all three per-step series
-    before averaging (none by default).  ``pair_logs`` gives the per-step
-    logs themselves.
+    before averaging (none by default).  Both entropy rates of the model
+    come from its recursions (``pair_recursions``), the sampler's logs
+    unused.
     """
-    model = as_recursion_model(model)
     if burn_in < 0 or burn_in >= traj.n:
         raise ValueError(f"burn_in must lie in [0, n), got {burn_in}")
-    log_px = input_log_loss(q, traj.x)
-    ly, lxy = pair_logs(model, q, traj)
-    return combine_sums(
-        traj.n,
-        burn_in,
-        *(float(logs[burn_in:].sum()) for logs in (log_px, ly, lxy)),
-    )
+    (r,) = estimate_rows([RateRow(model, q, traj, burn_in, input_log_loss(q, traj.x))])
+    if isinstance(r, QchanrateError):
+        raise r
+    return r

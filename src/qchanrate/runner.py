@@ -5,20 +5,17 @@ trajectory from it, and every configured estimator runs on that
 trajectory, so estimators at the same point share common random
 numbers; the auxiliary models are the ones ``load_config`` built.  The
 tasks run in chunks of at most ``STACK_BUDGET`` recursion steps: a chunk
-samples its points one by one, then runs the output-only and joint
-recursions of all its rows as engine stacks, one per group of equal
-closure, state size and length, so that the engine's per-iteration cost
-is shared across points.  An ``ir`` row on a quantum channel runs
-only its output-only recursion: its trajectory's sampler carried the
-joint recursion's state, so the row's joint sum is the input's log
-losses plus the sampler's (``rates.sampled_joint_logs``).  A chunk's
-budget counts the recursions each row really runs: one for such a row,
-two for any other, the channel's kind telling which.  A
-recursion's result does not depend on the stack it runs in, so the
-output does not depend on the chunking or on the number of workers.
-The row evaluator (``evaluate_samples``) takes the sampled trajectories,
-so ``bound --trajectory`` runs its auxiliaries on an imported one through
-the same stacks.
+samples its points one by one, then evaluates all its rows in one
+``rates.estimate_rows`` call, which runs their recursions as engine
+stacks so that the engine's per-iteration cost is shared across points.
+An ``ir`` row on a quantum channel runs only its output-only recursion
+and takes its joint sum from its sampler, so a chunk's budget counts
+one recursion for such a row and two for any other, the channel's kind
+telling which.  A recursion's result does not depend on the stack it
+runs in, so the output does not depend on the chunking or on the number
+of workers.  The row evaluator (``evaluate_samples``) takes the sampled
+trajectories, so ``bound --trajectory`` runs its auxiliaries on an
+imported one through the same call.
 Rows are gathered and sorted deterministically before writing; per-row
 estimation failures are recorded in a companion errors file and the run
 continues.
@@ -46,7 +43,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import rates
 from .bounds import AuxiliaryModel, auxiliary_error
 
 # Not called here, but the traced benchmark (perfbench/tracer.py) wraps it
@@ -54,14 +50,7 @@ from .bounds import AuxiliaryModel, auxiliary_error
 from .bounds import lower_bound  # noqa: F401
 from .config import QUANTUM_KINDS, ExperimentConfig, instantiate_channel
 from .errors import ConfigError, QchanrateError
-from .rates import (
-    Recursion,
-    combine_sums,
-    input_log_loss,
-    pair_recursions,
-    sampled_joint_logs,
-    stack_key,
-)
+from .rates import RateRow, estimate_rows, input_log_loss
 
 # Not called here, but the traced benchmark (perfbench/tracer.py) wraps it
 # by this module attribute.
@@ -156,36 +145,6 @@ def _chunks(cfg: ExperimentConfig, tasks: list) -> list[list]:
     return chunks
 
 
-@dataclass
-class _PendingRow:
-    """A result row whose recursions are still to run.
-
-    ``outcomes`` holds the row's output-only and joint recursions (or,
-    last, the error that stopped building them); running them replaces
-    each recursion by the sum of its logs from ``burn_in`` on, or by its
-    error.  A quantum ``ir`` row holds the sampler's joint sum (or its
-    error) in place of the joint recursion.
-    """
-
-    value: float
-    estimator_id: str
-    seed: int
-    n: int
-    burn_in: int
-    sum_x: float
-    outcomes: list
-    auxiliary: str | None  # label of the auxiliary model, None for ir
-
-
-def _run_stack(members: list[tuple[_PendingRow, int]]) -> None:
-    """Run the recursions ``row.outcomes[slot]`` as one engine stack."""
-    outcomes = rates.stacked_forward_logs([row.outcomes[slot] for row, slot in members])
-    for (row, slot), logs in zip(members, outcomes):
-        if not isinstance(logs, QchanrateError):
-            logs = float(logs[row.burn_in:].sum())
-        row.outcomes[slot] = logs
-
-
 def evaluate_chunk(cfg: ExperimentConfig, tasks) -> tuple[list[ResultRow], list[RowError]]:
     """Run every configured estimator at each (sweep value, seed) task.
 
@@ -219,18 +178,14 @@ def evaluate_samples(cfg: ExperimentConfig, samples) -> tuple[list[ResultRow], l
 
     ``model`` is the channel that sampled the trajectory, the ``ir``
     rows' target; it may be None when the estimators are auxiliaries
-    only; an auxiliary row's target is its auxiliary's model.  The
-    output-only and joint recursions of every row run in one engine call
-    per group of equal closure, state size and length, and each
-    recursion's logs are reduced to their sum at once.  A quantum ``ir``
-    row's joint sum comes from its sampler's logs instead, and the row
-    runs no joint recursion.
+    only; an auxiliary row's target is its auxiliary's model.  Every row
+    runs in one ``rates.estimate_rows`` call; a quantum ``ir`` row takes
+    its joint sum from its sampler's logs.
     """
-    rows: list[ResultRow] = []
     errors: list[RowError] = []
     q = cfg.input_law
     estimators = _estimators(cfg)
-    pending: list[_PendingRow] = []
+    keys, batch = [], []
     for value, model, traj in samples:
         try:
             log_px = input_log_loss(q, traj.x)
@@ -238,39 +193,21 @@ def evaluate_samples(cfg: ExperimentConfig, samples) -> tuple[list[ResultRow], l
             errors.extend(_row_error(value, est_id, traj.seed, exc) for est_id, _ in estimators)
             continue
         for est_id, aux in estimators:
-            burn_in = cfg.burn_in if aux is None else 0
-            # the sampler's logs belong to the sampled model, the ir row's target
-            sampled = aux is None and traj.conditional_log_loss is not None
-            recs = pair_recursions(model if aux is None else aux.model, q, traj, joint=not sampled)
-            if sampled:
-                try:
-                    recs.append(float(sampled_joint_logs(log_px, traj)[burn_in:].sum()))
-                except QchanrateError as exc:
-                    recs.append(exc)
-            pending.append(_PendingRow(
-                float(value), est_id, traj.seed, traj.n, burn_in, float(log_px[burn_in:].sum()),
-                recs, None if aux is None else aux.label,
-            ))
+            keys.append((float(value), est_id, traj.seed, aux))
+            if aux is None:
+                # the sampler's logs belong to the sampled model, the ir row's target
+                sampled = traj.conditional_log_loss is not None
+                batch.append(RateRow(model, q, traj, cfg.burn_in, log_px, sampled))
+            else:
+                batch.append(RateRow(aux.model, q, traj, 0, log_px))
 
-    stacks: dict[tuple, list[tuple[_PendingRow, int]]] = {}
-    for row in pending:
-        for slot, rec in enumerate(row.outcomes):
-            if isinstance(rec, Recursion):
-                stacks.setdefault(stack_key(rec), []).append((row, slot))
-    for members in stacks.values():
-        _run_stack(members)
-
-    for row in pending:
-        exc = next((o for o in row.outcomes if isinstance(o, QchanrateError)), None)
-        if exc is not None:
-            if row.auxiliary is not None:
-                exc = auxiliary_error(row.auxiliary, exc)
-            errors.append(_row_error(row.value, row.estimator_id, row.seed, exc))
-            continue
-        r = combine_sums(row.n, row.burn_in, row.sum_x, *row.outcomes)
-        rows.append(ResultRow(
-            row.value, row.estimator_id, row.seed, row.n, r.ir, r.hx, r.hy, r.hxy
-        ))
+    rows: list[ResultRow] = []
+    for (value, est_id, seed, aux), r in zip(keys, estimate_rows(batch)):
+        if isinstance(r, QchanrateError):
+            exc = r if aux is None else auxiliary_error(aux.label, r)
+            errors.append(_row_error(value, est_id, seed, exc))
+        else:
+            rows.append(ResultRow(value, est_id, seed, r.n, r.ir, r.hx, r.hy, r.hxy))
     return rows, errors
 
 
@@ -314,14 +251,17 @@ def check_writable(*paths, option: str | None = None) -> None:
     so that a run fails before it computes anything.  Given the command
     line ``option`` that named the path, the error names the option."""
     for path in map(Path, paths):
-        if path.is_dir():
-            code = errno.EISDIR
-        elif path.exists():
-            code = None if os.access(path, os.W_OK) else errno.EACCES
-        elif not path.parent.is_dir():
-            code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
-        else:
-            code = None if os.access(path.parent, os.W_OK | os.X_OK) else errno.EACCES
+        try:
+            if path.is_dir():
+                code = errno.EISDIR
+            elif path.exists():
+                code = None if os.access(path, os.W_OK) else errno.EACCES
+            elif not path.parent.is_dir():
+                code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+            else:
+                code = None if os.access(path.parent, os.W_OK | os.X_OK) else errno.EACCES
+        except OSError as exc:  # a name too long to probe, say
+            raise _unwritable(path, exc.strerror, option) from None
         if code is not None:
             raise _unwritable(path, os.strerror(code), option)
 

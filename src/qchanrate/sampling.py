@@ -151,11 +151,6 @@ class Trajectory:
         return self.x.size
 
 
-def kahan_cumulative(weights: np.ndarray) -> np.ndarray:
-    """Compensated running sums of a small weight vector."""
-    return np.array(_cdf_table([float(w) for w in weights])[0], dtype=float)
-
-
 def _add_reduce(values: list[float]) -> float:
     """Sum in the order of numpy's ``add.reduce`` over a float64 vector:
     sequential below eight terms, numpy's own pairwise sum from eight on.
@@ -200,10 +195,8 @@ def draw_indices(pmf: np.ndarray, u: np.ndarray) -> np.ndarray:
     roundoff) fall back to the last index of positive mass, so
     zero-probability outcomes are never produced.
     """
-    cum = kahan_cumulative(pmf)
-    idx = np.searchsorted(cum, u, side="right")
-    last = int(np.flatnonzero(pmf > 0)[-1])
-    return np.minimum(idx, last)
+    cum, last = _cdf_table(pmf.tolist())
+    return np.minimum(np.searchsorted(cum, u, side="right"), last)
 
 
 def draw_index(pmf: np.ndarray, u: float) -> int:

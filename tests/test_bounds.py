@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 import qchanrate as qc
 from qchanrate.bounds import AuxiliaryModel, lower_bound, make_auxiliary
-from qchanrate.errors import AuxiliaryLikelihoodError
+from qchanrate.cli import main
+from qchanrate.errors import AuxiliaryLikelihoodError, ImpossibleObservationError
 
 from conftest import GE_TRANSITION, binary_entropy
 
@@ -79,3 +82,42 @@ class TestMismatchedMetrics:
             mean = np.mean([lower_bound(t, aux, uniform).ir_lower for t in trajs])
             best_mean = max(best_mean, mean)
         assert best_mean <= np.mean(irs) + 0.01
+
+
+class TestInputSideErrors:
+    """An input of zero probability under the input law is the input's
+    error, not the auxiliary's: it keeps its own category."""
+
+    @pytest.fixture
+    def held_one(self, uniform):
+        # input law [1, 0] with a trajectory that holds x = 1
+        traj = qc.sample_trajectory(qc.build_bsc(0.1), uniform, 200, seed=56)
+        assert traj.x.max() == 1
+        return qc.InputLaw([1.0, 0.0]), traj
+
+    def test_lower_bound_raises_the_input_error(self, held_one):
+        q, traj = held_one
+        aux = make_auxiliary(qc.fsmc_from_dmc(qc.build_bsc(0.2)), "bsc")
+        with pytest.raises(ImpossibleObservationError) as caught:
+            lower_bound(traj, aux, q)
+        assert not isinstance(caught.value, AuxiliaryLikelihoodError)
+
+    def test_bound_trajectory_records_the_input_error(self, held_one, tmp_path, capsys):
+        _, traj = held_one
+        qc.save_trajectory(traj, tmp_path / "traj.txt")
+        cfg = {
+            "channel": {"kind": "bsc", "p": 0.1},
+            "input_law": [1.0, 0.0],
+            "sweep": {"parameter": "p", "values": [0.1]},
+            "estimators": ["aux_lower"],
+            "auxiliaries": [{"kind": "bsc", "label": "a", "p": 0.2}],
+            "output": {"csv": "r.csv"},
+        }
+        (tmp_path / "exp.json").write_text(json.dumps(cfg))
+        argv = ["bound", str(tmp_path / "exp.json"), "--trajectory", str(tmp_path / "traj.txt"),
+                "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 3
+        capsys.readouterr()
+        lines = (tmp_path / "out" / "r.errors.csv").read_text().splitlines()
+        assert len(lines) == 2
+        assert lines[1].split(",")[2:5] == ["aux_lower:a", "56", "ImpossibleObservationError"]

@@ -258,6 +258,13 @@ class TestParsing:
                  r"^auxiliaries\[1\]\.label: expected a nonempty printable label")
                 for label in ["", "a,b", 'a"b', "a<b", "a>b", "a&b", "a\nb", 'a,b<c&"d\n']
             ),
+            # an excluded value that is not swept would exclude nothing
+            ({"sweep": {"parameter": "p", "values": [0.3, 0.6], "exclude": [0.7]}},
+             r"^sweep\.exclude\[0\]: 0\.7 is not one of sweep\.values$"),
+            ({"sweep": {"parameter": "p", "values": [0.3, 0.6], "exclude": [0.3, 0.06]}},
+             r"^sweep\.exclude\[1\]: 0\.06 is not one of sweep\.values$"),
+            ({"seeds": [0], "sweep": {"parameter": "n", "values": [100, 200], "exclude": [150]}},
+             r"^sweep\.exclude\[0\]: 150\.0 is not one of sweep\.values$"),
         ],
     )
     def test_rejections(self, tmp_path, overrides, fragment):
@@ -1172,6 +1179,35 @@ class TestCli:
         assert len(lines) == 1
         assert lines[0].startswith(f"error[ConfigError]: {out_dir / blocked}: cannot write file: ")
         assert not sampled
+
+    @pytest.mark.parametrize("verb", ["estimate", "sample", "bound-trajectory"])
+    def test_overlong_output_name_exits_2(self, tmp_path, capsys, verb):
+        """An output name longer than the file system allows cannot even be
+        probed; it is a configuration error naming it, not a traceback."""
+        long_name = "r" * 300
+        cfg_path = write_config(
+            tmp_path, n=100, output={"csv": long_name + ".csv"},
+            auxiliaries=[{"kind": "bsc", "label": "a", "p": 0.2}],
+        )
+        traj = tmp_path / "traj.txt"
+        assert main(["sample", str(cfg_path), "-o", str(traj)]) == 0
+        capsys.readouterr()
+        out_dir = tmp_path / "out"
+        csv_path = out_dir / (long_name + ".csv")
+        long_traj = tmp_path / (long_name + ".txt")
+        argv, prefix = {
+            "estimate": (["estimate", str(cfg_path), "--out-dir", str(out_dir)],
+                         f"{csv_path}: cannot write file"),
+            "sample": (["sample", str(cfg_path), "-o", str(long_traj)],
+                       f"--output: cannot write {long_traj}"),
+            "bound-trajectory": (
+                ["bound", str(cfg_path), "--out-dir", str(out_dir), "--trajectory", str(traj)],
+                f"{csv_path}: cannot write file",
+            ),
+        }[verb]
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error[ConfigError]: {prefix}: File name too long"]
 
     def test_sample_checks_output_before_sampling(self, tmp_path, capsys, monkeypatch):
         """An output path in a missing directory exits 2 before the sampler

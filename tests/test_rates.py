@@ -535,7 +535,7 @@ class TestEntropyRateEstimates:
     def test_keep_scales_and_combination_identity(self, quantum_ge, uniform):
         traj = qc.sample_trajectory(quantum_ge, uniform, 400, seed=36)
         r = qc.entropy_rate_estimates(quantum_ge, uniform, traj)
-        ly, lxy = rates.pair_logs(quantum_ge, uniform, traj)
+        ly, lxy = rates.stacked_forward_logs(rates.pair_recursions(quantum_ge, uniform, traj))
         n = traj.n
         assert abs(r.hy - ly.sum() / (n * rates.LN2)) <= 1e-12
         assert abs(r.hxy - lxy.sum() / (n * rates.LN2)) <= 1e-12
@@ -543,7 +543,7 @@ class TestEntropyRateEstimates:
 
     def test_burn_in_drops_prefix(self, quantum_ge, uniform):
         traj = qc.sample_trajectory(quantum_ge, uniform, 400, seed=37)
-        ly, _ = rates.pair_logs(quantum_ge, uniform, traj)
+        ly, _ = rates.stacked_forward_logs(rates.pair_recursions(quantum_ge, uniform, traj))
         burned = qc.entropy_rate_estimates(quantum_ge, uniform, traj, burn_in=100)
         k = traj.n - 100
         expect_hy = ly[100:].sum() / (k * rates.LN2)

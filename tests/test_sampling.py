@@ -23,7 +23,10 @@ class TestDraws:
     def test_kahan_cumulative_matches_cumsum(self):
         rng = np.random.default_rng(20)
         w = rng.random(8)
-        assert_allclose(sampling.kahan_cumulative(w), np.cumsum(w), rtol=1e-14)
+        w[6:] = 0.0
+        cum, last = sampling._cdf_table(w.tolist())
+        assert_allclose(cum, np.cumsum(w), rtol=1e-14)
+        assert last == 5
 
     def test_inverse_cdf_boundaries(self):
         pmf = np.array([0.25, 0.75])
@@ -424,7 +427,7 @@ class TestConditionalLogLoss:
         logs = traj.conditional_log_loss
         assert logs.shape == (2000,)
         assert logs.sum() > -np.log(sampling.RESCALE_FLOOR)
-        _, joint = rates.pair_logs(t, q, traj)
+        _, joint = rates.stacked_forward_logs(rates.pair_recursions(t, q, traj))
         assert_allclose(logs + rates.input_log_loss(q, traj.x), joint, rtol=0.0, atol=1e-12)
 
     def test_absent_for_classical_and_loaded_trajectories(self, classical_ge, uniform, tmp_path):
@@ -448,7 +451,7 @@ def assert_matches_single_step_route(t, n, seed):
     traj = qc.sample_trajectory(t, q, n, seed)
     assert np.array_equal(traj.x, x)
     assert np.array_equal(traj.y, y)
-    _, joint = rates.pair_logs(t, q, traj)
+    _, joint = rates.stacked_forward_logs(rates.pair_recursions(t, q, traj))
     logs = traj.conditional_log_loss + rates.input_log_loss(q, traj.x)
     assert_allclose(logs, joint, rtol=0.0, atol=1e-12)
     return traj
