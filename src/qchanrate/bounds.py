@@ -90,9 +90,7 @@ def auxiliary_error(label: str, exc: QchanrateError) -> QchanrateError:
 
 def lower_bound(traj: Trajectory, aux: AuxiliaryModel, q: InputLaw) -> LowerBoundEstimate:
     """Evaluate an auxiliary decoding metric on a true-channel trajectory."""
-    if not isinstance(aux, AuxiliaryModel):
-        aux = AuxiliaryModel(as_recursion_model(aux), label=type(aux).__name__)
-    (r,) = estimate_rows([RateRow(aux.model, q, traj, 0, input_log_loss(q, traj.x))])
+    (r,) = estimate_rows([RateRow(aux.model, q, traj, input_log_loss(q, traj.x))])
     if isinstance(r, QchanrateError):
         raise auxiliary_error(aux.label, r)
     return LowerBoundEstimate(

@@ -514,22 +514,13 @@ def _density_checks(rho: np.ndarray, name: str) -> list[CheckResult]:
 
 
 def validate(model) -> ValidationReport:
-    """Check every defining condition of a model; never raises.
+    """Check every defining condition of a classical finite-state,
+    quantum memory or transfer-operator channel model; never raises on
+    one.  A memoryless law ``w`` is checked as ``fsmc_from_dmc(w)``.
 
     Returns a report with one pass/fail entry and numeric witness per
     condition.
     """
-    if isinstance(model, Dmc):
-        checks = []
-        lo = float(model.w.min())
-        checks.append(CheckResult("law entries nonnegative", lo >= 0.0, lo))
-        dev = float(np.abs(model.w.sum(axis=1) - 1.0).max())
-        checks.append(CheckResult("law rows sum to one", dev <= EPS_TRACE, dev))
-        return ValidationReport("memoryless law", tuple(checks))
-
-    if isinstance(model, InputLaw):
-        return ValidationReport("input law", tuple(_pmf_checks(model.p, "input pmf")))
-
     if isinstance(model, ClassicalFsmc):
         checks = []
         lo = float(model.kernel.min())

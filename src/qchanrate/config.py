@@ -37,10 +37,6 @@ from .errors import ConfigError, QchanrateError
 from .linalg import MAX_DIM
 from .sampling import MAX_SEED
 
-# Kinds built as quantum models (compiled transfer operators), which the
-# quantum sampler samples.
-QUANTUM_KINDS = ("quantum_ge", "quantum_ge_2qubit", "custom_kraus")
-
 # Channel parameters a sweep may vary, per kind; "n" is sweepable always.
 SWEEPABLE = {
     "bsc": {"p"},
@@ -74,13 +70,13 @@ class SweepSpec:
 @dataclass(frozen=True)
 class ExperimentConfig:
     channel: ChannelSpec
+    model: object  # the channel built from ``channel``, sweep overrides not applied
     input_law: InputLaw
     n: int
     seeds: tuple[int, ...]
     sweep: SweepSpec
     estimators: tuple[str, ...]
     auxiliaries: tuple[AuxiliaryModel, ...] = ()
-    burn_in: int = 0
     csv_name: str = "results.csv"
     svg_name: str = "results.svg"
 
@@ -281,7 +277,6 @@ _ROOT_KEYS = {
     "sweep",
     "estimators",
     "auxiliaries",
-    "burn_in",
     "output",
 }
 
@@ -292,7 +287,8 @@ def load_config(path) -> ExperimentConfig:
     The base channel and every auxiliary are built once here, so any
     model-level violation (negative kernel entry, incomplete Kraus set,
     non-unitary evolution, ...) is rejected at parse time with the
-    condition name and witness.  The auxiliaries stay on the config, as
+    condition name and witness.  The base channel stays on the config as
+    ``model``, for the verbs that run it unswept, and the auxiliaries as
     ``make_auxiliary`` built them, for every row of a sweep to run.
     """
     try:
@@ -387,14 +383,6 @@ def load_config(path) -> ExperimentConfig:
     if "aux_lower" in estimators and not aux_specs:
         _fail("estimators", "'aux_lower' requires at least one auxiliary model")
 
-    burn_in = _integer(root.get("burn_in", 0), "burn_in")
-    if burn_in < 0 or burn_in >= n:
-        _fail("burn_in", f"burn_in must lie in [0, n), got {burn_in}")
-    if parameter == "n":
-        for i, v in enumerate(values):
-            if v <= burn_in:
-                _fail(f"sweep.values[{i}]", f"swept n={v} must exceed burn_in {burn_in}")
-
     out_node = _expect_dict(root.get("output", {}), "output", {"csv", "svg"})
     csv_name = out_node.get("csv", "results.csv")
     svg_name = out_node.get("svg", "results.svg")
@@ -423,13 +411,13 @@ def load_config(path) -> ExperimentConfig:
         auxiliaries.append(aux)
     return ExperimentConfig(
         channel=channel,
+        model=model,
         input_law=input_law,
         n=n,
         seeds=seeds,
         sweep=sweep,
         estimators=estimators,
         auxiliaries=tuple(auxiliaries),
-        burn_in=burn_in,
         csv_name=csv_name,
         svg_name=svg_name,
     )

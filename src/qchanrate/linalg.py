@@ -115,13 +115,14 @@ def real_transfer_form(mats: np.ndarray) -> RealForm:
     d = mats.shape[-1]
     s = math.isqrt(d)
     basis = unpack_hermitian(np.eye(d).reshape(d, s, s)).reshape(d, d)
-    images = (basis @ mats).reshape(*mats.shape[:-1], s, s)
-    traces = np.trace(images, axis1=-2, axis2=-1)
-    return RealForm(
-        pack_hermitian(images).reshape(mats.shape),
-        np.abs(traces.imag).max(axis=-1),
-        hermiticity_residue(images).max(axis=-1),
-    )
+    with np.errstate(invalid="ignore"):  # inf * 0 spreads NaN, which the residues show
+        images = (basis @ mats).reshape(*mats.shape[:-1], s, s)
+        traces = np.trace(images, axis1=-2, axis2=-1)
+        return RealForm(
+            pack_hermitian(images).reshape(mats.shape),
+            np.abs(traces.imag).max(axis=-1),
+            hermiticity_residue(images).max(axis=-1),
+        )
 
 
 def _scale(a: np.ndarray) -> float:

@@ -199,7 +199,8 @@ def _step_matrices(
     xs = _check_symbols(xs, x_size, "input sequence")
     if xs.size != ys.size:
         raise SequenceError("input and output sequences differ in length")
-    mats = q.p[:, None, None, None] * xy_mats
+    with np.errstate(invalid="ignore"):  # a complex infinite entry times a real factor
+        mats = q.p[:, None, None, None] * xy_mats
     return mats.reshape(-1, *mats.shape[2:]), xs * y_size + ys
 
 
@@ -262,6 +263,10 @@ def _guard_error(total: float, table: RealForm, matrix: int, step: int) -> Qchan
     )
 
 
+# A non-finite matrix entry spreads NaN through the products and states
+# (inf * 0), and a zero total divides by zero, all silently: the guards
+# after the three phases report the failing step.
+@np.errstate(divide="ignore", invalid="ignore")
 def _blocked_pass(
     table: RealForm,
     guarded: np.ndarray,
@@ -348,8 +353,7 @@ def _blocked_pass(
         for row, tot in zip(cols, outs):
             vecs = vecs @ mats.take(row, axis=0)
             np.matmul(vecs, column, out=tot)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                vecs /= tot
+            vecs /= tot
         ends[first:first + span] = vecs
 
     totals = totals.reshape(recs, blocks * k)[:, :n]
@@ -542,7 +546,7 @@ def sampled_joint_logs(log_px: np.ndarray, traj: Trajectory) -> np.ndarray:
 
 class RateRow(NamedTuple):
     """One row of ``estimate_rows``: ``model`` evaluated on ``traj`` under
-    the input law ``q``, averaged over steps ``burn_in..n-1``.
+    the input law ``q``, averaged over the whole trajectory.
 
     ``log_px`` is the input's per-step log losses (``input_log_loss``).
     With ``sampled_joint`` the joint sum comes from the sampler
@@ -553,7 +557,6 @@ class RateRow(NamedTuple):
     model: object
     q: InputLaw
     traj: Trajectory
-    burn_in: int
     log_px: np.ndarray
     sampled_joint: bool = False
 
@@ -563,15 +566,15 @@ def estimate_rows(rows: Sequence[RateRow]) -> list:
 
     The output-only and joint recursions of every row run in one engine
     stack per ``stack_key`` group, and each recursion's logs are reduced
-    to their sum from its row's burn-in on at once.  A row's error is its
-    first: the output-only recursion's, then the joint one's.
+    to their sum at once.  A row's error is its first: the output-only
+    recursion's, then the joint one's.
     """
     sums: list[list] = []
     for row in rows:
         parts = pair_recursions(row.model, row.q, row.traj, joint=not row.sampled_joint)
         if row.sampled_joint:
             try:
-                parts.append(float(sampled_joint_logs(row.log_px, row.traj)[row.burn_in:].sum()))
+                parts.append(float(sampled_joint_logs(row.log_px, row.traj).sum()))
             except QchanrateError as exc:
                 parts.append(exc)
         sums.append(parts)
@@ -585,7 +588,7 @@ def estimate_rows(rows: Sequence[RateRow]) -> list:
         outcomes = stacked_forward_logs([sums[r][slot] for r, slot in members])
         for (r, slot), logs in zip(members, outcomes):
             if not isinstance(logs, QchanrateError):
-                logs = float(logs[rows[r].burn_in:].sum())
+                logs = float(logs.sum())
             sums[r][slot] = logs
 
     out: list = []
@@ -594,25 +597,20 @@ def estimate_rows(rows: Sequence[RateRow]) -> list:
         if exc is not None:
             out.append(exc)
             continue
-        scale = (row.traj.n - row.burn_in) * LN2
-        hx, hy, hxy = (s / scale for s in (float(row.log_px[row.burn_in:].sum()), *parts))
+        scale = row.traj.n * LN2
+        hx, hy, hxy = (s / scale for s in (float(row.log_px.sum()), *parts))
         out.append(RateEstimate(n=row.traj.n, hx=hx, hy=hy, hxy=hxy, ir=hx + hy - hxy))
     return out
 
 
-def entropy_rate_estimates(
-    model, q: InputLaw, traj: Trajectory, burn_in: int = 0
-) -> RateEstimate:
-    """Estimate the entropy rates and information rate from one trajectory.
+def entropy_rate_estimates(model, q: InputLaw, traj: Trajectory) -> RateEstimate:
+    """Estimate the entropy rates and information rate from one trajectory,
+    averaged over all its steps.
 
-    ``burn_in`` discards the first steps from all three per-step series
-    before averaging (none by default).  Both entropy rates of the model
-    come from its recursions (``pair_recursions``), the sampler's logs
-    unused.
+    Both entropy rates of the model come from its recursions
+    (``pair_recursions``), the sampler's logs unused.
     """
-    if burn_in < 0 or burn_in >= traj.n:
-        raise ValueError(f"burn_in must lie in [0, n), got {burn_in}")
-    (r,) = estimate_rows([RateRow(model, q, traj, burn_in, input_log_loss(q, traj.x))])
+    (r,) = estimate_rows([RateRow(model, q, traj, input_log_loss(q, traj.x))])
     if isinstance(r, QchanrateError):
         raise r
     return r

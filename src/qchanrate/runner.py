@@ -10,8 +10,8 @@ samples its points one by one, then evaluates all its rows in one
 stacks so that the engine's per-iteration cost is shared across points.
 An ``ir`` row on a quantum channel runs only its output-only recursion
 and takes its joint sum from its sampler, so a chunk's budget counts
-one recursion for such a row and two for any other, the channel's kind
-telling which.  A recursion's result does not depend on the stack it
+one recursion for such a row and two for any other, the type of the
+config's base channel telling which.  A recursion's result does not depend on the stack it
 runs in, so the output does not depend on the chunking or on the number
 of workers.  The row evaluator (``evaluate_samples``) takes the sampled
 trajectories, so ``bound --trajectory`` runs its auxiliaries on an
@@ -48,7 +48,8 @@ from .bounds import AuxiliaryModel, auxiliary_error
 # Not called here, but the traced benchmark (perfbench/tracer.py) wraps it
 # by this module attribute.
 from .bounds import lower_bound  # noqa: F401
-from .config import QUANTUM_KINDS, ExperimentConfig, instantiate_channel
+from .channels import TransferOperatorSet
+from .config import ExperimentConfig, instantiate_channel
 from .errors import ConfigError, QchanrateError
 from .rates import RateRow, estimate_rows, input_log_loss
 
@@ -131,7 +132,7 @@ def _chunks(cfg: ExperimentConfig, tasks: list) -> list[list]:
     STACK_BUDGET steps together, and one task at least.  A row runs two
     recursions, except an ``ir`` row on a quantum channel, which runs
     only its output-only one."""
-    ir_recursions = 1 if cfg.channel.kind in QUANTUM_KINDS else 2
+    ir_recursions = 1 if isinstance(cfg.model, TransferOperatorSet) else 2
     per_task = sum(ir_recursions if aux is None else 2 for _, aux in _estimators(cfg))
     chunks: list[list] = []
     steps = 0
@@ -197,9 +198,9 @@ def evaluate_samples(cfg: ExperimentConfig, samples) -> tuple[list[ResultRow], l
             if aux is None:
                 # the sampler's logs belong to the sampled model, the ir row's target
                 sampled = traj.conditional_log_loss is not None
-                batch.append(RateRow(model, q, traj, cfg.burn_in, log_px, sampled))
+                batch.append(RateRow(model, q, traj, log_px, sampled))
             else:
-                batch.append(RateRow(aux.model, q, traj, 0, log_px))
+                batch.append(RateRow(aux.model, q, traj, log_px))
 
     rows: list[ResultRow] = []
     for (value, est_id, seed, aux), r in zip(keys, estimate_rows(batch)):

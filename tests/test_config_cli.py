@@ -154,7 +154,7 @@ class TestParsing:
             ({"burn_in": 400}, "burn_in"),
             (
                 {"burn_in": 50, "sweep": {"parameter": "n", "values": [100, 40]}},
-                r"sweep\.values\[1\]: .*burn_in",
+                r"^config: unknown keys \['burn_in'\]",
             ),
             ({"seeds": [0, 2**64]}, r"seeds\[1\]: .*2\^64"),
             ({"point_budget_seconds": 600}, r"unknown keys \['point_budget_seconds'\]"),
@@ -391,7 +391,7 @@ class TestRunner:
         row equals the per-point ``entropy_rate_estimates`` or
         ``lower_bound`` result on the same trajectory: a quantum channel
         (state size 4) with classical auxiliaries of state sizes 2 and 1,
-        swept over n so that lengths differ, with a burn-in and two seeds.
+        swept over n so that lengths differ, with two seeds.
         Rows match bit for bit, except the ``ir`` rows' ``hxy`` and
         ``ir``: the sweep takes their joint logs from the quantum sampler,
         so those match within 1e-12.  Split into several chunks, the
@@ -401,7 +401,6 @@ class TestRunner:
                 tmp_path,
                 channel={"kind": "quantum_ge", "p_g": 0.05, "p_b": 0.4, "alpha": 0.9},
                 seeds=[0, 1],
-                burn_in=20,
                 sweep={"parameter": "n", "values": [150, 200, 233]},
                 estimators=["ir", "aux_lower"],
                 auxiliaries=[
@@ -420,7 +419,7 @@ class TestRunner:
         for n in (150, 200, 233):
             for seed in (0, 1):
                 traj = sample_trajectory(model, q, n, seed)
-                r = entropy_rate_estimates(model, q, traj, burn_in=20)
+                r = entropy_rate_estimates(model, q, traj)
                 row = got[(n, "ir", seed)]
                 assert (row.n, row.hx_bits, row.hy_bits) == (n, r.hx, r.hy)
                 assert abs(row.hxy_bits - r.hxy) <= 1e-12
@@ -491,40 +490,12 @@ class TestRunner:
             if after:
                 assert ran + alone[after[0]] > runner.STACK_BUDGET
 
-    def test_quantum_kinds_are_the_sampled_quantum_models(self, tmp_path):
-        """``_chunks`` tells a quantum channel by its kind, without building
-        it: the kinds in ``config.QUANTUM_KINDS`` are exactly those whose
-        trajectories carry the sampler's joint logs."""
-
-        def matrix(m):
-            return [[[float(v), 0.0] for v in row] for row in m]
-
-        channels_by_kind = {
-            "bsc": {"p": 0.1},
-            "gilbert_elliott": GE_PARAMS,
-            "quantum_ge": QUANTUM_GE,
-            "quantum_ge_2qubit": dict(QUANTUM_GE, kind="quantum_ge_2qubit"),
-            "custom_kraus": {"state_dim": 1,
-                             "encodings": [matrix(np.diag(np.eye(2)[x])) for x in range(2)],
-                             "kraus": [matrix(np.eye(2))],
-                             "measurements": [matrix(np.diag(np.eye(2)[y])) for y in range(2)]},
-            "custom_fsmc": {"kernel": [[[[1.0, 0.0]], [[0.0, 1.0]]]], "initial": [1.0]},
-        }
-        assert set(channels_by_kind) == set(config.CHANNEL_KINDS)
-        for kind, params in channels_by_kind.items():
-            cfg = load_config(write_config(
-                tmp_path, channel=dict(params, kind=kind), n=50,
-                sweep={"parameter": "n", "values": [50]},
-            ))
-            traj = sample_trajectory(instantiate_channel(cfg.channel), cfg.input_law, 50, 0)
-            assert (traj.conditional_log_loss is not None) == (kind in config.QUANTUM_KINDS)
-
-    def test_quantum_ir_row_with_burn_in_matches_estimates(self, tmp_path):
-        """A quantum ``ir`` row takes its joint sum from the sampler's logs
-        from the burn-in on: ``hx`` and ``hy`` equal the per-point
-        estimates bit for bit, ``hxy`` and ``ir`` within 1e-12.  Checked
-        on the two-qubit channel, sampled in pair words, and on a random
-        three-output ``custom_kraus`` one, sampled in one-step words."""
+    def test_quantum_ir_row_matches_estimates(self, tmp_path):
+        """A quantum ``ir`` row takes its joint sum from the sampler's logs:
+        ``hx`` and ``hy`` equal the per-point estimates bit for bit,
+        ``hxy`` and ``ir`` within 1e-12.  Checked on the two-qubit
+        channel, sampled in pair words, and on a random three-output
+        ``custom_kraus`` one, sampled in one-step words."""
 
         def matrices(ms):
             return [[[[v.real, v.imag] for v in row] for row in m] for m in ms]
@@ -545,7 +516,6 @@ class TestRunner:
                     channel=channel,
                     n=1500,
                     seeds=[7],
-                    burn_in=400,
                     sweep={"parameter": "n", "values": [1500]},
                 )
             )
@@ -554,7 +524,7 @@ class TestRunner:
             model = instantiate_channel(cfg.channel)
             assert model.y_size == y_size
             traj = sample_trajectory(model, cfg.input_law, 1500, 7)
-            r = entropy_rate_estimates(model, cfg.input_law, traj, burn_in=400)
+            r = entropy_rate_estimates(model, cfg.input_law, traj)
             assert (row.hx_bits, row.hy_bits) == (r.hx, r.hy)
             assert abs(row.hxy_bits - r.hxy) <= 1e-12
             assert abs(row.ir_bits - r.ir) <= 1e-12

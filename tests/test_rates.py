@@ -248,22 +248,27 @@ class TestRecursionGuards:
         traj = qc.sample_trajectory(classical_ge, uniform, GUARD_N, seed=47)
         first = int(np.flatnonzero((traj.x == 1) & (traj.y == 0))[0])
         pattern = rf"normalizer is {value} at step {first}$"
-        with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 in the products
-            with pytest.raises(NumericalCorruptionError, match=pattern):
-                rates.scaled_forward_classical(f, uniform, traj.y, traj.x)
+        with pytest.raises(NumericalCorruptionError, match=pattern):
+            rates.scaled_forward_classical(f, uniform, traj.y, traj.x)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 in the reference's steps
             _, _, (at, exc) = iterate_steps(f, uniform, traj.y, traj.x)
         assert at == first and isinstance(exc, NumericalCorruptionError)
 
     def test_non_finite_normalizer_quantum(self, quantum_ge, uniform):
-        ops = quantum_ge.operators.copy()
-        ops[1, 0, 0, 0] = np.nan
-        t = channels.TransferOperatorSet(ops, quantum_ge.initial_state)
+        """A NaN or infinite transfer-operator entry reaches the normalizer
+        as NaN (the infinite one times a zero), with no ``RuntimeWarning``."""
         traj = qc.sample_trajectory(quantum_ge, uniform, GUARD_N, seed=48)
         first = int(np.flatnonzero((traj.x == 1) & (traj.y == 0))[0])
-        with pytest.raises(NumericalCorruptionError, match=rf"normalizer is nan at step {first}$"):
-            rates.scaled_forward_quantum(t, uniform, traj.y, traj.x)
-        _, _, (at, exc) = iterate_steps(t, uniform, traj.y, traj.x)
-        assert at == first and isinstance(exc, NumericalCorruptionError)
+        for value in (np.nan, np.inf):
+            ops = quantum_ge.operators.copy()
+            ops[1, 0, 0, 0] = value
+            t = channels.TransferOperatorSet(ops, quantum_ge.initial_state)
+            pattern = rf"normalizer is nan at step {first}$"
+            with pytest.raises(NumericalCorruptionError, match=pattern):
+                rates.scaled_forward_quantum(t, uniform, traj.y, traj.x)
+            with np.errstate(invalid="ignore"):  # inf * 0 in the reference's steps
+                _, _, (at, exc) = iterate_steps(t, uniform, traj.y, traj.x)
+            assert at == first and isinstance(exc, NumericalCorruptionError)
 
     @pytest.mark.parametrize("joint", [False, True], ids=["y", "xy"])
     def test_unused_faulty_output_never_trips(self, quantum_ge, uniform, joint):
@@ -540,16 +545,6 @@ class TestEntropyRateEstimates:
         assert abs(r.hy - ly.sum() / (n * rates.LN2)) <= 1e-12
         assert abs(r.hxy - lxy.sum() / (n * rates.LN2)) <= 1e-12
         assert r.ir == r.hx + r.hy - r.hxy
-
-    def test_burn_in_drops_prefix(self, quantum_ge, uniform):
-        traj = qc.sample_trajectory(quantum_ge, uniform, 400, seed=37)
-        ly, _ = rates.stacked_forward_logs(rates.pair_recursions(quantum_ge, uniform, traj))
-        burned = qc.entropy_rate_estimates(quantum_ge, uniform, traj, burn_in=100)
-        k = traj.n - 100
-        expect_hy = ly[100:].sum() / (k * rates.LN2)
-        assert abs(burned.hy - expect_hy) <= 1e-12
-        with pytest.raises(ValueError):
-            qc.entropy_rate_estimates(quantum_ge, uniform, traj, burn_in=traj.n)
 
     def test_reference_channel_rate_sandwich(self, quantum_ge, uniform):
         """The noisy-bad-state channel carries less than its good state

@@ -636,6 +636,8 @@ def planted_quantum(fault):
         ops[1, 0] *= -1.0
     elif fault == "total":
         ops[1] *= 1.001
+    elif fault == "inf":
+        ops[1, 0, 0, 0] = np.inf
     else:
         # feeds the (0, 1) entry of the next state without its conjugate
         # partner: the output weights stay exact, the state turns non-Hermitian
@@ -683,6 +685,8 @@ GUARD_MESSAGES = {
     "total": "total off by",
     "hermiticity": "Hermiticity residue",
     "nan": "below the roundoff guard",
+    # inf * 0 in the real form: NaN residues, with no RuntimeWarning
+    "inf": "imaginary residue nan",
 }
 
 
@@ -703,7 +707,7 @@ class TestSamplerGuards:
     def test_faults_first_reached_at_step_20(self):
         assert first_rare_step() == 20
 
-    @pytest.mark.parametrize("fault", ["imaginary", "negative", "total", "hermiticity"])
+    @pytest.mark.parametrize("fault", ["imaginary", "negative", "total", "hermiticity", "inf"])
     def test_quantum_guard_names_step(self, fault):
         pattern = rf"{GUARD_MESSAGES[fault]}.* at step 20$"
         with pytest.raises(NumericalCorruptionError, match=pattern):
