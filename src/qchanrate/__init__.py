@@ -11,7 +11,6 @@ from .bounds import (
 )
 from .channels import (
     ClassicalFsmc,
-    Dmc,
     InputLaw,
     QuantumMemoryChannel,
     TransferOperatorSet,
@@ -20,10 +19,6 @@ from .channels import (
     build_gilbert_elliott,
     build_quantum_gilbert_elliott,
     compile_transfer_operators,
-    embed_classical_as_quantum,
-    fsmc_from_dmc,
-    random_classical_fsmc,
-    random_quantum_memory_channel,
     uniform_input,
     validate,
 )
@@ -41,8 +36,8 @@ from .errors import (
     TrajectoryFormatError,
 )
 from .linalg import expm_skew_hermitian, is_psd
-from .oracle import OracleTables, brute_force_oracle, oracle_joint_prob, oracle_output_prob
-from .rates import RateEstimate, dmc_information_rate, entropy_rate_estimates
+from .oracle import OracleTables, brute_force_oracle
+from .rates import RateEstimate, entropy_rate_estimates
 from .runner import run_experiment
 from .sampling import (
     GENERATOR_ID,

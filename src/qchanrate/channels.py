@@ -1,10 +1,10 @@
-"""Channel models: memoryless laws, finite-state channels, quantum-state channels.
+"""Channel models: finite-state channels and quantum-state channels.
 
-Three model families live here.
+Two model families live here.
 
-* ``Dmc``: a memoryless law W(y|x) as a row-stochastic matrix.
 * ``ClassicalFsmc``: a finite-state channel with kernel
   ``W(s_next, y | s_prev, x)``, stored as ``kernel[s_prev, x, s_next, y]``.
+  A memoryless law W(y|x) is its one-state case.
 * ``QuantumMemoryChannel``: per-use interaction of a transmit system with
   a persistent quantum memory, given by Kraus operators on the joint
   (state slow, transmit fast) space, input encodings, measurement
@@ -23,8 +23,8 @@ must satisfy two conditions:
   other returns the identity on the previous-state indices
   (trace consistency; this is what makes output probabilities normalize).
 
-The classical kernel embeds exactly as the diagonal special case of a
-transfer-operator set, which gives a cross-validation bridge between the
+A classical kernel is the diagonal special case of a transfer-operator
+set, which the tests use as a cross-validation bridge between the
 classical and quantum recursions.
 """
 
@@ -70,27 +70,6 @@ def _check_probability(p: float, name: str) -> float:
     if not (0.0 <= p <= 1.0) or not np.isfinite(p):
         raise ValueError(f"{name} must be a probability in [0, 1], got {p}")
     return p
-
-
-@dataclass(frozen=True)
-class Dmc:
-    """Memoryless channel law; ``w[x, y]`` is the probability of y given x."""
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=float)
-        if w.ndim != 2 or min(w.shape) < 1:
-            raise ValueError(f"channel law must be a 2-D matrix, got shape {w.shape}")
-        object.__setattr__(self, "w", w)
-
-    @property
-    def x_size(self) -> int:
-        return self.w.shape[0]
-
-    @property
-    def y_size(self) -> int:
-        return self.w.shape[1]
 
 
 @dataclass(frozen=True)
@@ -279,10 +258,12 @@ class TransferOperatorSet:
 # Builders
 # ---------------------------------------------------------------------------
 
-def build_bsc(p: float) -> Dmc:
-    """Binary symmetric channel with crossover probability p."""
+def build_bsc(p: float) -> ClassicalFsmc:
+    """Binary symmetric channel with crossover probability p, as a
+    one-state channel: ``kernel[0, x, 0, y] = W(y | x)``."""
     p = _check_probability(p, "crossover probability")
-    return Dmc(np.array([[1.0 - p, p], [p, 1.0 - p]]))
+    w = np.array([[1.0 - p, p], [p, 1.0 - p]])
+    return ClassicalFsmc(w[None, :, None, :], np.array([1.0]))
 
 
 def stationary_distribution(transition: np.ndarray) -> np.ndarray:
@@ -330,12 +311,6 @@ def build_gilbert_elliott(
     kernel = t[:, None, :, None] * flip[:, :, None, :]
     p0 = stationary_distribution(t) if initial is None else np.asarray(initial, dtype=float)
     return ClassicalFsmc(kernel, p0)
-
-
-def fsmc_from_dmc(dmc: Dmc) -> ClassicalFsmc:
-    """Embed a memoryless law as a single-state finite-state channel."""
-    kernel = dmc.w[None, :, None, :]
-    return ClassicalFsmc(kernel, np.array([1.0]))
 
 
 def _quantum_ge_kraus(p_g: float, p_b: float) -> np.ndarray:
@@ -435,31 +410,12 @@ def compile_transfer_operators(ch: QuantumMemoryChannel) -> TransferOperatorSet:
 
 def as_recursion_model(model):
     """Coerce any channel model to one the samplers and forward recursions
-    accept: a memoryless law becomes a one-state finite-state channel and
-    a quantum-memory channel is compiled."""
-    if isinstance(model, Dmc):
-        return fsmc_from_dmc(model)
+    accept: a quantum-memory channel is compiled."""
     if isinstance(model, QuantumMemoryChannel):
         return compile_transfer_operators(model)
     if isinstance(model, (ClassicalFsmc, TransferOperatorSet)):
         return model
     raise TypeError(f"unsupported model type {type(model).__name__}")
-
-
-def embed_classical_as_quantum(f: ClassicalFsmc) -> TransferOperatorSet:
-    """Diagonal transfer-operator set reproducing a classical kernel.
-
-    The doubled-state recursion on the embedded set mirrors the classical
-    forward recursion exactly (state operators stay diagonal and their
-    diagonals are the classical state metrics).
-    """
-    require_valid(f)
-    s, n_x, n_y = f.state_count, f.x_size, f.y_size
-    ops = np.zeros((n_x, n_y, s * s, s * s), dtype=complex)
-    for x in range(n_x):
-        for y in range(n_y):
-            ops[x, y] = np.diag(f.kernel[:, x, :, y].reshape(s * s))
-    return TransferOperatorSet(ops, np.diag(f.initial).astype(complex))
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +472,7 @@ def _density_checks(rho: np.ndarray, name: str) -> list[CheckResult]:
 def validate(model) -> ValidationReport:
     """Check every defining condition of a classical finite-state,
     quantum memory or transfer-operator channel model; never raises on
-    one.  A memoryless law ``w`` is checked as ``fsmc_from_dmc(w)``.
+    one.
 
     Returns a report with one pass/fail entry and numeric witness per
     condition.
@@ -603,61 +559,3 @@ def require_valid(model) -> None:
         names = ", ".join(c.name for c in bad)
         detail = f"{first.detail}; " if first.detail else ""
         raise ModelValidationError(first.name, first.witness, f"{detail}failed checks: {names}")
-
-
-# ---------------------------------------------------------------------------
-# Random valid models (property-test generators)
-# ---------------------------------------------------------------------------
-
-def random_classical_fsmc(
-    rng: np.random.Generator, state_count: int = 2, x_size: int = 2, y_size: int = 2
-) -> ClassicalFsmc:
-    """Random kernel with rows normalized to pmfs."""
-    kernel = rng.random((state_count, x_size, state_count, y_size))
-    kernel /= kernel.sum(axis=(2, 3), keepdims=True)
-    initial = rng.random(state_count)
-    initial /= initial.sum()
-    return ClassicalFsmc(kernel, initial)
-
-
-def _random_isometry_blocks(rng: np.random.Generator, blocks: int, dim: int) -> np.ndarray:
-    """QR-based completion: stacked blocks whose gram sum is the identity."""
-    g = rng.standard_normal((blocks * dim, dim)) + 1j * rng.standard_normal((blocks * dim, dim))
-    q, _ = np.linalg.qr(g)
-    return q.reshape(blocks, dim, dim)
-
-
-def _random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))[None, :]
-
-
-def _random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
-
-
-def random_quantum_memory_channel(
-    rng: np.random.Generator,
-    state_dim: int = 2,
-    transmit_dim: int = 2,
-    n_kraus: int = 2,
-    x_size: int = 2,
-    y_size: int = 2,
-) -> QuantumMemoryChannel:
-    """Random channel that satisfies every model condition by construction."""
-    joint = transmit_dim * state_dim
-    kraus = _random_isometry_blocks(rng, n_kraus, joint)
-    measurements = _random_isometry_blocks(rng, y_size, transmit_dim)
-    encodings = np.stack([_random_density(rng, transmit_dim) for _ in range(x_size)])
-    return QuantumMemoryChannel(
-        state_dim=state_dim,
-        encodings=encodings,
-        kraus=kraus,
-        measurements=measurements,
-        inter_use_unitary=_random_unitary(rng, state_dim),
-        initial_state=_random_density(rng, state_dim),
-    )

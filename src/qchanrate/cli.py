@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import channels, rates
-from .config import load_config, parse_seeds
+from .config import load_config, parse_length, parse_seeds
 from .errors import ConfigError, QchanrateError
 from .oracle import MAX_ORACLE_N, brute_force_oracle
 from .runner import check_writable, evaluate_samples, run_experiment, write_results
@@ -75,9 +75,7 @@ def _apply_overrides(cfg, args):
         if cfg.sweep.parameter == "n":
             raise ConfigError("--n", "does not apply to a sweep over n, whose values "
                               "set each point's length")
-        if args.n < 1:
-            raise ConfigError("--n", f"n must be >= 1, got {args.n}")
-        updates["n"] = args.n
+        updates["n"] = parse_length(args.n, "--n")
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
@@ -158,9 +156,7 @@ def cmd_bound(args) -> int:
 
 def cmd_sample(args) -> int:
     cfg = load_config(args.config)
-    n = args.n if args.n is not None else cfg.n
-    if n < 1:
-        raise ConfigError("--n", f"n must be >= 1, got {n}")
+    n = cfg.n if args.n is None else parse_length(args.n, "--n")
     seed = args.seed if args.seed is not None else cfg.seeds[0]
     if not 0 <= seed <= MAX_SEED:
         raise ConfigError("--seed", f"seed must lie in [0, 2^64 - 1], got {seed}")

@@ -50,6 +50,8 @@ CHANNEL_KINDS = tuple(SWEEPABLE)
 
 ESTIMATOR_IDS = ("ir", "aux_lower")
 
+MAX_LENGTH = 2**60 - 1
+
 
 @dataclass(frozen=True)
 class ChannelSpec:
@@ -139,6 +141,16 @@ def parse_complex_matrix(node, path: str) -> np.ndarray:
     return pairs.view(complex)[..., 0]
 
 
+def parse_length(node, path: str) -> int:
+    """A sequence length in [1, 2^60 - 1]: from 2^60 on numpy refuses
+    the stream's array outright (``ValueError``), not by running out of
+    memory."""
+    n = _integer(node, path)
+    if not 1 <= n <= MAX_LENGTH:
+        _fail(path, f"n must lie in [1, 2^60 - 1], got {n}")
+    return n
+
+
 def parse_seeds(node, path: str) -> tuple[int, ...]:
     """Distinct seeds in [0, 2^64 - 1] from a nonempty list of integers."""
     seeds = tuple(_integer(s, f"{path}[{i}]") for i, s in enumerate(_list(node, path, "integers")))
@@ -179,7 +191,7 @@ def _build_channel(kind: str, params: dict, path: str):
     try:
         if kind == "bsc":
             p = take_number("p", required=True)
-            model = channels.fsmc_from_dmc(channels.build_bsc(p))
+            model = channels.build_bsc(p)
         elif kind == "gilbert_elliott":
             p_g = take_number("p_g", required=True)
             p_b = take_number("p_b", required=True)
@@ -315,9 +327,7 @@ def load_config(path) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError("input_law", str(exc)) from exc
 
-    n = _integer(root.get("n", 100000), "n")
-    if n < 1:
-        _fail("n", f"n must be >= 1, got {n}")
+    n = parse_length(root.get("n", 100000), "n")
 
     seeds = parse_seeds(root.get("seeds", [0]), "seeds")
 
@@ -334,9 +344,7 @@ def load_config(path) -> ExperimentConfig:
         )
     values_node = _list(sweep_node.get("values"), "sweep.values", "values")
     if parameter == "n":
-        values = tuple(_integer(v, f"sweep.values[{i}]") for i, v in enumerate(values_node))
-        if min(values) < 1:
-            _fail("sweep.values", "swept n values must be >= 1")
+        values = tuple(parse_length(v, f"sweep.values[{i}]") for i, v in enumerate(values_node))
     else:
         values = tuple(_number(v, f"sweep.values[{i}]") for i, v in enumerate(values_node))
     if len(set(values)) != len(values):

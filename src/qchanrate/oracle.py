@@ -8,12 +8,10 @@ There is no per-step normalization and no reuse of partial sums across
 paths, so the only structure shared with the recursion engines is the
 model definition itself.
 
-For output-sequence probabilities the sum over input sequences is
-distributed into the per-step factors (each input symbol appears in
-exactly one factor of the i.i.d. product, so the exchange is exact);
 ``brute_force_oracle`` builds the full joint table by enumerating input
-sequences outright, which lets tests confirm that distributed sum
-against the literal one.
+sequences outright.  The tests' per-sequence reference distributes the
+input sum into the per-step factors instead (exact for an i.i.d. input)
+and checks that distributed sum against this table.
 
 Everything here is exponential in the sequence length and guarded by a
 term budget: the documented precondition ``X**n * Y**n * S**4 <=
@@ -28,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ClassicalFsmc, InputLaw, TransferOperatorSet, as_recursion_model
-from .errors import NumericalCorruptionError, OracleBudgetError
+from .errors import NumericalCorruptionError, OracleBudgetError, SequenceError
 
 ORACLE_TERM_BUDGET = 10**8
 MAX_ORACLE_N = 10
@@ -41,10 +39,14 @@ def _index_sequences(base: int, length: int) -> np.ndarray:
     return np.ascontiguousarray(grids)
 
 
-def _seq_code(seq: np.ndarray, base: int) -> int:
+def _seq_code(seq, base: int, n: int, name: str) -> int:
+    """Big-endian code of a length-``n`` sequence over {0..base-1}."""
+    arr = np.asarray(seq)
+    if arr.shape != (n,) or arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= base:
+        raise SequenceError(f"{name} must hold {n} integer symbols in [0, {base})")
     code = 0
-    for symbol in seq:
-        code = code * base + int(symbol)
+    for symbol in arr.tolist():
+        code = code * base + symbol
     return code
 
 
@@ -53,20 +55,6 @@ def _check_terms(count: int, what: str) -> None:
         raise OracleBudgetError(
             f"{what} needs {count:.3e} enumerated terms, budget is {ORACLE_TERM_BUDGET:.1e}"
         )
-
-
-def _path_product_sum(init: np.ndarray, step_mats, close: np.ndarray | None):
-    """Literal sum over latent paths of init * per-step factors (* closure)."""
-    size = init.shape[0]
-    steps = len(step_mats)
-    _check_terms(size ** (steps + 1), "path enumeration")
-    paths = _index_sequences(size, steps + 1)
-    amp = init[paths[:, 0]].copy()
-    for step, mat in enumerate(step_mats):
-        amp *= mat[paths[:, step], paths[:, step + 1]]
-    if close is not None:
-        amp *= close[paths[:, -1]]
-    return amp.sum()
 
 
 def _model_pieces(model):
@@ -80,16 +68,6 @@ def _model_pieces(model):
     return model.initial_state.reshape(s * s), model.chain_operators, close
 
 
-def _as_real_g(g, what: str) -> float:
-    if isinstance(g, complex):
-        if abs(g.imag) > G_IMAG_GUARD:
-            raise NumericalCorruptionError(
-                f"{what} has imaginary residue {abs(g.imag):.3e}"
-            )
-        return g.real
-    return float(g)
-
-
 def _prep(model, q: InputLaw, n: int):
     model = as_recursion_model(model)
     if n < 1 or n > MAX_ORACLE_N:
@@ -97,34 +75,6 @@ def _prep(model, q: InputLaw, n: int):
     if q.x_size != model.x_size:
         raise ValueError("input law size does not match the model input alphabet")
     return model
-
-
-def oracle_joint_prob(model, q: InputLaw, xs, ys) -> float:
-    """Exact p(xs, ys) as an explicit sum over latent paths."""
-    xs = np.asarray(xs, dtype=np.int64)
-    ys = np.asarray(ys, dtype=np.int64)
-    model = _prep(model, q, len(ys))
-    if xs.shape != ys.shape:
-        raise ValueError("input and output sequences differ in length")
-    init, mats, close = _model_pieces(model)
-    g = _path_product_sum(init, [mats[x, y] for x, y in zip(xs, ys)], close)
-    g = _as_real_g(g, "enumerated joint function")
-    return float(np.prod(q.p[xs]) * g)
-
-
-def oracle_output_prob(model, q: InputLaw, ys) -> float:
-    """Exact p(ys): the joint summed over every input sequence.
-
-    The input-sequence sum is distributed into the per-step factors
-    (exact for an i.i.d. input); the latent paths are still enumerated
-    literally.
-    """
-    ys = np.asarray(ys, dtype=np.int64)
-    model = _prep(model, q, len(ys))
-    init, mats, close = _model_pieces(model)
-    weighted = np.einsum("x,xyab->yab", q.p, np.asarray(mats))
-    g = _path_product_sum(init, [weighted[y] for y in ys], close)
-    return _as_real_g(g, "enumerated output function")
 
 
 def _joint_g_per_x(model, xseqs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -165,20 +115,23 @@ class OracleTables:
     n: int
 
     def joint_prob(self, xs, ys) -> float:
+        """p(xs, ys); ``SequenceError`` unless both hold n symbols of
+        their alphabets."""
         return float(
-            self.joint[_seq_code(np.asarray(xs), self.x_size),
-                       _seq_code(np.asarray(ys), self.y_size)]
+            self.joint[_seq_code(xs, self.x_size, self.n, "input sequence"),
+                       _seq_code(ys, self.y_size, self.n, "output sequence")]
         )
 
     def output_prob(self, ys) -> float:
-        return float(self.output[_seq_code(np.asarray(ys), self.y_size)])
+        """p(ys); ``SequenceError`` unless it holds n output symbols."""
+        return float(self.output[_seq_code(ys, self.y_size, self.n, "output sequence")])
 
 
 def brute_force_oracle(model, q: InputLaw, n: int) -> OracleTables:
     """Enumerate the full joint table p(x-sequence, y-sequence) at length n.
 
     Inputs are enumerated literally here (no distributed sum), so the
-    table doubles as a check on ``oracle_output_prob``.
+    table doubles as a check on a distributed one.
     """
     model = _prep(model, q, n)
     n_x, n_y = model.x_size, model.y_size

@@ -96,7 +96,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import ClassicalFsmc, Dmc, InputLaw, as_recursion_model
+from .channels import ClassicalFsmc, InputLaw, as_recursion_model
 from .errors import (
     ImpossibleObservationError,
     NumericalCorruptionError,
@@ -137,29 +137,6 @@ PRODUCT_BUDGET = 2**14
 # recursion that loses accuracy in its block products takes more than one,
 # and a one-state stack takes none.
 passes = 0
-
-
-def dmc_information_rate(q: InputLaw, w: Dmc) -> float:
-    """Exact information rate of a memoryless law, in bits per use.
-
-    Terms with zero joint probability contribute nothing; a positive
-    transition into an output of zero marginal probability is impossible
-    for consistent inputs and would indicate a broken law.
-    """
-    if q.x_size != w.x_size:
-        raise ValueError(
-            f"input law has {q.x_size} symbols but the law expects {w.x_size}"
-        )
-    qy = q.p @ w.w
-    joint = q.p[:, None] * w.w
-    mask = joint > 0
-    if np.any(mask & (qy[None, :] <= 0)):
-        raise NumericalCorruptionError(
-            "positive joint probability with zero output marginal"
-        )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(mask, w.w / qy[None, :], 1.0)
-    return float((joint[mask] * np.log2(ratio[mask])).sum())
 
 
 @dataclass(frozen=True)

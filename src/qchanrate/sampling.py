@@ -15,10 +15,11 @@ carry is exactly 0, so the table of two weights is
 it picks the same output.  The odd last step and one-step words walk
 the table.
 
-Classical models (a ``Dmc`` runs as a one-state ``ClassicalFsmc``) build
-the guarded pmf of each (state, input) pair, its Kahan cumulative table
-and its last index of positive mass once, on the first visit of that
-pair in a trajectory, so every step is a table lookup and a bisection.
+Classical models (a memoryless law is a one-state ``ClassicalFsmc``)
+build the guarded pmf of each (state, input) pair, its Kahan cumulative
+table and its last index of positive mass once, on the first visit of
+that pair in a trajectory, so every step is a table lookup and a
+bisection.
 
 During quantum sampling the memory is tracked as the conditional state
 given everything sent and observed so far, in the real packed form of
@@ -450,8 +451,7 @@ def sample_trajectory(model, q: InputLaw, n: int, seed: int) -> Trajectory:
     """Sample (inputs, outputs) of length n; deterministic given the seed.
 
     Accepts a classical finite-state channel or a compiled transfer
-    operator set; memoryless laws and uncompiled quantum channels are
-    converted first.
+    operator set; uncompiled quantum channels are compiled first.
     """
     model = as_recursion_model(model)
     rng = make_rng(seed)

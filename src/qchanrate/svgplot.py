@@ -7,7 +7,7 @@ produces identical bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -18,13 +18,13 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 50
 
 @dataclass(frozen=True)
 class Series:
-    """One plotted estimator: mean line plus optional min/max band."""
+    """One plotted estimator: mean line plus min/max band."""
 
     label: str
     xs: Sequence[float]
     mean: Sequence[float]
-    lo: Sequence[float] = field(default=())
-    hi: Sequence[float] = field(default=())
+    lo: Sequence[float]
+    hi: Sequence[float]
 
 
 def _fmt(v: float) -> str:
@@ -32,8 +32,6 @@ def _fmt(v: float) -> str:
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if count < 2:
-        return [lo]
     step = (hi - lo) / (count - 1)
     return [lo + i * step for i in range(count)]
 
@@ -56,14 +54,12 @@ def _bounds(series: Sequence[Series]) -> tuple[float, float, float, float]:
 def write_line_plot(
     path,
     series: Sequence[Series],
-    title: str = "",
-    x_label: str = "",
-    y_label: str = "",
+    title: str,
+    x_label: str,
+    y_label: str,
 ) -> None:
-    """Write mean lines with min/max bands for each series."""
-    series = [s for s in series if len(s.xs) > 0]
-    if not series:
-        raise ValueError("nothing to plot: every series is empty")
+    """Write mean lines with min/max bands for each series of one or
+    more points."""
     x_lo, x_hi, y_lo, y_hi = _bounds(series)
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
@@ -79,11 +75,10 @@ def write_line_plot(
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{WIDTH / 2:.1f}" y="22" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{title}</text>'
-        )
+    parts.append(
+        f'<text x="{WIDTH / 2:.1f}" y="22" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="15">{title}</text>'
+    )
     # axes
     x0, y0 = px(x_lo), py(y_lo)
     x1, y1 = px(x_hi), py(y_hi)
@@ -111,34 +106,31 @@ def write_line_plot(
             f'<text x="{x0 - 8:.1f}" y="{ty + 4:.1f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11">{_fmt(tick)}</text>'
         )
-    if x_label:
-        parts.append(
-            f'<text x="{(x0 + x1) / 2:.1f}" y="{HEIGHT - 12}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{x_label}</text>'
-        )
-    if y_label:
-        cy = (py(y_lo) + py(y_hi)) / 2
-        parts.append(
-            f'<text x="16" y="{cy:.1f}" text-anchor="middle" font-family="sans-serif" '
-            f'font-size="13" transform="rotate(-90 16 {cy:.1f})">{y_label}</text>'
-        )
+    parts.append(
+        f'<text x="{(x0 + x1) / 2:.1f}" y="{HEIGHT - 12}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="13">{x_label}</text>'
+    )
+    cy = (py(y_lo) + py(y_hi)) / 2
+    parts.append(
+        f'<text x="16" y="{cy:.1f}" text-anchor="middle" font-family="sans-serif" '
+        f'font-size="13" transform="rotate(-90 16 {cy:.1f})">{y_label}</text>'
+    )
     for k, s in enumerate(series):
         color = PALETTE[k % len(PALETTE)]
         order = sorted(range(len(s.xs)), key=lambda i: s.xs[i])
-        if len(s.lo) == len(s.xs) and len(s.hi) == len(s.xs) and len(s.xs) > 1:
-            band = [f"{px(s.xs[i]):.1f},{py(s.hi[i]):.1f}" for i in order]
-            band += [f"{px(s.xs[i]):.1f},{py(s.lo[i]):.1f}" for i in reversed(order)]
-            parts.append(
-                f'<polygon points="{" ".join(band)}" fill="{color}" '
-                f'fill-opacity="0.15" stroke="none"/>'
-            )
-        pts = " ".join(f"{px(s.xs[i]):.1f},{py(s.mean[i]):.1f}" for i in order)
         if len(s.xs) == 1:
             i = order[0]
             parts.append(
                 f'<circle cx="{px(s.xs[i]):.1f}" cy="{py(s.mean[i]):.1f}" r="3" fill="{color}"/>'
             )
         else:
+            band = [f"{px(s.xs[i]):.1f},{py(s.hi[i]):.1f}" for i in order]
+            band += [f"{px(s.xs[i]):.1f},{py(s.lo[i]):.1f}" for i in reversed(order)]
+            parts.append(
+                f'<polygon points="{" ".join(band)}" fill="{color}" '
+                f'fill-opacity="0.15" stroke="none"/>'
+            )
+            pts = " ".join(f"{px(s.xs[i]):.1f},{py(s.mean[i]):.1f}" for i in order)
             parts.append(
                 f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
             )

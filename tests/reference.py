@@ -15,6 +15,9 @@ sampler's state.  The sampler's single-step route weighs every output
 from the state, then calls ``sampling._finalize_pmf`` and
 ``sampling.draw_index``, then conditions the state on the drawn output.
 
+``oracle_joint_prob`` and ``oracle_output_prob`` sum over latent paths
+literally, and ``dmc_information_rate`` is a memoryless law's exact rate.
+
 ``partial_trace_oracle`` traces out one factor of a bipartite operator by
 a direct double sum, for tests that follow the channel's physics from
 its pieces.
@@ -25,7 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from qchanrate import channels, sampling
+from qchanrate import channels, oracle, sampling
+from qchanrate.channels import InputLaw
 from qchanrate.errors import (
     ImpossibleObservationError,
     NumericalCorruptionError,
@@ -133,6 +137,83 @@ def sample_outputs(model, xs, us):
     except QchanrateError as exc:
         return np.array(ys, dtype=np.int64), (len(ys), exc)
     return np.array(ys, dtype=np.int64), None
+
+
+def _path_product_sum(init: np.ndarray, step_mats, close: np.ndarray | None):
+    """Literal sum over latent paths of init * per-step factors (* closure)."""
+    size = init.shape[0]
+    steps = len(step_mats)
+    oracle._check_terms(size ** (steps + 1), "path enumeration")
+    paths = oracle._index_sequences(size, steps + 1)
+    amp = init[paths[:, 0]].copy()
+    for step, mat in enumerate(step_mats):
+        amp *= mat[paths[:, step], paths[:, step + 1]]
+    if close is not None:
+        amp *= close[paths[:, -1]]
+    return amp.sum()
+
+
+def _as_real_g(g, what: str) -> float:
+    if isinstance(g, complex):
+        if abs(g.imag) > oracle.G_IMAG_GUARD:
+            raise NumericalCorruptionError(
+                f"{what} has imaginary residue {abs(g.imag):.3e}"
+            )
+        return g.real
+    return float(g)
+
+
+def oracle_joint_prob(model, q: InputLaw, xs, ys) -> float:
+    """Exact p(xs, ys) as an explicit sum over latent paths."""
+    xs = np.asarray(xs, dtype=np.int64)
+    ys = np.asarray(ys, dtype=np.int64)
+    model = oracle._prep(model, q, len(ys))
+    if xs.shape != ys.shape:
+        raise ValueError("input and output sequences differ in length")
+    init, mats, close = oracle._model_pieces(model)
+    g = _path_product_sum(init, [mats[x, y] for x, y in zip(xs, ys)], close)
+    g = _as_real_g(g, "enumerated joint function")
+    return float(np.prod(q.p[xs]) * g)
+
+
+def oracle_output_prob(model, q: InputLaw, ys) -> float:
+    """Exact p(ys): the joint summed over every input sequence.
+
+    The input-sequence sum is distributed into the per-step factors
+    (exact for an i.i.d. input); the latent paths are still enumerated
+    literally.
+    """
+    ys = np.asarray(ys, dtype=np.int64)
+    model = oracle._prep(model, q, len(ys))
+    init, mats, close = oracle._model_pieces(model)
+    weighted = np.einsum("x,xyab->yab", q.p, np.asarray(mats))
+    g = _path_product_sum(init, [weighted[y] for y in ys], close)
+    return _as_real_g(g, "enumerated output function")
+
+
+def dmc_information_rate(q: InputLaw, w: np.ndarray) -> float:
+    """Exact information rate of a memoryless law ``w[x, y]`` = W(y|x),
+    in bits per use.
+
+    Terms with zero joint probability contribute nothing; a positive
+    transition into an output of zero marginal probability is impossible
+    for consistent inputs and would indicate a broken law.
+    """
+    w = np.asarray(w, dtype=float)
+    if q.x_size != w.shape[0]:
+        raise ValueError(
+            f"input law has {q.x_size} symbols but the law expects {w.shape[0]}"
+        )
+    qy = q.p @ w
+    joint = q.p[:, None] * w
+    mask = joint > 0
+    if np.any(mask & (qy[None, :] <= 0)):
+        raise NumericalCorruptionError(
+            "positive joint probability with zero output marginal"
+        )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(mask, w / qy[None, :], 1.0)
+    return float((joint[mask] * np.log2(ratio[mask])).sum())
 
 
 def partial_trace_oracle(a, d1, d2, keep):

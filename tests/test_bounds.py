@@ -8,6 +8,7 @@ from qchanrate.bounds import AuxiliaryModel, lower_bound, make_auxiliary
 from qchanrate.cli import main
 from qchanrate.errors import AuxiliaryLikelihoodError, ImpossibleObservationError
 
+import models
 from conftest import GE_TRANSITION, binary_entropy
 
 
@@ -27,7 +28,7 @@ class TestSelfConsistency:
         assert abs(b.ir_lower - r.ir) <= 1e-10
 
     def test_embedded_true_model(self, classical_ge, uniform):
-        embedded = qc.embed_classical_as_quantum(classical_ge)
+        embedded = models.embed_classical_as_quantum(classical_ge)
         traj = qc.sample_trajectory(embedded, uniform, 2000, seed=52)
         r = qc.entropy_rate_estimates(embedded, uniform, traj)
         b = lower_bound(traj, AuxiliaryModel(embedded, "embedded true"), uniform)
@@ -39,22 +40,22 @@ class TestMismatchedMetrics:
         p = 0.2
         true = qc.compile_transfer_operators(qc.build_quantum_gilbert_elliott(p, p, alpha=1.0))
         traj = qc.sample_trajectory(true, uniform, 100000, seed=53)
-        aux = make_auxiliary(qc.fsmc_from_dmc(qc.build_bsc(p)), "matched bsc")
+        aux = make_auxiliary(qc.build_bsc(p), "matched bsc")
         b = lower_bound(traj, aux, uniform)
         assert abs(b.ir_lower - (1.0 - binary_entropy(p))) <= 0.01
 
     def test_uninformative_metric_gives_zero(self, quantum_ge, uniform):
         traj = qc.sample_trajectory(quantum_ge, uniform, 5000, seed=54)
-        aux = make_auxiliary(qc.fsmc_from_dmc(qc.build_bsc(0.5)), "bsc 0.5")
+        aux = make_auxiliary(qc.build_bsc(0.5), "bsc 0.5")
         b = lower_bound(traj, aux, uniform)
         assert abs(b.ir_lower) <= 1e-10
 
     def test_zero_likelihood_advises_smoothing(self, quantum_ge, uniform):
         traj = qc.sample_trajectory(quantum_ge, uniform, 500, seed=55)
-        raw = AuxiliaryModel(qc.fsmc_from_dmc(qc.build_bsc(0.0)), "noiseless", smoothed=False)
+        raw = AuxiliaryModel(qc.build_bsc(0.0), "noiseless", smoothed=False)
         with pytest.raises(AuxiliaryLikelihoodError, match="smooth"):
             lower_bound(traj, raw, uniform)
-        smoothed = make_auxiliary(qc.fsmc_from_dmc(qc.build_bsc(0.0)), "noiseless")
+        smoothed = make_auxiliary(qc.build_bsc(0.0), "noiseless")
         assert smoothed.smoothed
         assert np.isfinite(lower_bound(traj, smoothed, uniform).ir_lower)
 
@@ -97,7 +98,7 @@ class TestInputSideErrors:
 
     def test_lower_bound_raises_the_input_error(self, held_one):
         q, traj = held_one
-        aux = make_auxiliary(qc.fsmc_from_dmc(qc.build_bsc(0.2)), "bsc")
+        aux = make_auxiliary(qc.build_bsc(0.2), "bsc")
         with pytest.raises(ImpossibleObservationError) as caught:
             lower_bound(traj, aux, q)
         assert not isinstance(caught.value, AuxiliaryLikelihoodError)

@@ -9,19 +9,20 @@ from qchanrate import channels
 from qchanrate.errors import ModelValidationError
 from qchanrate.oracle import brute_force_oracle
 
+import models
 import reference
 from conftest import GE_TRANSITION, P_BAD, P_GOOD
 
 
 class TestBsc:
     def test_noiseless(self):
-        assert_allclose(qc.build_bsc(0.0).w, np.eye(2))
+        assert_allclose(qc.build_bsc(0.0).kernel[0, :, 0, :], np.eye(2))
 
     def test_crossover_rows(self):
-        assert_allclose(qc.build_bsc(0.05).w, [[0.95, 0.05], [0.05, 0.95]])
+        assert_allclose(qc.build_bsc(0.05).kernel[0, :, 0, :], [[0.95, 0.05], [0.05, 0.95]])
 
     def test_uniform(self):
-        assert_allclose(qc.build_bsc(0.5).w, np.full((2, 2), 0.5))
+        assert_allclose(qc.build_bsc(0.5).kernel[0, :, 0, :], np.full((2, 2), 0.5))
 
     @pytest.mark.parametrize("p", [-0.1, 1.1, np.nan])
     def test_rejects_bad_probability(self, p):
@@ -32,14 +33,14 @@ class TestBsc:
 class TestGilbertElliott:
     def test_equal_flip_probabilities_reduce_to_bsc(self):
         f = qc.build_gilbert_elliott(0.3, 0.3, GE_TRANSITION)
-        bsc = qc.build_bsc(0.3).w
+        bsc = qc.build_bsc(0.3).kernel[0, :, 0, :]
         for s, x in itertools.product(range(2), range(2)):
             assert_allclose(f.kernel[s, x].sum(axis=0), bsc[x])
 
     def test_frozen_good_state_is_bsc(self):
         f = qc.build_gilbert_elliott(P_GOOD, P_BAD, np.eye(2), initial=[1.0, 0.0])
         assert_allclose(f.initial, [1.0, 0.0])
-        assert_allclose(f.kernel[0, :, 0, :], qc.build_bsc(P_GOOD).w)
+        assert_allclose(f.kernel[0, :, 0, :], qc.build_bsc(P_GOOD).kernel[0, :, 0, :])
         assert_allclose(f.kernel[0, :, 1, :], 0.0)
 
     def test_rows_sum_to_one(self):
@@ -128,7 +129,7 @@ class TestCompile:
         assert np.abs(t.operators[1, 0]).max() == 0.0
         # transmission is perfect from any memory state
         rng = np.random.default_rng(12)
-        state = channels._random_density(rng, 2)
+        state = models._random_density(rng, 2)
         p = reference.pieces(t)
         for x in range(2):
             assert_allclose(reference.output_pmf(p, state, x), np.eye(2)[x], atol=1e-12)
@@ -141,7 +142,7 @@ class TestCompile:
     def test_random_channels_satisfy_conditions(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
-            ch = qc.random_quantum_memory_channel(
+            ch = models.random_quantum_memory_channel(
                 rng,
                 state_dim=int(rng.integers(1, 4)),
                 transmit_dim=2,
@@ -182,19 +183,19 @@ class TestCompile:
 
 class TestEmbedding:
     def test_single_state_scalars(self):
-        t = qc.embed_classical_as_quantum(qc.fsmc_from_dmc(qc.build_bsc(0.3)))
+        t = models.embed_classical_as_quantum(qc.build_bsc(0.3))
         assert t.state_dim == 1
         for x in range(2):
             for y in range(2):
-                assert_allclose(t.operators[x, y], [[qc.build_bsc(0.3).w[x, y]]])
+                assert_allclose(t.operators[x, y], [[qc.build_bsc(0.3).kernel[0, :, 0, :][x, y]]])
 
     def test_embedded_set_satisfies_conditions(self, classical_ge):
-        t = qc.embed_classical_as_quantum(classical_ge)
+        t = models.embed_classical_as_quantum(classical_ge)
         report = qc.validate(t)
         assert report.ok, report.summary()
 
     def test_diagonal_structure(self, classical_ge):
-        t = qc.embed_classical_as_quantum(classical_ge)
+        t = models.embed_classical_as_quantum(classical_ge)
         for x in range(2):
             for y in range(2):
                 m = t.operators[x, y]
@@ -265,12 +266,12 @@ class TestRandomModelGenerators:
     def test_classical_models_valid(self):
         rng = np.random.default_rng(14)
         for _ in range(50):
-            assert qc.validate(qc.random_classical_fsmc(rng)).ok
+            assert qc.validate(models.random_classical_fsmc(rng)).ok
 
     def test_quantum_models_valid(self):
         rng = np.random.default_rng(15)
         for _ in range(50):
-            ch = qc.random_quantum_memory_channel(rng)
+            ch = models.random_quantum_memory_channel(rng)
             assert qc.validate(ch).ok
 
 
@@ -280,7 +281,7 @@ class TestGlobalFunctionProperties:
     def test_classical_global_function_is_pmf(self, uniform):
         rng = np.random.default_rng(16)
         for _ in range(5):
-            f = qc.random_classical_fsmc(rng)
+            f = models.random_classical_fsmc(rng)
             n = 3
             total = 0.0
             for xs in itertools.product(range(2), repeat=n):
@@ -298,7 +299,7 @@ class TestGlobalFunctionProperties:
     def test_quantum_global_function_marginal_is_pmf(self, uniform):
         rng = np.random.default_rng(17)
         for _ in range(5):
-            t = qc.compile_transfer_operators(qc.random_quantum_memory_channel(rng))
+            t = qc.compile_transfer_operators(models.random_quantum_memory_channel(rng))
             tables = brute_force_oracle(t, uniform, 3)
             assert tables.joint.min() >= -1e-12
             assert abs(tables.joint.sum() - 1.0) <= 1e-10

@@ -17,6 +17,8 @@ from qchanrate.rates import entropy_rate_estimates
 from qchanrate.runner import CSV_COLUMNS, run_experiment
 from qchanrate.sampling import Trajectory, load_trajectory, sample_trajectory
 
+import models
+
 
 def write_config(tmp_path, name="exp.json", **overrides):
     cfg = {
@@ -265,12 +267,19 @@ class TestParsing:
              r"^sweep\.exclude\[1\]: 0\.06 is not one of sweep\.values$"),
             ({"seeds": [0], "sweep": {"parameter": "n", "values": [100, 200], "exclude": [150]}},
              r"^sweep\.exclude\[0\]: 150\.0 is not one of sweep\.values$"),
+            # numpy refuses a stream of 2^60 or more with a ValueError
+            ({"n": 2**60}, rf"^n: n must lie in \[1, 2\^60 - 1\], got {2**60}$"),
+            ({"sweep": {"parameter": "n", "values": [100, 2**60]}},
+             rf"^sweep\.values\[1\]: n must lie in \[1, 2\^60 - 1\], got {2**60}$"),
         ],
     )
     def test_rejections(self, tmp_path, overrides, fragment):
         path = write_config(tmp_path, **overrides)
         with pytest.raises(ConfigError, match=fragment):
             load_config(path)
+
+    def test_longest_length_parses(self, tmp_path):
+        assert load_config(write_config(tmp_path, n=2**60 - 1)).n == 2**60 - 1
 
     def test_json_beyond_the_reader_exits_2(self, tmp_path, capsys):
         """An integer of more digits than Python converts, or lists nested
@@ -500,7 +509,7 @@ class TestRunner:
         def matrices(ms):
             return [[[[v.real, v.imag] for v in row] for row in m] for m in ms]
 
-        ch = qc.random_quantum_memory_channel(np.random.default_rng(5), state_dim=2, y_size=3)
+        ch = models.random_quantum_memory_channel(np.random.default_rng(5), state_dim=2, y_size=3)
         three_outputs = {
             "kind": "custom_kraus", "state_dim": 2,
             "encodings": matrices(ch.encodings), "kraus": matrices(ch.kraus),
@@ -1249,6 +1258,17 @@ class TestCli:
         assert (tmp_path / "a" / "results.csv").read_bytes() == (
             tmp_path / "b" / "results.csv"
         ).read_bytes()
+
+    @pytest.mark.parametrize("verb, dest", [("estimate", "--out-dir"), ("sample", "-o")])
+    def test_n_override_from_2_60_exits_2(self, tmp_path, capsys, verb, dest):
+        """numpy refuses a stream of 2^60 or more with a ValueError, not a
+        MemoryError; config lengths are checked in ``test_rejections``."""
+        out = tmp_path / "o"
+        assert main([verb, str(write_config(tmp_path)), dest, str(out), "--n", str(2**60)]) == 2
+        assert capsys.readouterr().err == (
+            f"error[ConfigError]: --n: n must lie in [1, 2^60 - 1], got {2**60}\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_exits_2(self, tmp_path, capsys, threads):

@@ -6,18 +6,17 @@ import pytest
 
 import qchanrate as qc
 from qchanrate import rates
-from qchanrate.errors import OracleBudgetError
-from qchanrate.oracle import (
-    brute_force_oracle,
-    oracle_joint_prob,
-    oracle_output_prob,
-)
+from qchanrate.errors import OracleBudgetError, SequenceError
+from qchanrate.oracle import brute_force_oracle
+
+import models
+from reference import oracle_joint_prob, oracle_output_prob
 
 
 class TestTables:
     @pytest.mark.parametrize("seed", [40, 41, 42])
     def test_classical_tables_are_pmfs(self, seed, uniform):
-        f = qc.random_classical_fsmc(np.random.default_rng(seed))
+        f = models.random_classical_fsmc(np.random.default_rng(seed))
         tables = brute_force_oracle(f, uniform, 3)
         assert abs(tables.joint.sum() - 1.0) <= 1e-10
         assert tables.joint.min() >= 0.0
@@ -26,7 +25,7 @@ class TestTables:
     @pytest.mark.parametrize("seed", [43, 44, 45])
     def test_quantum_tables_are_pmfs(self, seed, uniform):
         t = qc.compile_transfer_operators(
-            qc.random_quantum_memory_channel(np.random.default_rng(seed))
+            models.random_quantum_memory_channel(np.random.default_rng(seed))
         )
         tables = brute_force_oracle(t, uniform, 3)
         assert abs(tables.joint.sum() - 1.0) <= 1e-10
@@ -44,6 +43,21 @@ class TestTables:
                 tables.output_prob(ys) - oracle_output_prob(quantum_ge, uniform, ys)
             ) <= 1e-14
 
+    @pytest.mark.parametrize(
+        "seq",
+        [[1], [0, 0, 1, 0], [0, 0, 2], [0, -1, 0], [0.0, 0.0, 1.0]],
+        ids=["short", "long", "beyond-alphabet", "negative", "not-integer"],
+    )
+    def test_lookup_rejects_sequences_without_an_entry(self, quantum_ge, uniform, seq):
+        """Such a sequence has no entry, so it must not read another's."""
+        tables = brute_force_oracle(quantum_ge, uniform, 3)
+        with pytest.raises(SequenceError, match="output sequence must hold 3"):
+            tables.output_prob(seq)
+        with pytest.raises(SequenceError, match="output sequence must hold 3"):
+            tables.joint_prob([0, 0, 0], seq)
+        with pytest.raises(SequenceError, match="input sequence must hold 3"):
+            tables.joint_prob(seq, [0, 0, 0])
+
 
 class TestSequenceProbabilities:
     def test_distributed_input_sum_matches_literal_enumeration(self, quantum_ge, uniform):
@@ -60,7 +74,7 @@ class TestSequenceProbabilities:
             assert abs(literal - oracle_output_prob(quantum_ge, uniform, ys)) <= 1e-13
 
     def test_classical_equals_embedded_quantum(self, classical_ge, uniform):
-        t = qc.embed_classical_as_quantum(classical_ge)
+        t = models.embed_classical_as_quantum(classical_ge)
         rng = np.random.default_rng(47)
         for _ in range(5):
             ys = rng.integers(0, 2, size=5)
@@ -94,7 +108,7 @@ class TestBudget:
     def test_rejects_oversized_tables(self, uniform):
         rng = np.random.default_rng(49)
         t = qc.compile_transfer_operators(
-            qc.random_quantum_memory_channel(rng, state_dim=3)
+            models.random_quantum_memory_channel(rng, state_dim=3)
         )
         with pytest.raises(OracleBudgetError):
             brute_force_oracle(t, uniform, 10)

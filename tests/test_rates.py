@@ -1,3 +1,4 @@
+import inspect
 import math
 import typing
 import warnings
@@ -9,10 +10,16 @@ from numpy.testing import assert_allclose
 import qchanrate as qc
 from qchanrate import channels, rates
 from qchanrate.errors import ImpossibleObservationError, NumericalCorruptionError
-from qchanrate.oracle import oracle_joint_prob, oracle_output_prob
 
+import models
 from conftest import binary_entropy
-from reference import forward_steps, iterate_steps
+from reference import (
+    dmc_information_rate,
+    forward_steps,
+    iterate_steps,
+    oracle_joint_prob,
+    oracle_output_prob,
+)
 
 # Lengths around the block boundaries of the blocked recursion
 # (block length ceil(sqrt(n)): 1, 2, 4, 4, 5 and 32 steps).
@@ -23,55 +30,62 @@ AGREEMENT_LENGTHS = [1, 2, 15, 16, 17, 1000]
 def random_s3():
     """A random three-level memory channel."""
     return qc.compile_transfer_operators(
-        channels.random_quantum_memory_channel(np.random.default_rng(41), state_dim=3)
+        models.random_quantum_memory_channel(np.random.default_rng(41), state_dim=3)
     )
 
 
 class TestDmcInformationRate:
     @pytest.mark.parametrize("p", [0.0, 0.05, 0.11, 0.3, 0.5, 0.95, 1.0])
     def test_bsc_closed_form(self, p, uniform):
-        got = qc.dmc_information_rate(uniform, qc.build_bsc(p))
+        got = dmc_information_rate(uniform, qc.build_bsc(p).kernel[0, :, 0, :])
         assert abs(got - (1.0 - binary_entropy(p))) <= 1e-12
 
     def test_uniform_bsc_is_zero(self, uniform):
-        assert qc.dmc_information_rate(uniform, qc.build_bsc(0.5)) == 0.0
+        assert dmc_information_rate(uniform, qc.build_bsc(0.5).kernel[0, :, 0, :]) == 0.0
 
     def test_reference_value(self, uniform):
-        assert abs(qc.dmc_information_rate(uniform, qc.build_bsc(0.05)) - 0.713603) <= 1e-6
+        w = qc.build_bsc(0.05).kernel[0, :, 0, :]
+        assert abs(dmc_information_rate(uniform, w) - 0.713603) <= 1e-6
 
     def test_skewed_input(self):
         q = qc.InputLaw([0.6, 0.4])
-        w = qc.Dmc(np.array([[0.8, 0.2], [0.3, 0.7]]))
-        qy = q.p @ w.w
+        w = np.array([[0.8, 0.2], [0.3, 0.7]])
+        qy = q.p @ w
         expected = sum(
-            q.p[x] * w.w[x, y] * math.log2(w.w[x, y] / qy[y])
+            q.p[x] * w[x, y] * math.log2(w[x, y] / qy[y])
             for x in range(2)
             for y in range(2)
         )
-        assert abs(qc.dmc_information_rate(q, w) - expected) <= 1e-14
+        assert abs(dmc_information_rate(q, w) - expected) <= 1e-14
 
     def test_alphabet_mismatch(self, uniform):
         with pytest.raises(ValueError):
-            qc.dmc_information_rate(qc.InputLaw([1.0]), qc.build_bsc(0.1))
+            dmc_information_rate(qc.InputLaw([1.0]), qc.build_bsc(0.1).kernel[0, :, 0, :])
 
     def test_annotations_resolve(self):
         """``typing.get_type_hints`` can evaluate the annotations: each
         names a type the module imports."""
-        assert typing.get_type_hints(rates.dmc_information_rate)["w"] is channels.Dmc
+        hints = {
+            name: typing.get_type_hints(fn)
+            for module in (rates, channels)
+            for name, fn in vars(module).items()
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__ and name[0] != "_"
+        }
+        assert hints["build_bsc"]["return"] is channels.ClassicalFsmc
 
 
 class TestClassicalForward:
     def test_single_state_matches_memoryless_form(self):
         q = qc.InputLaw([0.6, 0.4])
-        w = qc.Dmc(np.array([[0.8, 0.2], [0.3, 0.7]]))
-        f = qc.fsmc_from_dmc(w)
-        qy = q.p @ w.w
+        w = np.array([[0.8, 0.2], [0.3, 0.7]])
+        f = qc.ClassicalFsmc(w[None, :, None, :], np.array([1.0]))
+        qy = q.p @ w
         ys = np.array([0, 1, 1, 0, 1, 0, 0])
         logs = rates.scaled_forward_classical(f, q, ys)
         assert_allclose(logs, -np.log(qy[ys]), atol=1e-14)
 
     def test_uniform_output_scale_factor_is_alphabet_size(self, uniform):
-        f = qc.fsmc_from_dmc(qc.build_bsc(0.5))
+        f = qc.build_bsc(0.5)
         logs = rates.scaled_forward_classical(f, uniform, np.array([0, 1, 1, 0]))
         assert_allclose(np.exp(logs), 2.0)
 
@@ -96,14 +110,14 @@ class TestClassicalForward:
         assert np.abs(engine_logs - ref).max() <= 1e-12
 
     def test_impossible_observation(self, uniform):
-        f = qc.fsmc_from_dmc(qc.build_bsc(0.0))
+        f = qc.build_bsc(0.0)
         with pytest.raises(ImpossibleObservationError):
             rates.scaled_forward_classical(f, uniform, np.array([1]), np.array([0]))
 
 
 class TestQuantumForward:
     def test_embedded_model_reproduces_classical_recursion(self, classical_ge, uniform):
-        t = qc.embed_classical_as_quantum(classical_ge)
+        t = models.embed_classical_as_quantum(classical_ge)
         traj = qc.sample_trajectory(classical_ge, uniform, 500, seed=31)
         for xs in (None, traj.x):
             lc = rates.scaled_forward_classical(classical_ge, uniform, traj.y, xs)
@@ -194,7 +208,7 @@ class TestRecursionGuards:
     def test_zero_probability_classical(self, uniform, planted):
         """A noiseless channel makes every block product that contains a
         flipped output all zero."""
-        f = qc.fsmc_from_dmc(qc.build_bsc(0.0))
+        f = qc.build_bsc(0.0)
         xs = np.random.default_rng(43).integers(0, 2, GUARD_N)
         ys = xs.copy()
         ys[[planted, GUARD_N - 1]] ^= 1
@@ -396,9 +410,9 @@ def memoryless_quantum_bsc(p: float) -> channels.QuantumMemoryChannel:
 def one_state_models():
     """A classical and a quantum one-state model, three outputs, whose
     recursions share a closure of size 1 and so stack together."""
-    w = qc.Dmc(np.array([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]]))
+    w = np.array([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]])
     basis = np.stack([np.diag(np.eye(3)[y]) for y in range(3)]).astype(complex)
-    encodings = np.stack([np.diag(row) for row in w.w]).astype(complex)
+    encodings = np.stack([np.diag(row) for row in w]).astype(complex)
     quantum = channels.QuantumMemoryChannel(
         state_dim=1,
         encodings=encodings,
@@ -407,7 +421,8 @@ def one_state_models():
         inter_use_unitary=np.eye(1, dtype=complex),
         initial_state=np.eye(1, dtype=complex),
     )
-    return [qc.fsmc_from_dmc(w), qc.compile_transfer_operators(quantum)]
+    return [qc.ClassicalFsmc(w[None, :, None, :], np.array([1.0])),
+            qc.compile_transfer_operators(quantum)]
 
 
 def blocked_logs(recs):
@@ -515,7 +530,7 @@ class TestOneStateStacks:
 class TestEntropyRateEstimates:
     def test_memoryless_classical_embedding(self, uniform):
         p = 0.11
-        f = qc.fsmc_from_dmc(qc.build_bsc(p))
+        f = qc.build_bsc(p)
         traj = qc.sample_trajectory(f, uniform, 100000, seed=33)
         r = qc.entropy_rate_estimates(f, uniform, traj)
         assert abs(r.ir - (1.0 - binary_entropy(p))) <= 0.01
@@ -527,7 +542,7 @@ class TestEntropyRateEstimates:
         assert t.state_dim == 1
         traj = qc.sample_trajectory(t, uniform, 100000, seed=34)
         r = qc.entropy_rate_estimates(t, uniform, traj)
-        expected = qc.dmc_information_rate(uniform, qc.build_bsc(p))
+        expected = dmc_information_rate(uniform, qc.build_bsc(p).kernel[0, :, 0, :])
         assert abs(r.ir - expected) <= 0.01
 
     def test_deterministic_input_gives_zero_rate(self, quantum_ge):

@@ -13,10 +13,16 @@ from qchanrate.errors import (
     NumericalCorruptionError,
     TrajectoryFormatError,
 )
-from qchanrate.oracle import oracle_joint_prob
 
 import reference
 from conftest import GE_TRANSITION, P_BAD, P_GOOD
+from models import (
+    _random_density,
+    embed_classical_as_quantum,
+    random_classical_fsmc,
+    random_quantum_memory_channel,
+)
+from reference import oracle_joint_prob
 
 
 class TestDraws:
@@ -105,16 +111,16 @@ class TestConditionalOutputDistribution:
     def test_noiseless_is_deterministic(self):
         p = reference.pieces(qc.build_quantum_gilbert_elliott(0.0, 0.0, alpha=0.3))
         rng = np.random.default_rng(21)
-        state = channels._random_density(rng, 2)
+        state = _random_density(rng, 2)
         for x in range(2):
             assert_allclose(reference.output_pmf(p, state, x), np.eye(2)[x], atol=1e-12)
 
     def test_matches_measurement_route(self):
         rng = np.random.default_rng(22)
         for _ in range(10):
-            ch = qc.random_quantum_memory_channel(rng, state_dim=int(rng.integers(1, 4)))
+            ch = random_quantum_memory_channel(rng, state_dim=int(rng.integers(1, 4)))
             p = reference.pieces(ch)
-            state = channels._random_density(rng, ch.state_dim)
+            state = _random_density(rng, ch.state_dim)
             for x in range(ch.x_size):
                 direct = measurement_route_pmf(ch, state, x)
                 contracted = reference.output_pmf(p, state, x)
@@ -126,7 +132,7 @@ class TestPosteriorUpdate:
     sampler carries."""
 
     def test_matches_classical_forward_posterior(self, classical_ge, uniform):
-        p = reference.pieces(qc.embed_classical_as_quantum(classical_ge))
+        p = reference.pieces(embed_classical_as_quantum(classical_ge))
         rng = np.random.default_rng(23)
         mu = classical_ge.initial.copy()
         state = p.start
@@ -151,9 +157,9 @@ class TestPosteriorUpdate:
     def test_matches_direct_conditioning_route(self):
         rng = np.random.default_rng(24)
         for _ in range(5):
-            ch = qc.random_quantum_memory_channel(rng, state_dim=3)
+            ch = random_quantum_memory_channel(rng, state_dim=3)
             p = reference.pieces(ch)
-            state = channels._random_density(rng, 3)
+            state = _random_density(rng, 3)
             for x in range(2):
                 y = int(reference.output_pmf(p, state, x).argmax())
                 assert np.abs(
@@ -213,7 +219,7 @@ class TestSampleTrajectory:
     def test_classical_and_quantum_paths_agree_exactly(self, classical_ge, uniform):
         """Chained sampler conditionals on the embedded set reproduce the
         classical joint law sequence by sequence (length 6, all pairs)."""
-        p = reference.pieces(qc.embed_classical_as_quantum(classical_ge))
+        p = reference.pieces(embed_classical_as_quantum(classical_ge))
         n = 6
         for xs in itertools.product(range(2), repeat=n):
             for ys in itertools.product(range(2), repeat=n):
@@ -311,7 +317,7 @@ def real_form_models():
     rng = np.random.default_rng(28)
     models = [
         qc.compile_transfer_operators(
-            qc.random_quantum_memory_channel(
+            random_quantum_memory_channel(
                 rng, state_dim=1 + i % 4, x_size=int(rng.integers(2, 4)),
                 y_size=int(rng.integers(2, 4)),
             )
@@ -319,7 +325,7 @@ def real_form_models():
         for i in range(18)
     ]
     classical = qc.build_gilbert_elliott(P_GOOD, P_BAD, GE_TRANSITION)
-    models.append(qc.embed_classical_as_quantum(classical))
+    models.append(embed_classical_as_quantum(classical))
     models.append(pinned_model("quantum_ge"))
     return models
 
@@ -337,7 +343,7 @@ class TestRealStepMatrices:
         steps, imag, herm = sampling._quantum_step_matrices(model)
         assert max(imag) <= 1e-14 and max(herm) <= 1e-14
         for _ in range(3):
-            sigma = channels._random_density(rng, s)
+            sigma = _random_density(rng, s)
             packed = linalg.pack_hermitian(sigma).reshape(d)
             for x in range(model.x_size):
                 assert steps[x].shape == (d, y_size * d + y_size)
@@ -357,7 +363,7 @@ def assert_quantum_matches_single_step_reference(y_size):
     sequential reference's single-step route."""
     rng = np.random.default_rng(26)
     t = qc.compile_transfer_operators(
-        qc.random_quantum_memory_channel(rng, state_dim=3, x_size=3, y_size=y_size)
+        random_quantum_memory_channel(rng, state_dim=3, x_size=3, y_size=y_size)
     )
     q = qc.uniform_input(3)
     n, seed = 2000, 31
@@ -389,7 +395,7 @@ class TestPinnedStreams:
 
     def test_classical_matches_single_step_reference(self):
         rng = np.random.default_rng(27)
-        f = channels.random_classical_fsmc(rng, state_count=3, x_size=2, y_size=3)
+        f = random_classical_fsmc(rng, state_count=3, x_size=2, y_size=3)
         n, seed = 2000, 32
         ref_rng = qc.make_rng(seed)
         x = qc.sample_input(qc.uniform_input(), n, ref_rng)
@@ -416,7 +422,7 @@ class TestConditionalLogLoss:
         the table draw."""
         if name == "random":
             t = qc.compile_transfer_operators(
-                qc.random_quantum_memory_channel(
+                random_quantum_memory_channel(
                     np.random.default_rng(30), state_dim=3, x_size=3, y_size=3
                 )
             )
@@ -459,7 +465,7 @@ def assert_matches_single_step_route(t, n, seed):
 
 def random_model(seed, state_dim, x_size, y_size):
     return qc.compile_transfer_operators(
-        qc.random_quantum_memory_channel(
+        random_quantum_memory_channel(
             np.random.default_rng(seed), state_dim=state_dim, x_size=x_size, y_size=y_size
         )
     )
@@ -489,7 +495,7 @@ class TestPairWords:
         if y_size != 2:
             assert tables is None
             return
-        sigma = channels._random_density(rng, model.state_dim)
+        sigma = _random_density(rng, model.state_dim)
         packed = linalg.pack_hermitian(sigma).reshape(d)
         for x0, x1 in itertools.product(range(x_size), repeat=2):
             table = tables[x0 * x_size + x1]
@@ -576,7 +582,7 @@ class TestBinaryDraw:
         kernel[0, :, :, 0] = 0.5
         kernel[1, :, 0, :] = 0.5
         f = channels.ClassicalFsmc(kernel, np.array([1.0, 0.0]))
-        t = qc.embed_classical_as_quantum(f)
+        t = embed_classical_as_quantum(f)
         n = 40
         xs = qc.sample_input(qc.uniform_input(), n, qc.make_rng(4))
         picks, _ = sampling._sample_outputs_quantum(t, xs, FixedUniforms(np.full(n, u)))
@@ -661,7 +667,7 @@ def planted_classical(fault):
 # words, each bisecting the cumulative table, whose bisection
 # zero_weight_draw overrides.  (A two-output pair word never picks a zero
 # weight: see TestBinaryDraw.)
-ZERO_WEIGHT_MODEL = qc.embed_classical_as_quantum(
+ZERO_WEIGHT_MODEL = embed_classical_as_quantum(
     channels.ClassicalFsmc(
         np.array([[[[0.5, 0.0, 0.5]], [[0.25, 0.0, 0.75]]]]), np.array([1.0])  # (S, X, S, Y)
     )
