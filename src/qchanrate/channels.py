@@ -46,8 +46,6 @@ from .linalg import (
 )
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 # Default evolution generators for the quantum Gilbert-Elliott builders.
 # These are repo-chosen reference values (any fixed Hermitian matrix

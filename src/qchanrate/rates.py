@@ -20,33 +20,50 @@ each step is ``v <- v @ M`` followed by division by a linear closure of
   to unit trace, the sum of its diagonal.  Hermiticity holds by
   construction, so no step repairs it.
 
-The engine evaluates a stack of R recursions of one state size and one
-length together (a single recursion is a stack of one): their step
-matrices share one table, each recursion's indices shifted to its own
-entries, and each matrix is first scaled by an exact power of two to a
-largest entry in [0.5, 1), whose log is added back to the steps that use
-it.  Each recursion runs in blocks of k = ceil(sqrt(n)) steps, so that
-each of the three phases is a Python loop of about sqrt(n) iterations
-over numpy calls batched across the blocks of every recursion, instead
-of one interpreted iteration per step:
+The engine evaluates a stack of R recursions of one state size, one
+length and one word length (``stack_key``) together (a single recursion
+is a stack of one): their step matrices share one table, each
+recursion's indices shifted to its own entries, and each matrix is first
+scaled by an exact power of two to a largest entry in [0.5, 1), whose
+log is added back to the steps that use it.
 
-1. all block transfer products are formed together, every block
-   advancing one step per iteration; each product is rescaled by its
-   largest entry every ``RESCALE_EVERY`` steps and on its last step, so
-   that it neither underflows nor overflows between rescalings;
-2. a sequential pass over the n/k blocks carries each recursion's
-   normalized state from each block's start to the next;
-3. all blocks rerun their own steps together from those start states,
+Each recursion runs in words of m steps.  m comes from the recursion
+alone, never from its stack (``_word_length``): it grows with n, so that
+the words' table costs little next to the steps it saves, and it stays
+within the recursion's rescale cap L (``_rescale_cap``), the most steps
+over which a row of a product of its matrices keeps its sum within
+2**-PATH_RANGE of where it started.  The stack's table holds one entry
+per word that occurs: the word's D x D product, then its m prefix
+products times the closure.  A vector-matrix product with an entry thus
+gives the state after the word and the word's m prefix totals, whose
+consecutive ratios are its steps' normalizers.
+
+The words form blocks of about sqrt(n / m) words, so that each of the
+three phases is a Python loop of about sqrt(n / m) iterations over numpy
+calls batched across the blocks of every recursion:
+
+1. all block transfer products are formed together, one word per
+   iteration; every row of a product is divided by the power of two of
+   its sum of magnitudes, an exact rescale, after each run of words of at
+   most L steps and after the last word, its powers kept apart.  The
+   powers are folded back, relative to the largest, where every nonzero
+   row is within 2**-PATH_RANGE of it;
+2. a sequential pass over the blocks carries each recursion's normalized
+   state from each block's start to the next.  Where the state's total
+   through the folded product comes out below ``FOLD_FLOOR``, or the
+   product was not folded, the state is scaled by its block's row powers
+   instead, so that the product's largest term is near 1;
+3. all blocks rerun their own words together from those start states,
    yielding the exact per-step normalizers: each iteration is a gather
-   of the step matrices, one batched vector-matrix product, the closure
-   and a division by the raw total, with no masking of bad totals.
+   of the word entries, one batched vector-matrix product and a division
+   of the state by its word's last total, with no masking of bad totals.
 
-Phases 1 and 3 loop k times and phase 2 loops n/k times, so k = sqrt(n)
-keeps every loop near sqrt(n) iterations (the interpreter's cost is per
-iteration, shared by the whole stack), while the block products take
-only n/k matrices of the step size per recursion.  At a large state
-size the three phases run over slices of the blocks, so that the
-matrices held at once stay within ``PRODUCT_BUDGET`` entries.
+At a large state size the three phases run over slices of the blocks, so
+that the matrices held at once stay within ``PRODUCT_BUDGET`` entries.
+So a state component down to about 2**-900 of the largest one stays in
+the normal range of floats, where an exact power-of-two rescale moves no
+bit; how often a product is rescaled then does not change its rounding,
+and a recursion's logs do not depend on its stack.
 
 Every guard is reported per recursion, on the step it concerns: a
 normalizer that is not finite, or one that is not positive (a
@@ -58,12 +75,15 @@ step, with the same error type as a step-by-step evaluation, and leaves
 the other recursions of the stack unchanged.  The division by a bad
 total fills the rest of its block with NaN or infinite values, whose
 steps all come after it, so the earliest bad step is still the first one
-reported.  Phase 3 also checks each block's end state against the next
-block's start from phase 2; a product that lost accuracy (an entry
-underflowed to zero within its rescaling interval, say) shows as a gap
-there, and that recursion's steps after the block are then evaluated
-again from the block's end state, in a stack with the other unsettled
-recursions of the same remaining length.
+reported.  A block may still lose accuracy: its phase-3 end state may
+disagree with the state phase 2 carries past it, a row of its product
+may fall below ``PEAK_FLOOR`` between rescales (a step zeroed the
+columns that held the row), or a word's prefix totals may fall below it.
+The recursion is then settled up to that block's start (up to its end
+when it ran one step per word and only its product is in doubt), and its
+remaining steps are evaluated again from there, one step per word and
+with every product rescaled on every step, in a stack with the other
+unsettled recursions of the same remaining length.
 
 A stack of one-state recursions (a memoryless model, closure of size 1)
 runs no pass: its normalized state is 1 after every step, so each step's
@@ -121,21 +141,44 @@ LN2 = math.log(2.0)
 # recursion is evaluated again from that end state.
 RESYNC_TOL = 1e-12
 
-# Steps between rescalings of a block product.  Over so few steps a
-# product of step matrices scaled to a largest entry in [0.5, 1) neither
-# overflows nor, unless its entries decay below about 1e-38 of its peak
-# (good and bad steps alternating along every path, say), underflows; one
-# that does is caught by the RESYNC_TOL check.
-RESCALE_EVERY = 8
+# Binary orders of magnitude that a row of a block product may fall
+# between two rescales, on a recursion's rescale cap (``_rescale_cap``):
+# a state component down to about 2**-900 of the largest one then stays
+# in the normal range of floats, where an exact power-of-two rescale
+# moves no bit.
+PATH_RANGE = 100
+
+# A row of a block product whose sum fell below PEAK_FLOOR between two
+# rescales, or a word whose prefix totals fell below it, had a step zero
+# the components that held its mass, and the components left may have
+# lost precision: the recursion's steps from that block on are evaluated
+# again, one step per word.
+PEAK_FLOOR = 2.0**-PATH_RANGE
+
+# The power of two of a row that is all zero, below every other.
+NO_ROW = np.iinfo(np.int64).min // 2
+
+# A block start whose total, through the folded block product, falls
+# below this is computed again from the product's rows and their powers.
+FOLD_FLOOR = 2.0**-50
+
+# Longest word of steps the engine forms, the binary orders of magnitude
+# a word's rows may fall, the steps of a recursion per word-table product
+# it spends, and the most numbers a word table holds (see
+# ``_word_length``).
+WORD_MAX = 8
+WORD_RANGE = 50
+WORD_STEPS = 40
+WORD_BUDGET = 2**17
 
 # Most matrix entries (matrices times their size) that a pass holds at
-# once in its block products and gathered step matrices: at a large state
+# once in its block products and gathered word entries: at a large state
 # size, the pass runs over slices of the blocks to stay within it.
 PRODUCT_BUDGET = 2**14
 
 # Three-phase passes run so far (each over a stack of recursions): a
-# recursion that loses accuracy in its block products takes more than one,
-# and a one-state stack takes none.
+# recursion that loses accuracy in its block products or words takes more
+# than one, and a one-state stack takes none.
 passes = 0
 
 
@@ -224,7 +267,20 @@ def _impossible(step: int) -> ImpossibleObservationError:
     )
 
 
-def _guard_error(total: float, table: RealForm, matrix: int, step: int) -> QchanrateError:
+class StackTable(NamedTuple):
+    """The step matrices of a stack, each prescaled, the identity last,
+    with their guard residues (as in ``RealForm``) and, per matrix, the
+    rescale cap and the alphabet (its number of step matrices) of the
+    recursion that owns it."""
+
+    mats: np.ndarray
+    imag_residue: np.ndarray
+    herm_residue: np.ndarray
+    cap: np.ndarray
+    alphabet: np.ndarray
+
+
+def _guard_error(total: float, table: StackTable, matrix: int, step: int) -> QchanrateError:
     """The error of a step that tripped a guard, checked in order."""
     imag = table.imag_residue[matrix]
     if not np.isfinite(total):
@@ -240,12 +296,119 @@ def _guard_error(total: float, table: RealForm, matrix: int, step: int) -> Qchan
     )
 
 
+def _rescale_cap(mats: np.ndarray) -> int:
+    """L, the most steps that a block product of these step matrices may
+    take between two rescales of its rows.
+
+    Prescaled to a peak in [0.5, 1), a matrix whose nonzero rows have
+    sums of magnitudes of at least r times its peak shrinks the sum of a
+    row of a product of nonnegative matrices by at most r / 2 per step
+    (unless it zeroes the columns that hold the row), and grows it by at
+    most g, its largest row sum over its peak.  With r and g taken over
+    all the matrices, L steps keep a row sum above 2**-PATH_RANGE of its
+    start and below 2**1000 times it.  A non-finite r or g gives 1.
+    """
+    size = np.abs(mats)
+    peak = size.max(axis=(1, 2), keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows = np.where(peak > 0.0, size / peak, 0.0).sum(axis=2)
+    r = rows[rows > 0.0].min(initial=1.0)
+    g = rows.max(initial=1.0)
+    if not (r > 0.0 and g < math.inf):
+        return 1
+    steps = min(PATH_RANGE // (1.0 - math.log2(r)), 1000 // max(math.log2(g), 1.0))
+    return max(1, int(steps))
+
+
+def _word_length(alphabet: int, d: int, n: int, cap: int) -> int:
+    """m, the steps per word of a recursion of ``alphabet`` step
+    matrices of size ``d`` over ``n`` steps with rescale cap ``cap``.
+
+    The passes multiply about 2n/m matrices, and the word table m per
+    word that occurs.  m is the longest word, up to WORD_MAX, whose table
+    for two step matrices (2**m words) costs at most n / WORD_STEPS
+    products; counting two matrices whatever the alphabet keeps a
+    model's output-only and joint recursions at one m, hence in one
+    stack.  It takes at most WORD_RANGE / PATH_RANGE of the cap, so that
+    a word's rows fall by at most 2**-WORD_RANGE, and it is shortened
+    while the table, of at most min(alphabet**m, n/m) entries of
+    d * (d + m) numbers, exceeds WORD_BUDGET numbers.  A one-state
+    recursion (d = 1) gets m = 1.
+    """
+    m = 1
+    longest = min(cap * WORD_RANGE // PATH_RANGE, WORD_MAX)
+    while m < longest and (m + 1) * 2 ** (m + 1) * WORD_STEPS <= n:
+        m += 1
+    while m > 1 and min(alphabet**m, -(-n // m)) * d * (d + m) > WORD_BUDGET:
+        m -= 1
+    return 1 if d == 1 else m
+
+
+def _recursion_word_length(rec: Recursion) -> int:
+    """The word length of a recursion, from its own matrices and length."""
+    return _word_length(len(rec.form.mats), rec.closure.size, rec.index.size,
+                        _rescale_cap(rec.form.mats))
+
+
+def _word_table(table: StackTable, closure: np.ndarray, wsteps: np.ndarray, shifts: np.ndarray):
+    """The table of the words that occur in ``wsteps``, where
+    ``wsteps[r, i]`` lists the table matrices of word i of recursion r,
+    and each word's entry in it.
+
+    A word is coded by its recursion and the positions of its steps among
+    that recursion's matrices (the identity after them), so each entry
+    depends on its word alone.  An entry holds the word's product, then
+    each of its m prefix products times the closure.  Returns the
+    products, the entries and the entry of each word.
+    """
+    m = wsteps.shape[-1]
+    d = closure.size
+    radix = table.alphabet[shifts] + 1
+    digits = np.minimum(wsteps - shifts[:, None, None], radix[:, None, None] - 1)
+    code = digits[:, :, 0]
+    for i in range(1, m):
+        code = code * radix[:, None] + digits[:, :, i]
+    sizes = radix**m
+    code += (np.cumsum(sizes) - sizes)[:, None]
+    seen = np.zeros(sizes.sum(), dtype=bool)
+    seen[code] = True
+    rep = np.empty(seen.size, dtype=np.int64)
+    rep[code.ravel()] = np.arange(code.size)
+    chosen = wsteps.reshape(-1, m)[rep[seen]]
+    # Each step matrix with its closure column: one product per step of a
+    # word gives its next prefix product and that prefix's closure.
+    steps = np.concatenate([table.mats, table.mats @ closure[:, None]], axis=2)
+    entries = np.empty((len(chosen), d, d + m))
+    prod = steps[chosen[:, 0]]
+    for i in range(1, m):
+        entries[:, :, d + i - 1] = prod[:, :, d]
+        prod = prod[:, :, :d] @ steps[chosen[:, i]]
+    entries[:, :, :d] = prod[:, :, :d]
+    entries[:, :, -1] = prod[:, :, d]
+    return entries[:, :, :d], entries, (np.cumsum(seen) - 1)[code]
+
+
+def _rescale(
+    prod: np.ndarray, scale: np.ndarray, due: np.ndarray, flags: np.ndarray
+) -> np.ndarray:
+    """Divide each row of each due block product by the power of two of
+    its sum of magnitudes, in place, and add that power to ``scale``;
+    flag a due product with a nonzero row whose sum was below
+    PEAK_FLOOR.  Returns the row sums before the division."""
+    sums = np.abs(prod) @ np.ones((prod.shape[-1], 1))
+    exps = np.where(due[:, None, None], np.frexp(sums)[1], 0)
+    flags |= due & (exps <= -PATH_RANGE).any(axis=(2, 3))  # sums below PEAK_FLOOR; 0 gives 0
+    np.ldexp(prod, -exps, out=prod)
+    scale += exps
+    return sums
+
+
 # A non-finite matrix entry spreads NaN through the products and states
 # (inf * 0), and a zero total divides by zero, all silently: the guards
 # after the three phases report the failing step.
 @np.errstate(divide="ignore", invalid="ignore")
 def _blocked_pass(
-    table: RealForm,
+    table: StackTable,
     guarded: np.ndarray,
     closure: np.ndarray,
     starts: np.ndarray,
@@ -253,110 +416,157 @@ def _blocked_pass(
     shifts: list[int],
     offset: int,
 ) -> list:
-    """One three-phase pass over R recursions of equal length.
+    """One three-phase pass over R recursions of equal length and word
+    length.
 
     Recursion r runs the steps ``table.mats[indices[r] + shifts[r]]``
     from the state ``starts[r]``; their first step is global step
     ``offset``.  ``table.mats`` carries the identity as its last entry,
-    used to pad the final blocks, and ``guarded[m]`` flags a matrix whose
+    used to pad the final word and block, ``table.cap`` and
+    ``table.alphabet`` give each recursion's rescale cap and alphabet,
+    hence its word length, and ``guarded[i]`` flags a matrix whose
     residues trip a guard on every step that uses it.
 
     Returns, per recursion, either the error of its earliest guard trip
     or the per-step logs of the leading steps it settled (all of them
-    unless a block end state disagreed with the next block's start) and
-    the state after them.
+    unless a block lost accuracy) and the state after them.
     """
     global passes
     passes += 1
-    mats = table.mats
     recs, n = len(indices), indices[0].size
-    k = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
-    blocks = -(-n // k)
-    full, rest = divmod(n, k)
-    d = mats.shape[-1]
-    # idx[j, b, r]: the matrix of step b * k + j of recursion r.
-    idx = np.full((k, blocks, recs), mats.shape[0] - 1)
+    d = closure.size
+    shifts = np.asarray(shifts)
+    caps = table.cap[shifts]
+    m = _word_length(int(table.alphabet[shifts[0]]), d, n, int(caps[0]))
+    words = -(-n // m)
+    w = math.isqrt(words - 1) + 1  # words per block, ceil(sqrt(words))
+    blocks = -(-words // w)
+    k = w * m
+    # steps[r, t]: the table matrix of step t of recursion r, the identity
+    # after its last step.
+    steps = np.full((recs, blocks * k), len(table.mats) - 1)
     for r, (index, shift) in enumerate(zip(indices, shifts)):
-        steps = idx[:, :, r].T
-        np.add(index[: full * k].reshape(full, k), shift, out=steps[:full])
-        if rest:
-            np.add(index[full * k:], shift, out=steps[full, :rest])
+        np.add(index, shift, out=steps[r, :n])
+    prods, entries, entry = _word_table(table, closure, steps.reshape(recs, -1, m), shifts)
+    cols = entry.reshape(recs, blocks, w).T  # cols[j, b, r]: the entry of word j of block b
+    # A product is rescaled after every ``every`` words, at most its
+    # recursion's cap of steps, and after its last word.
+    every = np.maximum(caps // m, 1)
+    due_at = {j for e in set(every.tolist()) for j in range(e, w, e)}
 
     column = closure.reshape(d, 1)
     vec = starts.reshape(recs, 1, d).copy()
     live = np.ones((recs, 1, 1), dtype=bool)
-    begin = np.empty((blocks, recs, 1, d))
+    begin = np.empty((blocks + 1, recs, 1, d))
     ends = np.empty((blocks, recs, 1, d))
-    totals = np.empty((recs, blocks, k))
+    totals = np.empty((recs, blocks, w, m))
+    flagged = np.zeros((blocks, recs), dtype=bool)
     # The three phases run over slices of up to ``span`` blocks of every
     # recursion, so that the matrices they hold at once stay within
     # PRODUCT_BUDGET entries; below a large state size a slice is the
     # whole pass.
-    span = max(1, PRODUCT_BUDGET // (recs * d * d))
+    span = max(1, PRODUCT_BUDGET // (recs * d * (d + m)))
     for first in range(0, blocks, span):
-        cols = idx[:, first:first + span]
+        part = cols[:, first:first + span]
+        flags = flagged[first:first + span]
 
-        # Phase 1: all block transfer products of the slice at once, each
-        # rescaled by its largest entry every RESCALE_EVERY steps and on
-        # its last step.  A product that is all zero stays zero.
-        prod = mats.take(cols[0], axis=0)
-        for j in range(1, k):
-            prod = prod @ mats.take(cols[j], axis=0)
-            if j % RESCALE_EVERY == 0 or j == k - 1:
-                peak = np.abs(prod).max(axis=(2, 3), keepdims=True)
-                prod /= np.where(peak > 0.0, peak, 1.0)
+        # Phase 1: all block transfer products of the slice at once, one
+        # word per iteration, each row rescaled exactly on its recursion's
+        # schedule, the powers of two kept apart in ``scale`` (NO_ROW for
+        # a row that is all zero).  They are then folded back, relative
+        # to the largest, into ``folded`` where every nonzero row is
+        # within 2**-PATH_RANGE of it, so that the entries that matter
+        # stay normal; elsewhere ``folded`` is zero.
+        prod = prods.take(part[0], axis=0)
+        scale = np.zeros((*prod.shape[:3], 1), dtype=np.int64)
+        for j in range(1, w):
+            if j in due_at:  # the product holds j words
+                _rescale(prod, scale, j % every == 0, flags)
+            prod = prod @ prods.take(part[j], axis=0)
+        scale[_rescale(prod, scale, np.ones(recs, dtype=bool), flags) == 0.0] = NO_ROW
+        shift = scale - scale.max(axis=2, keepdims=True)
+        folded = np.ldexp(prod, shift)
+        folded *= ~((shift < -PATH_RANGE) & (scale != NO_ROW)).any(axis=2, keepdims=True)
+        scale = scale.transpose(0, 1, 3, 2)
 
         # Phase 2: block start states, one vector-matrix product per block
-        # and recursion.  A closure that is not positive and finite leaves
-        # the recursion's later starts at its last good state; phase 3
-        # then finds the failing step or the mismatch.
-        for b, block in enumerate(prod, start=first):
-            begin[b] = vec
-            if b + 1 == blocks:
-                break
+        # and recursion.  Where the total comes out below FOLD_FLOOR (or
+        # the product was not folded), the product is taken again with
+        # the state scaled by the powers of two of the block's rows
+        # instead, so that its largest term is near 1.  A closure that is
+        # not positive and finite leaves the recursion's later starts at
+        # its last good state; phase 3 then finds the failing step or the
+        # mismatch.
+        for i, block in enumerate(folded):
+            begin[first + i] = vec
             nxt = vec @ block
             total = nxt @ column
+            low = total[:, 0, 0] < FOLD_FLOOR
+            if low.any():
+                rows, state = scale[i, low], vec[low]
+                top = np.where(state != 0.0, rows + np.frexp(state)[1], NO_ROW)
+                nxt[low] = np.ldexp(state, rows - top.max(axis=2, keepdims=True)) @ prod[i, low]
+                total[low] = nxt[low] @ column
             live &= (total > 0.0) & (total < math.inf)
             np.divide(nxt, total, out=vec, where=live)
 
-        # Phase 3: exact per-step normalizers, all blocks of the slice
-        # advancing together from their start states, written in step
-        # order per recursion.  A total that is not positive and finite
-        # is the earliest bad step of its block; the NaN or infinite
-        # entries its division spreads stay within that block and come
-        # after it.
-        vecs = begin[first:first + span]
-        outs = totals[:, first:first + span].transpose(2, 1, 0)[..., None, None]
-        for row, tot in zip(cols, outs):
-            vecs = vecs @ mats.take(row, axis=0)
-            np.matmul(vecs, column, out=tot)
-            vecs /= tot
-        ends[first:first + span] = vecs
+        # Phase 3: all blocks of the slice advance together from their
+        # start states, one word per iteration: a vector-matrix product
+        # with the word's entry gives the state after the word and its m
+        # prefix totals, written in step order per recursion.
+        vecs = begin[first:first + len(prod)]
+        outs = totals[:, first:first + span].transpose(2, 1, 0, 3)
+        for row, out in zip(part, outs):
+            raw = vecs @ entries.take(row, axis=0)
+            out[...] = raw[:, :, 0, d:]
+            vecs = raw[..., :d] / raw[..., -1:]
+        ends[first:first + len(prod)] = vecs
 
+    # A word's steps' normalizers are the ratios of consecutive prefix
+    # totals, the first over its normalized start's 1.  A total below
+    # PEAK_FLOOR or not finite (a bad step, or a step whose mass its state
+    # held in tiny components) may leave the word's state or its ratios
+    # short of precision, so its block is evaluated again.
+    lost = (m > 1) & ~(
+        (totals.min(axis=(2, 3)) >= PEAK_FLOOR) & (totals.max(axis=(2, 3)) < np.inf)
+    )
+    for i in range(m - 1, 0, -1):
+        totals[..., i] /= totals[..., i - 1]
     totals = totals.reshape(recs, blocks * k)[:, :n]
-    trips = guarded[idx].transpose(2, 1, 0).reshape(recs, blocks * k)[:, :n]
-    bad = ~((totals > 0.0) & (totals < np.inf)) | trips
+    bad = ~((totals > 0.0) & (totals < np.inf))
+    if guarded.any():
+        bad |= guarded[steps[:, :n]]
 
-    # A block whose phase-3 end state disagrees with the next block's
-    # phase-2 start lost accuracy in its product: steps up to its end
-    # are settled, and the rest is evaluated again from that end state.
-    drift = (np.abs(ends[:-1] - begin[1:]).max(axis=(2, 3)) > RESYNC_TOL).T
+    # A block whose phase-3 end state disagrees with its phase-2 end
+    # state lost accuracy in its product or, unless it ran one step per
+    # word, in its words.  So may a block with a flagged product or with
+    # lost totals, where a cap above 1 left room for a smaller one.  The
+    # recursion is settled up to the start of the first such block (up
+    # to its end where only its product is in doubt), and the rest is
+    # evaluated again from there.
+    begin[blocks] = vec
+    drift = (np.abs(ends - begin[1:]).max(axis=(2, 3)) > RESYNC_TOL).T
+    redo = (flagged.T | lost) & (caps > 1)[:, None]
+    if m > 1:
+        redo |= drift
+    else:
+        redo[:, 1:] |= drift[:, :-1]
     out = []
     for r in range(recs):
         fail = int(np.argmax(bad[r])) if bad[r].any() else n
-        settled = (int(np.argmax(drift[r])) + 1) * k if drift[r].any() else n
+        settled = int(np.argmax(redo[r])) * k if redo[r].any() else n
         if fail < settled:
             matrix = indices[r][fail] + shifts[r]
             out.append(_guard_error(totals[r, fail], table, matrix, offset + fail))
             continue
         logs = totals[r, :settled]  # overwritten in place: no copy per recursion
         np.negative(np.log(logs, out=logs), out=logs)
-        out.append((logs, ends[settled // k - 1 if settled < n else -1, r, 0]))
+        out.append((logs, ends[-(-settled // k) - 1, r, 0] if settled else starts[r]))
     return out
 
 
 def _one_state_logs(
-    table: RealForm, guarded: np.ndarray, exps: np.ndarray, rec: Recursion, shift: int
+    table: StackTable, guarded: np.ndarray, exps: np.ndarray, rec: Recursion, shift: int
 ):
     """The logs of a one-state recursion, or the error of its earliest
     guard trip, in closed form: its normalized state is 1 after every
@@ -375,16 +585,17 @@ def _one_state_logs(
     return logs
 
 
-def stack_key(rec: Recursion) -> tuple[int, bytes]:
-    """Recursions with equal keys (length and closure, hence state size)
-    can run as one stack."""
-    return rec.index.size, rec.closure.tobytes()
+def stack_key(rec: Recursion) -> tuple[int, bytes, int]:
+    """Recursions with equal keys (length, closure, hence state size, and
+    word length) can run as one stack."""
+    return rec.index.size, rec.closure.tobytes(), _recursion_word_length(rec)
 
 
 def _stack_table(recs: Sequence[Recursion]) -> tuple:
     """One matrix table for a stack, the identity last, with the flags of
     its guarded matrices, each matrix's power-of-two exponent and each
-    recursion's shift to its own matrices.
+    recursion's shift to its own matrices; the table also gives, per
+    matrix, its recursion's rescale cap and alphabet.
 
     Every matrix is scaled by an exact power of two to a largest entry in
     [0.5, 1), so that block products of steps of tiny probability do not
@@ -393,31 +604,45 @@ def _stack_table(recs: Sequence[Recursion]) -> tuple:
     """
     mats = np.concatenate([r.form.mats for r in recs] + [np.eye(recs[0].closure.size)[None]])
     exps = np.frexp(np.abs(mats).max(axis=(1, 2)))[1]
-    table = RealForm(
+    counts = [len(r.form.mats) for r in recs] + [1]
+    table = StackTable(
         np.ldexp(mats, -exps[:, None, None]),
         np.concatenate([r.form.imag_residue for r in recs] + [[0.0]]),
         np.concatenate([r.form.herm_residue for r in recs] + [[0.0]]),
+        np.repeat([_rescale_cap(r.form.mats) for r in recs] + [1], counts),
+        np.repeat(counts, counts),
     )
     guarded = ~(table.imag_residue <= PMF_IMAG_GUARD) | ~(
         table.herm_residue <= STATE_HERMITICITY_GUARD
     )
-    shifts = np.cumsum([0] + [len(r.form.mats) for r in recs[:-1]])
+    shifts = np.cumsum([0] + counts[:-2])
     return table, guarded, exps, shifts
 
 
 def stacked_forward_logs(recs: Sequence[Recursion]) -> list:
-    """Per-step natural scale logs of a stack of recursions that share one
-    state size, one length and one closure, evaluated together.
+    """Per-step natural scale logs of recursions, evaluated together in
+    one stack per ``stack_key``.
 
     Returns, per recursion, its logs or the ``QchanrateError`` of its
     earliest guard trip; one recursion's trip leaves the others' logs
     unchanged.  A step that uses a matrix whose ``form`` residues exceed
     ``PMF_IMAG_GUARD`` or ``STATE_HERMITICITY_GUARD`` trips that guard.
     """
+    stacks: dict[tuple, list[int]] = {}
+    for r, rec in enumerate(recs):
+        stacks.setdefault(stack_key(rec), []).append(r)
+    results: list = [None] * len(recs)
+    for members in stacks.values():
+        logs = _stack_logs([recs[r] for r in members])
+        for r, got in zip(members, logs):
+            results[r] = got
+    return results
+
+
+def _stack_logs(recs: Sequence[Recursion]) -> list:
+    """``stacked_forward_logs`` of one stack."""
     closure = recs[0].closure
     n = recs[0].index.size
-    if any(stack_key(r) != stack_key(recs[0]) for r in recs):
-        raise ValueError("stacked recursions must share their length and closure")
     table, guarded, exps, shifts = _stack_table(recs)
     if closure.size == 1:
         return [_one_state_logs(table, guarded, exps, rec, shift)
@@ -427,8 +652,9 @@ def stacked_forward_logs(recs: Sequence[Recursion]) -> list:
     parts: list[list[np.ndarray]] = [[] for _ in recs]
     pending = [(r, 0, rec.start) for r, rec in enumerate(recs)]
     while pending:
-        # A recursion that resyncs reruns its unsettled tail; tails of
-        # equal length run as one stack.
+        # A recursion whose blocks lost accuracy reruns its unsettled
+        # tail, one step per word and with its products rescaled on every
+        # step; tails of equal length run as one stack.
         by_length: dict[int, list] = {}
         for item in pending:
             by_length.setdefault(item[1], []).append(item)
@@ -453,6 +679,7 @@ def stacked_forward_logs(recs: Sequence[Recursion]) -> list:
                     logs = parts[r][0] if len(parts[r]) == 1 else np.concatenate(parts[r])
                     logs -= LN2 * exps[recs[r].index + shifts[r]]
                     results[r] = logs
+        table = table._replace(cap=np.ones_like(table.cap))
     return results
 
 

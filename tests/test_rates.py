@@ -171,11 +171,14 @@ class TestQuantumForward:
             assert np.abs(s_base - s_resc).max() <= 1e-12
 
 
-# n = 1000 runs in blocks of 32 steps: 31 full blocks and a final block of 8.
-# The planted steps open and close block 30, end the sequence, and (the
-# last one) sit on the first rescaling step inside block 30.
+# A quantum recursion of n = 1000 steps runs in words of 3 steps and
+# blocks of 19 words: 17 full blocks and a final block of 31 steps.  The
+# planted steps sit in the first words, open word 16 of block 16, fall
+# inside block 17, end the sequence and (the last one) end block 16; they
+# take each of the three positions in a word.  A one-state recursion
+# settles in closed form.
 GUARD_N = 1000
-GUARD_STEPS = [960, 991, 999, 960 + rates.RESCALE_EVERY]
+GUARD_STEPS = [1, 5, 960, 991, 999, 968]
 
 
 def with_extra_output(t: channels.TransferOperatorSet, chain_extra: np.ndarray):
@@ -304,19 +307,20 @@ class TestRecursionGuards:
         with pytest.raises(NumericalCorruptionError, match=rf"at step {GUARD_STEPS[0]}$"):
             rates.scaled_forward_quantum(t, uniform, ys, xs)
 
-    def test_underflowing_block_product_is_recovered(self, uniform, monkeypatch):
+    def test_underflowing_block_product_is_recovered(self, uniform):
         """From state 0 an output 0 is a million times less likely than
-        from state 1, so a block product of 63 such steps underflows in
-        its state-0 row; output 1 then moves state 0 to state 1.  The
-        start of the next block cannot come from that product, and the
-        per-step logs must still match the sequential reference."""
+        from state 1, so the state-0 row of a block product of 63 such
+        steps falls by about 2**-1260 against the state-1 row; output 1
+        then moves state 0 to state 1.  Each row keeps its own power of
+        two, so one pass settles it, and the per-step logs match the
+        sequential reference."""
         kernel = np.zeros((2, 1, 2, 2))
         kernel[0, 0, 0, 0] = 1e-6
         kernel[0, 0, 1, 1] = 1.0 - 1e-6
         kernel[1, 0, 1, :] = 0.5
         f = qc.ClassicalFsmc(kernel, np.array([1.0, 0.0]))
         q = qc.InputLaw([1.0])
-        ys = np.zeros(4000, dtype=np.int64)  # blocks of 64 steps
+        ys = np.zeros(4000, dtype=np.int64)
         ys[63] = 1
         ref, _, failure = iterate_steps(f, q, ys)
         assert failure is None
@@ -324,12 +328,36 @@ class TestRecursionGuards:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             engine_logs = rates.scaled_forward_classical(f, q, ys)
-        assert rates.passes - before == 2  # one resync from the block's end
+        assert rates.passes - before == 1
+        assert np.abs(engine_logs - ref).max() <= 1e-12
+
+    def test_zeroed_peak_row_is_recovered(self, monkeypatch):
+        """State 0 emits only output 0 and leaks into state 1 with
+        probability 1e-35 per step; state 1 emits either output.  After
+        63 outputs 0 an output 1 zeroes the state-0 column, which held
+        every block row's peak, and leaves rows 1e-35 of it: the block is
+        evaluated again, one step per word, and the logs match the
+        sequential reference."""
+        kernel = np.zeros((2, 1, 2, 2))
+        kernel[0, 0, 0, 0] = 1.0 - 1e-35
+        kernel[0, 0, 1, 0] = 1e-35
+        kernel[1, 0, 1, :] = 0.5
+        f = qc.ClassicalFsmc(kernel, np.array([1.0, 0.0]))
+        q = qc.InputLaw([1.0])
+        ys = np.zeros(4000, dtype=np.int64)
+        ys[63] = 1
+        ref, _, failure = iterate_steps(f, q, ys)
+        assert failure is None
+        before = rates.passes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            engine_logs = rates.scaled_forward_classical(f, q, ys)
+        assert rates.passes - before == 2  # one more from the block's start
         assert np.abs(engine_logs - ref).max() <= 1e-12
 
         # Stacked with a recursion that settles in one pass, each keeps
         # its own logs, and the rerun covers only the unsettled tail.
-        calm = np.ones(4000, dtype=np.int64)
+        calm = np.zeros(4000, dtype=np.int64)
         calm_logs = rates.scaled_forward_classical(f, q, calm)
         one_pass = rates._blocked_pass
         stack_sizes = []
@@ -389,6 +417,98 @@ class TestRecursionGuards:
         ref, _, failure = iterate_steps(f, q, ys)
         assert failure is None
         assert np.abs(engine_logs - ref).max() <= 1e-12
+
+
+def two_path_model() -> qc.ClassicalFsmc:
+    """Two states that never move: state 0 emits output 1 with
+    probability 1e-80, state 1 emits output 0 with probability 1e-79."""
+    k = np.zeros((2, 1, 2, 2))
+    k[0, 0, 0] = [1 - 1e-80, 1e-80]
+    k[1, 0, 1] = [1e-79, 1 - 1e-79]
+    return qc.ClassicalFsmc(k, np.array([0.5, 0.5]))
+
+
+class TestReducibleUnderflow:
+    """Alternating outputs on ``two_path_model``: every path through a
+    block picks up about 1e-80 on every other step.  A block product
+    rescaled too rarely reaches the subnormal range, where its two
+    diagonal entries round differently, and the rate comes out wrong
+    (132.887 bits for 131.226 at n = 100) with no error."""
+
+    @pytest.mark.parametrize("n", [100, 5041])
+    @pytest.mark.parametrize("embedded", [False, True], ids=["classical", "embedded"])
+    def test_rate_matches_closed_form(self, n, embedded):
+        f = two_path_model()
+        model = models.embed_classical_as_quantum(f) if embedded else f
+        q = qc.InputLaw([1.0])
+        traj = qc.Trajectory(x=np.zeros(n, dtype=np.int64), y=np.arange(n) % 2, seed=0)
+        before = rates.passes
+        hy = qc.entropy_rate_estimates(model, q, traj).hy
+        assert rates.passes - before == 1  # the output-only and joint recursions, stacked
+        zeros, ones = (n + 1) // 2, n // 2
+        paths = [
+            math.log(0.5) + zeros * math.log1p(-1e-80) + ones * math.log(1e-80),
+            math.log(0.5) + zeros * math.log(1e-79) + ones * math.log1p(-1e-79),
+        ]
+        assert abs(hy + np.logaddexp(*paths) / (n * math.log(2.0))) <= 1e-9
+        ref, _, failure = iterate_steps(model, q, traj.y)
+        assert failure is None
+        (logs,) = rates.stacked_forward_logs([rates.recursion(model, q, traj.y)])
+        assert np.abs(logs - ref).max() <= 1e-12
+
+
+class TestStackIndependence:
+    """A recursion's logs do not depend on the stack it runs in: each
+    word's table entry depends on that word alone, each recursion keeps
+    its own word length and rescale schedule, and recursions of another
+    word length run in a pass of their own."""
+
+    N = 5000
+
+    def recursions(self, quantum_ge, uniform):
+        traj = qc.sample_trajectory(quantum_ge, uniform, self.N, seed=60)
+        three = qc.compile_transfer_operators(
+            models.random_quantum_memory_channel(np.random.default_rng(61), y_size=3)
+        )
+        # An embedded chain whose state 1 emits output 0 with probability
+        # 1e-20: that row of the output-0 matrix is 1e-20 of its peak, and
+        # the rescale cap allows words of one step only.
+        k = np.full((2, 2, 2, 2), 0.25)
+        k[1, :, :, 0] = 0.5e-20
+        k[1, :, :, 1] = 0.5 - 0.5e-20
+        steep = models.embed_classical_as_quantum(qc.ClassicalFsmc(k, np.array([0.5, 0.5])))
+        ys = np.random.default_rng(62).integers(0, 3, self.N)
+        return [
+            rates.recursion(quantum_ge, uniform, traj.y),
+            rates.recursion(quantum_ge, uniform, traj.y, traj.x),
+            rates.recursion(three, uniform, ys),
+            rates.recursion(steep, uniform, traj.y),
+        ]
+
+    def test_logs_equal_alone_and_stacked(self, quantum_ge, uniform, monkeypatch):
+        recs = self.recursions(quantum_ge, uniform)
+        lengths = [rates._recursion_word_length(r) for r in recs]
+        assert lengths[0] > 1 and len(set(lengths)) == 2
+        alone = [rates.stacked_forward_logs([r])[0] for r in recs]
+        one_pass = rates._blocked_pass
+        passes = []
+
+        def recorded(table, guarded, closure, starts, indices, shifts, offset):
+            passes.append({rates._word_length(int(table.alphabet[s]), closure.size,
+                                              indices[0].size, int(table.cap[s]))
+                           for s in shifts})
+            return one_pass(table, guarded, closure, starts, indices, shifts, offset)
+
+        monkeypatch.setattr(rates, "_blocked_pass", recorded)
+        stacked = rates.stacked_forward_logs(recs)
+        assert sorted(map(sorted, passes)) == [[1], [lengths[0]]]
+        for got, ref in zip(stacked, alone):
+            assert np.array_equal(got, ref)
+
+    def test_one_state_recursions_take_one_step_words(self):
+        model = one_state_models()[1]
+        rec = rates.recursion(model, qc.uniform_input(), np.zeros(self.N, dtype=np.int64))
+        assert rates._recursion_word_length(rec) == 1
 
 
 def memoryless_quantum_bsc(p: float) -> channels.QuantumMemoryChannel:
