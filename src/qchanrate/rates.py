@@ -34,9 +34,12 @@ within the recursion's rescale cap L (``_rescale_cap``), the most steps
 over which a row of a product of its matrices keeps its sum within
 2**-PATH_RANGE of where it started.  The stack's table holds one entry
 per word that occurs: the word's D x D product, then its m prefix
-products times the closure.  A vector-matrix product with an entry thus
-gives the state after the word and the word's m prefix totals, whose
-consecutive ratios are its steps' normalizers.
+products times the closure.  It is built one step at a time over the
+distinct prefixes that occur, so that words share their prefixes'
+products, and its memory grows with the words present, not with the
+alphabet.  A vector-matrix product with an entry thus gives the state
+after the word and the word's m prefix totals, whose consecutive ratios
+are its steps' normalizers.
 
 The words form blocks of about sqrt(n / m) words, so that each of the
 three phases is a Python loop of about sqrt(n / m) iterations over numpy
@@ -160,14 +163,15 @@ NO_ROW = np.iinfo(np.int64).min // 2
 
 # A block start whose total, through the folded block product, falls
 # below this is computed again from the product's rows and their powers.
+# That route alone would be exact for every block, but its five more
+# numpy calls per block and recursion cost 6-10 % of the engine's time
+# on the classical and burst-noise benchmark sweeps.
 FOLD_FLOOR = 2.0**-50
 
-# Longest word of steps the engine forms, the binary orders of magnitude
-# a word's rows may fall, the steps of a recursion per word-table product
-# it spends, and the most numbers a word table holds (see
-# ``_word_length``).
+# Longest word of steps the engine forms, the steps of a recursion per
+# word-table product it spends, and the most numbers a word table holds
+# (see ``_word_length``).
 WORD_MAX = 8
-WORD_RANGE = 50
 WORD_STEPS = 40
 WORD_BUDGET = 2**17
 
@@ -226,12 +230,14 @@ def _step_matrices(
 
 class Recursion(NamedTuple):
     """One scaled forward recursion: ``v <- v @ form.mats[index[t]]``
-    from ``start``, normalized by ``v @ closure`` after every step."""
+    from ``start``, normalized by ``v @ closure`` after every step, with
+    the rescale cap of its matrices (``_rescale_cap``)."""
 
     start: np.ndarray
     form: RealForm
     index: np.ndarray
     closure: np.ndarray
+    cap: int
 
 
 def recursion(model, q: InputLaw, ys: np.ndarray, xs: np.ndarray | None = None) -> Recursion:
@@ -250,14 +256,17 @@ def recursion(model, q: InputLaw, ys: np.ndarray, xs: np.ndarray | None = None) 
             RealForm(mats, no_residue, no_residue),
             index,
             np.ones(model.state_count),
+            _rescale_cap(mats),
         )
     mats, index = _step_matrices(q, model.chain_operators, ys, xs)
     s = model.state_dim
+    form = real_transfer_form(mats)
     return Recursion(
         pack_hermitian(model.initial_state).reshape(s * s),
-        real_transfer_form(mats),
+        form,
         index,
         np.eye(s).reshape(s * s),
+        _rescale_cap(form.mats),
     )
 
 
@@ -306,7 +315,9 @@ def _rescale_cap(mats: np.ndarray) -> int:
     (unless it zeroes the columns that hold the row), and grows it by at
     most g, its largest row sum over its peak.  With r and g taken over
     all the matrices, L steps keep a row sum above 2**-PATH_RANGE of its
-    start and below 2**1000 times it.  A non-finite r or g gives 1.
+    start and below 2**1000 times it.  r is taken as at most 1, so that
+    PATH_RANGE bounds L even where no row can shrink (r >= 2, as in a
+    matrix whose entries are all equal).  A non-finite r or g gives 1.
     """
     size = np.abs(mats)
     peak = size.max(axis=(1, 2), keepdims=True)
@@ -329,14 +340,14 @@ def _word_length(alphabet: int, d: int, n: int, cap: int) -> int:
     for two step matrices (2**m words) costs at most n / WORD_STEPS
     products; counting two matrices whatever the alphabet keeps a
     model's output-only and joint recursions at one m, hence in one
-    stack.  It takes at most WORD_RANGE / PATH_RANGE of the cap, so that
-    a word's rows fall by at most 2**-WORD_RANGE, and it is shortened
-    while the table, of at most min(alphabet**m, n/m) entries of
-    d * (d + m) numbers, exceeds WORD_BUDGET numbers.  A one-state
-    recursion (d = 1) gets m = 1.
+    stack.  It takes at most half the cap, so that a word's rows fall by
+    at most 2**-(PATH_RANGE / 2), and it is shortened while the table,
+    of at most min(alphabet**m, n/m) entries of d * (d + m) numbers,
+    exceeds WORD_BUDGET numbers.  A one-state recursion (d = 1) gets
+    m = 1.
     """
     m = 1
-    longest = min(cap * WORD_RANGE // PATH_RANGE, WORD_MAX)
+    longest = min(cap // 2, WORD_MAX)
     while m < longest and (m + 1) * 2 ** (m + 1) * WORD_STEPS <= n:
         m += 1
     while m > 1 and min(alphabet**m, -(-n // m)) * d * (d + m) > WORD_BUDGET:
@@ -346,46 +357,56 @@ def _word_length(alphabet: int, d: int, n: int, cap: int) -> int:
 
 def _recursion_word_length(rec: Recursion) -> int:
     """The word length of a recursion, from its own matrices and length."""
-    return _word_length(len(rec.form.mats), rec.closure.size, rec.index.size,
-                        _rescale_cap(rec.form.mats))
+    return _word_length(len(rec.form.mats), rec.closure.size, rec.index.size, rec.cap)
 
 
-def _word_table(table: StackTable, closure: np.ndarray, wsteps: np.ndarray, shifts: np.ndarray):
-    """The table of the words that occur in ``wsteps``, where
-    ``wsteps[r, i]`` lists the table matrices of word i of recursion r,
-    and each word's entry in it.
+def _ranks(code: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``code``, all in [0, space), ascending, and
+    the rank of each element's value among them.  A space of at most
+    eight slots per element is ranked through a lookup array, a larger
+    one by sorting, so that memory grows with the elements alone."""
+    if space > 8 * code.size:
+        return np.unique(code, return_inverse=True)
+    rank = np.zeros(space, dtype=np.int64)
+    rank[code] = 1
+    distinct = np.flatnonzero(rank)
+    rank[distinct] = np.arange(distinct.size)
+    return distinct, rank[code]
 
-    A word is coded by its recursion and the positions of its steps among
-    that recursion's matrices (the identity after them), so each entry
-    depends on its word alone.  An entry holds the word's product, then
-    each of its m prefix products times the closure.  Returns the
-    products, the entries and the entry of each word.
+
+def _word_table(mats: np.ndarray, closure: np.ndarray, words: np.ndarray):
+    """The table of the words that occur in ``words``, whose rows list
+    the matrices (of ``mats``) of a word's steps, and each word's entry
+    in it.
+
+    The table is built one step at a time over the distinct prefixes
+    that occur: a prefix of i + 1 steps is numbered by its i-step
+    prefix's number and its last matrix, and its product is that
+    prefix's product times the matrix, so each entry depends on its word
+    alone.  An entry holds the word's product, then each of its m prefix
+    products times the closure.  Returns the products, the entries and
+    the entry of each word.
     """
-    m = wsteps.shape[-1]
+    m = words.shape[1]
     d = closure.size
-    radix = table.alphabet[shifts] + 1
-    digits = np.minimum(wsteps - shifts[:, None, None], radix[:, None, None] - 1)
-    code = digits[:, :, 0]
-    for i in range(1, m):
-        code = code * radix[:, None] + digits[:, :, i]
-    sizes = radix**m
-    code += (np.cumsum(sizes) - sizes)[:, None]
-    seen = np.zeros(sizes.sum(), dtype=bool)
-    seen[code] = True
-    rep = np.empty(seen.size, dtype=np.int64)
-    rep[code.ravel()] = np.arange(code.size)
-    chosen = wsteps.reshape(-1, m)[rep[seen]]
+    size = len(mats)
     # Each step matrix with its closure column: one product per step of a
-    # word gives its next prefix product and that prefix's closure.
-    steps = np.concatenate([table.mats, table.mats @ closure[:, None]], axis=2)
-    entries = np.empty((len(chosen), d, d + m))
-    prod = steps[chosen[:, 0]]
+    # prefix gives the next prefix's product and that prefix's closure.
+    steps = np.concatenate([mats, mats @ closure[:, None]], axis=2)
+    prefixes, code = _ranks(words[:, 0], size)
+    prod = steps[prefixes]
+    levels = [(code, prod[:, :, d].copy())]
     for i in range(1, m):
-        entries[:, :, d + i - 1] = prod[:, :, d]
-        prod = prod[:, :, :d] @ steps[chosen[:, i]]
+        prefixes, code = _ranks(code * size + words[:, i], len(prod) * size)
+        prod = prod[prefixes // size, :, :d] @ steps[prefixes % size]
+        levels.append((code, prod[:, :, d].copy()))
+    first = np.empty(len(prod), dtype=np.int64)
+    first[code] = np.arange(code.size)  # a word that ends at each entry
+    entries = np.empty((len(prod), d, d + m))
     entries[:, :, :d] = prod[:, :, :d]
-    entries[:, :, -1] = prod[:, :, d]
-    return entries[:, :, :d], entries, (np.cumsum(seen) - 1)[code]
+    for i, (at, totals) in enumerate(levels):
+        entries[:, :, d + i] = totals[at[first]]
+    return entries[:, :, :d], entries, code
 
 
 def _rescale(
@@ -447,7 +468,7 @@ def _blocked_pass(
     steps = np.full((recs, blocks * k), len(table.mats) - 1)
     for r, (index, shift) in enumerate(zip(indices, shifts)):
         np.add(index, shift, out=steps[r, :n])
-    prods, entries, entry = _word_table(table, closure, steps.reshape(recs, -1, m), shifts)
+    prods, entries, entry = _word_table(table.mats, closure, steps.reshape(-1, m))
     cols = entry.reshape(recs, blocks, w).T  # cols[j, b, r]: the entry of word j of block b
     # A product is rescaled after every ``every`` words, at most its
     # recursion's cap of steps, and after its last word.
@@ -609,7 +630,7 @@ def _stack_table(recs: Sequence[Recursion]) -> tuple:
         np.ldexp(mats, -exps[:, None, None]),
         np.concatenate([r.form.imag_residue for r in recs] + [[0.0]]),
         np.concatenate([r.form.herm_residue for r in recs] + [[0.0]]),
-        np.repeat([_rescale_cap(r.form.mats) for r in recs] + [1], counts),
+        np.repeat([r.cap for r in recs] + [1], counts),
         np.repeat(counts, counts),
     )
     guarded = ~(table.imag_residue <= PMF_IMAG_GUARD) | ~(

@@ -31,6 +31,7 @@ cases, so that the gate keeps its reach.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -195,7 +196,7 @@ def agrees(logs, failure, got) -> bool:
     if failure is None:
         return not isinstance(got, QchanrateError) and np.abs(got - logs).max() <= 1e-9
     at, exc = failure
-    return type(got) is type(exc) and f"at step {at}" in str(got)
+    return type(got) is type(exc) and re.search(rf"at step {at}\b", str(got)) is not None
 
 
 @pytest.mark.parametrize("word_steps", [rates.WORD_STEPS, 1], ids=["default", "long-words"])

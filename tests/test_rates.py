@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 import typing
 import warnings
 
@@ -509,6 +510,70 @@ class TestStackIndependence:
         model = one_state_models()[1]
         rec = rates.recursion(model, qc.uniform_input(), np.zeros(self.N, dtype=np.int64))
         assert rates._recursion_word_length(rec) == 1
+
+
+class TestWordTables:
+    """Models unlike the benchmark's: step matrices whose rows never
+    shrink a product's rows, and large alphabets, whose word tables must
+    hold only the words that occur."""
+
+    def check(self, model, q, traj):
+        """Words of more than one step, and per-step logs of both
+        recursions within 1e-12 of the sequential reference."""
+        recs = rates.pair_recursions(model, q, traj)
+        assert all(rates._recursion_word_length(rec) > 1 for rec in recs)
+        for logs, xs in zip(rates.stacked_forward_logs(recs), (None, traj.x)):
+            ref, _, failure = iterate_steps(model, q, traj.y, xs)
+            assert failure is None
+            assert np.abs(logs - ref).max() <= 1e-12
+
+    def test_uniform_gilbert_elliott(self):
+        """Every step matrix is uniform, so each row sums to exactly twice
+        its matrix's peak and no row of a product shrinks: PATH_RANGE
+        still sets the rescale cap."""
+        f = qc.build_gilbert_elliott(0.2, 0.2, [[0.5, 0.5], [0.5, 0.5]])
+        q = qc.uniform_input()
+        traj = qc.sample_trajectory(f, q, 5000, seed=70)
+        assert [rec.cap for rec in rates.pair_recursions(f, q, traj)] == [rates.PATH_RANGE] * 2
+        self.check(f, q, traj)
+
+    def test_dense_three_state_kernel(self):
+        """Entries within 10 % of each other: each row sums to more than
+        twice its matrix's peak."""
+        rng = np.random.default_rng(71)
+        kernel = rng.uniform(0.9, 1.0, (3, 2, 3, 2))
+        kernel /= kernel.sum(axis=(2, 3), keepdims=True)
+        f = qc.ClassicalFsmc(kernel, np.full(3, 1 / 3))
+        q = qc.uniform_input()
+        self.check(f, q, qc.sample_trajectory(f, q, 5000, seed=72))
+
+    def test_large_alphabet_tables_hold_the_words_that_occur(self):
+        """Eight inputs and eight outputs: the joint recursion's 64 step
+        matrices give 65**7 codes for words of 7 steps, of which at most
+        n / 7 occur."""
+        f = models.random_classical_fsmc(np.random.default_rng(73), 2, 8, 8)
+        q = qc.uniform_input(8)
+        traj = qc.sample_trajectory(f, q, 40000, seed=74)
+        recs = rates.pair_recursions(f, q, traj)
+        assert [rates._recursion_word_length(rec) for rec in recs] == [7, 7]
+        tracemalloc.start()
+        try:
+            logs = rates.stacked_forward_logs(recs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        for got, xs in zip(logs, (None, traj.x)):
+            ref, _, failure = iterate_steps(f, q, traj.y, xs)
+            assert failure is None
+            assert np.abs(got - ref).max() <= 1e-12
+
+    def test_ranks_looked_up_or_sorted_agree(self):
+        code = np.random.default_rng(75).integers(0, 50, 40)
+        for space in (50, 8 * code.size + 1):  # looked up, then sorted
+            distinct, rank = rates._ranks(code, space)
+            assert np.array_equal(distinct, np.unique(code))
+            assert np.array_equal(distinct[rank], code)
 
 
 def memoryless_quantum_bsc(p: float) -> channels.QuantumMemoryChannel:
