@@ -16,10 +16,21 @@ it picks the same output.  The odd last step and one-step words walk
 the table.
 
 Classical models (a memoryless law is a one-state ``ClassicalFsmc``)
-build the guarded pmf of each (state, input) pair, its Kahan cumulative
-table and its last index of positive mass once, on the first visit of
-that pair in a trajectory, so every step is a table lookup and a
-bisection.
+draw a whole trajectory in arrays.  The guarded pmf of every (state,
+input) pair, its Kahan cumulative table and its last index of positive
+mass are built once per trajectory, a column of all pairs at a time.
+Every table value cuts [0, 1); between two neighbouring cuts each
+pair's bisection makes the same comparisons, so it picks the same
+index, even on a table that decreases through roundoff.  So one
+bisection per state at each (input, piece) that occurs gives that
+piece's map from the current state to the pick, and one
+``searchsorted`` of the uniforms into the cuts gives each step its
+piece.  A step whose map sends every state to one next state sets the
+state, a step whose map keeps every state keeps it, and only the other
+steps are walked in Python, one list lookup each; then one gather of
+the picks gives the outputs.  A pair whose pmf fails the guards raises
+at the first step that enters it, with ``_finalize_pmf``'s message, and
+never if no step does.
 
 During quantum sampling the memory is tracked as the conditional state
 given everything sent and observed so far, in the real packed form of
@@ -113,6 +124,10 @@ RESCALE_FLOOR = 2.0**-500
 # input pair) may hold; a larger model walks its trajectory one step a
 # product.
 PAIR_BUDGET = 2**16
+
+# Walked steps of a classical trajectory converted to a Python list at a
+# time, which bounds the walk's memory at any n.
+WALK_CHUNK = 2**16
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -240,27 +255,129 @@ def _finalize_pmf(raw: np.ndarray, step: int | None = None) -> np.ndarray:
     return pmf / pmf.sum()
 
 
+def _classical_tables(joints: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Which rows of raw joint weights pass the guards of ``_finalize_pmf``,
+    and for each row that does, its Kahan cumulative table and last index
+    of positive mass: ``_cdf_table`` of ``_finalize_pmf``'s pmf, in the
+    same arithmetic, a column of all rows at a time.  (numpy sums each
+    row of a 2-D array in the order of ``add.reduce`` over that row.)"""
+    ok = (joints.min(axis=1) >= PMF_NEGATIVE_GUARD) & (
+        np.abs(joints.sum(axis=1) - 1.0) <= PMF_SUM_GUARD
+    )
+    pmf = np.clip(joints[ok], 0.0, None)
+    pmf /= pmf.sum(axis=1, keepdims=True)
+    cum = np.empty_like(pmf)
+    running = np.zeros(len(pmf))
+    carry = np.zeros(len(pmf))
+    for column, w in zip(cum.T, pmf.T):
+        term = w - carry
+        new_running = running + term
+        carry = (new_running - running) - term
+        running = column[:] = new_running
+    last = pmf.shape[1] - 1 - np.argmax(pmf[:, ::-1] > 0.0, axis=1)
+    return ok, cum, last
+
+
 def _sample_outputs_classical(
     f: ClassicalFsmc, x: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     s_count, x_size, y_size = f.state_count, f.x_size, f.y_size
-    state = draw_index(f.initial, rng.random())
-    us = rng.random(len(x)).tolist()
-    tables = [None] * (s_count * x_size)  # _cdf_table of pair (state, x) at state * X + x
-    picks = []
-    for step, (x_step, u) in enumerate(zip(x.tolist(), us)):
-        key = state * x_size + x_step
-        table = tables[key]
-        if table is None:
-            joint = f.kernel[state, x_step].reshape(s_count * y_size)
-            table = tables[key] = _cdf_table(_finalize_pmf(joint, step).tolist())
-        cum, last = table
-        pick = bisect_right(cum, u)
-        if pick > last:
-            pick = last
-        picks.append(pick)
-        state = pick // y_size
-    return np.array(picks, dtype=np.int64) % y_size
+    n = len(x)
+    start = draw_index(f.initial, rng.random())
+    us = rng.random(n)
+    # the joint weights of pair (state, input) at row input * S + state
+    joints = f.kernel.transpose(1, 0, 2, 3).reshape(x_size * s_count, s_count * y_size)
+    ok, cum, last = _classical_tables(joints)
+    # Every table value is a cut; between two neighbouring cuts each
+    # pair's bisection makes the same comparisons, so it picks the same
+    # index, whatever the order of the table's values.
+    cuts = np.sort(cum, axis=None)
+    distinct = np.ones(len(cuts), dtype=bool)
+    distinct[1:] = cuts[1:] != cuts[:-1]
+    cuts = cuts[distinct]
+    pieces = len(cuts) + 1
+    codes = np.searchsorted(cuts, us, side="right")  # the piece of each step
+    del us
+    codes += x * pieces  # (input, piece) at input * pieces + piece
+    present = np.zeros(x_size * pieces, dtype=bool)
+    present[codes] = True
+    occurring = np.flatnonzero(present)
+    row_of = np.zeros(x_size * pieces, dtype=np.intp)
+    row_of[occurring] = np.arange(len(occurring))
+    rows = row_of[codes]  # each step's (input, piece) among those that occur
+    del codes, row_of, present
+    # Each occurring row's pick from every state: one bisection at the
+    # piece's lower cut, or below every cut for the first piece; a
+    # nondecreasing table bisects all of them in one searchsorted.  A
+    # pair that fails its guards picks -1.
+    row_inputs, row_pieces = np.divmod(occurring, pieces)
+    reps = np.concatenate(([-np.inf], cuts))[row_pieces]
+    bounds = np.searchsorted(row_inputs, np.arange(x_size + 1)).tolist()
+    monotone = (cum[:, 1:] >= cum[:, :-1]).all(axis=1).tolist()
+    picks = np.full((len(occurring), s_count + 1), -1, dtype=np.intp)
+    for table, pick_last, nondecreasing, pair in zip(
+        cum, last.tolist(), monotone, np.flatnonzero(ok).tolist()
+    ):
+        x_step, state = divmod(pair, s_count)
+        lo, hi = bounds[x_step], bounds[x_step + 1]
+        if nondecreasing:
+            pick = np.searchsorted(table, reps[lo:hi], side="right")
+        else:
+            values = table.tolist()
+            pick = [bisect_right(values, u) for u in reps[lo:hi].tolist()]
+        picks[lo:hi, state] = np.minimum(pick, pick_last)
+    # The next state from every state, and from the dead state s_count,
+    # which a failing pair leads to and which leads only to itself.
+    nexts = np.where(picks >= 0, picks // y_size, s_count)
+    constant = (nexts[:, :s_count] == nexts[:, :1]).all(axis=1)
+    walked = ~constant & (nexts[:, :s_count] != np.arange(s_count)).any(axis=1)
+    # Position t + 1 stands after step t, position 0 before step 0.  The
+    # state at each position that sets one, -1 where a step keeps it: the
+    # start sets it, a constant map sets it, and the walk sets it on the
+    # walked steps in order.
+    after = np.empty(n + 1, dtype=np.intp)
+    after[0] = start
+    np.take(np.where(constant, nexts[:, 0], -1), rows, out=after[1:])
+    last_set = np.arange(n + 1)  # the last position at or before this one that sets it
+    last_set[after < 0] = -1
+    np.maximum.accumulate(last_set, out=last_set)
+    walk = np.flatnonzero(walked[rows])
+    if walk.size:
+        _walk(nexts, rows, after, last_set, walk)
+        last_set[walk + 1] = walk + 1
+        np.maximum.accumulate(last_set, out=last_set)
+    rows *= s_count + 1
+    rows += after[last_set[:-1]]  # plus the state that each step enters
+    ys = picks.reshape(-1)[rows]
+    if not ok.all() and ys.min() < 0:
+        # the first step that enters a failing pair raises its guard
+        step = int(np.argmax(ys < 0))
+        _finalize_pmf(joints[x[step] * s_count + rows[step] % (s_count + 1)], step)
+    return ys % y_size
+
+
+def _walk(
+    nexts: np.ndarray, rows: np.ndarray, after: np.ndarray, last_set: np.ndarray, walk: np.ndarray
+) -> None:
+    """Set ``after`` at the positions of the walked steps ``walk``, one
+    step at a time in Python, each from the state that the step enters.
+
+    A walked step that follows a constant step (or the start) with no
+    walked step in between enters a known state, so it sets a known
+    state: it reads one of the constant rows appended to the table.
+    Every other walked step reads the state that the walk left."""
+    width = nexts.shape[1]
+    table = np.concatenate([nexts, np.repeat(np.arange(width), width).reshape(width, width)])
+    set_by = last_set[walk]
+    head = set_by >= np.concatenate(([0], walk[:-1] + 1))
+    bases = rows[walk] * width
+    bases[head] = (len(nexts) + table.reshape(-1)[bases[head] + after[set_by[head]]]) * width
+    flat = table.reshape(-1).tolist()
+    state = 0  # any state: the first walked step is a head
+    for lo in range(0, walk.size, WALK_CHUNK):
+        after[walk[lo:lo + WALK_CHUNK] + 1] = [
+            state := flat[b + state] for b in bases[lo:lo + WALK_CHUNK].tolist()
+        ]
 
 
 def _quantum_step_matrices(

@@ -14,6 +14,8 @@ The same step without the input-law factor conditions the quantum
 sampler's state.  The sampler's single-step route weighs every output
 from the state, then calls ``sampling._finalize_pmf`` and
 ``sampling.draw_index``, then conditions the state on the drawn output.
+For a classical model the route walks the latent state instead, one
+guarded joint pmf of (next state, output) per step.
 
 ``oracle_joint_prob`` and ``oracle_output_prob`` sum over latent paths
 literally, and ``dmc_information_rate`` is a memoryless law's exact rate.
@@ -125,7 +127,16 @@ def condition(p: Pieces, state: np.ndarray, x: int, y: int) -> np.ndarray:
 def sample_outputs(model, xs, us):
     """The outputs the single-step route draws on inputs ``xs`` with
     uniforms ``us``, and ``(step, exception)`` of the first step that
-    raised, or None."""
+    raised, or None.
+
+    A quantum model draws each output from its state given the past.  A
+    classical model walks its latent state: ``us[0]`` draws the start
+    state from ``initial``, and ``us[t + 1]`` draws step t's (next state,
+    output) pair from the guarded joint pmf of the current state and the
+    input."""
+    model = channels.as_recursion_model(model)
+    if isinstance(model, channels.ClassicalFsmc):
+        return _sample_classical_outputs(model, xs, us)
     p = pieces(model)
     state = p.start
     ys = []
@@ -133,6 +144,19 @@ def sample_outputs(model, xs, us):
         for x, u in zip(xs, us):
             y = sampling.draw_index(output_pmf(p, state, x), u)
             state = condition(p, state, x, y)
+            ys.append(y)
+    except QchanrateError as exc:
+        return np.array(ys, dtype=np.int64), (len(ys), exc)
+    return np.array(ys, dtype=np.int64), None
+
+
+def _sample_classical_outputs(f: channels.ClassicalFsmc, xs, us):
+    state = sampling.draw_index(f.initial, us[0])
+    ys = []
+    try:
+        for x, u in zip(xs, us[1:]):
+            joint = f.kernel[state, x].reshape(-1)
+            state, y = divmod(sampling.draw_index(sampling._finalize_pmf(joint), u), f.y_size)
             ys.append(y)
     except QchanrateError as exc:
         return np.array(ys, dtype=np.int64), (len(ys), exc)

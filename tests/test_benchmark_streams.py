@@ -2,9 +2,11 @@
 
 ``perfbench/reference.json`` holds the SHA-256 of every trajectory that
 a benchmark sweep samples.  Seed 0 of every workload point is sampled
-here at the workload's sequence length, so a change to a sampled stream
-fails this suite and not only the traced benchmark.  The workloads are
-read from ``perfbench/run.py``, so the two cannot drift apart.
+here at the workload's sequence length, and every recorded seed of the
+classical workload, whose sampler costs little, so a change to a
+sampled stream fails this suite and not only the traced benchmark.  The
+workloads are read from ``perfbench/run.py``, so the two cannot drift
+apart.
 """
 
 import hashlib
@@ -46,10 +48,8 @@ def reference():
         return json.load(fh)["workloads"]
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_seed_0_streams_match_reference(name, reference):
+def sweep_digests(name: str, seed: int) -> list[str]:
     path, n = WORKLOADS[name]
-    assert reference[name]["n"] == n
     cfg = load_config(ROOT / path)
     param = cfg.sweep.parameter
     digests = []
@@ -57,5 +57,18 @@ def test_seed_0_streams_match_reference(name, reference):
         override = None if param == "n" else {param: value}
         model = instantiate_channel(cfg.channel, override)
         length = int(value) if param == "n" else n
-        digests.append(stream_digest(sample_trajectory(model, cfg.input_law, length, 0)))
-    assert digests == reference[name]["seeds"]["0"]["traj_sha256"]
+        digests.append(stream_digest(sample_trajectory(model, cfg.input_law, length, seed)))
+    return digests
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_seed_0_streams_match_reference(name, reference):
+    assert reference[name]["n"] == WORKLOADS[name][1]
+    assert sweep_digests(name, 0) == reference[name]["seeds"]["0"]["traj_sha256"]
+
+
+def test_every_classical_seed_matches_reference(reference):
+    seeds = reference["classical_ir"]["seeds"]
+    assert sorted(seeds, key=int) == [str(seed) for seed in range(16)]
+    for seed, recorded in seeds.items():
+        assert sweep_digests("classical_ir", int(seed)) == recorded["traj_sha256"], seed

@@ -399,13 +399,8 @@ class TestPinnedStreams:
         n, seed = 2000, 32
         ref_rng = qc.make_rng(seed)
         x = qc.sample_input(qc.uniform_input(), n, ref_rng)
-        state = sampling.draw_index(f.initial, ref_rng.random())
-        us = ref_rng.random(n)
-        y = np.empty(n, dtype=np.int64)
-        for step in range(n):
-            joint = f.kernel[state, x[step]].reshape(9)
-            pick = sampling.draw_index(sampling._finalize_pmf(joint), us[step])
-            state, y[step] = divmod(pick, 3)
+        y, failure = reference.sample_outputs(f, x, ref_rng.random(n + 1))
+        assert failure is None
         traj = qc.sample_trajectory(f, qc.uniform_input(), n, seed)
         assert np.array_equal(traj.x, x)
         assert np.array_equal(traj.y, y)
@@ -545,12 +540,16 @@ class TestPairWords:
 
 
 class FixedUniforms:
-    """Stands in for the generator: ``random(n)`` returns chosen uniforms."""
+    """Stands in for the generator: each call of ``random`` returns the
+    next of the chosen uniforms, one, or n of them."""
 
     def __init__(self, us):
         self.us = np.asarray(us, dtype=float)
 
-    def random(self, n):
+    def random(self, n=None):
+        if n is None:
+            u, self.us = self.us[0], self.us[1:]
+            return float(u)
         assert n == self.us.size
         return self.us
 
@@ -615,6 +614,40 @@ class TestBinaryDraw:
                           np.nextafter(edge, 1.0), 1.0 - 2.0**-53] if 0.0 <= u < 1.0]
         for u in us:
             assert sampling._draw([w0, w1], trace, float(u), 0) == (0 if u < edge else 1)
+
+
+class TestClassicalDraw:
+    """A classical step picks what ``bisect_right`` picks on its pair's
+    Kahan table, clamped to the last index of positive mass."""
+
+    # Two pmfs whose Kahan tables decrease by one ulp somewhere.  Either
+    # alternative to the bisection, counting the entries at or below u or
+    # numpy's searchsorted over the sorted uniforms (which narrows each
+    # search from the previous key's result), agrees with it only on a
+    # nondecreasing table, and picks otherwise on one of these.
+    DECREASING = {
+        "count": [0.1450713153606405, 0.5146334600312147, 0.0, 0.05639882025359982, 0.28389640435454494],
+        "searchsorted": [0.0, 0.33284604904303255, 0.0, 0.6252538633191315, 0.0, 0.04190008763783592],
+    }
+
+    @pytest.mark.parametrize("other", sorted(DECREASING))
+    def test_decreasing_table_draws_as_bisection(self, other):
+        """At every table value and both its neighbours."""
+        pmf = np.array(self.DECREASING[other])
+        cum, last = sampling._cdf_table(sampling._finalize_pmf(pmf).tolist())
+        assert any(b < a for a, b in zip(cum, cum[1:]))
+        us = sorted({float(v) for c in cum for v in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0))})
+        us = [u for u in us if u < 1.0]
+        if other == "count":
+            alternative = [min(sum(c <= u for c in cum), last) for u in us]
+        else:
+            alternative = np.minimum(np.searchsorted(cum, us, side="right"), last).tolist()
+        f = channels.ClassicalFsmc(pmf.reshape(1, 1, 1, -1), np.ones(1))
+        xs = np.zeros(len(us), dtype=np.int64)
+        y, failure = reference.sample_outputs(f, xs, [0.5, *us])
+        assert failure is None and y.tolist() != alternative
+        picks = sampling._sample_outputs_classical(f, xs, FixedUniforms([0.5, *us]))
+        assert np.array_equal(picks, y)
 
 
 # A rare input symbol carries each planted fault, so the guard first
@@ -800,4 +833,59 @@ class TestPerInputGuards:
         traj = qc.sample_trajectory(t, never_one, 400, FAULT_SEED)
         assert not traj.x.any()
         clean = qc.sample_trajectory(pinned_model("quantum_ge"), never_one, 400, FAULT_SEED)
+        assert np.array_equal(traj.y, clean.y)
+
+
+def planted_pair(fault, pair=(1, 1), kernel=None):
+    """A classical kernel, by default Gilbert-Elliott's, with a fault on
+    the one (state, input) pair ``pair``."""
+    if kernel is None:
+        kernel = qc.build_gilbert_elliott(P_GOOD, P_BAD, GE_TRANSITION).kernel
+    kernel = kernel.copy()
+    if fault == "negative":
+        kernel[pair][0, 0] = -1e-3
+    elif fault == "total":
+        kernel[pair] *= 1.001
+    else:
+        kernel[pair][0, 0] = np.nan
+    return kernel
+
+
+# On this seed's stream Gilbert-Elliott first visits (state 1, input 1)
+# at step 14, and uses input 1 from step 0 on.
+PAIR_FAULT_SEED = 5
+
+
+class TestClassicalPairGuards:
+    """The pmf guards of a classical (state, input) pair trip at the first
+    step that visits the pair, not at the input's first use, and never
+    when the trajectory does not visit it (as ``TestPerInputGuards``)."""
+
+    @pytest.mark.parametrize("fault", ["negative", "total", "nan"])
+    def test_fault_trips_at_first_visit_of_its_pair(self, fault):
+        f = channels.ClassicalFsmc(planted_pair(fault), np.array([0.5, 0.5]))
+        q = qc.uniform_input()
+        ref_rng = qc.make_rng(PAIR_FAULT_SEED)
+        x = qc.sample_input(q, 400, ref_rng)
+        _, failure = reference.sample_outputs(f, x, ref_rng.random(401))
+        step, exc = failure
+        assert isinstance(exc, NumericalCorruptionError)
+        assert re.search(GUARD_MESSAGES[fault], str(exc))
+        assert (x[0], step) == (1, 14)
+        with pytest.raises(NumericalCorruptionError) as info:
+            qc.sample_trajectory(f, q, 400, PAIR_FAULT_SEED)
+        assert str(info.value) == f"{exc} at step {step}"
+
+    @pytest.mark.parametrize("fault", ["negative", "total", "nan"])
+    def test_unvisited_pair_never_trips(self, fault):
+        """Gilbert-Elliott on states 0 and 1 and a closed state 2 that the
+        start never enters; the fault sits on (2, 1)."""
+        kernel = np.zeros((3, 2, 3, 2))
+        kernel[:2, :, :2] = qc.build_gilbert_elliott(P_GOOD, P_BAD, GE_TRANSITION).kernel
+        kernel[2, :, 2] = 0.5
+        start = np.array([0.5, 0.5, 0.0])
+        q = qc.uniform_input()
+        clean = qc.sample_trajectory(channels.ClassicalFsmc(kernel, start), q, 400, FAULT_SEED)
+        f = channels.ClassicalFsmc(planted_pair(fault, (2, 1), kernel), start)
+        traj = qc.sample_trajectory(f, q, 400, FAULT_SEED)
         assert np.array_equal(traj.y, clean.y)
