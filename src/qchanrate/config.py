@@ -366,6 +366,8 @@ def load_config(path) -> ExperimentConfig:
     for i, name in enumerate(estimators):
         if name not in ESTIMATOR_IDS:
             _fail(f"estimators[{i}]", f"expected one of {ESTIMATOR_IDS}, got {name!r}")
+        if name in estimators[:i]:
+            _fail(f"estimators[{i}]", f"duplicate estimator {name!r}")
 
     aux_node = _list(root.get("auxiliaries", []), "auxiliaries", "models", nonempty=False)
     aux_specs = []

@@ -48,9 +48,11 @@ calls batched across the blocks of every recursion:
 1. all block transfer products are formed together, one word per
    iteration; every row of a product is divided by the power of two of
    its sum of magnitudes, an exact rescale, after each run of words of at
-   most L steps and after the last word, its powers kept apart.  The
-   powers are folded back, relative to the largest, where every nonzero
-   row is within 2**-PATH_RANGE of it;
+   most L steps, L the smallest cap in the stack, and after the last
+   word, its powers kept apart.  The stack runs on its key's m and on
+   this one interval, set where the stack is formed.  The powers are
+   folded back, relative to the largest, where every nonzero row is
+   within 2**-PATH_RANGE of it;
 2. a sequential pass over the blocks carries each recursion's normalized
    state from each block's start to the next.  Where the state's total
    through the folded product comes out below ``FOLD_FLOOR``, or the
@@ -276,20 +278,7 @@ def _impossible(step: int) -> ImpossibleObservationError:
     )
 
 
-class StackTable(NamedTuple):
-    """The step matrices of a stack, each prescaled, the identity last,
-    with their guard residues (as in ``RealForm``) and, per matrix, the
-    rescale cap and the alphabet (its number of step matrices) of the
-    recursion that owns it."""
-
-    mats: np.ndarray
-    imag_residue: np.ndarray
-    herm_residue: np.ndarray
-    cap: np.ndarray
-    alphabet: np.ndarray
-
-
-def _guard_error(total: float, table: StackTable, matrix: int, step: int) -> QchanrateError:
+def _guard_error(total: float, table: RealForm, matrix: int, step: int) -> QchanrateError:
     """The error of a step that tripped a guard, checked in order."""
     imag = table.imag_residue[matrix]
     if not np.isfinite(total):
@@ -409,16 +398,14 @@ def _word_table(mats: np.ndarray, closure: np.ndarray, words: np.ndarray):
     return entries[:, :, :d], entries, code
 
 
-def _rescale(
-    prod: np.ndarray, scale: np.ndarray, due: np.ndarray, flags: np.ndarray
-) -> np.ndarray:
-    """Divide each row of each due block product by the power of two of
-    its sum of magnitudes, in place, and add that power to ``scale``;
-    flag a due product with a nonzero row whose sum was below
-    PEAK_FLOOR.  Returns the row sums before the division."""
+def _rescale(prod: np.ndarray, scale: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    """Divide each row of each block product by the power of two of its
+    sum of magnitudes, in place, and add that power to ``scale``; flag a
+    product with a nonzero row whose sum was below PEAK_FLOOR.  Returns
+    the row sums before the division."""
     sums = np.abs(prod) @ np.ones((prod.shape[-1], 1))
-    exps = np.where(due[:, None, None], np.frexp(sums)[1], 0)
-    flags |= due & (exps <= -PATH_RANGE).any(axis=(2, 3))  # sums below PEAK_FLOOR; 0 gives 0
+    exps = np.frexp(sums)[1]
+    flags |= (exps <= -PATH_RANGE).any(axis=(2, 3))  # sums below PEAK_FLOOR; 0 gives 0
     np.ldexp(prod, -exps, out=prod)
     scale += exps
     return sums
@@ -429,24 +416,28 @@ def _rescale(
 # after the three phases report the failing step.
 @np.errstate(divide="ignore", invalid="ignore")
 def _blocked_pass(
-    table: StackTable,
+    table: RealForm,
     guarded: np.ndarray,
     closure: np.ndarray,
     starts: np.ndarray,
     indices: list[np.ndarray],
     shifts: list[int],
     offset: int,
+    m: int,
+    every: int,
 ) -> list:
-    """One three-phase pass over R recursions of equal length and word
-    length.
+    """One three-phase pass over R recursions of equal length, in words
+    of ``m`` steps, every block product rescaled after each ``every``
+    words.
 
     Recursion r runs the steps ``table.mats[indices[r] + shifts[r]]``
     from the state ``starts[r]``; their first step is global step
     ``offset``.  ``table.mats`` carries the identity as its last entry,
-    used to pad the final word and block, ``table.cap`` and
-    ``table.alphabet`` give each recursion's rescale cap and alphabet,
-    hence its word length, and ``guarded[i]`` flags a matrix whose
-    residues trip a guard on every step that uses it.
+    used to pad the final word and block, and ``guarded[i]`` flags a
+    matrix whose residues trip a guard on every step that uses it.
+    ``every`` words take at most the stack's smallest rescale cap in
+    steps; with ``every`` = 1 the pass is as fine as a rerun would be, so
+    no block is evaluated again for a flagged product or lost totals.
 
     Returns, per recursion, either the error of its earliest guard trip
     or the per-step logs of the leading steps it settled (all of them
@@ -456,9 +447,6 @@ def _blocked_pass(
     passes += 1
     recs, n = len(indices), indices[0].size
     d = closure.size
-    shifts = np.asarray(shifts)
-    caps = table.cap[shifts]
-    m = _word_length(int(table.alphabet[shifts[0]]), d, n, int(caps[0]))
     words = -(-n // m)
     w = math.isqrt(words - 1) + 1  # words per block, ceil(sqrt(words))
     blocks = -(-words // w)
@@ -470,10 +458,6 @@ def _blocked_pass(
         np.add(index, shift, out=steps[r, :n])
     prods, entries, entry = _word_table(table.mats, closure, steps.reshape(-1, m))
     cols = entry.reshape(recs, blocks, w).T  # cols[j, b, r]: the entry of word j of block b
-    # A product is rescaled after every ``every`` words, at most its
-    # recursion's cap of steps, and after its last word.
-    every = np.maximum(caps // m, 1)
-    due_at = {j for e in set(every.tolist()) for j in range(e, w, e)}
 
     column = closure.reshape(d, 1)
     vec = starts.reshape(recs, 1, d).copy()
@@ -492,19 +476,19 @@ def _blocked_pass(
         flags = flagged[first:first + span]
 
         # Phase 1: all block transfer products of the slice at once, one
-        # word per iteration, each row rescaled exactly on its recursion's
-        # schedule, the powers of two kept apart in ``scale`` (NO_ROW for
-        # a row that is all zero).  They are then folded back, relative
-        # to the largest, into ``folded`` where every nonzero row is
-        # within 2**-PATH_RANGE of it, so that the entries that matter
-        # stay normal; elsewhere ``folded`` is zero.
+        # word per iteration, each row rescaled exactly after every
+        # ``every`` words and after the last, the powers of two kept apart
+        # in ``scale`` (NO_ROW for a row that is all zero).  They are then
+        # folded back, relative to the largest, into ``folded`` where
+        # every nonzero row is within 2**-PATH_RANGE of it, so that the
+        # entries that matter stay normal; elsewhere ``folded`` is zero.
         prod = prods.take(part[0], axis=0)
         scale = np.zeros((*prod.shape[:3], 1), dtype=np.int64)
         for j in range(1, w):
-            if j in due_at:  # the product holds j words
-                _rescale(prod, scale, j % every == 0, flags)
+            if j % every == 0:  # the product holds j words
+                _rescale(prod, scale, flags)
             prod = prod @ prods.take(part[j], axis=0)
-        scale[_rescale(prod, scale, np.ones(recs, dtype=bool), flags) == 0.0] = NO_ROW
+        scale[_rescale(prod, scale, flags) == 0.0] = NO_ROW
         shift = scale - scale.max(axis=2, keepdims=True)
         folded = np.ldexp(prod, shift)
         folded *= ~((shift < -PATH_RANGE) & (scale != NO_ROW)).any(axis=2, keepdims=True)
@@ -561,13 +545,13 @@ def _blocked_pass(
     # A block whose phase-3 end state disagrees with its phase-2 end
     # state lost accuracy in its product or, unless it ran one step per
     # word, in its words.  So may a block with a flagged product or with
-    # lost totals, where a cap above 1 left room for a smaller one.  The
-    # recursion is settled up to the start of the first such block (up
-    # to its end where only its product is in doubt), and the rest is
-    # evaluated again from there.
+    # lost totals, where an interval above one word left room for a
+    # smaller one.  The recursion is settled up to the start of the first
+    # such block (up to its end where only its product is in doubt), and
+    # the rest is evaluated again from there.
     begin[blocks] = vec
     drift = (np.abs(ends - begin[1:]).max(axis=(2, 3)) > RESYNC_TOL).T
-    redo = (flagged.T | lost) & (caps > 1)[:, None]
+    redo = (flagged.T | lost) & (every > 1)
     if m > 1:
         redo |= drift
     else:
@@ -587,7 +571,7 @@ def _blocked_pass(
 
 
 def _one_state_logs(
-    table: StackTable, guarded: np.ndarray, exps: np.ndarray, rec: Recursion, shift: int
+    table: RealForm, guarded: np.ndarray, exps: np.ndarray, rec: Recursion, shift: int
 ):
     """The logs of a one-state recursion, or the error of its earliest
     guard trip, in closed form: its normalized state is 1 after every
@@ -615,8 +599,7 @@ def stack_key(rec: Recursion) -> tuple[int, bytes, int]:
 def _stack_table(recs: Sequence[Recursion]) -> tuple:
     """One matrix table for a stack, the identity last, with the flags of
     its guarded matrices, each matrix's power-of-two exponent and each
-    recursion's shift to its own matrices; the table also gives, per
-    matrix, its recursion's rescale cap and alphabet.
+    recursion's shift to its own matrices.
 
     Every matrix is scaled by an exact power of two to a largest entry in
     [0.5, 1), so that block products of steps of tiny probability do not
@@ -625,18 +608,15 @@ def _stack_table(recs: Sequence[Recursion]) -> tuple:
     """
     mats = np.concatenate([r.form.mats for r in recs] + [np.eye(recs[0].closure.size)[None]])
     exps = np.frexp(np.abs(mats).max(axis=(1, 2)))[1]
-    counts = [len(r.form.mats) for r in recs] + [1]
-    table = StackTable(
+    table = RealForm(
         np.ldexp(mats, -exps[:, None, None]),
         np.concatenate([r.form.imag_residue for r in recs] + [[0.0]]),
         np.concatenate([r.form.herm_residue for r in recs] + [[0.0]]),
-        np.repeat([r.cap for r in recs] + [1], counts),
-        np.repeat(counts, counts),
     )
     guarded = ~(table.imag_residue <= PMF_IMAG_GUARD) | ~(
         table.herm_residue <= STATE_HERMITICITY_GUARD
     )
-    shifts = np.cumsum([0] + counts[:-2])
+    shifts = np.cumsum([0] + [len(r.form.mats) for r in recs[:-1]])
     return table, guarded, exps, shifts
 
 
@@ -653,15 +633,19 @@ def stacked_forward_logs(recs: Sequence[Recursion]) -> list:
     for r, rec in enumerate(recs):
         stacks.setdefault(stack_key(rec), []).append(r)
     results: list = [None] * len(recs)
-    for members in stacks.values():
-        logs = _stack_logs([recs[r] for r in members])
+    for (_, _, m), members in stacks.items():
+        logs = _stack_logs([recs[r] for r in members], m)
         for r, got in zip(members, logs):
             results[r] = got
     return results
 
 
-def _stack_logs(recs: Sequence[Recursion]) -> list:
-    """``stacked_forward_logs`` of one stack."""
+def _stack_logs(recs: Sequence[Recursion], m: int) -> list:
+    """``stacked_forward_logs`` of one stack, whose word length is ``m``.
+
+    Its passes rescale the block products after each run of words that
+    takes at most the stack's smallest rescale cap in steps.
+    """
     closure = recs[0].closure
     n = recs[0].index.size
     table, guarded, exps, shifts = _stack_table(recs)
@@ -669,6 +653,7 @@ def _stack_logs(recs: Sequence[Recursion]) -> list:
         return [_one_state_logs(table, guarded, exps, rec, shift)
                 for rec, shift in zip(recs, shifts)]
 
+    every = max(min(rec.cap for rec in recs) // m, 1)
     results: list = [None] * len(recs)
     parts: list[list[np.ndarray]] = [[] for _ in recs]
     pending = [(r, 0, rec.start) for r, rec in enumerate(recs)]
@@ -686,7 +671,7 @@ def _stack_logs(recs: Sequence[Recursion]) -> list:
                 np.stack([vec for _, _, vec in items]),
                 [recs[r].index[pos:] for r, _, _ in items],
                 [shifts[r] for r, _, _ in items],
-                pos,
+                pos, m, every,
             )
             for (r, _, _), outcome in zip(items, outcomes):
                 if isinstance(outcome, QchanrateError):
@@ -700,7 +685,7 @@ def _stack_logs(recs: Sequence[Recursion]) -> list:
                     logs = parts[r][0] if len(parts[r]) == 1 else np.concatenate(parts[r])
                     logs -= LN2 * exps[recs[r].index + shifts[r]]
                     results[r] = logs
-        table = table._replace(cap=np.ones_like(table.cap))
+        m = every = 1
     return results
 
 
@@ -789,8 +774,8 @@ class RateRow(NamedTuple):
 def estimate_rows(rows: Sequence[RateRow]) -> list:
     """The ``RateEstimate`` of each row, or the error that stopped it.
 
-    The output-only and joint recursions of every row run in one engine
-    stack per ``stack_key`` group, and each recursion's logs are reduced
+    The output-only and joint recursions of every row run in one
+    ``stacked_forward_logs`` call, and each recursion's logs are reduced
     to their sum at once.  A row's error is its first: the output-only
     recursion's, then the joint one's.
     """
@@ -804,17 +789,13 @@ def estimate_rows(rows: Sequence[RateRow]) -> list:
                 parts.append(exc)
         sums.append(parts)
 
-    stacks: dict[tuple, list[tuple[int, int]]] = {}
-    for r, parts in enumerate(sums):
-        for slot, rec in enumerate(parts):
-            if isinstance(rec, Recursion):
-                stacks.setdefault(stack_key(rec), []).append((r, slot))
-    for members in stacks.values():
-        outcomes = stacked_forward_logs([sums[r][slot] for r, slot in members])
-        for (r, slot), logs in zip(members, outcomes):
-            if not isinstance(logs, QchanrateError):
-                logs = float(logs.sum())
-            sums[r][slot] = logs
+    members = [(r, slot) for r, parts in enumerate(sums)
+               for slot, rec in enumerate(parts) if isinstance(rec, Recursion)]
+    outcomes = stacked_forward_logs([sums[r][slot] for r, slot in members])
+    for (r, slot), logs in zip(members, outcomes):
+        if not isinstance(logs, QchanrateError):
+            logs = float(logs.sum())
+        sums[r][slot] = logs
 
     out: list = []
     for row, parts in zip(rows, sums):

@@ -271,6 +271,13 @@ class TestParsing:
             ({"n": 2**60}, rf"^n: n must lie in \[1, 2\^60 - 1\], got {2**60}$"),
             ({"sweep": {"parameter": "n", "values": [100, 2**60]}},
              rf"^sweep\.values\[1\]: n must lie in \[1, 2\^60 - 1\], got {2**60}$"),
+            # a repeated estimator would write each of its rows twice
+            *(
+                ({"estimators": ids, "auxiliaries": [{"kind": "bsc", "label": "a", "p": 0.2}]},
+                 rf"^estimators\[{at}\]: duplicate estimator '{ids[at]}'$")
+                for ids, at in [(["ir", "ir", "aux_lower", "aux_lower"], 1),
+                                (["ir", "aux_lower", "aux_lower"], 2)]
+            ),
         ],
     )
     def test_rejections(self, tmp_path, overrides, fragment):
@@ -952,14 +959,14 @@ class TestCli:
         )
         traj_path = tmp_path / "traj.txt"
         assert main(["sample", str(cfg_path), "-o", str(traj_path), "--seed", "4"]) == 0
-        stacked = rates.stacked_forward_logs
+        stacked = rates._stack_logs
         stack_sizes = []
 
-        def spy(recs):
+        def spy(recs, m):
             stack_sizes.append(len(recs))
-            return stacked(recs)
+            return stacked(recs, m)
 
-        monkeypatch.setattr(rates, "stacked_forward_logs", spy)
+        monkeypatch.setattr(rates, "_stack_logs", spy)
         out_dir = tmp_path / "b"
         assert main(
             ["bound", str(cfg_path), "--trajectory", str(traj_path), "--out-dir", str(out_dir)]

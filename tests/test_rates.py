@@ -490,15 +490,17 @@ class TestStackIndependence:
         recs = self.recursions(quantum_ge, uniform)
         lengths = [rates._recursion_word_length(r) for r in recs]
         assert lengths[0] > 1 and len(set(lengths)) == 2
+        # The members that share the longer words have distinct caps, so
+        # the stack's one rescale interval differs from some member's own.
+        caps = [r.cap for r, m in zip(recs, lengths) if m == lengths[0]]
+        assert len(caps) == len(set(caps)) == 3
         alone = [rates.stacked_forward_logs([r])[0] for r in recs]
         one_pass = rates._blocked_pass
         passes = []
 
-        def recorded(table, guarded, closure, starts, indices, shifts, offset):
-            passes.append({rates._word_length(int(table.alphabet[s]), closure.size,
-                                              indices[0].size, int(table.cap[s]))
-                           for s in shifts})
-            return one_pass(table, guarded, closure, starts, indices, shifts, offset)
+        def recorded(table, guarded, closure, starts, indices, shifts, offset, m, every):
+            passes.append({m})
+            return one_pass(table, guarded, closure, starts, indices, shifts, offset, m, every)
 
         monkeypatch.setattr(rates, "_blocked_pass", recorded)
         stacked = rates.stacked_forward_logs(recs)
@@ -616,7 +618,7 @@ def blocked_logs(recs):
     table, guarded, exps, shifts = rates._stack_table(recs)
     outs = rates._blocked_pass(
         table, guarded, recs[0].closure, np.stack([r.start for r in recs]),
-        [r.index for r in recs], list(shifts), 0,
+        [r.index for r in recs], list(shifts), 0, 1, min(r.cap for r in recs),
     )
     return [logs - rates.LN2 * exps[rec.index + shift]
             for rec, shift, (logs, _) in zip(recs, shifts, outs)]
