@@ -834,6 +834,31 @@ class TestCli:
         assert main(["oracle", str(path), "--oracle-n", "3"]) == 0
         assert capsys.readouterr().out.endswith("oracle cross-check passed\n")
 
+    def test_validate_rejects_a_non_unitary_inter_use_map(self, tmp_path, capsys):
+        """The quantum Gilbert-Elliott channel as ``custom_kraus`` with the
+        inter-use map [[1, 1e-6], [0, 1]] fails that check by name (were
+        the check gone, trace consistency would fail instead)."""
+        def cmat(a):
+            return [[[z.real, z.imag] for z in row] for row in np.asarray(a, dtype=complex)]
+
+        raw = qc.build_quantum_gilbert_elliott(0.05, 0.95, alpha=1.0)
+        path = write_config(
+            tmp_path,
+            channel={
+                "kind": "custom_kraus",
+                "state_dim": 2,
+                "encodings": [cmat(e) for e in raw.encodings],
+                "kraus": [cmat(k) for k in raw.kraus],
+                "measurements": [cmat(m) for m in raw.measurements],
+                "unitary": cmat([[1.0, 1e-6], [0.0, 1.0]]),
+            },
+            sweep={"parameter": "n", "values": [100]},
+        )
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error[ConfigError]: channel: inter-use unitary violated (witness 1.000e-06)"
+        )
+
     def test_validate_rejects_invalid_initial_pmf(self, tmp_path, capsys):
         """A Gilbert-Elliott initial pmf that does not sum to one fails
         validation instead of passing with a failed check printed."""
@@ -1293,6 +1318,15 @@ class TestCli:
         )
         assert main(["oracle", str(path), "--oracle-n", "3"]) == 0
         assert "oracle cross-check passed" in capsys.readouterr().out
+
+    def test_oracle_fails_on_a_perturbed_recursion(self, tmp_path, capsys, monkeypatch):
+        """Logs 1e-6 off per step put log p(y) beyond ORACLE_CHECK_TOL."""
+        stacked = rates.stacked_forward_logs
+        monkeypatch.setattr(
+            rates, "stacked_forward_logs", lambda recs: [logs + 1e-6 for logs in stacked(recs)]
+        )
+        assert main(["oracle", str(write_config(tmp_path))]) == 3
+        assert "oracle cross-check failed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n", [0, MAX_ORACLE_N + 1])
     def test_oracle_n_out_of_range_exits_2(self, tmp_path, capsys, n):

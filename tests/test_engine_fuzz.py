@@ -30,6 +30,7 @@ of the classical model, which keeps every component, or every one above
 cases, so that the gate keeps its reach.
 """
 
+import itertools
 import math
 import re
 
@@ -222,3 +223,46 @@ def test_engine_matches_reference(monkeypatch, word_steps):
     if word_steps == 1:
         residues = {(n % m, m) for n, m in lengths if m > 2}
         assert {0, 1} <= {r for r, _ in residues} and any(r == m - 1 for r, m in residues)
+
+
+def settles_in_two_passes(seed, item, kind, n, m):
+    """Case ``item`` of ``cases(seed)``, replayed under the current
+    WORD_STEPS (the lengths drawn depend on it), is the ``kind`` model at
+    length ``n`` and word length ``m``.  Run alone, it takes a second
+    pass, and its logs are the reference's."""
+    got_kind, model, _, q, ys, xs = next(itertools.islice(cases(seed), item, None))
+    rec = rates.recursion(model, q, ys, xs)
+    assert (got_kind, ys.size, rates._recursion_word_length(rec)) == (kind, n, m)
+    with np.errstate(all="ignore"):
+        ref, _, failure = iterate_steps(model, q, ys, xs)
+    assert failure is None
+    before = rates.passes
+    (got,) = rates.stacked_forward_logs([rec])
+    assert agrees(ref, failure, got)
+    assert rates.passes - before == 2
+
+
+# Each redo trigger has a case that only it catches: with the trigger
+# disabled (and the other two on), the case's logs or its error differ
+# from the reference's.
+
+
+def test_drift_alone_catches_reducible_kernel():
+    """Inputs pinned, one step per word: without the drift trigger
+    (``RESYNC_TOL`` infinite) the logs are off by up to 189 nats."""
+    settles_in_two_passes(100, 232, "reducible", 168, 1)
+
+
+def test_product_flag_alone_catches_embedded_kernel():
+    """Inputs pinned, one step per word: without the flag on a block
+    product's row that fell below ``PEAK_FLOOR`` the logs are off by
+    31 nats."""
+    settles_in_two_passes(129, 43, "embedded", 226, 1)
+
+
+def test_lost_totals_alone_catch_sparse_kernel(monkeypatch):
+    """Inputs pinned, words of three steps: without the lost-totals
+    trigger (``PEAK_FLOOR`` zero) the engine raises a false zero
+    probability at step 11."""
+    monkeypatch.setattr(rates, "WORD_STEPS", 1)
+    settles_in_two_passes(119, 248, "sparse", 34, 3)

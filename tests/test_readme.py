@@ -1,7 +1,9 @@
 """The README's library example runs as written against the public API,
-and that API holds only names the package itself or the README uses."""
+that API holds only names the package itself or the README uses, and
+every module attribute the README names exists."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -32,3 +34,19 @@ def test_every_export_is_read_by_the_package_or_named_in_the_readme():
                 read.add(node.attr)
     text = README.read_text(encoding="utf-8")
     assert [n for n in exported if n not in read and not re.search(rf"\b{n}\b", text)] == []
+
+
+def test_every_module_attribute_named_in_the_readme_exists():
+    """A backticked ``module.NAME`` whose module is one of the package's
+    (``rates.RESYNC_TOL``, say) names an attribute of that module, so a
+    renamed or deleted constant cannot leave the README stale.  The
+    pattern starts at the backtick, so ``<name>.errors.csv`` is no
+    name."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    named = [(module, name)
+             for module, name in re.findall(r"`(\w+)\.(\w+)`", README.read_text(encoding="utf-8"))
+             if module in modules]
+    assert ("runner", "STACK_BUDGET") in named
+    missing = [f"{module}.{name}" for module, name in named
+               if not hasattr(importlib.import_module(f"qchanrate.{module}"), name)]
+    assert missing == []

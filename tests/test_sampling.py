@@ -406,6 +406,30 @@ class TestPinnedStreams:
         assert np.array_equal(traj.y, y)
 
 
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_walk_carries_its_state_across_chunks(self, monkeypatch, chunk):
+        """A four-state model walks 1 140 of its 3 000 steps one at a time;
+        in chunks of ``chunk`` steps, its outputs are unchanged."""
+        f = random_classical_fsmc(np.random.default_rng(4), 4, 2, 2)
+        n, seed = 3000, 11
+        default = qc.sample_trajectory(f, qc.uniform_input(), n, seed)
+        ref_rng = qc.make_rng(seed)
+        x = qc.sample_input(qc.uniform_input(), n, ref_rng)
+        y, failure = reference.sample_outputs(f, x, ref_rng.random(n + 1))
+        assert failure is None
+        walk = sampling._walk
+        walked = []
+
+        def recorded(nexts, rows, after, last_set, steps):
+            walked.append(steps.size)
+            walk(nexts, rows, after, last_set, steps)
+
+        monkeypatch.setattr(sampling, "_walk", recorded)
+        monkeypatch.setattr(sampling, "WALK_CHUNK", chunk)
+        traj = qc.sample_trajectory(f, qc.uniform_input(), n, seed)
+        assert walked == [1140]
+        assert np.array_equal(traj.y, default.y) and np.array_equal(traj.y, y)
+
 class TestConditionalLogLoss:
     """The quantum sampler carries the joint recursion's state, so each
     step's log loss plus the input's equals the joint recursion's log."""
