@@ -70,31 +70,36 @@ the normal range of floats, where an exact power-of-two rescale moves no
 bit; how often a product is rescaled then does not change its rounding,
 and a recursion's logs do not depend on its stack.
 
-Every guard is reported per recursion, on the step it concerns: a
-normalizer that is not finite, or one that is not positive (a
-zero-probability observation), is checked on every step in phase 3, and
-the imaginary-trace and Hermiticity residues of a quantum step matrix,
+A pass only computes: it yields each recursion's per-step normalizers
+and checks no guard.  A block may lose accuracy: its phase-3 end state
+may disagree with the state phase 2 carries past it, a row of its
+product may fall below ``PEAK_FLOOR`` between rescales (a step zeroed
+the columns that held the row), or a word's prefix totals may fall below
+it.  The pass then settles the recursion up to that block's start (up to
+its end when it ran one step per word and only its product is in
+doubt), and its remaining steps are evaluated again from there, one step
+per word and with every product rescaled on every step, in a stack with
+the other unsettled recursions of the same remaining length, unless one
+of its settled steps has already tripped a guard.  The passes write
+their normalizers into one array per stack.
+
+One last step, ``_settle``, turns the normalizers of every recursion,
+whatever route gave them, into logs, adding back each matrix's power of
+two, and reports every guard per recursion, on the step it concerns.  A normalizer that is not finite, or one that is not positive
+(a zero-probability observation), trips on its step, and the
+imaginary-trace and Hermiticity residues of a quantum step matrix,
 measured once per matrix when it is converted to the real form, trip on
-every step that uses that matrix.  A trip reports the earliest global
-step, with the same error type as a step-by-step evaluation, and leaves
-the other recursions of the stack unchanged.  The division by a bad
-total fills the rest of its block with NaN or infinite values, whose
-steps all come after it, so the earliest bad step is still the first one
-reported.  A block may still lose accuracy: its phase-3 end state may
-disagree with the state phase 2 carries past it, a row of its product
-may fall below ``PEAK_FLOOR`` between rescales (a step zeroed the
-columns that held the row), or a word's prefix totals may fall below it.
-The recursion is then settled up to that block's start (up to its end
-when it ran one step per word and only its product is in doubt), and its
-remaining steps are evaluated again from there, one step per word and
-with every product rescaled on every step, in a stack with the other
-unsettled recursions of the same remaining length.
+every step that uses that matrix.  A trip reports the earliest step,
+with the same error type as a step-by-step evaluation, and leaves the
+other recursions of the stack unchanged.  The division by a bad total
+fills the rest of its block with NaN or infinite values, whose steps all
+come after it, so the earliest bad step is still the first one reported.
 
 A stack of one-state recursions (a memoryless model, closure of size 1)
 runs no pass: its normalized state is 1 after every step, so each step's
 normalizer is its prescaled matrix's single entry (times the start on
-the first step), and the logs and the guards, in the same order and at
-the same step, follow in closed form, equal to the pass's bit for bit.
+the first step), in closed form, equal to the pass's bit for bit, and
+the same step settles them.
 
 Running the output-only recursion gives the output entropy rate; running
 it with the inputs pinned (input-law factors included) gives the joint
@@ -412,40 +417,36 @@ def _rescale(prod: np.ndarray, scale: np.ndarray, flags: np.ndarray) -> np.ndarr
 
 
 # A non-finite matrix entry spreads NaN through the products and states
-# (inf * 0), and a zero total divides by zero, all silently: the guards
-# after the three phases report the failing step.
+# (inf * 0), and a zero total divides by zero, all silently: ``_settle``
+# reports the failing step.
 @np.errstate(divide="ignore", invalid="ignore")
 def _blocked_pass(
-    table: RealForm,
-    guarded: np.ndarray,
+    mats: np.ndarray,
     closure: np.ndarray,
     starts: np.ndarray,
-    indices: list[np.ndarray],
-    shifts: list[int],
-    offset: int,
+    index: np.ndarray,
     m: int,
     every: int,
-) -> list:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One three-phase pass over R recursions of equal length, in words
     of ``m`` steps, every block product rescaled after each ``every``
     words.
 
-    Recursion r runs the steps ``table.mats[indices[r] + shifts[r]]``
-    from the state ``starts[r]``; their first step is global step
-    ``offset``.  ``table.mats`` carries the identity as its last entry,
-    used to pad the final word and block, and ``guarded[i]`` flags a
-    matrix whose residues trip a guard on every step that uses it.
-    ``every`` words take at most the stack's smallest rescale cap in
-    steps; with ``every`` = 1 the pass is as fine as a rerun would be, so
-    no block is evaluated again for a flagged product or lost totals.
+    Recursion r runs the steps ``mats[index[r]]`` from the state
+    ``starts[r]``.  ``mats`` carries the identity as its last entry, used
+    to pad the final word and block.  ``every`` words take at most the
+    stack's smallest rescale cap in steps; with ``every`` = 1 the pass is
+    as fine as a rerun would be, so no block is evaluated again for a
+    flagged product or lost totals.
 
-    Returns, per recursion, either the error of its earliest guard trip
-    or the per-step logs of the leading steps it settled (all of them
-    unless a block lost accuracy) and the state after them.
+    Returns the (R, n) per-step normalizers, unchecked; the number of
+    leading steps of each recursion that the pass settled (all of them
+    unless a block lost accuracy); and each recursion's state after
+    those steps.
     """
     global passes
     passes += 1
-    recs, n = len(indices), indices[0].size
+    recs, n = index.shape
     d = closure.size
     words = -(-n // m)
     w = math.isqrt(words - 1) + 1  # words per block, ceil(sqrt(words))
@@ -453,10 +454,9 @@ def _blocked_pass(
     k = w * m
     # steps[r, t]: the table matrix of step t of recursion r, the identity
     # after its last step.
-    steps = np.full((recs, blocks * k), len(table.mats) - 1)
-    for r, (index, shift) in enumerate(zip(indices, shifts)):
-        np.add(index, shift, out=steps[r, :n])
-    prods, entries, entry = _word_table(table.mats, closure, steps.reshape(-1, m))
+    steps = np.full((recs, blocks * k), len(mats) - 1)
+    steps[:, :n] = index
+    prods, entries, entry = _word_table(mats, closure, steps.reshape(-1, m))
     cols = entry.reshape(recs, blocks, w).T  # cols[j, b, r]: the entry of word j of block b
 
     column = closure.reshape(d, 1)
@@ -537,10 +537,6 @@ def _blocked_pass(
     )
     for i in range(m - 1, 0, -1):
         totals[..., i] /= totals[..., i - 1]
-    totals = totals.reshape(recs, blocks * k)[:, :n]
-    bad = ~((totals > 0.0) & (totals < np.inf))
-    if guarded.any():
-        bad |= guarded[steps[:, :n]]
 
     # A block whose phase-3 end state disagrees with its phase-2 end
     # state lost accuracy in its product or, unless it ran one step per
@@ -556,38 +552,44 @@ def _blocked_pass(
         redo |= drift
     else:
         redo[:, 1:] |= drift[:, :-1]
-    out = []
-    for r in range(recs):
-        fail = int(np.argmax(bad[r])) if bad[r].any() else n
-        settled = int(np.argmax(redo[r])) * k if redo[r].any() else n
-        if fail < settled:
-            matrix = indices[r][fail] + shifts[r]
-            out.append(_guard_error(totals[r, fail], table, matrix, offset + fail))
-            continue
-        logs = totals[r, :settled]  # overwritten in place: no copy per recursion
-        np.negative(np.log(logs, out=logs), out=logs)
-        out.append((logs, ends[-(-settled // k) - 1, r, 0] if settled else starts[r]))
-    return out
+    settled = np.where(redo.any(axis=1), redo.argmax(axis=1) * k, n)
+    # The state after the settled steps: the end of the block they end
+    # in, or the start where none settled.
+    after = np.where(settled[:, None] > 0, ends[(settled - 1) // k, np.arange(recs), 0], starts)
+    return totals.reshape(recs, blocks * k)[:, :n], settled, after
 
 
-def _one_state_logs(
-    table: RealForm, guarded: np.ndarray, exps: np.ndarray, rec: Recursion, shift: int
-):
-    """The logs of a one-state recursion, or the error of its earliest
-    guard trip, in closed form: its normalized state is 1 after every
-    step, so each normalizer is its step's prescaled entry (times the
-    start on the first step), as the blocked pass computes it."""
-    matrix = rec.index + shift
-    totals = table.mats[matrix, 0, 0]
-    totals[0] *= rec.start[0]
-    bad = ~((totals > 0.0) & (totals < np.inf)) | guarded[matrix]
-    if bad.any():
-        fail = int(np.argmax(bad))
-        return _guard_error(totals[fail], table, matrix[fail], fail)
-    logs = np.log(totals, out=totals)
-    np.negative(logs, out=logs)
-    logs -= LN2 * exps[matrix]
-    return logs
+def _first_trips(norms: np.ndarray, matrices: np.ndarray, table: RealForm) -> np.ndarray:
+    """The earliest step of each row of normalizers ``norms`` that trips
+    a guard, or the row's length: a normalizer that is not positive and
+    finite, or a step matrix (``table`` entry ``matrices``) whose
+    residues exceed ``PMF_IMAG_GUARD`` or ``STATE_HERMITICITY_GUARD``."""
+    ok = norms > 0.0
+    ok &= norms < np.inf
+    safe = (table.imag_residue <= PMF_IMAG_GUARD) & (table.herm_residue <= STATE_HERMITICITY_GUARD)
+    if not safe.all():
+        ok &= safe[matrices]
+    return np.where(ok.all(axis=1), norms.shape[1], ok.argmin(axis=1))
+
+
+# A row that tripped may hold zero, negative or NaN normalizers, whose
+# logs it never returns.
+@np.errstate(divide="ignore", invalid="ignore")
+def _settle(norms: np.ndarray, matrices: np.ndarray, table: RealForm, exps: np.ndarray) -> list:
+    """Per row of a stack's normalizers ``norms``, whose steps use the
+    ``table`` entries ``matrices`` of power-of-two exponents ``exps``:
+    the error of its earliest guard trip, or its logs, written over the
+    row."""
+    n = norms.shape[1]
+    errors = [
+        None if t == n else _guard_error(norms[r, t], table, matrices[r, t], t)
+        for r, t in enumerate(_first_trips(norms, matrices, table).tolist())
+    ]
+    np.negative(np.log(norms, out=norms), out=norms)
+    scaled = LN2 * exps
+    for logs, row in zip(norms, matrices):  # an (R, n) temporary would take fresh pages
+        logs -= scaled[row]
+    return [logs if exc is None else exc for logs, exc in zip(norms, errors)]
 
 
 def stack_key(rec: Recursion) -> tuple[int, bytes, int]:
@@ -597,9 +599,9 @@ def stack_key(rec: Recursion) -> tuple[int, bytes, int]:
 
 
 def _stack_table(recs: Sequence[Recursion]) -> tuple:
-    """One matrix table for a stack, the identity last, with the flags of
-    its guarded matrices, each matrix's power-of-two exponent and each
-    recursion's shift to its own matrices.
+    """One matrix table for a stack, the identity last, with each
+    matrix's power-of-two exponent and the (R, n) table entries of the
+    recursions' steps.
 
     Every matrix is scaled by an exact power of two to a largest entry in
     [0.5, 1), so that block products of steps of tiny probability do not
@@ -613,11 +615,10 @@ def _stack_table(recs: Sequence[Recursion]) -> tuple:
         np.concatenate([r.form.imag_residue for r in recs] + [[0.0]]),
         np.concatenate([r.form.herm_residue for r in recs] + [[0.0]]),
     )
-    guarded = ~(table.imag_residue <= PMF_IMAG_GUARD) | ~(
-        table.herm_residue <= STATE_HERMITICITY_GUARD
-    )
-    shifts = np.cumsum([0] + [len(r.form.mats) for r in recs[:-1]])
-    return table, guarded, exps, shifts
+    # 32-bit entries: this array lives through the stack's passes.
+    index = np.stack([r.index for r in recs], dtype=np.int32, casting="same_kind")
+    index += np.cumsum([0] + [len(r.form.mats) for r in recs[:-1]])[:, None]
+    return table, exps, index
 
 
 def stacked_forward_logs(recs: Sequence[Recursion]) -> list:
@@ -644,49 +645,44 @@ def _stack_logs(recs: Sequence[Recursion], m: int) -> list:
     """``stacked_forward_logs`` of one stack, whose word length is ``m``.
 
     Its passes rescale the block products after each run of words that
-    takes at most the stack's smallest rescale cap in steps.
+    takes at most the stack's smallest rescale cap in steps, and write
+    their normalizers into one (R, n) array for ``_settle``.  A one-state
+    stack's normalizers come in closed form, without a pass.
     """
     closure = recs[0].closure
-    n = recs[0].index.size
-    table, guarded, exps, shifts = _stack_table(recs)
+    table, exps, index = _stack_table(recs)
     if closure.size == 1:
-        return [_one_state_logs(table, guarded, exps, rec, shift)
-                for rec, shift in zip(recs, shifts)]
+        norms = table.mats[index, 0, 0]
+        norms[:, 0] *= [rec.start[0] for rec in recs]
+        return _settle(norms, index, table, exps)
 
+    n = index.shape[1]
     every = max(min(rec.cap for rec in recs) // m, 1)
-    results: list = [None] * len(recs)
-    parts: list[list[np.ndarray]] = [[] for _ in recs]
-    pending = [(r, 0, rec.start) for r, rec in enumerate(recs)]
+    norms, pending = None, {0: [(r, rec.start) for r, rec in enumerate(recs)]}
     while pending:
-        # A recursion whose blocks lost accuracy reruns its unsettled
-        # tail, one step per word and with its products rescaled on every
-        # step; tails of equal length run as one stack.
-        by_length: dict[int, list] = {}
-        for item in pending:
-            by_length.setdefault(item[1], []).append(item)
-        pending = []
-        for pos, items in by_length.items():
-            outcomes = _blocked_pass(
-                table, guarded, closure,
-                np.stack([vec for _, _, vec in items]),
-                [recs[r].index[pos:] for r, _, _ in items],
-                [shifts[r] for r, _, _ in items],
-                pos, m, every,
+        # The first pass runs the whole stack.  A recursion whose blocks
+        # lost accuracy then reruns its unsettled tail, one step per word
+        # and with its products rescaled on every step, unless one of its
+        # settled steps tripped a guard; tails of equal length run as one
+        # stack, and write over the steps that their pass did not settle.
+        runs, pending = pending, {}
+        for pos, items in runs.items():
+            rows = [r for r, _ in items]
+            steps = index if norms is None else index[rows, pos:]
+            got, settled, after = _blocked_pass(
+                table.mats, closure, np.stack([vec for _, vec in items]), steps, m, every
             )
-            for (r, _, _), outcome in zip(items, outcomes):
-                if isinstance(outcome, QchanrateError):
-                    results[r] = outcome
-                    continue
-                logs, end = outcome
-                parts[r].append(logs)
-                if pos + logs.size < n:
-                    pending.append((r, pos + logs.size, end))
-                else:
-                    logs = parts[r][0] if len(parts[r]) == 1 else np.concatenate(parts[r])
-                    logs -= LN2 * exps[recs[r].index + shifts[r]]
-                    results[r] = logs
+            if norms is None:
+                norms = got
+            else:
+                norms[rows, pos:] = got
+            short = np.flatnonzero(settled < n - pos)
+            if short.size:
+                for i, fail in zip(short, _first_trips(got[short], steps[short], table)):
+                    if fail >= settled[i]:
+                        pending.setdefault(pos + int(settled[i]), []).append((rows[i], after[i]))
         m = every = 1
-    return results
+    return _settle(norms, index, table, exps)
 
 
 # Not called here, but the traced benchmark (perfbench/tracer.py) wraps

@@ -363,9 +363,9 @@ class TestRecursionGuards:
         one_pass = rates._blocked_pass
         stack_sizes = []
 
-        def recorded(table, guarded, closure, starts, indices, *rest):
-            stack_sizes.append(len(indices))
-            return one_pass(table, guarded, closure, starts, indices, *rest)
+        def recorded(mats, closure, starts, index, *rest):
+            stack_sizes.append(len(index))
+            return one_pass(mats, closure, starts, index, *rest)
 
         monkeypatch.setattr(rates, "_blocked_pass", recorded)
         stacked = rates.stacked_forward_logs(
@@ -498,9 +498,9 @@ class TestStackIndependence:
         one_pass = rates._blocked_pass
         passes = []
 
-        def recorded(table, guarded, closure, starts, indices, shifts, offset, m, every):
+        def recorded(mats, closure, starts, index, m, every):
             passes.append({m})
-            return one_pass(table, guarded, closure, starts, indices, shifts, offset, m, every)
+            return one_pass(mats, closure, starts, index, m, every)
 
         monkeypatch.setattr(rates, "_blocked_pass", recorded)
         stacked = rates.stacked_forward_logs(recs)
@@ -615,13 +615,12 @@ def one_state_models():
 def blocked_logs(recs):
     """Each recursion's logs from one three-phase pass of the stack, the
     way the engine ran a one-state stack before its closed form."""
-    table, guarded, exps, shifts = rates._stack_table(recs)
-    outs = rates._blocked_pass(
-        table, guarded, recs[0].closure, np.stack([r.start for r in recs]),
-        [r.index for r in recs], list(shifts), 0, 1, min(r.cap for r in recs),
+    table, exps, index = rates._stack_table(recs)
+    norms, _, _ = rates._blocked_pass(
+        table.mats, recs[0].closure, np.stack([r.start for r in recs]),
+        index, 1, min(r.cap for r in recs),
     )
-    return [logs - rates.LN2 * exps[rec.index + shift]
-            for rec, shift, (logs, _) in zip(recs, shifts, outs)]
+    return list(-np.log(norms) - rates.LN2 * exps[index])
 
 
 class TestOneStateStacks:
