@@ -454,7 +454,7 @@ def _blocked_pass(
     k = w * m
     # steps[r, t]: the table matrix of step t of recursion r, the identity
     # after its last step.
-    steps = np.full((recs, blocks * k), len(mats) - 1)
+    steps = np.full((recs, blocks * k), len(mats) - 1, dtype=index.dtype)
     steps[:, :n] = index
     prods, entries, entry = _word_table(mats, closure, steps.reshape(-1, m))
     cols = entry.reshape(recs, blocks, w).T  # cols[j, b, r]: the entry of word j of block b
