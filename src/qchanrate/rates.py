@@ -85,8 +85,9 @@ their normalizers into one array per stack.
 
 One last step, ``_settle``, turns the normalizers of every recursion,
 whatever route gave them, into logs, adding back each matrix's power of
-two, and reports every guard per recursion, on the step it concerns.  A normalizer that is not finite, or one that is not positive
-(a zero-probability observation), trips on its step, and the
+two, and reports every guard per recursion, on the step it concerns.  A
+normalizer that is not finite, or one that is not positive (a
+zero-probability observation), trips on its step, and the
 imaginary-trace and Hermiticity residues of a quantum step matrix,
 measured once per matrix when it is converted to the real form, trip on
 every step that uses that matrix.  A trip reports the earliest step,
@@ -617,7 +618,7 @@ def _stack_table(recs: Sequence[Recursion]) -> tuple:
     )
     # 32-bit entries: this array lives through the stack's passes.
     index = np.stack([r.index for r in recs], dtype=np.int32, casting="same_kind")
-    index += np.cumsum([0] + [len(r.form.mats) for r in recs[:-1]])[:, None]
+    index += np.cumsum([0] + [len(r.form.mats) for r in recs[:-1]], dtype=np.int32)[:, None]
     return table, exps, index
 
 
@@ -660,11 +661,12 @@ def _stack_logs(recs: Sequence[Recursion], m: int) -> list:
     every = max(min(rec.cap for rec in recs) // m, 1)
     norms, pending = None, {0: [(r, rec.start) for r, rec in enumerate(recs)]}
     while pending:
-        # The first pass runs the whole stack.  A recursion whose blocks
-        # lost accuracy then reruns its unsettled tail, one step per word
-        # and with its products rescaled on every step, unless one of its
-        # settled steps tripped a guard; tails of equal length run as one
-        # stack, and write over the steps that their pass did not settle.
+        # The first pass runs the whole stack, and its normalizers become
+        # the stack's one array.  A recursion whose blocks lost accuracy
+        # then reruns its unsettled tail, one step per word and with its
+        # products rescaled on every step, unless one of its settled steps
+        # tripped a guard; tails of equal length run as one stack, and
+        # write over the steps that their pass did not settle.
         runs, pending = pending, {}
         for pos, items in runs.items():
             rows = [r for r, _ in items]
