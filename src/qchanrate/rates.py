@@ -455,7 +455,7 @@ def _blocked_pass(
     k = w * m
     # steps[r, t]: the table matrix of step t of recursion r, the identity
     # after its last step.
-    steps = np.full((recs, blocks * k), len(mats) - 1, dtype=index.dtype)
+    steps = np.full((recs, blocks * k), len(mats) - 1)
     steps[:, :n] = index
     prods, entries, entry = _word_table(mats, closure, steps.reshape(-1, m))
     cols = entry.reshape(recs, blocks, w).T  # cols[j, b, r]: the entry of word j of block b
@@ -616,9 +616,8 @@ def _stack_table(recs: Sequence[Recursion]) -> tuple:
         np.concatenate([r.form.imag_residue for r in recs] + [[0.0]]),
         np.concatenate([r.form.herm_residue for r in recs] + [[0.0]]),
     )
-    # 32-bit entries: this array lives through the stack's passes.
-    index = np.stack([r.index for r in recs], dtype=np.int32, casting="same_kind")
-    index += np.cumsum([0] + [len(r.form.mats) for r in recs[:-1]], dtype=np.int32)[:, None]
+    index = np.stack([r.index for r in recs])
+    index += np.cumsum([0] + [len(r.form.mats) for r in recs[:-1]])[:, None]
     return table, exps, index
 
 
