@@ -382,9 +382,10 @@ def compile_transfer_operators(ch: QuantumMemoryChannel) -> TransferOperatorSet:
     """Close the per-use interaction into transfer operators.
 
     The inter-use unitary is folded into the interaction operators first
-    (which preserves their completeness relation), then for every (x, y)
-    the measurement, interaction, encoding and their conjugates are
-    contracted over the transmit indices.  The compiled set is checked
+    (which preserves their completeness relation), then every output's
+    measurement is applied to them, and one contraction over the
+    transmit indices of the measured operators, every encoding and their
+    conjugates gives all X * Y operators.  The compiled set is checked
     like any transfer operator set (``require_valid``); a violation
     raises ``ModelValidationError`` naming the condition and witness.
     """
@@ -392,16 +393,13 @@ def compile_transfer_operators(ch: QuantumMemoryChannel) -> TransferOperatorSet:
     d, s = ch.transmit_dim, ch.state_dim
     fold = np.kron(ch.inter_use_unitary, np.eye(d, dtype=complex))
     tilde = np.einsum("ab,kbc->kac", fold, ch.kraus)
-    n_x, n_y = ch.x_size, ch.y_size
-    ops = np.empty((n_x, n_y, s * s, s * s), dtype=complex)
     eye_s = np.eye(s, dtype=complex)
-    for y in range(n_y):
-        measured = np.einsum("ab,kbc->kac", np.kron(eye_s, ch.measurements[y]), tilde)
-        f4 = measured.reshape(-1, s, d, s, d)
-        for x in range(n_x):
-            w4 = np.einsum("kucia,ab,kvcjb->iujv", f4, ch.encodings[x], f4.conj())
-            ops[x, y] = w4.reshape(s * s, s * s)
-    out = TransferOperatorSet(ops, ch.initial_state.copy())
+    meters = np.stack([np.kron(eye_s, m) for m in ch.measurements])
+    measured = np.einsum("yab,kbc->ykac", meters, tilde).reshape(ch.y_size, -1, s, d, s, d)
+    ops = np.einsum("ykucia,xab,ykvcjb->xyiujv", measured, ch.encodings, measured.conj())
+    out = TransferOperatorSet(
+        ops.reshape(ch.x_size, ch.y_size, s * s, s * s), ch.initial_state.copy()
+    )
     require_valid(out)
     return out
 

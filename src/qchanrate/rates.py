@@ -46,13 +46,16 @@ three phases is a Python loop of about sqrt(n / m) iterations over numpy
 calls batched across the blocks of every recursion:
 
 1. all block transfer products are formed together, one word per
-   iteration; every row of a product is divided by the power of two of
-   its sum of magnitudes, an exact rescale, after each run of words of at
-   most L steps, L the smallest cap in the stack, and after the last
-   word, its powers kept apart.  The stack runs on its key's m and on
-   this one interval, set where the stack is formed.  The powers are
-   folded back, relative to the largest, where every nonzero row is
-   within 2**-PATH_RANGE of it;
+   iteration, each word's product gathered from a C-contiguous copy of
+   the table's products, made once per pass (``ndarray.take`` copies a
+   strided array whole before it gathers, so a gather from the entries
+   would copy the whole table for every word); every row of a product
+   is divided by the power of two of its sum of magnitudes, an exact
+   rescale, after each run of words of at most L steps, L the smallest
+   cap in the stack, and after the last word, its powers kept apart.
+   The stack runs on its key's m and on this one interval, set where the
+   stack is formed.  The powers are folded back, relative to the
+   largest, where every nonzero row is within 2**-PATH_RANGE of it;
 2. a sequential pass over the blocks carries each recursion's normalized
    state from each block's start to the next.  Where the state's total
    through the folded product comes out below ``FOLD_FLOOR``, or the
@@ -380,7 +383,9 @@ def _word_table(mats: np.ndarray, closure: np.ndarray, words: np.ndarray):
     prefix's product times the matrix, so each entry depends on its word
     alone.  An entry holds the word's product, then each of its m prefix
     products times the closure.  Returns the products, the entries and
-    the entry of each word.
+    the entry of each word.  The products are a C-contiguous array of
+    their own, not a view of the entries: phase 1 gathers from them once
+    per word, and ``ndarray.take`` copies a strided array whole first.
     """
     m = words.shape[1]
     d = closure.size
@@ -397,11 +402,12 @@ def _word_table(mats: np.ndarray, closure: np.ndarray, words: np.ndarray):
         levels.append((code, prod[:, :, d].copy()))
     first = np.empty(len(prod), dtype=np.int64)
     first[code] = np.arange(code.size)  # a word that ends at each entry
+    prods = np.ascontiguousarray(prod[:, :, :d])
     entries = np.empty((len(prod), d, d + m))
-    entries[:, :, :d] = prod[:, :, :d]
+    entries[:, :, :d] = prods
     for i, (at, totals) in enumerate(levels):
         entries[:, :, d + i] = totals[at[first]]
-    return entries[:, :, :d], entries, code
+    return prods, entries, code
 
 
 def _rescale(prod: np.ndarray, scale: np.ndarray, flags: np.ndarray) -> np.ndarray:

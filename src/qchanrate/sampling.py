@@ -337,7 +337,9 @@ def _sample_outputs_classical(
     # walked steps in order.
     after = np.empty(n + 1, dtype=np.intp)
     after[0] = start
-    np.take(np.where(constant, nexts[:, 0], -1), rows, out=after[1:])
+    # every row is in range; under mode "raise" take writes its out
+    # through a temporary copy
+    np.take(np.where(constant, nexts[:, 0], -1), rows, out=after[1:], mode="clip")
     last_set = np.arange(n + 1)  # the last position at or before this one that sets it
     last_set[after < 0] = -1
     np.maximum.accumulate(last_set, out=last_set)

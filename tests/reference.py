@@ -23,6 +23,10 @@ literally, and ``dmc_information_rate`` is a memoryless law's exact rate.
 ``partial_trace_oracle`` traces out one factor of a bipartite operator by
 a direct double sum, for tests that follow the channel's physics from
 its pieces.
+
+``transfer_operators`` compiles a quantum-memory channel one (x, y) pair
+at a time, each pair's operator its own contraction, for a bit-for-bit
+check of ``channels.compile_transfer_operators``' single contraction.
 """
 
 import math
@@ -255,3 +259,21 @@ def partial_trace_oracle(a, d1, d2, keep):
             for l in range(d2):
                 out[j, l] = sum(a[i * d2 + j, i * d2 + l] for i in range(d1))
     return out
+
+
+def transfer_operators(ch: channels.QuantumMemoryChannel) -> np.ndarray:
+    """The (X, Y, S*S, S*S) transfer operators of ``ch``, one einsum per
+    (x, y) pair over the measured interaction operators of output y,
+    encoding x and their conjugates."""
+    d, s = ch.transmit_dim, ch.state_dim
+    fold = np.kron(ch.inter_use_unitary, np.eye(d, dtype=complex))
+    tilde = np.einsum("ab,kbc->kac", fold, ch.kraus)
+    ops = np.empty((ch.x_size, ch.y_size, s * s, s * s), dtype=complex)
+    eye_s = np.eye(s, dtype=complex)
+    for y in range(ch.y_size):
+        measured = np.einsum("ab,kbc->kac", np.kron(eye_s, ch.measurements[y]), tilde)
+        f4 = measured.reshape(-1, s, d, s, d)
+        for x in range(ch.x_size):
+            w4 = np.einsum("kucia,ab,kvcjb->iujv", f4, ch.encodings[x], f4.conj())
+            ops[x, y] = w4.reshape(s * s, s * s)
+    return ops

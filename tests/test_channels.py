@@ -156,6 +156,30 @@ class TestCompile:
                 for y in range(t.y_size):
                     assert qc.is_psd(t.operators[x, y])
 
+    @pytest.mark.parametrize(
+        "state_dim, transmit_dim, n_kraus, x_size, y_size",
+        [(1, 2, 1, 2, 2), (2, 2, 2, 2, 2), (2, 3, 3, 3, 2), (3, 2, 2, 2, 3), (4, 2, 4, 2, 2),
+         (2, 4, 2, 1, 4), (3, 3, 1, 4, 3)],
+    )
+    def test_one_contraction_equals_per_pair_contractions(
+        self, state_dim, transmit_dim, n_kraus, x_size, y_size
+    ):
+        """All X * Y operators from one einsum are bit for bit those of
+        one einsum per (x, y) pair, on random channels of the
+        ``custom_kraus`` kind and on the quantum Gilbert-Elliott one."""
+        rng = np.random.default_rng([state_dim, transmit_dim, n_kraus, x_size, y_size])
+        chans = [
+            models.random_quantum_memory_channel(
+                rng, state_dim, transmit_dim, n_kraus, x_size, y_size
+            )
+            for _ in range(3)
+        ]
+        if (state_dim, transmit_dim) == (2, 2):
+            chans.append(qc.build_quantum_gilbert_elliott(0.2, 0.8))
+        for ch in chans:
+            got = qc.compile_transfer_operators(ch).operators
+            assert got.tobytes() == reference.transfer_operators(ch).tobytes()
+
     def test_rejects_incomplete_kraus(self):
         ch = qc.build_quantum_gilbert_elliott(0.2, 0.8)
         broken = channels.QuantumMemoryChannel(

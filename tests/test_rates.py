@@ -570,6 +570,20 @@ class TestWordTables:
             assert failure is None
             assert np.abs(got - ref).max() <= 1e-12
 
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_products_are_c_contiguous(self, m):
+        """Phase 1 gathers a product per word and block, and
+        ``ndarray.take`` copies a strided array whole before it gathers:
+        the products are an array of their own, equal to the entries'
+        first D columns."""
+        rng = np.random.default_rng(76)
+        mats = rng.random((5, 4, 4))
+        closure = np.ones(4)
+        prods, entries, entry = rates._word_table(mats, closure, rng.integers(0, 5, (40, m)))
+        assert prods.flags.c_contiguous
+        assert np.array_equal(prods, entries[:, :, :4])
+        assert entries.shape == (len(prods), 4, 4 + m) and entry.shape == (40,)
+
     def test_ranks_looked_up_or_sorted_agree(self):
         code = np.random.default_rng(75).integers(0, 50, 40)
         for space in (50, 8 * code.size + 1):  # looked up, then sorted

@@ -529,6 +529,14 @@ class TestPairWords:
                 weight = out[y_size * y_size * d + y_size + k]
                 assert abs(weight - twice[y_size * d + y1]) <= 1e-14
 
+    @pytest.mark.parametrize("model", real_form_models(), ids=lambda t: f"S{t.state_dim}")
+    def test_tables_are_c_contiguous(self, model):
+        """Each step matrix and each pair table is a C-contiguous array,
+        so that a product with it reads only its own rows."""
+        steps, _, _ = sampling._quantum_step_matrices(model)
+        tables = sampling._pair_tables(steps, model.y_size) or []
+        assert all(table.flags.c_contiguous for table in steps + tables)
+
     @pytest.mark.parametrize("n", [1, 2, 1001])
     @pytest.mark.parametrize("name", ["quantum_ge", "random"])
     def test_matches_single_step_route(self, name, n):
