@@ -32,10 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ModelValidationError
+from .errors import ModelValidationError, OperatorError, QchanrateError
 from .linalg import (
     EPS_TRACE,
     EPS_UNITARY,
@@ -379,28 +380,69 @@ def build_quantum_gilbert_elliott(
 # ---------------------------------------------------------------------------
 
 def compile_transfer_operators(ch: QuantumMemoryChannel) -> TransferOperatorSet:
-    """Close the per-use interaction into transfer operators.
+    """Close the per-use interaction into transfer operators: the
+    one-channel case of ``compile_channels``, whose error it raises."""
+    (out,) = compile_channels([ch])
+    if isinstance(out, QchanrateError):
+        raise out
+    return out
 
-    The inter-use unitary is folded into the interaction operators first
-    (which preserves their completeness relation), then every output's
+
+def compile_channels(chs: Sequence[QuantumMemoryChannel]) -> list:
+    """Each channel's ``TransferOperatorSet``, or the ``QchanrateError``
+    that stopped it; channels of equal shapes are compiled as one stack.
+
+    A stack's channels are checked first (``validate``).  In the valid
+    ones the inter-use unitary is folded into the interaction operators
+    (which preserves their completeness relation), every output's
     measurement is applied to them, and one contraction over the
     transmit indices of the measured operators, every encoding and their
-    conjugates gives all X * Y operators.  The compiled set is checked
-    like any transfer operator set (``require_valid``); a violation
-    raises ``ModelValidationError`` naming the condition and witness.
+    conjugates gives all X * Y operators of every channel.  The compiled
+    sets are checked in turn.  A violation gives the channel the
+    ``ModelValidationError`` that ``require_valid`` raises.  A stack
+    that holds a matrix no check can take (a non-finite entry, say) is
+    compiled again one channel at a time, so that its ``OperatorError``
+    stays with its channel.
     """
-    require_valid(ch)
-    d, s = ch.transmit_dim, ch.state_dim
-    fold = np.kron(ch.inter_use_unitary, np.eye(d, dtype=complex))
-    tilde = np.einsum("ab,kbc->kac", fold, ch.kraus)
-    eye_s = np.eye(s, dtype=complex)
-    meters = np.stack([np.kron(eye_s, m) for m in ch.measurements])
-    measured = np.einsum("yab,kbc->ykac", meters, tilde).reshape(ch.y_size, -1, s, d, s, d)
-    ops = np.einsum("ykucia,xab,ykvcjb->xyiujv", measured, ch.encodings, measured.conj())
-    out = TransferOperatorSet(
-        ops.reshape(ch.x_size, ch.y_size, s * s, s * s), ch.initial_state.copy()
-    )
-    require_valid(out)
+    out: list = [None] * len(chs)
+    stacks: dict[tuple, list[int]] = {}
+    for i, ch in enumerate(chs):
+        shapes = ch.kraus.shape, ch.encodings.shape, ch.measurements.shape
+        stacks.setdefault(shapes, []).append(i)
+    for members in stacks.values():
+        try:
+            got = _compile_stack([chs[i] for i in members])
+        except OperatorError as exc:
+            got = [exc] if len(members) == 1 else [compile_channels([chs[i]])[0] for i in members]
+        for i, result in zip(members, got):
+            out[i] = result
+    return out
+
+
+def _compile_stack(chs: Sequence[QuantumMemoryChannel]) -> list:
+    """``compile_channels`` of channels of equal shapes, one contraction
+    and one check of each kind for all of them."""
+    out = [_failure(report) for report in _channel_reports(chs)]
+    valid = [i for i, exc in enumerate(out) if exc is None]
+    if not valid:
+        return out
+    first = chs[valid[0]]
+    p, d, s, y_size = len(valid), first.transmit_dim, first.state_dim, first.y_size
+    units = np.stack([chs[i].inter_use_unitary for i in valid])
+    kraus = np.stack([chs[i].kraus for i in valid])
+    meas = np.stack([chs[i].measurements for i in valid])
+    encodings = np.stack([chs[i].encodings for i in valid])
+    # np.kron's products, with a leading axis of channels (and of outputs)
+    fold = units[:, :, None, :, None] * np.eye(d, dtype=complex)[:, None, :]
+    meters = np.eye(s, dtype=complex)[:, None, :, None] * meas[:, :, None, :, None, :]
+    tilde = np.einsum("pab,pkbc->pkac", fold.reshape(p, s * d, s * d), kraus)
+    measured = np.einsum("pyab,pkbc->pykac", meters.reshape(p, y_size, s * d, s * d), tilde)
+    measured = measured.reshape(p, y_size, -1, s, d, s, d)
+    ops = np.einsum("pykucia,pxab,pykvcjb->pxyiujv", measured, encodings, measured.conj())
+    ops = ops.reshape(p, first.x_size, y_size, s * s, s * s)
+    sets = [TransferOperatorSet(o, chs[i].initial_state.copy()) for i, o in zip(valid, ops)]
+    for i, t, report in zip(valid, sets, _operator_reports(sets)):
+        out[i] = _failure(report) or t
     return out
 
 
@@ -456,13 +498,94 @@ def _pmf_checks(p: np.ndarray, name: str) -> list[CheckResult]:
     ]
 
 
-def _density_checks(rho: np.ndarray, name: str) -> list[CheckResult]:
-    check = is_psd(rho)
-    dev = float(abs(np.trace(rho) - 1.0))
+def _density_checks(rhos: np.ndarray, names: Sequence[str]) -> list[list[CheckResult]]:
+    """The p.s.d. and unit-trace checks of each density matrix of a stack,
+    under its name."""
+    traces = np.trace(rhos, axis1=1, axis2=2)
+    # |trace - 1| as the scalar abs gives it: np.abs of a complex array may
+    # differ from that in the last bit
+    devs = np.hypot(traces.real - 1.0, traces.imag).tolist()
     return [
-        CheckResult(f"{name} positive semidefinite", check.ok, check.witness, check.reason),
-        CheckResult(f"{name} unit trace", dev <= EPS_TRACE, dev),
+        [
+            CheckResult(f"{name} positive semidefinite", check.ok, check.witness, check.reason),
+            CheckResult(f"{name} unit trace", dev <= EPS_TRACE, dev),
+        ]
+        for name, check, dev in zip(names, is_psd(rhos), devs)
     ]
+
+
+def _completeness(ops: np.ndarray, name: str) -> list[CheckResult]:
+    """The check that sum E^H E = I, of each operator set of a stack
+    (P, K, D, D)."""
+    gram = np.einsum("pkba,pkbc->pac", ops.conj(), ops)
+    devs = np.abs(gram - np.eye(gram.shape[-1])).max(axis=(1, 2)).tolist()
+    return [CheckResult(name, dev <= EPS_TRACE, dev) for dev in devs]
+
+
+def _channel_reports(chs: Sequence[QuantumMemoryChannel]) -> list[ValidationReport]:
+    """``validate`` of quantum memory channels of equal shapes, each kind
+    of check made once over all of them, in ``validate``'s order."""
+    x_size, d = chs[0].x_size, chs[0].transmit_dim
+    encodings = _density_checks(
+        np.stack([ch.encodings for ch in chs]).reshape(-1, d, d),
+        [f"encoding {x}" for _ in chs for x in range(x_size)],
+    )
+    kraus = _completeness(np.stack([ch.kraus for ch in chs]), "kraus completeness (sum E^H E = I)")
+    meters = _completeness(
+        np.stack([ch.measurements for ch in chs]), "measurement completeness (sum M^H M = I)"
+    )
+    units = unitarity_residue(np.stack([ch.inter_use_unitary for ch in chs])).tolist()
+    initial = _density_checks(
+        np.stack([ch.initial_state for ch in chs]), ["initial memory state"] * len(chs)
+    )
+    reports = []
+    for p, resid in enumerate(units):
+        checks = [c for pair in encodings[p * x_size:(p + 1) * x_size] for c in pair]
+        unitary = CheckResult("inter-use unitary", resid <= EPS_UNITARY, resid)
+        checks += [kraus[p], meters[p], unitary, *initial[p]]
+        reports.append(ValidationReport("quantum memory channel", tuple(checks)))
+    return reports
+
+
+def _operator_reports(sets: Sequence[TransferOperatorSet]) -> list[ValidationReport]:
+    """``validate`` of transfer operator sets of equal shapes, each kind of
+    check made once over all of them.
+
+    A set's p.s.d. check reports its first operator that is not p.s.d.,
+    in (input, output) order, or else the one of least eigenvalue.
+    """
+    first = sets[0]
+    pairs = first.x_size * first.y_size
+    dim = first.operators.shape[-1]
+    psd = is_psd(np.stack([t.operators for t in sets]).reshape(-1, dim, dim))
+    tensors = np.stack([t.tensors for t in sets])
+    resids = np.abs(np.einsum("pxyiuju->pxij", tensors) - np.eye(first.state_dim)).max(axis=(2, 3))
+    initial = _density_checks(
+        np.stack([t.initial_state for t in sets]), ["initial memory state"] * len(sets)
+    )
+    reports = []
+    for p, row in enumerate(resids.tolist()):
+        checks = psd[p * pairs:(p + 1) * pairs]
+        pick = next((i for i, c in enumerate(checks) if not c.ok), None)
+        if pick is None:
+            pick = min(range(pairs), key=lambda i: checks[i].witness)
+        x, y = divmod(pick, first.y_size)
+        worst = row.index(max(row))
+        operators = CheckResult(
+            "transfer operators positive semidefinite",
+            checks[pick].ok,
+            checks[pick].witness,
+            f"input {x}, output {y}: {checks[pick].reason}",
+        )
+        consistency = CheckResult(
+            "transfer trace consistency",
+            row[worst] <= EPS_TRACE,
+            row[worst],
+            f"worst at input {worst}",
+        )
+        checks = (operators, consistency, *initial[p])
+        reports.append(ValidationReport("transfer operator set", checks))
+    return reports
 
 
 def validate(model) -> ValidationReport:
@@ -471,7 +594,8 @@ def validate(model) -> ValidationReport:
     one.
 
     Returns a report with one pass/fail entry and numeric witness per
-    condition.
+    condition.  A quantum model is the one-model case of the stacked
+    checks that ``compile_channels`` makes.
     """
     if isinstance(model, ClassicalFsmc):
         checks = []
@@ -490,68 +614,28 @@ def validate(model) -> ValidationReport:
         )
         checks.extend(_pmf_checks(model.initial, "initial state pmf"))
         return ValidationReport("classical finite-state channel", tuple(checks))
-
     if isinstance(model, QuantumMemoryChannel):
-        checks = []
-        for x in range(model.x_size):
-            checks.extend(_density_checks(model.encodings[x], f"encoding {x}"))
-        gram = np.einsum("kba,kbc->ac", model.kraus.conj(), model.kraus)
-        dev = float(np.abs(gram - np.eye(gram.shape[0])).max())
-        checks.append(
-            CheckResult("kraus completeness (sum E^H E = I)", dev <= EPS_TRACE, dev)
-        )
-        gram = np.einsum("yba,ybc->ac", model.measurements.conj(), model.measurements)
-        dev = float(np.abs(gram - np.eye(gram.shape[0])).max())
-        checks.append(
-            CheckResult("measurement completeness (sum M^H M = I)", dev <= EPS_TRACE, dev)
-        )
-        resid = unitarity_residue(model.inter_use_unitary)
-        checks.append(CheckResult("inter-use unitary", resid <= EPS_UNITARY, resid))
-        checks.extend(_density_checks(model.initial_state, "initial memory state"))
-        return ValidationReport("quantum memory channel", tuple(checks))
-
+        return _channel_reports([model])[0]
     if isinstance(model, TransferOperatorSet):
-        checks = []
-        psd = CheckResult("transfer operators positive semidefinite", True, np.inf)
-        for x in range(model.x_size):
-            for y in range(model.y_size):
-                c = is_psd(model.operators[x, y])
-                keep = (not c.ok and psd.passed) or (c.ok and psd.passed and c.witness < psd.witness)
-                if keep:
-                    psd = CheckResult(
-                        "transfer operators positive semidefinite",
-                        c.ok,
-                        c.witness,
-                        f"input {x}, output {y}: {c.reason}",
-                    )
-        checks.append(psd)
-        eye = np.eye(model.state_dim)
-        resids = [
-            float(np.abs(np.einsum("yiuju->ij", model.tensors[x]) - eye).max())
-            for x in range(model.x_size)
-        ]
-        worst = int(np.argmax(resids))
-        checks.append(
-            CheckResult(
-                "transfer trace consistency",
-                resids[worst] <= EPS_TRACE,
-                resids[worst],
-                f"worst at input {worst}",
-            )
-        )
-        checks.extend(_density_checks(model.initial_state, "initial memory state"))
-        return ValidationReport("transfer operator set", tuple(checks))
-
+        return _operator_reports([model])[0]
     raise TypeError(f"no validator for {type(model).__name__}")
+
+
+def _failure(report: ValidationReport) -> ModelValidationError | None:
+    """The error of the report's first failed condition, with that
+    condition's detail; None if every condition holds."""
+    bad = report.failures()
+    if not bad:
+        return None
+    first = bad[0]
+    names = ", ".join(c.name for c in bad)
+    detail = f"{first.detail}; " if first.detail else ""
+    return ModelValidationError(first.name, first.witness, f"{detail}failed checks: {names}")
 
 
 def require_valid(model) -> None:
     """Raise ``ModelValidationError`` on the first failed condition, with
     that condition's detail."""
-    report = validate(model)
-    if not report.ok:
-        bad = report.failures()
-        first = bad[0]
-        names = ", ".join(c.name for c in bad)
-        detail = f"{first.detail}; " if first.detail else ""
-        raise ModelValidationError(first.name, first.witness, f"{detail}failed checks: {names}")
+    exc = _failure(validate(model))
+    if exc is not None:
+        raise exc

@@ -183,7 +183,9 @@ def cmd_oracle(args) -> int:
 
     # One engine stack per output sequence, for it and its (input, output)
     # pairs of positive probability: a single stack for --oracle-n 10 would
-    # hold a million recursions of about 2 KB each.
+    # hold a million recursions of about 2 KB each.  The model's step
+    # matrices are built once, for every sequence.
+    build = rates.RecursionBuilder()
     worst = {"y": 0.0, "xy": 0.0}
     x_seqs = [np.array(seq) for seq in np.ndindex(*(tables.x_size,) * n)]
     for ys in map(np.array, np.ndindex(*(tables.y_size,) * n)):
@@ -192,7 +194,7 @@ def cmd_oracle(args) -> int:
         checks = [(xs, p) for xs, p in checks if p > 0]
         if not checks:
             continue
-        recs = [rates.recursion(model, q, ys, xs) for xs, _ in checks]
+        recs = [build(model, q, ys, xs) for xs, _ in checks]
         for (xs, p), logs in zip(checks, rates.stacked_forward_logs(recs)):
             if isinstance(logs, QchanrateError):
                 raise logs

@@ -172,8 +172,9 @@ def _parse_channel(node, path: str) -> ChannelSpec:
     return ChannelSpec(kind, params)
 
 
-def _build_channel(kind: str, params: dict, path: str):
-    """Build (and validate) a channel model from spec params."""
+def _build_raw(kind: str, params: dict, path: str):
+    """A channel model from spec params, validated, except that a quantum
+    one is left to compile."""
     known = dict(params)
 
     def take_number(name, default=None, required=False):
@@ -221,8 +222,7 @@ def _build_channel(kind: str, params: dict, path: str):
                     f"{kind} needs a {expected_dim}x{expected_dim} generator, got {h.shape[0]}x{h.shape[0]}",
                 )
             rho0 = take_matrix("initial_state")
-            raw = channels.build_quantum_gilbert_elliott(p_g, p_b, h, alpha, rho0)
-            model = channels.compile_transfer_operators(raw)
+            model = channels.build_quantum_gilbert_elliott(p_g, p_b, h, alpha, rho0)
         elif kind == "custom_fsmc":
             if "kernel" not in known or "initial" not in known:
                 _fail(path, "custom_fsmc needs 'kernel' and 'initial'")
@@ -253,7 +253,7 @@ def _build_channel(kind: str, params: dict, path: str):
             rho0 = take_matrix("initial_state")
             if rho0 is None:
                 rho0 = np.eye(state_dim, dtype=complex) / state_dim
-            raw = channels.QuantumMemoryChannel(
+            model = channels.QuantumMemoryChannel(
                 state_dim=state_dim,
                 encodings=encodings,
                 kraus=kraus,
@@ -261,7 +261,6 @@ def _build_channel(kind: str, params: dict, path: str):
                 inter_use_unitary=unitary,
                 initial_state=rho0,
             )
-            model = channels.compile_transfer_operators(raw)
         else:  # pragma: no cover - kinds are checked at parse time
             _fail(path, f"unsupported channel kind {kind!r}")
     except ConfigError:
@@ -273,12 +272,43 @@ def _build_channel(kind: str, params: dict, path: str):
     return model
 
 
+def _build_channels(kind: str, param_sets, path: str) -> list:
+    """The channel model of each set of spec params, or the
+    ``ConfigError`` that stopped it.
+
+    Each is built on its own; then the quantum ones are compiled and
+    checked together (``channels.compile_channels``).
+    """
+    built: list = []
+    for params in param_sets:
+        try:
+            built.append(_build_raw(kind, params, path))
+        except ConfigError as exc:
+            built.append(exc)
+    quantum = [i for i, m in enumerate(built) if isinstance(m, channels.QuantumMemoryChannel)]
+    for i, got in zip(quantum, channels.compile_channels([built[i] for i in quantum])):
+        built[i] = ConfigError(path, str(got)) if isinstance(got, QchanrateError) else got
+    return built
+
+
+def _build_channel(kind: str, params: dict, path: str):
+    """Build (and validate) a channel model from spec params."""
+    (model,) = _build_channels(kind, [params], path)
+    if isinstance(model, ConfigError):
+        raise model
+    return model
+
+
+def instantiate_channels(spec: ChannelSpec, overrides) -> list:
+    """The channel with each sweep override applied ('n' excluded), or
+    the ``ConfigError`` that stopped it; quantum channels are compiled
+    together."""
+    return _build_channels(spec.kind, [{**spec.params, **(o or {})} for o in overrides], "channel")
+
+
 def instantiate_channel(spec: ChannelSpec, override: dict | None = None):
     """Build the channel with sweep overrides applied ('n' excluded)."""
-    params = dict(spec.params)
-    if override:
-        params.update(override)
-    return _build_channel(spec.kind, params, "channel")
+    return _build_channel(spec.kind, {**spec.params, **(override or {})}, "channel")
 
 
 _ROOT_KEYS = {

@@ -32,6 +32,7 @@ basis.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -56,11 +57,19 @@ EPS_UNITARY = 1e-9
 def as_operator(a, name: str = "operator") -> np.ndarray:
     """Coerce to a square complex128 matrix; reject non-finite entries."""
     arr = np.asarray(a, dtype=np.complex128)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if arr.ndim != 2:
         raise OperatorError(f"{name} must be a square matrix, got shape {arr.shape}")
-    if arr.shape[0] < 1 or arr.shape[0] > MAX_DIM:
-        raise OperatorError(f"{name} dimension {arr.shape[0]} outside [1, {MAX_DIM}]")
-    if not np.all(np.isfinite(arr.view(np.float64))):
+    return _operators(arr, name)
+
+
+def _operators(a, name: str) -> np.ndarray:
+    """``as_operator`` of a matrix or of a stack of them (..., D, D)."""
+    arr = np.asarray(a, dtype=np.complex128)
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
+        raise OperatorError(f"{name} must be a square matrix, got shape {arr.shape}")
+    if arr.shape[-1] < 1 or arr.shape[-1] > MAX_DIM:
+        raise OperatorError(f"{name} dimension {arr.shape[-1]} outside [1, {MAX_DIM}]")
+    if not np.isfinite(arr).all():
         raise OperatorError(f"{name} contains non-finite entries")
     return arr
 
@@ -90,6 +99,18 @@ def unpack_hermitian(p) -> np.ndarray:
     return real + 1j * (lower - lower.swapaxes(-1, -2))
 
 
+@functools.cache
+def _packed_basis(d: int) -> np.ndarray:
+    """The packed basis of S x S Hermitian matrices (d = S * S), unpacked
+    and flattened, one row per basis element: the identity of size d,
+    read as packed matrices.  Built once per size and read-only, since
+    every caller shares it."""
+    s = math.isqrt(d)
+    basis = unpack_hermitian(np.eye(d).reshape(d, s, s)).reshape(d, d)
+    basis.flags.writeable = False
+    return basis
+
+
 class RealForm(NamedTuple):
     """Real packed step matrices and, per matrix, the guard residues of
     its complex original on the packed basis images."""
@@ -114,9 +135,8 @@ def real_transfer_form(mats: np.ndarray) -> RealForm:
     mats = np.asarray(mats, dtype=complex)
     d = mats.shape[-1]
     s = math.isqrt(d)
-    basis = unpack_hermitian(np.eye(d).reshape(d, s, s)).reshape(d, d)
     with np.errstate(invalid="ignore"):  # inf * 0 spreads NaN, which the residues show
-        images = (basis @ mats).reshape(*mats.shape[:-1], s, s)
+        images = (_packed_basis(d) @ mats).reshape(*mats.shape[:-1], s, s)
         traces = np.trace(images, axis1=-2, axis2=-1)
         return RealForm(
             pack_hermitian(images).reshape(mats.shape),
@@ -145,18 +165,29 @@ class PsdCheck:
         return self.ok
 
 
-def is_psd(a) -> PsdCheck:
-    """Test Hermiticity plus nonnegative spectrum (within tolerances)."""
-    arr = as_operator(a)
-    scale = _scale(arr)
-    res = hermiticity_residue(arr)
+def _psd_check(scale: float, res: float, lo: float) -> PsdCheck:
     if res > EPS_HERMITIAN * scale:
         return PsdCheck(False, res, "not Hermitian")
-    evals = np.linalg.eigvalsh(0.5 * (arr + arr.conj().T))
-    lo = float(evals[0])
     if lo < -EPS_PSD * scale:
         return PsdCheck(False, lo, "negative eigenvalue")
     return PsdCheck(True, lo, "ok")
+
+
+def is_psd(a) -> PsdCheck | list[PsdCheck]:
+    """Test Hermiticity plus nonnegative spectrum (within tolerances).
+
+    Given a stack of matrices (..., D, D), returns each matrix's own
+    check, in row-major order, their spectra taken in one eigenvalue call.
+    A non-finite entry in any of them raises ``OperatorError``.
+    """
+    arr = _operators(a, "operator")
+    mats = arr.reshape(-1, *arr.shape[-2:])
+    scales = np.abs(mats).max(axis=(1, 2))
+    evals = np.linalg.eigvalsh(0.5 * (mats + mats.conj().swapaxes(1, 2)))
+    checks = list(
+        map(_psd_check, scales.tolist(), hermiticity_residue(mats).tolist(), evals[:, 0].tolist())
+    )
+    return checks[0] if arr.ndim == 2 else checks
 
 
 def expm_skew_hermitian(h, alpha: float) -> np.ndarray:
@@ -174,7 +205,9 @@ def expm_skew_hermitian(h, alpha: float) -> np.ndarray:
     return (v * phases) @ v.conj().T
 
 
-def unitarity_residue(u: np.ndarray) -> float:
-    """Largest entrywise deviation |u^H u - I|."""
-    arr = as_operator(u, "unitary")
-    return float(np.abs(arr.conj().T @ arr - np.eye(arr.shape[0])).max())
+def unitarity_residue(u: np.ndarray) -> float | np.ndarray:
+    """Largest entrywise deviation |u^H u - I|; one value per matrix of a
+    stack.  A non-finite entry in any matrix raises ``OperatorError``."""
+    arr = _operators(u, "unitary")
+    dev = np.abs(arr.conj().swapaxes(-1, -2) @ arr - np.eye(arr.shape[-1])).max(axis=(-2, -1))
+    return float(dev) if arr.ndim == 2 else dev

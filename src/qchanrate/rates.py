@@ -113,7 +113,10 @@ the boundary.  One row evaluator, ``estimate_rows``, turns rows of a
 model, an input law and a trajectory into rate estimates, running the
 recursions of all its rows as engine stacks; the sweep, the single-row
 ``entropy_rate_estimates`` and the mismatched-decoding bound all call
-it, an auxiliary model simply taking the true model's place.  A row may
+it, an auxiliary model simply taking the true model's place.  Within a
+call, each distinct (model, input law, joint) has its step matrices,
+real form and rescale cap built once (``RecursionBuilder``), and an
+engine stack's table holds each model's matrices once.  A row may
 take its joint rate from the sampler instead (``sampled_joint_logs``),
 as a sweep's quantum ``ir`` rows do: the state the sampler carries is
 the joint recursion's, so its per-step log losses plus the input's are
@@ -217,28 +220,6 @@ def _check_symbols(seq: np.ndarray, size: int, name: str) -> np.ndarray:
     return arr
 
 
-def _step_matrices(
-    q: InputLaw, xy_mats: np.ndarray, ys: np.ndarray, xs: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct step matrices and the per-step index into them.
-
-    ``xy_mats[x, y]`` advances the forward vector on input ``x`` and
-    output ``y`` (input-law factor excluded).  Without ``xs`` the input is
-    marginalized under the law; with ``xs`` the law factor of each
-    observed input is folded into its (x, y) matrix.
-    """
-    x_size, y_size = xy_mats.shape[:2]
-    ys = _check_symbols(ys, y_size, "output sequence")
-    if xs is None:
-        return np.einsum("x,xyab->yab", q.p, xy_mats), ys
-    xs = _check_symbols(xs, x_size, "input sequence")
-    if xs.size != ys.size:
-        raise SequenceError("input and output sequences differ in length")
-    with np.errstate(invalid="ignore"):  # a complex infinite entry times a real factor
-        mats = q.p[:, None, None, None] * xy_mats
-    return mats.reshape(-1, *mats.shape[2:]), xs * y_size + ys
-
-
 class Recursion(NamedTuple):
     """One scaled forward recursion: ``v <- v @ form.mats[index[t]]``
     from ``start``, normalized by ``v @ closure`` after every step, with
@@ -251,34 +232,78 @@ class Recursion(NamedTuple):
     cap: int
 
 
-def recursion(model, q: InputLaw, ys: np.ndarray, xs: np.ndarray | None = None) -> Recursion:
-    """The forward recursion of any channel model on the observed ``ys``
-    (``xs`` marginalized) or on ``(xs, ys)`` (input-law factors included).
+def _model_steps(model, q: InputLaw, joint: bool) -> Recursion:
+    """The recursion of a classical or compiled quantum ``model`` without
+    its step indices: its distinct step matrices, with the input
+    marginalized under ``q`` or, with ``joint``, one matrix per (x, y)
+    pair at ``x * Y + y`` with its law factor folded in.
 
     A classical model runs on its latent-state vector, a quantum one on
     the real packed form of its state operator.
     """
-    model = as_recursion_model(model)
-    if isinstance(model, ClassicalFsmc):
-        mats, index = _step_matrices(q, model.kernel.transpose(1, 3, 0, 2), ys, xs)
+    classical = isinstance(model, ClassicalFsmc)
+    xy_mats = model.kernel.transpose(1, 3, 0, 2) if classical else model.chain_operators
+    if joint:
+        with np.errstate(invalid="ignore"):  # a complex infinite entry times a real factor
+            mats = q.p[:, None, None, None] * xy_mats
+        mats = mats.reshape(-1, *mats.shape[2:])
+    else:
+        mats = np.einsum("x,xyab->yab", q.p, xy_mats)
+    if classical:
         no_residue = np.zeros(len(mats))
-        return Recursion(
-            model.initial.astype(float),
-            RealForm(mats, no_residue, no_residue),
-            index,
-            np.ones(model.state_count),
-            _rescale_cap(mats),
-        )
-    mats, index = _step_matrices(q, model.chain_operators, ys, xs)
-    s = model.state_dim
-    form = real_transfer_form(mats)
-    return Recursion(
-        pack_hermitian(model.initial_state).reshape(s * s),
-        form,
-        index,
-        np.eye(s).reshape(s * s),
-        _rescale_cap(form.mats),
-    )
+        form = RealForm(mats, no_residue, no_residue)
+        start, closure = model.initial.astype(float), np.ones(model.state_count)
+    else:
+        d = model.state_dim ** 2
+        form = real_transfer_form(mats)
+        start = pack_hermitian(model.initial_state).reshape(d)
+        closure = np.eye(model.state_dim).reshape(d)
+    return Recursion(start, form, None, closure, _rescale_cap(form.mats))
+
+
+class RecursionBuilder:
+    """Builds forward recursions of channel models on observed sequences
+    (``recursion``), each distinct (model, input law, joint) built once:
+    its step matrices, real form, closure, start and rescale cap are
+    shared by every recursion built from it, so that an engine stack
+    holds them once (``_stack_table``).  Models and laws are told apart
+    by identity and kept until the builder goes, which is meant to be at
+    the end of the call that made it."""
+
+    def __init__(self):
+        self._models: dict[int, tuple] = {}
+        self._steps: dict[tuple, tuple] = {}
+
+    def model(self, model):
+        """``as_recursion_model`` of ``model``, compiled once."""
+        got = self._models.get(id(model))
+        if got is None:
+            got = self._models[id(model)] = (model, as_recursion_model(model))
+        return got[1]
+
+    def __call__(
+        self, model, q: InputLaw, ys: np.ndarray, xs: np.ndarray | None = None
+    ) -> Recursion:
+        coerced = self.model(model)
+        index = _check_symbols(ys, coerced.y_size, "output sequence")
+        if xs is not None:
+            xs = _check_symbols(xs, coerced.x_size, "input sequence")
+            if xs.size != index.size:
+                raise SequenceError("input and output sequences differ in length")
+            index = xs * coerced.y_size + index
+        key = (id(model), id(q), xs is not None)
+        got = self._steps.get(key)
+        if got is None:
+            got = self._steps[key] = (q, _model_steps(coerced, q, xs is not None))
+        start, form, _, closure, cap = got[1]
+        return Recursion(start, form, index, closure, cap)
+
+
+def recursion(model, q: InputLaw, ys: np.ndarray, xs: np.ndarray | None = None) -> Recursion:
+    """The forward recursion of any channel model on the observed ``ys``
+    (``xs`` marginalized) or on ``(xs, ys)`` (input-law factors included),
+    built on its own (see ``_model_steps``)."""
+    return RecursionBuilder()(model, q, ys, xs)
 
 
 def _impossible(step: int) -> ImpossibleObservationError:
@@ -608,22 +633,31 @@ def stack_key(rec: Recursion) -> tuple[int, bytes, int]:
 def _stack_table(recs: Sequence[Recursion]) -> tuple:
     """One matrix table for a stack, the identity last, with each
     matrix's power-of-two exponent and the (R, n) table entries of the
-    recursions' steps.
+    recursions' steps.  Recursions built from one model (the same
+    ``form``) share its entries, so the table holds each model once.
 
     Every matrix is scaled by an exact power of two to a largest entry in
     [0.5, 1), so that block products of steps of tiny probability do not
     underflow; a state normalized after such a step is unchanged, and the
     step's log gets the power's log back.
     """
-    mats = np.concatenate([r.form.mats for r in recs] + [np.eye(recs[0].closure.size)[None]])
+    offsets: dict[int, int] = {}
+    forms: list[RealForm] = []
+    size = 0
+    for rec in recs:
+        if id(rec.form) not in offsets:
+            offsets[id(rec.form)] = size
+            forms.append(rec.form)
+            size += len(rec.form.mats)
+    mats = np.concatenate([f.mats for f in forms] + [np.eye(recs[0].closure.size)[None]])
     exps = np.frexp(np.abs(mats).max(axis=(1, 2)))[1]
     table = RealForm(
         np.ldexp(mats, -exps[:, None, None]),
-        np.concatenate([r.form.imag_residue for r in recs] + [[0.0]]),
-        np.concatenate([r.form.herm_residue for r in recs] + [[0.0]]),
+        np.concatenate([f.imag_residue for f in forms] + [[0.0]]),
+        np.concatenate([f.herm_residue for f in forms] + [[0.0]]),
     )
     index = np.stack([r.index for r in recs])
-    index += np.cumsum([0] + [len(r.form.mats) for r in recs[:-1]])[:, None]
+    index += np.array([offsets[id(r.form)] for r in recs])[:, None]
     return table, exps, index
 
 
@@ -723,18 +757,22 @@ def input_log_loss(q: InputLaw, xs: np.ndarray) -> np.ndarray:
     return -np.log(probs)
 
 
-def pair_recursions(model, q: InputLaw, traj: Trajectory, joint: bool = True) -> list:
+def pair_recursions(
+    model, q: InputLaw, traj: Trajectory, joint: bool = True, build: RecursionBuilder | None = None
+) -> list:
     """The output-only then (with ``joint``) the joint recursion of
-    ``model`` on ``traj``.
+    ``model`` on ``traj``, from ``build`` (a builder of their own by
+    default).
 
     Building stops at the first recursion that cannot be built (a symbol
     outside the model's alphabet, say), whose error takes its place.
     """
-    model = as_recursion_model(model)
+    build = RecursionBuilder() if build is None else build
+    build.model(model)  # a model that does not compile raises, as no recursion's error
     out: list = []
     for xs in (None, traj.x) if joint else (None,):
         try:
-            out.append(recursion(model, q, traj.y, xs))
+            out.append(build(model, q, traj.y, xs))
         except QchanrateError as exc:
             out.append(exc)
             break
@@ -779,12 +817,15 @@ def estimate_rows(rows: Sequence[RateRow]) -> list:
 
     The output-only and joint recursions of every row run in one
     ``stacked_forward_logs`` call, and each recursion's logs are reduced
-    to their sum at once.  A row's error is its first: the output-only
-    recursion's, then the joint one's.
+    to their sum at once.  Rows of one model and input law share its
+    step matrices, built once for the call (``RecursionBuilder``).  A
+    row's error is its first: the output-only recursion's, then the joint
+    one's.
     """
+    build = RecursionBuilder()
     sums: list[list] = []
     for row in rows:
-        parts = pair_recursions(row.model, row.q, row.traj, joint=not row.sampled_joint)
+        parts = pair_recursions(row.model, row.q, row.traj, not row.sampled_joint, build)
         if row.sampled_joint:
             try:
                 parts.append(float(sampled_joint_logs(row.log_px, row.traj).sum()))

@@ -1,13 +1,16 @@
 """Experiment execution: sweep points x seeds to CSV (and an SVG plot).
 
-Each (sweep value, seed) task builds its channel and samples one
-trajectory from it, and every configured estimator runs on that
-trajectory, so estimators at the same point share common random
-numbers; the auxiliary models are the ones ``load_config`` built.  The
-tasks run in chunks of at most ``STACK_BUDGET`` recursion steps: a chunk
-samples its points one by one, then evaluates all its rows in one
-``rates.estimate_rows`` call, which runs their recursions as engine
-stacks so that the engine's per-iteration cost is shared across points.
+Each (sweep value, seed) task samples one trajectory from its channel,
+and every configured estimator runs on that trajectory, so estimators at
+the same point share common random numbers; the auxiliary models are the
+ones ``load_config`` built.  The tasks run in chunks of at most
+``STACK_BUDGET`` recursion steps.  A chunk builds the channel of each of
+its sweep values on its own, then compiles all its quantum channels
+together (a sweep over n runs the config's ``model``).  It samples its
+points one by one, then evaluates all its rows in one
+``rates.estimate_rows`` call, which builds each model's step matrices
+once and runs the rows' recursions as engine stacks, so that the
+engine's per-iteration cost is shared across points.
 An ``ir`` row on a quantum channel runs only its output-only recursion
 and takes its joint sum from its sampler, so a chunk's budget counts
 one recursion for such a row and two for any other, the type of the
@@ -49,7 +52,11 @@ from .bounds import AuxiliaryModel, auxiliary_error
 # by this module attribute.
 from .bounds import lower_bound  # noqa: F401
 from .channels import TransferOperatorSet
-from .config import ExperimentConfig, instantiate_channel
+from .config import ExperimentConfig, instantiate_channels
+
+# Not called here, but the traced benchmark (perfbench/tracer.py) wraps it
+# by this module attribute.
+from .config import instantiate_channel  # noqa: F401
 from .errors import ConfigError, QchanrateError
 from .rates import RateRow, estimate_rows, input_log_loss
 
@@ -149,17 +156,25 @@ def _chunks(cfg: ExperimentConfig, tasks: list) -> list[list]:
 def evaluate_chunk(cfg: ExperimentConfig, tasks) -> tuple[list[ResultRow], list[RowError]]:
     """Run every configured estimator at each (sweep value, seed) task.
 
-    Each task builds its channel and samples its own trajectory, and
-    ``evaluate_samples`` evaluates the rows of all of them together.  A
-    task whose channel or trajectory fails records that error for each of
-    its rows.
+    The chunk's channels come from one ``instantiate_channels`` call (a
+    sweep over n runs the config's ``model``).  Each task samples its own
+    trajectory, and ``evaluate_samples`` evaluates the rows of all of them
+    together.  A task whose channel or trajectory fails records that error
+    for each of its rows.
     """
+    if cfg.sweep.parameter == "n":
+        models = dict.fromkeys((value for value, _ in tasks), cfg.model)
+    else:
+        values = list(dict.fromkeys(value for value, _ in tasks))
+        overrides = [{cfg.sweep.parameter: value} for value in values]
+        models = dict(zip(values, instantiate_channels(cfg.channel, overrides)))
     samples = []
     errors: list[RowError] = []
     for value, seed in tasks:
-        override = None if cfg.sweep.parameter == "n" else {cfg.sweep.parameter: value}
+        model = models[value]
         try:
-            model = instantiate_channel(cfg.channel, override)
+            if isinstance(model, QchanrateError):
+                raise model
             traj = sample_trajectory(model, cfg.input_law, _task_n(cfg, value), seed)
         except QchanrateError as exc:
             errors.extend(_row_error(value, est_id, seed, exc) for est_id, _ in _estimators(cfg))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -6,7 +7,7 @@ from numpy.testing import assert_allclose
 
 import qchanrate as qc
 from qchanrate import channels
-from qchanrate.errors import ModelValidationError
+from qchanrate.errors import ModelValidationError, OperatorError, QchanrateError
 from qchanrate.oracle import brute_force_oracle
 
 import models
@@ -179,6 +180,51 @@ class TestCompile:
         for ch in chans:
             got = qc.compile_transfer_operators(ch).operators
             assert got.tobytes() == reference.transfer_operators(ch).tobytes()
+
+    def test_stacked_compile_equals_one_at_a_time(self):
+        """``compile_channels`` compiles and checks channels of equal
+        shapes together.  Among broken channels (Kraus operators scaled by
+        1.001, an encoding that is not p.s.d., an inter-use map that is
+        not unitary, a non-finite initial state, which no check can take)
+        and channels of other shapes, each entry is what compiling its
+        channel alone gives: the operators bit for bit, or the same error
+        type and message."""
+        rng = np.random.default_rng(46)
+        base = qc.build_quantum_gilbert_elliott(0.1, 0.6, alpha=1.0)
+        chans = [
+            models.random_quantum_memory_channel(rng),
+            dataclasses.replace(base, kraus=base.kraus * 1.001),
+            qc.build_quantum_gilbert_elliott(0.05, 0.3, alpha=0.4),
+            dataclasses.replace(
+                base, encodings=np.stack([np.diag([1.0, 0.0]), np.diag([1.5, -0.5])])
+            ),
+            qc.build_quantum_gilbert_elliott(0.05, 0.3, h=channels.DEFAULT_TWO_QUBIT_H, alpha=1.0),
+            dataclasses.replace(base, inter_use_unitary=np.array([[1.0, 0.1], [0.0, 1.0]])),
+            dataclasses.replace(base, initial_state=np.array([[1.0, np.nan], [0.0, 0.0]])),
+            models.random_quantum_memory_channel(rng, state_dim=3, n_kraus=3, y_size=3),
+            base,
+        ]
+
+        def outcome(result):
+            if isinstance(result, channels.TransferOperatorSet):
+                return result.operators.tobytes(), result.initial_state.tobytes()
+            return type(result), str(result)
+
+        def alone(ch):
+            try:
+                return qc.compile_transfer_operators(ch)
+            except QchanrateError as exc:
+                return exc
+
+        got = [outcome(r) for r in channels.compile_channels(chans)]
+        assert got == [outcome(alone(ch)) for ch in chans]
+        failed = [(k, text.split(" violated")[0]) for k, text in got if isinstance(k, type)]
+        assert failed == [
+            (ModelValidationError, "kraus completeness (sum E^H E = I)"),
+            (ModelValidationError, "encoding 1 positive semidefinite"),
+            (ModelValidationError, "inter-use unitary"),
+            (OperatorError, "operator contains non-finite entries"),
+        ]
 
     def test_rejects_incomplete_kraus(self):
         ch = qc.build_quantum_gilbert_elliott(0.2, 0.8)

@@ -410,8 +410,10 @@ class TestRunner:
         swept over n so that lengths differ, with two seeds.
         Rows match bit for bit, except the ``ir`` rows' ``hxy`` and
         ``ir``: the sweep takes their joint logs from the quantum sampler,
-        so those match within 1e-12.  Split into several chunks, the
-        sweep writes the same bytes."""
+        so those match within 1e-12.  The sweep compiles no channel: its
+        tasks run the config's ``model``, and write the bytes that a
+        channel built and compiled for each task writes.  Split into
+        several chunks, the sweep writes the same bytes."""
         cfg = load_config(
             write_config(
                 tmp_path,
@@ -426,15 +428,23 @@ class TestRunner:
                 ],
             )
         )
+        compiled = []
+        compile_channels = qc.channels.compile_channels
+        monkeypatch.setattr(
+            qc.channels, "compile_channels",
+            lambda chs: compiled.append(chs) or compile_channels(chs),
+        )
         whole = run_experiment(cfg, tmp_path / "whole", write_svg=False)
-        assert not whole.errors
+        assert not whole.errors and not compiled
         got = {(r.sweep_value, r.estimator_id, r.seed): r for r in whole.rows}
         assert len(got) == len(whole.rows) == 3 * 2 * 3
         q = cfg.input_law
-        model = instantiate_channel(cfg.channel)
+        samples = []
         for n in (150, 200, 233):
             for seed in (0, 1):
+                model = instantiate_channel(cfg.channel)
                 traj = sample_trajectory(model, q, n, seed)
+                samples.append((n, model, traj))
                 r = entropy_rate_estimates(model, q, traj)
                 row = got[(n, "ir", seed)]
                 assert (row.n, row.hx_bits, row.hy_bits) == (n, r.hx, r.hy)
@@ -446,12 +456,53 @@ class TestRunner:
                     assert (row.ir_bits, row.hx_bits, row.hy_bits, row.hxy_bits) == (
                         b.ir_lower, b.hx, b.aux_hy, b.aux_hxy
                     )
+        rows, errors = runner.evaluate_samples(cfg, samples)
+        tasks_csv = tmp_path / "tasks.csv"
+        runner.write_results(tasks_csv, tmp_path / "tasks.errors.csv", "n", rows, errors)
+        assert tasks_csv.read_bytes() == whole.csv_path.read_bytes()
+        assert len(compiled) == len(samples)
 
         monkeypatch.setattr(runner, "STACK_BUDGET", 2500)
         tasks = [(v, s) for v in (150, 200, 233) for s in (0, 1)]
         assert [len(c) for c in runner._chunks(cfg, tasks)] == [3, 2, 1]
         split = run_experiment(cfg, tmp_path / "split", write_svg=False)
         assert split.csv_path.read_bytes() == whole.csv_path.read_bytes()
+
+    def test_chunk_compiles_its_channels_together(self, tmp_path, monkeypatch):
+        """A chunk builds the channel of each of its sweep values on its
+        own, then compiles them all in one ``compile_channels`` call.  A
+        value whose channel fails there (an evolution too large for a
+        float leaves the unitary non-finite) records, on each of its rows,
+        the error that building it alone raises, and the other values'
+        rows are those of a sweep without it."""
+        channel = dict(QUANTUM_GE, hamiltonian=[[[0.0, 0.0], [2.0, 0.0]], [[2.0, 0.0], [0.0, 0.0]]])
+
+        def sweep(values):
+            return load_config(write_config(
+                tmp_path, channel=channel, seeds=[0, 1], n=300,
+                sweep={"parameter": "alpha", "values": values},
+            ))
+
+        clean = run_experiment(sweep([0.5, 0.7]), tmp_path / "clean", write_svg=False)
+        cfg = sweep([0.5, 1e308, 0.7])
+        compiled = []
+        compile_channels = qc.channels.compile_channels
+        monkeypatch.setattr(
+            qc.channels, "compile_channels",
+            lambda chs: compiled.append(len(chs)) or compile_channels(chs),
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = run_experiment(cfg, tmp_path / "out", write_svg=False)
+            with pytest.raises(ConfigError) as alone:
+                instantiate_channel(cfg.channel, {"alpha": 1e308})
+        # one stack of the three values, then, for its non-finite unitary,
+        # each channel alone; then the one channel built alone above
+        assert compiled == [3, 1, 1, 1, 1]
+        assert out.rows == clean.rows
+        assert str(alone.value) == "channel: unitary contains non-finite entries"
+        assert [(e.sweep_value, e.seed, e.category, e.message) for e in out.errors] == [
+            (1e308, seed, "ConfigError", str(alone.value)) for seed in (0, 1)
+        ]
 
     @pytest.mark.parametrize(
         "channel, per_task, split",

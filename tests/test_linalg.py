@@ -79,6 +79,40 @@ class TestIsPsd:
         assert not check and check.reason == "not Hermitian"
         assert abs(check.witness - 0.5) < 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_stack_gives_each_matrix_its_own_check(self, n):
+        """Checked as one stack, every matrix gets the (ok, witness,
+        reason) it gets alone, bit for bit: p.s.d. ones, ones with a
+        negative eigenvalue and ones that are not Hermitian."""
+        rng = np.random.default_rng(40 + n)
+        mats = []
+        for _ in range(4):
+            g = random_complex(rng, n)
+            mats += [g.conj().T @ g, random_hermitian(rng, n), random_complex(rng, n)]
+        stack = np.stack(mats)
+        got = la.is_psd(stack)
+        assert got == [la.is_psd(a) for a in stack]
+        assert {c.reason for c in got} >= ({"ok", "not Hermitian"} if n == 1 else
+                                           {"ok", "negative eigenvalue", "not Hermitian"})
+        assert la.is_psd(stack.reshape(2, -1, n, n)) == got
+
+    def test_stack_with_a_non_finite_entry_raises(self):
+        stack = np.stack([np.eye(2), np.diag([1.0, np.inf]), np.eye(2)])
+        with pytest.raises(OperatorError) as alone:
+            la.is_psd(stack[1])
+        with pytest.raises(OperatorError) as stacked:
+            la.is_psd(stack)
+        assert str(stacked.value) == str(alone.value) == "operator contains non-finite entries"
+
+    def test_unitarity_residue_of_a_stack(self):
+        rng = np.random.default_rng(44)
+        stack = np.stack([la.expm_skew_hermitian(random_hermitian(rng, 3), 0.7) for _ in range(3)])
+        stack[1, 0, 2] += 1e-3
+        assert la.unitarity_residue(stack).tolist() == [la.unitarity_residue(u) for u in stack]
+        stack[2, 1, 1] = np.nan
+        with pytest.raises(OperatorError, match="unitary contains non-finite entries"):
+            la.unitarity_residue(stack)
+
 
 class TestGuards:
     def test_as_operator_rejects_bad_input(self):
@@ -108,6 +142,18 @@ class TestHermitianPacking:
         for a, p in zip(stack, packed):
             assert np.array_equal(la.pack_hermitian(a), p)
         assert np.array_equal(la.unpack_hermitian(packed), stack)
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_packed_basis_is_the_unpacked_identity_read_only(self, s):
+        """``real_transfer_form`` carries this basis through every map; it
+        is built once per size and shared, so no caller may write to it."""
+        d = s * s
+        basis = la._packed_basis(d)
+        assert np.array_equal(basis, la.unpack_hermitian(np.eye(d).reshape(d, s, s)).reshape(d, d))
+        assert not basis.flags.writeable
+        assert la._packed_basis(d) is basis
+        with pytest.raises(ValueError):
+            basis[0, 0] = 2.0
 
     def test_residues_of_maps_that_leave_the_hermitian_states(self):
         """A real map has no residue; a phase on it gives the trace an

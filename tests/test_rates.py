@@ -508,6 +508,36 @@ class TestStackIndependence:
         for got, ref in zip(stacked, alone):
             assert np.array_equal(got, ref)
 
+    def test_rows_that_share_a_model_equal_each_row_alone(
+        self, classical_ge, quantum_ge, uniform
+    ):
+        """One builder makes each (model, law, joint) once, so recursions
+        of one model share its step matrices and a stack's table holds
+        them once; each recursion's logs still equal, bit for bit, those
+        it gets built and run alone, and ``estimate_rows``, which builds
+        its rows that way, gives each row its estimate alone."""
+        trajs = [qc.sample_trajectory(quantum_ge, uniform, 2000, seed) for seed in (63, 64, 65)]
+        build = rates.RecursionBuilder()
+        shared, alone = [], []
+        for model in (classical_ge, quantum_ge):
+            for traj in trajs:
+                shared += rates.pair_recursions(model, uniform, traj, build=build)
+                alone += [
+                    rates.stacked_forward_logs([rec])[0]
+                    for rec in rates.pair_recursions(model, uniform, traj)
+                ]
+        assert len({id(rec.form) for rec in shared}) == 4
+        table, _, index = rates._stack_table(shared[:6])
+        assert len(table.mats) == 2 + 4 + 1 and index.max() == 5
+        for got, ref in zip(rates.stacked_forward_logs(shared), alone):
+            assert np.array_equal(got, ref)
+        rows = [
+            rates.RateRow(model, uniform, traj, rates.input_log_loss(uniform, traj.x))
+            for model in (classical_ge, quantum_ge)
+            for traj in trajs
+        ]
+        assert rates.estimate_rows(rows) == [rates.estimate_rows([row])[0] for row in rows]
+
     def test_one_state_recursions_take_one_step_words(self):
         model = one_state_models()[1]
         rec = rates.recursion(model, qc.uniform_input(), np.zeros(self.N, dtype=np.int64))
