@@ -90,7 +90,7 @@ def auxiliary_error(label: str, exc: QchanrateError) -> QchanrateError:
 
 def lower_bound(traj: Trajectory, aux: AuxiliaryModel, q: InputLaw) -> LowerBoundEstimate:
     """Evaluate an auxiliary decoding metric on a true-channel trajectory."""
-    (r,) = estimate_rows([RateRow(aux.model, q, traj, input_log_loss(q, traj.x))])
+    (r,) = estimate_rows([RateRow(aux.model, q, traj, float(input_log_loss(q, traj.x).sum()))])
     if isinstance(r, QchanrateError):
         raise auxiliary_error(aux.label, r)
     return LowerBoundEstimate(

@@ -194,14 +194,17 @@ def expm_skew_hermitian(h, alpha: float) -> np.ndarray:
     """Unitary exp(-i * alpha * h) of a Hermitian generator h.
 
     Computed through the spectral decomposition h = V diag(w) V^H, so the
-    result is unitary up to the accuracy of the eigendecomposition.
+    result is unitary up to the accuracy of the eigendecomposition.  A
+    phase beyond the float range leaves the result non-finite, silently,
+    for the caller's unitarity check to report.
     """
     arr = as_operator(h, "generator")
     res = hermiticity_residue(arr)
     if res > EPS_HERMITIAN * max(_scale(arr), 1.0):
         raise OperatorError(f"generator not Hermitian: residue {res:.3e}")
     w, v = np.linalg.eigh(0.5 * (arr + arr.conj().T))
-    phases = np.exp(-1j * alpha * w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = np.exp(-1j * alpha * w)
     return (v * phases) @ v.conj().T
 
 

@@ -221,15 +221,24 @@ def _check_symbols(seq: np.ndarray, size: int, name: str) -> np.ndarray:
 
 
 class Recursion(NamedTuple):
-    """One scaled forward recursion: ``v <- v @ form.mats[index[t]]``
-    from ``start``, normalized by ``v @ closure`` after every step, with
-    the rescale cap of its matrices (``_rescale_cap``)."""
+    """One scaled forward recursion: ``v <- v @ form.mats[i_t]`` from
+    ``start``, normalized by ``v @ closure`` after every step, with the
+    rescale cap of its matrices (``_rescale_cap``).
+
+    Step t takes matrix ``i_t = index[t]`` or, given ``inputs`` (a joint
+    recursion, whose matrices are numbered ``x * y_size + y``),
+    ``inputs[t] * y_size + index[t]``; its stack writes those numbers
+    straight into its own index (``_stack_table``), so the recursion
+    holds no copy of them.
+    """
 
     start: np.ndarray
     form: RealForm
     index: np.ndarray
     closure: np.ndarray
     cap: int
+    inputs: np.ndarray | None = None
+    y_size: int = 1
 
 
 def _model_steps(model, q: InputLaw, joint: bool) -> Recursion:
@@ -290,13 +299,12 @@ class RecursionBuilder:
             xs = _check_symbols(xs, coerced.x_size, "input sequence")
             if xs.size != index.size:
                 raise SequenceError("input and output sequences differ in length")
-            index = xs * coerced.y_size + index
         key = (id(model), id(q), xs is not None)
         got = self._steps.get(key)
         if got is None:
             got = self._steps[key] = (q, _model_steps(coerced, q, xs is not None))
-        start, form, _, closure, cap = got[1]
-        return Recursion(start, form, index, closure, cap)
+        start, form, _, closure, cap, _, _ = got[1]
+        return Recursion(start, form, index, closure, cap, xs, coerced.y_size)
 
 
 def recursion(model, q: InputLaw, ys: np.ndarray, xs: np.ndarray | None = None) -> Recursion:
@@ -404,13 +412,14 @@ def _word_table(mats: np.ndarray, closure: np.ndarray, words: np.ndarray):
 
     The table is built one step at a time over the distinct prefixes
     that occur: a prefix of i + 1 steps is numbered by its i-step
-    prefix's number and its last matrix, and its product is that
-    prefix's product times the matrix, so each entry depends on its word
-    alone.  An entry holds the word's product, then each of its m prefix
-    products times the closure.  Returns the products, the entries and
-    the entry of each word.  The products are a C-contiguous array of
-    their own, not a view of the entries: phase 1 gathers from them once
-    per word, and ``ndarray.take`` copies a strided array whole first.
+    prefix's number (its parent) and its last matrix, and its product is
+    that prefix's product times the matrix, so each entry depends on its
+    word alone.  An entry holds the word's product, then each of its m
+    prefix products times the closure, found through the parents.
+    Returns the products, the entries and the entry of each word.  The
+    products are a C-contiguous array of their own, not a view of the
+    entries: phase 1 gathers from them once per word, and
+    ``ndarray.take`` copies a strided array whole first.
     """
     m = words.shape[1]
     d = closure.size
@@ -420,18 +429,20 @@ def _word_table(mats: np.ndarray, closure: np.ndarray, words: np.ndarray):
     steps = np.concatenate([mats, mats @ closure[:, None]], axis=2)
     prefixes, code = _ranks(words[:, 0], size)
     prod = steps[prefixes]
-    levels = [(code, prod[:, :, d].copy())]
+    totals, parents = [prod[:, :, d].copy()], []
     for i in range(1, m):
         prefixes, code = _ranks(code * size + words[:, i], len(prod) * size)
-        prod = prod[prefixes // size, :, :d] @ steps[prefixes % size]
-        levels.append((code, prod[:, :, d].copy()))
-    first = np.empty(len(prod), dtype=np.int64)
-    first[code] = np.arange(code.size)  # a word that ends at each entry
+        parents.append(prefixes // size)
+        prod = prod[parents[-1], :, :d] @ steps[prefixes % size]
+        totals.append(prod[:, :, d].copy())
     prods = np.ascontiguousarray(prod[:, :, :d])
     entries = np.empty((len(prod), d, d + m))
     entries[:, :, :d] = prods
-    for i, (at, totals) in enumerate(levels):
-        entries[:, :, d + i] = totals[at[first]]
+    at = np.arange(len(prod))  # each entry's prefix of i + 1 steps
+    for i in range(m - 1, -1, -1):
+        entries[:, :, d + i] = totals[i][at]
+        if i:
+            at = parents[i - 1][at]
     return prods, entries, code
 
 
@@ -448,6 +459,22 @@ def _rescale(prod: np.ndarray, scale: np.ndarray, flags: np.ndarray) -> np.ndarr
     return sums
 
 
+def _padded_steps(recs: int, n: int, m: int, identity: int) -> np.ndarray:
+    """The (R, blocks, w * m) table entries of a pass of R recursions of
+    ``n`` steps in words of ``m`` steps, blocks of w words, w about
+    sqrt(n / m): all ``identity``, the identity matrix's entry, for the
+    caller to write each recursion's n steps over its first n."""
+    words = -(-n // m)
+    w = math.isqrt(words - 1) + 1  # words per block, ceil(sqrt(words))
+    return np.full((recs, -(-words // w), w * m), identity)
+
+
+def _step_rows(steps: np.ndarray, n: int) -> np.ndarray:
+    """The (R, n) view of the first ``n`` steps of each recursion of a
+    pass's ``steps`` (``_padded_steps``)."""
+    return steps.reshape(len(steps), -1)[:, :n]
+
+
 # A non-finite matrix entry spreads NaN through the products and states
 # (inf * 0), and a zero total divides by zero, all silently: ``_settle``
 # reports the failing step.
@@ -456,7 +483,7 @@ def _blocked_pass(
     mats: np.ndarray,
     closure: np.ndarray,
     starts: np.ndarray,
-    index: np.ndarray,
+    steps: np.ndarray,
     m: int,
     every: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -464,30 +491,25 @@ def _blocked_pass(
     of ``m`` steps, every block product rescaled after each ``every``
     words.
 
-    Recursion r runs the steps ``mats[index[r]]`` from the state
-    ``starts[r]``.  ``mats`` carries the identity as its last entry, used
-    to pad the final word and block.  ``every`` words take at most the
-    stack's smallest rescale cap in steps; with ``every`` = 1 the pass is
-    as fine as a rerun would be, so no block is evaluated again for a
-    flagged product or lost totals.
+    Recursion r runs the steps ``mats[steps[r]]`` from the state
+    ``starts[r]``, laid out in blocks by ``_padded_steps``.  ``mats``
+    carries the identity as its last entry, which pads the final word and
+    block.  ``every`` words take at most the stack's smallest rescale cap
+    in steps; with ``every`` = 1 the pass is as fine as a rerun would be,
+    so no block is evaluated again for a flagged product or lost totals.
 
-    Returns the (R, n) per-step normalizers, unchecked; the number of
-    leading steps of each recursion that the pass settled (all of them
+    Returns the per-step normalizers, unchecked, of all the padded steps
+    (R, blocks * w * m), those of the padding 1; the number of leading
+    steps of each recursion that the pass settled (all, padding included,
     unless a block lost accuracy); and each recursion's state after
     those steps.
     """
     global passes
     passes += 1
-    recs, n = index.shape
+    recs, blocks, k = steps.shape
     d = closure.size
-    words = -(-n // m)
-    w = math.isqrt(words - 1) + 1  # words per block, ceil(sqrt(words))
-    blocks = -(-words // w)
-    k = w * m
-    # steps[r, t]: the table matrix of step t of recursion r, the identity
-    # after its last step.
-    steps = np.full((recs, blocks * k), len(mats) - 1)
-    steps[:, :n] = index
+    w = k // m
+    n = blocks * k
     prods, entries, entry = _word_table(mats, closure, steps.reshape(-1, m))
     cols = entry.reshape(recs, blocks, w).T  # cols[j, b, r]: the entry of word j of block b
 
@@ -588,7 +610,7 @@ def _blocked_pass(
     # The state after the settled steps: the end of the block they end
     # in, or the start where none settled.
     after = np.where(settled[:, None] > 0, ends[(settled - 1) // k, np.arange(recs), 0], starts)
-    return totals.reshape(recs, blocks * k)[:, :n], settled, after
+    return totals.reshape(recs, n), settled, after
 
 
 def _first_trips(norms: np.ndarray, matrices: np.ndarray, table: RealForm) -> np.ndarray:
@@ -630,10 +652,11 @@ def stack_key(rec: Recursion) -> tuple[int, bytes, int]:
     return rec.index.size, rec.closure.tobytes(), _recursion_word_length(rec)
 
 
-def _stack_table(recs: Sequence[Recursion]) -> tuple:
+def _stack_table(recs: Sequence[Recursion], m: int) -> tuple:
     """One matrix table for a stack, the identity last, with each
-    matrix's power-of-two exponent and the (R, n) table entries of the
-    recursions' steps.  Recursions built from one model (the same
+    matrix's power-of-two exponent and the table entries of the
+    recursions' steps, laid out for a pass in words of ``m`` steps
+    (``_padded_steps``).  Recursions built from one model (the same
     ``form``) share its entries, so the table holds each model once.
 
     Every matrix is scaled by an exact power of two to a largest entry in
@@ -656,9 +679,12 @@ def _stack_table(recs: Sequence[Recursion]) -> tuple:
         np.concatenate([f.imag_residue for f in forms] + [[0.0]]),
         np.concatenate([f.herm_residue for f in forms] + [[0.0]]),
     )
-    index = np.stack([r.index for r in recs])
-    index += np.array([offsets[id(r.form)] for r in recs])[:, None]
-    return table, exps, index
+    n = recs[0].index.size
+    steps = _padded_steps(len(recs), n, m, len(mats) - 1)
+    for row, rec in zip(_step_rows(steps, n), recs):
+        row[...] = rec.index if rec.inputs is None else rec.inputs * rec.y_size + rec.index
+        row += offsets[id(rec.form)]
+    return table, exps, steps
 
 
 def stacked_forward_logs(recs: Sequence[Recursion]) -> list:
@@ -690,13 +716,15 @@ def _stack_logs(recs: Sequence[Recursion], m: int) -> list:
     stack's normalizers come in closed form, without a pass.
     """
     closure = recs[0].closure
-    table, exps, index = _stack_table(recs)
+    n = recs[0].index.size
+    table, exps, steps = _stack_table(recs, m)
+    index = _step_rows(steps, n)
     if closure.size == 1:
         norms = table.mats[index, 0, 0]
         norms[:, 0] *= [rec.start[0] for rec in recs]
         return _settle(norms, index, table, exps)
 
-    n = index.shape[1]
+    identity = len(table.mats) - 1
     every = max(min(rec.cap for rec in recs) // m, 1)
     norms, pending = None, {0: [(r, rec.start) for r, rec in enumerate(recs)]}
     while pending:
@@ -709,17 +737,23 @@ def _stack_logs(recs: Sequence[Recursion], m: int) -> list:
         runs, pending = pending, {}
         for pos, items in runs.items():
             rows = [r for r, _ in items]
-            steps = index if norms is None else index[rows, pos:]
+            if norms is None:
+                tail = index
+            else:
+                steps = _padded_steps(len(rows), n - pos, m, identity)
+                tail = _step_rows(steps, n - pos)
+                tail[...] = index[rows, pos:]
             got, settled, after = _blocked_pass(
                 table.mats, closure, np.stack([vec for _, vec in items]), steps, m, every
             )
+            got = got[:, :n - pos]
             if norms is None:
                 norms = got
             else:
                 norms[rows, pos:] = got
             short = np.flatnonzero(settled < n - pos)
             if short.size:
-                for i, fail in zip(short, _first_trips(got[short], steps[short], table)):
+                for i, fail in zip(short, _first_trips(got[short], tail[short], table)):
                     if fail >= settled[i]:
                         pending.setdefault(pos + int(settled[i]), []).append((rows[i], after[i]))
         m = every = 1
@@ -795,21 +829,37 @@ def sampled_joint_logs(log_px: np.ndarray, traj: Trajectory) -> np.ndarray:
     return log_px + logs
 
 
+def log_loss_sums(q: InputLaw, traj: Trajectory) -> tuple[float, float | QchanrateError | None]:
+    """The sums that the rows on ``traj`` take from its per-step arrays:
+    its input log losses' (``input_log_loss``, whose error it raises),
+    and for a trajectory with sampler logs, the joint recursion's
+    (``sampled_joint_logs``) or the error that stops it, else None."""
+    log_px = input_log_loss(q, traj.x)
+    joint = None
+    if traj.conditional_log_loss is not None:
+        try:
+            joint = float(sampled_joint_logs(log_px, traj).sum())
+        except QchanrateError as exc:
+            joint = exc
+    return float(log_px.sum()), joint
+
+
 class RateRow(NamedTuple):
     """One row of ``estimate_rows``: ``model`` evaluated on ``traj`` under
     the input law ``q``, averaged over the whole trajectory.
 
-    ``log_px`` is the input's per-step log losses (``input_log_loss``).
-    With ``sampled_joint`` the joint sum comes from the sampler
-    (``sampled_joint_logs``), which must have run ``model`` itself, and
-    the row runs its output-only recursion only.
+    ``hx_sum`` is the sum of the input's per-step log losses
+    (``input_log_loss``).  Given ``joint_sum``, the joint recursion's sum
+    taken from the sampler, which must have run ``model`` itself, or the
+    error that stopped it (``log_loss_sums``), the row runs its
+    output-only recursion only.
     """
 
     model: object
     q: InputLaw
     traj: Trajectory
-    log_px: np.ndarray
-    sampled_joint: bool = False
+    hx_sum: float
+    joint_sum: float | QchanrateError | None = None
 
 
 def estimate_rows(rows: Sequence[RateRow]) -> list:
@@ -825,12 +875,9 @@ def estimate_rows(rows: Sequence[RateRow]) -> list:
     build = RecursionBuilder()
     sums: list[list] = []
     for row in rows:
-        parts = pair_recursions(row.model, row.q, row.traj, not row.sampled_joint, build)
-        if row.sampled_joint:
-            try:
-                parts.append(float(sampled_joint_logs(row.log_px, row.traj).sum()))
-            except QchanrateError as exc:
-                parts.append(exc)
+        parts = pair_recursions(row.model, row.q, row.traj, row.joint_sum is None, build)
+        if row.joint_sum is not None:
+            parts.append(row.joint_sum)
         sums.append(parts)
 
     members = [(r, slot) for r, parts in enumerate(sums)
@@ -848,7 +895,7 @@ def estimate_rows(rows: Sequence[RateRow]) -> list:
             out.append(exc)
             continue
         scale = row.traj.n * LN2
-        hx, hy, hxy = (s / scale for s in (float(row.log_px.sum()), *parts))
+        hx, hy, hxy = (s / scale for s in (row.hx_sum, *parts))
         out.append(RateEstimate(n=row.traj.n, hx=hx, hy=hy, hxy=hxy, ir=hx + hy - hxy))
     return out
 
@@ -860,7 +907,7 @@ def entropy_rate_estimates(model, q: InputLaw, traj: Trajectory) -> RateEstimate
     Both entropy rates of the model come from its recursions
     (``pair_recursions``), the sampler's logs unused.
     """
-    (r,) = estimate_rows([RateRow(model, q, traj, input_log_loss(q, traj.x))])
+    (r,) = estimate_rows([RateRow(model, q, traj, float(input_log_loss(q, traj.x).sum()))])
     if isinstance(r, QchanrateError):
         raise r
     return r

@@ -4,13 +4,15 @@ Each (sweep value, seed) task samples one trajectory from its channel,
 and every configured estimator runs on that trajectory, so estimators at
 the same point share common random numbers; the auxiliary models are the
 ones ``load_config`` built.  The tasks run in chunks of at most
-``STACK_BUDGET`` recursion steps.  A chunk builds the channel of each of
-its sweep values on its own, then compiles all its quantum channels
-together (a sweep over n runs the config's ``model``).  It samples its
-points one by one, then evaluates all its rows in one
-``rates.estimate_rows`` call, which builds each model's step matrices
-once and runs the rows' recursions as engine stacks, so that the
-engine's per-iteration cost is shared across points.
+``STACK_BUDGET`` (2**16) recursion steps, which a chunk of the
+benchmark's sweeps holds at 18-67 bytes per step at its traced peak.  A
+chunk builds the channel of each of its sweep values on its own, then
+compiles all its quantum channels together (a sweep over n runs the
+config's ``model``).  It samples its points one by one, reducing each
+one's per-step log losses to their sums at once, then evaluates all its
+rows in one ``rates.estimate_rows`` call, which builds each model's
+step matrices once and runs the rows' recursions as engine stacks, so
+that the engine's per-iteration cost is shared across points.
 An ``ir`` row on a quantum channel runs only its output-only recursion
 and takes its joint sum from its sampler, so a chunk's budget counts
 one recursion for such a row and two for any other, the type of the
@@ -38,10 +40,8 @@ from __future__ import annotations
 
 import errno
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +58,7 @@ from .config import ExperimentConfig, instantiate_channels
 # by this module attribute.
 from .config import instantiate_channel  # noqa: F401
 from .errors import ConfigError, QchanrateError
-from .rates import RateRow, estimate_rows, input_log_loss
+from .rates import RateRow, estimate_rows, log_loss_sums
 
 # Not called here, but the traced benchmark (perfbench/tracer.py) wraps it
 # by this module attribute.
@@ -83,8 +83,11 @@ CSV_COLUMNS = (
 # sweep tasks evaluates together.  A chunk's recursions of equal closure,
 # state size and length run as one engine stack, so a larger chunk spreads
 # the engine's per-iteration cost over more recursions but holds more
-# trajectories, step indices and normalizers in memory at once.
-STACK_BUDGET = 2**15
+# trajectories, step indices and normalizers in memory at once.  At its
+# traced peak a chunk of the benchmark's sweeps holds 18 (burst noise with
+# auxiliaries, n = 2000) to 67 (two-qubit, n = 5000) bytes per step of
+# this budget.
+STACK_BUDGET = 2**16
 
 ERROR_COLUMNS = ("sweep_param", "sweep_value", "estimator_id", "seed", "category", "message")
 
@@ -158,9 +161,9 @@ def evaluate_chunk(cfg: ExperimentConfig, tasks) -> tuple[list[ResultRow], list[
 
     The chunk's channels come from one ``instantiate_channels`` call (a
     sweep over n runs the config's ``model``).  Each task samples its own
-    trajectory, and ``evaluate_samples`` evaluates the rows of all of them
-    together.  A task whose channel or trajectory fails records that error
-    for each of its rows.
+    trajectory as ``evaluate_samples`` takes it, and that call evaluates
+    the rows of all of them together.  A task whose channel or trajectory
+    fails records that error for each of its rows.
     """
     if cfg.sweep.parameter == "n":
         models = dict.fromkeys((value for value, _ in tasks), cfg.model)
@@ -168,19 +171,22 @@ def evaluate_chunk(cfg: ExperimentConfig, tasks) -> tuple[list[ResultRow], list[
         values = list(dict.fromkeys(value for value, _ in tasks))
         overrides = [{cfg.sweep.parameter: value} for value in values]
         models = dict(zip(values, instantiate_channels(cfg.channel, overrides)))
-    samples = []
     errors: list[RowError] = []
-    for value, seed in tasks:
-        model = models[value]
-        try:
-            if isinstance(model, QchanrateError):
-                raise model
-            traj = sample_trajectory(model, cfg.input_law, _task_n(cfg, value), seed)
-        except QchanrateError as exc:
-            errors.extend(_row_error(value, est_id, seed, exc) for est_id, _ in _estimators(cfg))
-            continue
-        samples.append((value, model, traj))
-    rows, row_errors = evaluate_samples(cfg, samples)
+    estimators = _estimators(cfg)
+
+    def samples():
+        for value, seed in tasks:
+            model = models[value]
+            try:
+                if isinstance(model, QchanrateError):
+                    raise model
+                traj = sample_trajectory(model, cfg.input_law, _task_n(cfg, value), seed)
+            except QchanrateError as exc:
+                errors.extend(_row_error(value, est_id, seed, exc) for est_id, _ in estimators)
+                continue
+            yield value, model, traj
+
+    rows, row_errors = evaluate_samples(cfg, samples())
     return rows, errors + row_errors
 
 
@@ -194,9 +200,12 @@ def evaluate_samples(cfg: ExperimentConfig, samples) -> tuple[list[ResultRow], l
 
     ``model`` is the channel that sampled the trajectory, the ``ir``
     rows' target; it may be None when the estimators are auxiliaries
-    only; an auxiliary row's target is its auxiliary's model.  Every row
-    runs in one ``rates.estimate_rows`` call; a quantum ``ir`` row takes
-    its joint sum from its sampler's logs.
+    only; an auxiliary row's target is its auxiliary's model.  The
+    samples are taken one at a time, and each one's per-step log losses
+    are reduced to the sums its rows use (``rates.log_loss_sums``) before
+    the next, so that no row holds them.  Every row runs in one
+    ``rates.estimate_rows`` call; a quantum ``ir`` row takes its joint
+    sum from its sampler's logs.
     """
     errors: list[RowError] = []
     q = cfg.input_law
@@ -204,18 +213,18 @@ def evaluate_samples(cfg: ExperimentConfig, samples) -> tuple[list[ResultRow], l
     keys, batch = [], []
     for value, model, traj in samples:
         try:
-            log_px = input_log_loss(q, traj.x)
+            hx_sum, joint_sum = log_loss_sums(q, traj)
         except QchanrateError as exc:
             errors.extend(_row_error(value, est_id, traj.seed, exc) for est_id, _ in estimators)
             continue
+        traj = replace(traj, conditional_log_loss=None)  # its sum is all a row needs
         for est_id, aux in estimators:
             keys.append((float(value), est_id, traj.seed, aux))
             if aux is None:
                 # the sampler's logs belong to the sampled model, the ir row's target
-                sampled = traj.conditional_log_loss is not None
-                batch.append(RateRow(model, q, traj, log_px, sampled))
+                batch.append(RateRow(model, q, traj, hx_sum, joint_sum))
             else:
-                batch.append(RateRow(aux.model, q, traj, log_px))
+                batch.append(RateRow(aux.model, q, traj, hx_sum))
 
     rows: list[ResultRow] = []
     for (value, est_id, seed, aux), r in zip(keys, estimate_rows(batch)):
@@ -329,8 +338,15 @@ def _chunk_results(cfg: ExperimentConfig, chunks: list[list], workers: int) -> l
     its sweep values, on either path.
     """
     workers = min(workers, len(chunks))
+    # A serial run imports no process pool, so it never loads multiprocessing.
+    died: tuple = ()
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        died = (BrokenProcessPool,)
     results = []
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    with ProcessPoolExecutor(max_workers=workers) if died else nullcontext() as pool:
         if pool is not None:
             futures = [pool.submit(evaluate_chunk, cfg, chunk) for chunk in chunks]
         for k, chunk in enumerate(chunks, start=1):
@@ -343,7 +359,7 @@ def _chunk_results(cfg: ExperimentConfig, chunks: list[list], workers: int) -> l
                     results.append(evaluate_chunk(cfg, chunk))
                 else:
                     results.append(futures[k - 1].result())
-            except BrokenProcessPool as exc:
+            except died as exc:
                 raise QchanrateError(
                     f"a worker process died before returning {where}; no results were written"
                 ) from exc

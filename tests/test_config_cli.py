@@ -1,6 +1,11 @@
+import concurrent.futures
 import json
 import os
+import subprocess
+import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -41,10 +46,10 @@ GE_PARAMS = {"p_g": 0.1, "p_b": 0.4, "transition": [[0.9, 0.1], [0.2, 0.8]]}
 
 QUANTUM_GE = {"kind": "quantum_ge", "p_g": 0.05, "p_b": 0.95, "alpha": 1.0}
 
-# At this n, write_config's sweep of four tasks runs as four chunks (a
-# classical row costs 2 * n steps against runner.STACK_BUDGET), so a pool
-# starts.
-MULTI_CHUNK_N = 10000
+# At this n, write_config's sweep of four tasks runs as four chunks: a
+# classical row costs 2 * n steps, so two tasks exceed runner.STACK_BUDGET.
+# A pool starts.
+MULTI_CHUNK_N = runner.STACK_BUDGET // 3
 
 
 def dying_chunk(cfg, tasks):
@@ -491,10 +496,9 @@ class TestRunner:
             qc.channels, "compile_channels",
             lambda chs: compiled.append(len(chs)) or compile_channels(chs),
         )
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = run_experiment(cfg, tmp_path / "out", write_svg=False)
-            with pytest.raises(ConfigError) as alone:
-                instantiate_channel(cfg.channel, {"alpha": 1e308})
+        out = run_experiment(cfg, tmp_path / "out", write_svg=False)
+        with pytest.raises(ConfigError) as alone:
+            instantiate_channel(cfg.channel, {"alpha": 1e308})
         # one stack of the three values, then, for its non-finite unitary,
         # each channel alone; then the one channel built alone above
         assert compiled == [3, 1, 1, 1, 1]
@@ -503,6 +507,33 @@ class TestRunner:
         assert [(e.sweep_value, e.seed, e.category, e.message) for e in out.errors] == [
             (1e308, seed, "ConfigError", str(alone.value)) for seed in (0, 1)
         ]
+
+    def test_chunk_holds_little_per_budget_step(self, tmp_path):
+        """A chunk holds its per-step data once.  On six two-qubit tasks of
+        3000 steps with a Gilbert-Elliott auxiliary (three recursions per
+        task, one of them joint), the traced peak of ``evaluate_chunk``
+        is 33.6 bytes per budget step; it was 44.3 while each task held
+        its per-step input and sampler log losses, each joint recursion
+        its own step index, and the engine a padded copy of its stack's
+        index and a code array per word level."""
+        n, values = 3000, [0.1, 0.3, 0.5, 0.7, 0.9, 1.0]
+        cfg = load_config(write_config(
+            tmp_path, n=n, seeds=[0],
+            channel={"kind": "quantum_ge_2qubit", "p_g": 0.05, "p_b": 0.95, "alpha": 1.2},
+            sweep={"parameter": "p_b", "values": values},
+            estimators=["ir", "aux_lower"],
+            auxiliaries=[dict(GE_PARAMS, kind="gilbert_elliott", label="ge")],
+        ))
+        tasks = [(v, 0) for v in values]
+        runner.evaluate_chunk(replace(cfg, n=100), tasks)  # first-call caches
+        tracemalloc.start()
+        try:
+            rows, errors = runner.evaluate_chunk(cfg, tasks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 12 and not errors
+        assert peak / (3 * n * len(tasks)) < 38.0
 
     @pytest.mark.parametrize(
         "channel, per_task, split",
@@ -800,8 +831,14 @@ class TestRunner:
             )
         else:
             overrides = dict(channel=dict(GE_PARAMS, kind="gilbert_elliott"), sweep=sweep)
-        cfg = load_config(write_config(tmp_path, n=3000, **overrides))
-        assert len(runner._chunks(cfg, [(v, s) for v in sweep["values"] for s in (0, 1)])) > 1
+        # a task runs five recursions on the quantum channel, two on the
+        # classical one: a chunk holds four of the six tasks
+        per_task = 5 if kind == "quantum" else 2
+        cfg = load_config(write_config(
+            tmp_path, n=runner.STACK_BUDGET // (4 * per_task), **overrides
+        ))
+        tasks = [(v, s) for v in sweep["values"] for s in (0, 1)]
+        assert [len(chunk) for chunk in runner._chunks(cfg, tasks)] == [4, 2]
 
         def csv_bytes(label, workers=1):
             out = run_experiment(cfg, tmp_path / label, write_svg=False, workers=workers)
@@ -822,11 +859,31 @@ class TestRunner:
         """A sweep of one chunk runs in this process whatever the worker
         count: no process pool is started."""
         pools = []
-        monkeypatch.setattr(runner, "ProcessPoolExecutor", lambda **kw: pools.append(kw))
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", lambda **kw: pools.append(kw)
+        )
         cfg = load_config(write_config(tmp_path))
         assert len(runner._chunks(cfg, [(v, s) for v in (0.1, 0.3) for s in (0, 1)])) == 1
         out = run_experiment(cfg, tmp_path / "out", write_svg=False, workers=4)
         assert len(out.rows) == 4 and not pools
+
+    def test_serial_run_loads_no_process_pool(self, tmp_path):
+        """A serial sweep, run in a fresh interpreter, leaves
+        ``multiprocessing`` unloaded: only a run with a pool imports it."""
+        cfg_path, out_dir = write_config(tmp_path), tmp_path / "out"
+        code = (
+            "import sys\n"
+            "from qchanrate.config import load_config\n"
+            "from qchanrate.runner import run_experiment\n"
+            f"out = run_experiment(load_config({str(cfg_path)!r}), {str(out_dir)!r})\n"
+            "print(len(out.rows), 'multiprocessing' in sys.modules)\n"
+        )
+        src = Path(qc.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        got = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert got.stdout == "4 False\n"
 
     def test_sweep_point_at_equal_flip_probabilities(self, tmp_path):
         """At the sweep point where good and bad flips coincide the
@@ -950,6 +1007,26 @@ class TestCli:
             "planted fault; no results were written\n"
         )
         assert not (out_dir / "results.csv").exists()
+
+    def test_evolution_beyond_float_range_fails_its_point_only(self, tmp_path, capsys):
+        """An ``alpha`` whose phases overflow a float leaves the unitary
+        non-finite, and the compile check fails that point alone, with no
+        ``RuntimeWarning`` (an error under this suite's filter), so the
+        other point's row is written."""
+        channel = dict(QUANTUM_GE, hamiltonian=[[[0.0, 0.0], [2.0, 0.0]], [[2.0, 0.0], [0.0, 0.0]]])
+        path = write_config(
+            tmp_path, channel=channel, seeds=[0], n=300,
+            sweep={"parameter": "alpha", "values": [0.5, 1e308]},
+        )
+        out_dir = tmp_path / "o"
+        assert main(["estimate", str(path), "--no-svg", "--out-dir", str(out_dir)]) == 0
+        assert "Warning" not in capsys.readouterr().err
+        _, rows = read_rows(out_dir / "results.csv")
+        assert [(row["sweep_value"], row["estimator_id"]) for row in rows] == [("0.5", "ir")]
+        _, errors = read_rows(out_dir / "results.errors.csv")
+        assert [(e["sweep_value"], e["category"], e["message"]) for e in errors] == [
+            ("1e+308", "ConfigError", "channel: unitary contains non-finite entries")
+        ]
 
     def test_seed_and_n_overrides(self, tmp_path):
         path = write_config(tmp_path)

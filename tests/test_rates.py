@@ -527,12 +527,12 @@ class TestStackIndependence:
                     for rec in rates.pair_recursions(model, uniform, traj)
                 ]
         assert len({id(rec.form) for rec in shared}) == 4
-        table, _, index = rates._stack_table(shared[:6])
-        assert len(table.mats) == 2 + 4 + 1 and index.max() == 5
+        table, _, steps = rates._stack_table(shared[:6], 1)
+        assert len(table.mats) == 2 + 4 + 1 and rates._step_rows(steps, 2000).max() == 5
         for got, ref in zip(rates.stacked_forward_logs(shared), alone):
             assert np.array_equal(got, ref)
         rows = [
-            rates.RateRow(model, uniform, traj, rates.input_log_loss(uniform, traj.x))
+            rates.RateRow(model, uniform, traj, float(rates.input_log_loss(uniform, traj.x).sum()))
             for model in (classical_ge, quantum_ge)
             for traj in trajs
         ]
@@ -659,12 +659,13 @@ def one_state_models():
 def blocked_logs(recs):
     """Each recursion's logs from one three-phase pass of the stack, the
     way the engine ran a one-state stack before its closed form."""
-    table, exps, index = rates._stack_table(recs)
+    table, exps, steps = rates._stack_table(recs, 1)
     norms, _, _ = rates._blocked_pass(
         table.mats, recs[0].closure, np.stack([r.start for r in recs]),
-        index, 1, min(r.cap for r in recs),
+        steps, 1, min(r.cap for r in recs),
     )
-    return list(-np.log(norms) - rates.LN2 * exps[index])
+    n = recs[0].index.size
+    return list(-np.log(norms[:, :n]) - rates.LN2 * exps[rates._step_rows(steps, n)])
 
 
 class TestOneStateStacks:
