@@ -44,10 +44,7 @@ def _seq_code(seq, base: int, n: int, name: str) -> int:
     arr = np.asarray(seq)
     if arr.shape != (n,) or arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= base:
         raise SequenceError(f"{name} must hold {n} integer symbols in [0, {base})")
-    code = 0
-    for symbol in arr.tolist():
-        code = code * base + symbol
-    return code
+    return int(np.ravel_multi_index(arr, (base,) * n))
 
 
 def _check_terms(count: int, what: str) -> None:

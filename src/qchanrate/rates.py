@@ -66,12 +66,16 @@ calls batched across the blocks of every recursion:
    of the word entries, one batched vector-matrix product and a division
    of the state by its word's last total, with no masking of bad totals.
 
-At a large state size the three phases run over slices of the blocks, so
-that the matrices held at once stay within ``PRODUCT_BUDGET`` entries.
 So a state component down to about 2**-900 of the largest one stays in
 the normal range of floats, where an exact power-of-two rescale moves no
 bit; how often a product is rescaled then does not change its rounding,
 and a recursion's logs do not depend on its stack.
+
+The three phases run over slices of ``PRODUCT_BUDGET // (R * D * (D + m))``
+blocks, at least one, as a block of R recursions of state size D in
+words of m steps holds R * D * (D + m) matrix entries.  The benchmark's
+two-qubit stack (R = 11, D = 16, m = 4, 35 blocks) runs in 9 slices of 4
+blocks; every other benchmark pass runs in one slice.
 
 A pass only computes: it yields each recursion's per-step normalizers
 and checks no guard.  A block may lose accuracy: its phase-3 end state
@@ -149,6 +153,7 @@ from .sampling import (
     PMF_IMAG_GUARD,
     STATE_HERMITICITY_GUARD,
     Trajectory,
+    _ranks,
 )
 
 LN2 = math.log(2.0)
@@ -190,8 +195,8 @@ WORD_STEPS = 40
 WORD_BUDGET = 2**17
 
 # Most matrix entries (matrices times their size) that a pass holds at
-# once in its block products and gathered word entries: at a large state
-# size, the pass runs over slices of the blocks to stay within it.
+# once in its block products and gathered word entries: a pass whose
+# blocks hold more runs over slices of them (see ``_blocked_pass``).
 PRODUCT_BUDGET = 2**14
 
 # Three-phase passes run so far (each over a stack of recursions): a
@@ -391,20 +396,6 @@ def _recursion_word_length(rec: Recursion) -> int:
     return _word_length(len(rec.form.mats), rec.closure.size, rec.index.size, rec.cap)
 
 
-def _ranks(code: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of ``code``, all in [0, space), ascending, and
-    the rank of each element's value among them.  A space of at most
-    eight slots per element is ranked through a lookup array, a larger
-    one by sorting, so that memory grows with the elements alone."""
-    if space > 8 * code.size:
-        return np.unique(code, return_inverse=True)
-    rank = np.zeros(space, dtype=np.int64)
-    rank[code] = 1
-    distinct = np.flatnonzero(rank)
-    rank[distinct] = np.arange(distinct.size)
-    return distinct, rank[code]
-
-
 def _word_table(mats: np.ndarray, closure: np.ndarray, words: np.ndarray):
     """The table of the words that occur in ``words``, whose rows list
     the matrices (of ``mats``) of a word's steps, and each word's entry
@@ -520,10 +511,10 @@ def _blocked_pass(
     ends = np.empty((blocks, recs, 1, d))
     totals = np.empty((recs, blocks, w, m))
     flagged = np.zeros((blocks, recs), dtype=bool)
-    # The three phases run over slices of up to ``span`` blocks of every
-    # recursion, so that the matrices they hold at once stay within
-    # PRODUCT_BUDGET entries; below a large state size a slice is the
-    # whole pass.
+    # The phases run over slices of up to ``span`` blocks of every
+    # recursion, at most PRODUCT_BUDGET entries, recs * d * (d + m) a
+    # block: 9 slices of 4 blocks on the benchmark's two-qubit stack (11
+    # recursions, d = 16, m = 4, 35 blocks), one on its other passes.
     span = max(1, PRODUCT_BUDGET // (recs * d * (d + m)))
     for first in range(0, blocks, span):
         part = cols[:, first:first + span]

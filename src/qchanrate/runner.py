@@ -244,15 +244,19 @@ def _fmt(value) -> str:
     return repr(float(value))  # shortest exact round-trip, deterministic
 
 
-def write_rows_csv(path, sweep_param: str, rows) -> None:
+def _write_csv(path, columns, records) -> None:
+    """One line of ``columns``, then one line per tuple of fields."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for r in rows:
-            fields = (
-                sweep_param, _fmt(r.sweep_value), r.estimator_id, _fmt(r.seed), _fmt(r.n),
-                _fmt(r.ir_bits), _fmt(r.hx_bits), _fmt(r.hy_bits), _fmt(r.hxy_bits), "0.0",
-            )
-            fh.write(",".join(fields) + "\n")
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(fields) + "\n" for fields in records)
+
+
+def write_rows_csv(path, sweep_param: str, rows) -> None:
+    _write_csv(path, CSV_COLUMNS, (
+        (sweep_param, _fmt(r.sweep_value), r.estimator_id, _fmt(r.seed), _fmt(r.n),
+         _fmt(r.ir_bits), _fmt(r.hx_bits), _fmt(r.hy_bits), _fmt(r.hxy_bits), "0.0")
+        for r in rows
+    ))
 
 
 def _unwritable(path, reason: str, option: str | None = None) -> ConfigError:
@@ -291,20 +295,6 @@ def check_writable(*paths, option: str | None = None) -> None:
             raise _unwritable(path, os.strerror(code), option)
 
 
-def _write_errors_csv(path, sweep_param: str, errors) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(ERROR_COLUMNS) + "\n")
-        for e in errors:
-            message = e.message.replace("\n", " ").replace(",", ";")
-            fh.write(
-                ",".join(
-                    (sweep_param, _fmt(e.sweep_value), e.estimator_id, _fmt(e.seed),
-                     e.category, message)
-                )
-                + "\n"
-            )
-
-
 def write_results(csv_path, errors_path, sweep_param: str, rows: list, errors: list) -> None:
     """Sort ``rows`` and ``errors`` in place by (sweep value, estimator,
     seed), write the rows' CSV, and the errors' CSV if there are any."""
@@ -312,7 +302,11 @@ def write_results(csv_path, errors_path, sweep_param: str, rows: list, errors: l
     errors.sort(key=lambda e: (e.sweep_value, e.estimator_id, e.seed))
     _write_output(csv_path, write_rows_csv, sweep_param, rows)
     if errors:
-        _write_output(errors_path, _write_errors_csv, sweep_param, errors)
+        _write_output(errors_path, _write_csv, ERROR_COLUMNS, (
+            (sweep_param, _fmt(e.sweep_value), e.estimator_id, _fmt(e.seed), e.category,
+             e.message.replace("\n", " ").replace(",", ";"))
+            for e in errors
+        ))
 
 
 def _svg_series(rows) -> list[Series]:

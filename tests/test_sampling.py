@@ -15,6 +15,7 @@ from qchanrate.errors import (
 )
 
 import reference
+import test_sampler_fuzz
 from conftest import GE_TRANSITION, P_BAD, P_GOOD
 from models import (
     _random_density,
@@ -276,6 +277,24 @@ class TestTrajectoryIO:
         path = tmp_path / "empty.txt"
         path.write_text("")
         with pytest.raises(TrajectoryFormatError, match="line 1"):
+            qc.load_trajectory(path)
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("n=2 seed=1 gen=test\n0 1\n1_0 1\n", "line 3: non-integer symbol"),
+            ("n=2 seed=1 gen=test\n0 0_1\n1 0\n", "line 2: non-integer symbol"),
+            ("n=2 seed=1 gen=test\n0 1\n+1 0\n", "line 3: non-integer symbol"),
+            ("n=1_0 seed=1 gen=test\n0 1\n", "line 1: bad header integer"),
+            ("n=1 seed=+4 gen=test\n0 1\n", "line 1: bad header integer"),
+        ],
+        ids=["x-1_0", "y-0_1", "x-plus", "n-1_0", "seed-plus"],
+    )
+    def test_fields_are_decimal_integers(self, tmp_path, text, where):
+        """``int`` would read ``1_0`` as 10 and ``+1`` as 1."""
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(TrajectoryFormatError, match=where):
             qc.load_trajectory(path)
 
     def test_negative_seed_rejected(self, tmp_path):
@@ -680,6 +699,23 @@ class TestClassicalDraw:
         assert failure is None and y.tolist() != alternative
         picks = sampling._sample_outputs_classical(f, xs, FixedUniforms([0.5, *us]))
         assert np.array_equal(picks, y)
+
+    def test_fuzz_ranks_through_both_branches(self, monkeypatch):
+        """``_ranks`` sorts the (input, piece) codes of a trajectory whose
+        code space holds more than eight slots per step, and looks them up
+        otherwise.  The sampler fuzz's dense 16-state model, whose outputs
+        the fuzz compares with the single-step route, sorts at its short
+        lengths and looks up at n = 2000."""
+        ((model, q),) = test_sampler_fuzz.family("dense")
+        ranks = sampling._ranks
+        sorting = []
+        monkeypatch.setattr(
+            sampling, "_ranks",
+            lambda code, space: sorting.append(space > 8 * code.size) or ranks(code, space),
+        )
+        for n in test_sampler_fuzz.LENGTHS:
+            qc.sample_trajectory(model, q, n, seed=n)
+        assert sorting == [n < 2000 for n in test_sampler_fuzz.LENGTHS]
 
 
 # A rare input symbol carries each planted fault, so the guard first
