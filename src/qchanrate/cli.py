@@ -17,8 +17,9 @@ Results are a pure function of the config and the --seeds and --n
 given: the same run writes the same CSV and SVG bytes under any
 --threads, and the CSV's wallclock_seconds column is always 0.0.
 
-Exit codes: 0 success, 2 configuration/validation failure, 3 runtime
-failure, running out of memory included.  Failures print one line
+Exit codes: 0 success, 2 configuration/validation failure or a
+malformed trajectory file, 3 runtime failure, running out of memory
+included.  Failures print one line
 ``error[<category>]: <message>``.  Every verb checks its output paths
 before it samples or computes.
 """
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import channels, rates
 from .config import load_config, parse_length, parse_seeds
-from .errors import ConfigError, QchanrateError
+from .errors import ConfigError, QchanrateError, TrajectoryFormatError
 from .oracle import MAX_ORACLE_N, brute_force_oracle
 from .runner import check_writable, evaluate_samples, run_experiment, write_results
 from .sampling import MAX_SEED, load_trajectory, sample_trajectory, save_trajectory
@@ -249,7 +250,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, TrajectoryFormatError) as exc:  # bad input, found before any work
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 2
     except QchanrateError as exc:

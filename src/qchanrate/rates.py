@@ -112,7 +112,28 @@ the same step settles them.
 Running the output-only recursion gives the output entropy rate; running
 it with the inputs pinned (input-law factors included) gives the joint
 entropy rate; the input entropy rate of an i.i.d. process is evaluated
-in closed form.  Logs are natural internally and converted to bits at
+in closed form.
+
+So is the output entropy rate of a uniform output process.  If the
+input-marginalized step matrices map the closure to ``closure / Y`` for
+every output y, then p(y_t | y^{t-1}) = 1/Y for every past, and the
+output-only logs sum to n ln Y.  ``_uniform_output`` checks this once
+per model and input law, where the output-only step matrices are built:
+every matrix is finite, every imaginary-trace and Hermiticity residue
+within its guard, max |mats[y] @ closure - closure / Y| <= UNIFORM_TOL
+and |start @ closure - 1| <= UNIFORM_TOL.  A step from a state v with
+``v @ closure`` = 1 then has |p_t - 1/Y| <= ||v||_1 * UNIFORM_TOL (the
+first step up to UNIFORM_TOL / Y more), where ||v||_1 <= 1 for a
+classical state metric and <= sqrt(2) * S for the packed form of a
+unit-trace state operator of dimension S, since
+|rho_ij| <= sqrt(rho_ii * rho_jj).  Each step's log is thus within about
+Y * ||v||_1 * UNIFORM_TOL of ln Y, and p_t is positive and finite, so no
+normalizer guard could trip; the residue guards are part of the check.
+Only ``estimate_rows`` takes this closed form: ``stacked_forward_logs``
+and ``scaled_forward_*`` always run the engine, so the oracle still
+checks it on every model.
+
+Logs are natural internally and converted to bits at
 the boundary.  One row evaluator, ``estimate_rows``, turns rows of a
 model, an input law and a trajectory into rate estimates, running the
 recursions of all its rows as engine stacks; the sweep, the single-row
@@ -199,6 +220,13 @@ WORD_BUDGET = 2**17
 # blocks hold more runs over slices of them (see ``_blocked_pass``).
 PRODUCT_BUDGET = 2**14
 
+# Largest entrywise gap between ``mats[y] @ closure`` and ``closure / Y``,
+# and between ``start @ closure`` and 1, at which an output-only
+# recursion counts as uniform (``_uniform_output``) and its logs are
+# taken to sum to n ln Y.  A power of two, so that a residual at or just
+# above it can be planted exactly.
+UNIFORM_TOL = 2.0**-40
+
 # Three-phase passes run so far (each over a stack of recursions): a
 # recursion that loses accuracy in its block products or words takes more
 # than one, and a one-state stack takes none.
@@ -235,6 +263,10 @@ class Recursion(NamedTuple):
     ``inputs[t] * y_size + index[t]``; its stack writes those numbers
     straight into its own index (``_stack_table``), so the recursion
     holds no copy of them.
+
+    ``uniform`` marks an output-only recursion whose every step has
+    probability 1/Y within UNIFORM_TOL (``_uniform_output``), whose logs
+    ``estimate_rows`` takes to sum to n ln Y; the engine does not read it.
     """
 
     start: np.ndarray
@@ -244,6 +276,7 @@ class Recursion(NamedTuple):
     cap: int
     inputs: np.ndarray | None = None
     y_size: int = 1
+    uniform: bool = False
 
 
 def _model_steps(model, q: InputLaw, joint: bool) -> Recursion:
@@ -253,7 +286,9 @@ def _model_steps(model, q: InputLaw, joint: bool) -> Recursion:
     pair at ``x * Y + y`` with its law factor folded in.
 
     A classical model runs on its latent-state vector, a quantum one on
-    the real packed form of its state operator.
+    the real packed form of its state operator.  An output-only
+    recursion is checked for a uniform output process
+    (``_uniform_output``).
     """
     classical = isinstance(model, ClassicalFsmc)
     xy_mats = model.kernel.transpose(1, 3, 0, 2) if classical else model.chain_operators
@@ -272,7 +307,25 @@ def _model_steps(model, q: InputLaw, joint: bool) -> Recursion:
         form = real_transfer_form(mats)
         start = pack_hermitian(model.initial_state).reshape(d)
         closure = np.eye(model.state_dim).reshape(d)
-    return Recursion(start, form, None, closure, _rescale_cap(form.mats))
+    rec = Recursion(start, form, None, closure, _rescale_cap(form.mats))
+    return rec if joint else rec._replace(uniform=_uniform_output(rec))
+
+
+def _uniform_output(rec: Recursion) -> bool:
+    """Whether every step of the output-only recursion ``rec`` has
+    probability 1/Y, Y its number of step matrices, within the bound of
+    the module docstring: every matrix is finite, every residue within
+    its guard, ``mats[y] @ closure`` within UNIFORM_TOL of ``closure / Y``
+    entrywise and ``start @ closure`` within it of 1."""
+    form, closure = rec.form, rec.closure
+    if not (
+        np.isfinite(form.mats).all()
+        and (form.imag_residue <= PMF_IMAG_GUARD).all()
+        and (form.herm_residue <= STATE_HERMITICITY_GUARD).all()
+    ):
+        return False
+    gap = np.abs(form.mats @ closure - closure / len(form.mats)).max()
+    return bool(gap <= UNIFORM_TOL and abs(rec.start @ closure - 1.0) <= UNIFORM_TOL)
 
 
 class RecursionBuilder:
@@ -308,8 +361,7 @@ class RecursionBuilder:
         got = self._steps.get(key)
         if got is None:
             got = self._steps[key] = (q, _model_steps(coerced, q, xs is not None))
-        start, form, _, closure, cap, _, _ = got[1]
-        return Recursion(start, form, index, closure, cap, xs, coerced.y_size)
+        return got[1]._replace(index=index, inputs=xs, y_size=coerced.y_size)
 
 
 def recursion(model, q: InputLaw, ys: np.ndarray, xs: np.ndarray | None = None) -> Recursion:
@@ -858,15 +910,19 @@ def estimate_rows(rows: Sequence[RateRow]) -> list:
 
     The output-only and joint recursions of every row run in one
     ``stacked_forward_logs`` call, and each recursion's logs are reduced
-    to their sum at once.  Rows of one model and input law share its
-    step matrices, built once for the call (``RecursionBuilder``).  A
-    row's error is its first: the output-only recursion's, then the joint
-    one's.
+    to their sum at once.  An output-only recursion of a uniform output
+    process (``Recursion.uniform``) runs no step: its sum is n ln Y.
+    Rows of one model and input law share its step matrices, built once
+    for the call (``RecursionBuilder``).  A row's error is its first: the
+    output-only recursion's, then the joint one's.
     """
     build = RecursionBuilder()
     sums: list[list] = []
     for row in rows:
         parts = pair_recursions(row.model, row.q, row.traj, row.joint_sum is None, build)
+        out = parts[0]
+        if isinstance(out, Recursion) and out.uniform:
+            parts[0] = out.index.size * math.log(out.y_size)
         if row.joint_sum is not None:
             parts.append(row.joint_sum)
         sums.append(parts)

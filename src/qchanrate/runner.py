@@ -16,7 +16,12 @@ that the engine's per-iteration cost is shared across points.
 An ``ir`` row on a quantum channel runs only its output-only recursion
 and takes its joint sum from its sampler, so a chunk's budget counts
 one recursion for such a row and two for any other, the type of the
-config's base channel telling which.  A recursion's result does not depend on the stack it
+config's base channel telling which.  On a model whose output process
+is uniform (``rates.Recursion.uniform``), as every shipped model's is
+under its uniform input law, the output-only recursion runs no step,
+so such an ``ir`` row runs no recursion at all; the budget still
+charges it one, since uniformity is known only once a chunk's models
+are compiled, after the chunks are cut.  A recursion's result does not depend on the stack it
 runs in, so the output does not depend on the chunking or on the number
 of workers.  The row evaluator (``evaluate_samples``) takes the sampled
 trajectories, so ``bound --trajectory`` runs its auxiliaries on an
@@ -141,7 +146,9 @@ def _chunks(cfg: ExperimentConfig, tasks: list) -> list[list]:
     """Consecutive runs of tasks whose recursions hold at most
     STACK_BUDGET steps together, and one task at least.  A row runs two
     recursions, except an ``ir`` row on a quantum channel, which runs
-    only its output-only one."""
+    only its output-only one.  A row on a model with a uniform output
+    process runs one fewer, which is not known before its model is
+    compiled, so it is charged in full."""
     ir_recursions = 1 if isinstance(cfg.model, TransferOperatorSet) else 2
     per_task = sum(ir_recursions if aux is None else 2 for _, aux in _estimators(cfg))
     chunks: list[list] = []

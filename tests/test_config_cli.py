@@ -545,22 +545,32 @@ class TestRunner:
     ):
         """``_chunks`` charges each row the recursions it runs: one for a
         quantum ``ir`` row, two for a classical one and for each
-        auxiliary (here of state sizes 2 and 1).  Each chunk's engine
-        calls run exactly the steps of its tasks run alone, within
-        ``STACK_BUDGET``, and the next chunk's first task would not fit.
-        Charging two recursions per row, the quantum sweep would split
-        as [2, 2, 2]."""
-        cfg = load_config(
-            write_config(
-                tmp_path,
-                channel=channel,
-                n=300,
-                sweep={"parameter": "p_b", "values": [0.3, 0.6, 0.9]},
-                estimators=["ir", "aux_lower"],
-                auxiliaries=[dict(GE_PARAMS, kind="gilbert_elliott", label="ge"),
-                             {"kind": "bsc", "label": "bsc", "p": 0.2}],
+        auxiliary (here of state sizes 2 and 1).  Under the input law
+        [0.3, 0.7], where no model here has a uniform output process,
+        each chunk's engine calls run exactly the steps of its tasks run
+        alone, within ``STACK_BUDGET``, and the next chunk's first task
+        would not fit.  Charging two recursions per row, the quantum
+        sweep would split as [2, 2, 2].  Under the uniform law every
+        model here has a uniform output process, so no output-only
+        recursion runs (``rates.Recursion.uniform``): three fewer per
+        task, in the same chunks, since ``_chunks`` cannot know that
+        before the models are compiled."""
+
+        def load(law):
+            return load_config(
+                write_config(
+                    tmp_path,
+                    channel=channel,
+                    input_law=law,
+                    n=300,
+                    sweep={"parameter": "p_b", "values": [0.3, 0.6, 0.9]},
+                    estimators=["ir", "aux_lower"],
+                    auxiliaries=[dict(GE_PARAMS, kind="gilbert_elliott", label="ge"),
+                                 {"kind": "bsc", "label": "bsc", "p": 0.2}],
+                )
             )
-        )
+
+        cfg = load([0.3, 0.7])
         monkeypatch.setattr(runner, "STACK_BUDGET", 4500)
         steps = []
         engine = rates.stacked_forward_logs
@@ -571,7 +581,7 @@ class TestRunner:
 
         monkeypatch.setattr(rates, "stacked_forward_logs", spy)
 
-        def run(tasks):
+        def run(tasks, cfg=cfg):
             steps.append(0)
             rows, errors = runner.evaluate_chunk(cfg, tasks)
             assert len(rows) == 3 * len(tasks) and not errors
@@ -587,6 +597,11 @@ class TestRunner:
             assert ran == sum(alone[t] for t in chunk) <= runner.STACK_BUDGET
             if after:
                 assert ran + alone[after[0]] > runner.STACK_BUDGET
+
+        uniform = load([0.5, 0.5])
+        assert runner._chunks(uniform, tasks) == chunks
+        for chunk in chunks:
+            assert run(chunk, uniform) == (per_task - 3) * 300 * len(chunk)
 
     def test_quantum_ir_row_matches_estimates(self, tmp_path):
         """A quantum ``ir`` row takes its joint sum from the sampler's logs:
@@ -628,8 +643,11 @@ class TestRunner:
             assert abs(row.ir_bits - r.ir) <= 1e-12
 
     def test_quantum_stacks_hold_only_output_recursions(self, tmp_path, monkeypatch):
-        """A two-qubit ``ir`` sweep runs no joint recursion: every
-        recursion in its engine stacks has one step matrix per output."""
+        """A two-qubit ``ir`` sweep runs no joint recursion: under the
+        input law [0.3, 0.7] every recursion in its engine stacks has one
+        step matrix per output.  Under the uniform law its output process
+        is uniform, so it runs no recursion at all, and every row's
+        ``hy`` is 1 bit."""
         stacked = []
         engine = rates.stacked_forward_logs
 
@@ -638,18 +656,30 @@ class TestRunner:
             return engine(recs)
 
         monkeypatch.setattr(rates, "stacked_forward_logs", spy)
-        cfg = load_config(
-            write_config(
-                tmp_path,
-                channel={"kind": "quantum_ge_2qubit", "p_g": 0.05, "p_b": 0.95, "alpha": 1.2},
-                n=300,
-                sweep={"parameter": "p_b", "values": [0.3, 0.9]},
+
+        def sweep(law):
+            cfg = load_config(
+                write_config(
+                    tmp_path,
+                    channel={"kind": "quantum_ge_2qubit", "p_g": 0.05, "p_b": 0.95,
+                             "alpha": 1.2},
+                    input_law=law,
+                    n=300,
+                    sweep={"parameter": "p_b", "values": [0.3, 0.9]},
+                )
             )
-        )
-        out = run_experiment(cfg, tmp_path / "out", write_svg=False)
+            return run_experiment(cfg, tmp_path / "out", write_svg=False)
+
+        out = sweep([0.3, 0.7])
         assert len(out.rows) == 4 and not out.errors
         assert len(stacked) == 4
         assert {(rec.closure.size, len(rec.form.mats)) for rec in stacked} == {(16, 2)}
+
+        stacked.clear()
+        out = sweep([0.5, 0.5])
+        assert len(out.rows) == 4 and not out.errors
+        assert not stacked
+        assert {row.hy_bits for row in out.rows} == {1.0}
 
     def test_zero_weight_pick_on_last_step(self, tmp_path, monkeypatch):
         """Kahan roundoff draws, on the last step, an output that has zero
@@ -1096,22 +1126,10 @@ class TestCli:
         """``bound --trajectory`` runs the sweep's stacked row evaluator,
         yet each auxiliary's row equals ``lower_bound`` on the loaded
         trajectory bit for bit: two Gilbert-Elliott auxiliaries whose four
-        recursions run as one engine stack, and a quantum auxiliary."""
-        cfg_path = write_config(
-            tmp_path,
-            channel={"kind": "quantum_ge", "p_g": 0.05, "p_b": 0.95, "alpha": 1.0},
-            n=300,
-            sweep={"parameter": "p_b", "values": [0.95]},
-            estimators=["aux_lower"],
-            auxiliaries=[
-                dict(GE_PARAMS, kind="gilbert_elliott", label="ge-a"),
-                {"kind": "gilbert_elliott", "label": "ge-b", "p_g": 0.02, "p_b": 0.9,
-                 "transition": [[0.95, 0.05], [0.1, 0.9]]},
-                {"kind": "quantum_ge", "label": "q", "p_g": 0.05, "p_b": 0.8, "alpha": 0.7},
-            ],
-        )
-        traj_path = tmp_path / "traj.txt"
-        assert main(["sample", str(cfg_path), "-o", str(traj_path), "--seed", "4"]) == 0
+        recursions run as one engine stack, and a quantum auxiliary, under
+        the input law [0.3, 0.7].  Under the uniform law every auxiliary
+        here has a uniform output process, so only their joint recursions
+        run."""
         stacked = rates._stack_logs
         stack_sizes = []
 
@@ -1120,26 +1138,43 @@ class TestCli:
             return stacked(recs, m)
 
         monkeypatch.setattr(rates, "_stack_logs", spy)
-        out_dir = tmp_path / "b"
-        assert main(
-            ["bound", str(cfg_path), "--trajectory", str(traj_path), "--out-dir", str(out_dir)]
-        ) == 0
-        assert sorted(stack_sizes) == [2, 4]
-        monkeypatch.undo()
-        _, rows = read_rows(out_dir / "results.csv")
-        got = {row["estimator_id"]: row for row in rows}
-        cfg = load_config(cfg_path)
-        traj = load_trajectory(traj_path)
-        assert len(got) == len(rows) == 3
-        for spec in cfg.auxiliaries:
-            b = lower_bound(traj, spec, cfg.input_law)
-            row = got[f"aux_lower:{spec.label}"]
-            assert (row["sweep_param"], row["sweep_value"], row["seed"], row["n"]) == (
-                "external", "0.0", "4", "300"
+        for law, sizes in (([0.3, 0.7], [2, 4]), ([0.5, 0.5], [1, 2])):
+            cfg_path = write_config(
+                tmp_path,
+                channel={"kind": "quantum_ge", "p_g": 0.05, "p_b": 0.95, "alpha": 1.0},
+                input_law=law,
+                n=300,
+                sweep={"parameter": "p_b", "values": [0.95]},
+                estimators=["aux_lower"],
+                auxiliaries=[
+                    dict(GE_PARAMS, kind="gilbert_elliott", label="ge-a"),
+                    {"kind": "gilbert_elliott", "label": "ge-b", "p_g": 0.02, "p_b": 0.9,
+                     "transition": [[0.95, 0.05], [0.1, 0.9]]},
+                    {"kind": "quantum_ge", "label": "q", "p_g": 0.05, "p_b": 0.8, "alpha": 0.7},
+                ],
             )
-            assert [float(row[k]) for k in ("ir_bits", "hx_bits", "hy_bits", "hxy_bits")] == [
-                b.ir_lower, b.hx, b.aux_hy, b.aux_hxy
-            ]
+            traj_path = tmp_path / "traj.txt"
+            assert main(["sample", str(cfg_path), "-o", str(traj_path), "--seed", "4"]) == 0
+            stack_sizes.clear()
+            out_dir = tmp_path / "b"
+            assert main(
+                ["bound", str(cfg_path), "--trajectory", str(traj_path), "--out-dir", str(out_dir)]
+            ) == 0
+            assert sorted(stack_sizes) == sizes
+            _, rows = read_rows(out_dir / "results.csv")
+            got = {row["estimator_id"]: row for row in rows}
+            cfg = load_config(cfg_path)
+            traj = load_trajectory(traj_path)
+            assert len(got) == len(rows) == 3
+            for spec in cfg.auxiliaries:
+                b = lower_bound(traj, spec, cfg.input_law)
+                row = got[f"aux_lower:{spec.label}"]
+                assert (row["sweep_param"], row["sweep_value"], row["seed"], row["n"]) == (
+                    "external", "0.0", "4", "300"
+                )
+                assert [float(row[k]) for k in ("ir_bits", "hx_bits", "hy_bits", "hxy_bits")] == [
+                    b.ir_lower, b.hx, b.aux_hy, b.aux_hxy
+                ]
 
     def test_timings_flag_is_a_usage_error(self, tmp_path, capsys):
         """Result files hold no measured times, so neither ``estimate`` nor
@@ -1195,6 +1230,8 @@ class TestCli:
         assert not (out_dir / "results.csv").exists()
 
     def test_bound_rejects_corrupt_trajectory(self, tmp_path, capsys):
+        """A malformed trajectory file is bad input found before any
+        computation, as a bad config is: exit 2, naming its line."""
         cfg_path = write_config(
             tmp_path,
             estimators=["aux_lower"],
@@ -1202,10 +1239,10 @@ class TestCli:
         )
         bad = tmp_path / "bad.txt"
         bad.write_text("n=5 seed=1 gen=x\n0 1\n")
-        assert main(["bound", str(cfg_path), "--trajectory", str(bad)]) == 3
+        assert main(["bound", str(cfg_path), "--trajectory", str(bad)]) == 2
         assert "error[TrajectoryFormatError]" in capsys.readouterr().err
         bad.write_text("n=1 seed=-4 gen=x\n0 1\n")
-        assert main(["bound", str(cfg_path), "--trajectory", str(bad)]) == 3
+        assert main(["bound", str(cfg_path), "--trajectory", str(bad)]) == 2
         assert "error[TrajectoryFormatError]: line 1: seed" in capsys.readouterr().err
         for text, prefix in [
             ("n=0 seed=1 gen=x\n", "line 1: n must be positive"),
@@ -1215,7 +1252,7 @@ class TestCli:
              "line 2: symbol beyond 2^63 - 1"),
         ]:
             bad.write_text(text)
-            assert main(["bound", str(cfg_path), "--trajectory", str(bad)]) == 3
+            assert main(["bound", str(cfg_path), "--trajectory", str(bad)]) == 2
             assert f"error[TrajectoryFormatError]: {prefix}" in capsys.readouterr().err
 
     def test_bound_rejects_out_of_alphabet_trajectory(self, tmp_path, capsys):
@@ -1264,7 +1301,7 @@ class TestCli:
             ),
             "non-ascii-trajectory": (
                 ["bound", str(cfg_path), "--trajectory", str(traj)],
-                3, "error[TrajectoryFormatError]: line 3: non-ASCII byte",
+                2, "error[TrajectoryFormatError]: line 3: non-ASCII byte",
             ),
             "config-is-directory": (
                 ["validate", str(tmp_path)],

@@ -1,8 +1,11 @@
+import dataclasses
 import inspect
 import math
+import re
 import tracemalloc
 import typing
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +13,11 @@ from numpy.testing import assert_allclose
 
 import qchanrate as qc
 from qchanrate import channels, rates
-from qchanrate.errors import ImpossibleObservationError, NumericalCorruptionError
+from qchanrate.cli import main
+from qchanrate.errors import ImpossibleObservationError, NumericalCorruptionError, SequenceError
 
 import models
-from conftest import binary_entropy
+from conftest import P_BAD, P_GOOD, binary_entropy
 from reference import (
     dmc_information_rate,
     forward_steps,
@@ -182,15 +186,18 @@ GUARD_N = 1000
 GUARD_STEPS = [1, 5, 960, 991, 999, 968]
 
 
+def from_chain(chain: np.ndarray, initial_state: np.ndarray) -> channels.TransferOperatorSet:
+    """The transfer-operator set of step matrices in chain layout."""
+    x_size, y_size, d = chain.shape[:3]
+    s = math.isqrt(d)
+    ops = chain.reshape(x_size, y_size, s, s, s, s).transpose(0, 1, 2, 4, 3, 5)
+    return channels.TransferOperatorSet(ops.reshape(x_size, y_size, d, d), initial_state)
+
+
 def with_extra_output(t: channels.TransferOperatorSet, chain_extra: np.ndarray):
     """``t`` with one more output symbol, given in chain layout per input."""
-    s = t.state_dim
     chain = np.concatenate([t.chain_operators, chain_extra[:, None]], axis=1)
-    x_size, y_size = chain.shape[:2]
-    ops = chain.reshape(x_size, y_size, s, s, s, s).transpose(0, 1, 2, 4, 3, 5)
-    return channels.TransferOperatorSet(
-        ops.reshape(x_size, y_size, s * s, s * s), t.initial_state
-    )
+    return from_chain(chain, t.initial_state)
 
 
 def assert_trips_like_reference(forward, model, q, ys, xs, error):
@@ -822,3 +829,172 @@ class TestEntropyRateEstimates:
         for n in lengths:
             spreads[n] = np.std(estimates[n], ddof=1)
         assert spreads[100000] <= spreads[1000] / 2.0
+
+
+def tilted_channel(tilt: float) -> qc.ClassicalFsmc:
+    """A two-state channel whose output process under the uniform law is
+    uniform but for ``tilt`` added to p(y = 0) in state 0.  Every number
+    is a short binary fraction, so the output-only recursion's residual,
+    the largest entry of |mats[y] @ closure - closure / Y|, is ``tilt``
+    exactly."""
+    trans = np.array([[0.5, 0.5], [0.25, 0.75]])
+    p0 = np.array([[0.75, 0.25], [0.875, 0.125]])  # p(y = 0 | s, x)
+    p0[0] += tilt
+    pmf = np.stack([p0, 1.0 - p0], axis=-1)  # [s, x, y]
+    return qc.ClassicalFsmc(trans[:, None, :, None] * pmf[:, :, None, :], np.array([0.5, 0.5]))
+
+
+def output_residual(rec: rates.Recursion) -> float:
+    return float(np.abs(rec.form.mats @ rec.closure - rec.closure / len(rec.form.mats)).max())
+
+
+def reference_ge() -> channels.TransferOperatorSet:
+    return qc.compile_transfer_operators(qc.build_quantum_gilbert_elliott(P_GOOD, P_BAD, alpha=1.0))
+
+
+def off_uniform_models() -> dict:
+    """Models whose output-only recursion fails the uniform-output check
+    under the uniform law, by the condition they fail."""
+    ge = reference_ge()
+    return {
+        "tilt-above-tolerance": tilted_channel(rates.UNIFORM_TOL + 2.0**-52),
+        "unnormalized-start": channels.TransferOperatorSet(ge.operators, 2.5 * ge.initial_state),
+        "random-model": qc.compile_transfer_operators(
+            models.random_quantum_memory_channel(np.random.default_rng(41), state_dim=3)
+        ),
+    }
+
+
+def planted_guard(kind: str) -> channels.TransferOperatorSet:
+    """The reference quantum channel with output 0's maps corrupted so
+    that a guard trips wherever it is observed.  The imaginary and
+    Hermiticity plants leave every image's real trace alone, so its
+    output process stays uniform; the non-finite ones do not."""
+    ge = reference_ge()
+    if kind in ("nan", "inf"):
+        ops = ge.operators.copy()
+        ops[1, 0, 0, 0] = float(kind)
+        return channels.TransferOperatorSet(ops, ge.initial_state)
+    chain = ge.chain_operators.copy()
+    if kind == "imaginary":
+        chain[:, 0, [0, 3], 0] += 1e-6j  # an imaginary part on the (0, 0) entry, the trace's 1e-6
+    else:
+        skew = np.eye(4)
+        skew[[0, 3], 1] += 0.1  # a tenth of the trace, 1/2, on the (0, 1) entry, not its mirror
+        chain[:, 0] = chain[:, 0] @ skew
+    return from_chain(chain, ge.initial_state)
+
+
+class TestUniformOutput:
+    """An output-only recursion whose every step has probability 1/Y,
+    within ``rates.UNIFORM_TOL``, runs no step in ``estimate_rows``: its
+    sum is n ln Y.  Every other recursion runs the engine as before."""
+
+    N = 2000
+
+    @staticmethod
+    def spied(model, q, traj):
+        """``entropy_rate_estimates`` and the recursions the engine ran."""
+        ran = []
+        stack_logs = rates._stack_logs
+
+        def spy(recs, m):
+            ran.extend(recs)
+            return stack_logs(recs, m)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rates, "_stack_logs", spy)
+            est = qc.entropy_rate_estimates(model, q, traj)
+        return est, ran
+
+    def test_residual_at_tolerance_gives_ln_y(self, uniform):
+        """Only the joint recursion runs, ``hy`` is ln 2 / ln 2 = 1 bit
+        exactly, and the engine's own ``hy`` lies within the bound of the
+        ``rates`` docstring, Y * UNIFORM_TOL / ln 2 here (a probability
+        vector has unit 1-norm), of it."""
+        model = tilted_channel(rates.UNIFORM_TOL)
+        traj = qc.sample_trajectory(model, uniform, self.N, seed=60)
+        rec = rates.recursion(model, uniform, traj.y)
+        assert output_residual(rec) == rates.UNIFORM_TOL and rec.uniform
+        est, ran = self.spied(model, uniform, traj)
+        assert len(ran) == 1 and ran[0].inputs is not None
+        assert est.hy == math.log(2) / math.log(2) == 1.0
+        engine_hy = rates.scaled_forward_classical(model, uniform, traj.y).sum() / (self.N * rates.LN2)
+        assert 0.0 < abs(engine_hy - 1.0) <= 2 * rates.UNIFORM_TOL / rates.LN2
+
+    @pytest.mark.parametrize("name", list(off_uniform_models()))
+    def test_failing_check_runs_the_engine(self, uniform, name):
+        """A residual just above the tolerance, a start of trace 2.5 and
+        a random model (residual about 0.15) each run their output-only
+        recursion, and the row is the engine's, bit for bit."""
+        model = off_uniform_models()[name]
+        traj = qc.sample_trajectory(reference_ge(), uniform, self.N, seed=61)
+        rec = rates.recursion(model, uniform, traj.y)
+        assert not rec.uniform
+        if name == "tilt-above-tolerance":
+            assert output_residual(rec) == rates.UNIFORM_TOL + 2.0**-52
+        if name == "random-model":
+            assert 0.1 < output_residual(rec) < 0.2
+        est, ran = self.spied(model, uniform, traj)
+        assert sorted(r.inputs is None for r in ran) == [False, True]
+        scale = self.N * rates.LN2
+        assert est.hy == rates.scaled_forward_quantum(model, uniform, traj.y).sum() / scale
+        assert est.hxy == rates.scaled_forward_quantum(model, uniform, traj.y, traj.x).sum() / scale
+
+    @pytest.mark.parametrize("kind", ["imaginary", "hermiticity", "nan", "inf"])
+    def test_planted_guard_still_trips(self, uniform, kind):
+        """The engine's error on the output-only recursion, the one the
+        row reported before the check, stays the row's: same type,
+        message and step.  A residue trips on the first step that
+        observes output 0."""
+        t = planted_guard(kind)
+        traj = qc.sample_trajectory(reference_ge(), uniform, GUARD_N, seed=62)
+        rec = rates.recursion(t, uniform, traj.y)
+        assert not rec.uniform
+        if kind in ("imaginary", "hermiticity"):
+            assert output_residual(rec) <= rates.UNIFORM_TOL
+        with pytest.raises(NumericalCorruptionError) as engine:
+            rates.scaled_forward_quantum(t, uniform, traj.y)
+        message = str(engine.value)
+        first = int(np.flatnonzero(traj.y == 0)[0])
+        assert {
+            "imaginary": f"imaginary residue 1.000e-06 at step {first}",
+            "hermiticity": f"Hermiticity residue 5.000e-02 at step {first}",
+            "nan": "normalizer is nan", "inf": "normalizer is nan",
+        }[kind] in message
+        with pytest.raises(NumericalCorruptionError, match=f"^{re.escape(message)}$"):
+            qc.entropy_rate_estimates(t, uniform, traj)
+
+    def test_out_of_range_output_still_raises(self, uniform):
+        model = reference_ge()
+        traj = qc.sample_trajectory(model, uniform, self.N, seed=63)
+        assert rates.recursion(model, uniform, traj.y).uniform
+        ys = traj.y.copy()
+        ys[7] = 2
+        with pytest.raises(SequenceError, match=r"^output sequence contains symbols outside"):
+            qc.entropy_rate_estimates(model, uniform, dataclasses.replace(traj, y=ys))
+
+    @pytest.mark.parametrize("law, skips", [([0.5, 0.5], True), ([0.3, 0.7], False)])
+    def test_classical_quantum_bridge(self, classical_ge, law, skips):
+        """The classical Gilbert-Elliott channel and its quantum
+        embedding take the same route, and agree within 1e-9 bits."""
+        q = qc.InputLaw(np.array(law))
+        embedded = models.embed_classical_as_quantum(classical_ge)
+        traj = qc.sample_trajectory(classical_ge, q, self.N, seed=64)
+        assert [rates.recursion(m, q, traj.y).uniform for m in (classical_ge, embedded)] == [skips] * 2
+        c, e = (dataclasses.astuple(qc.entropy_rate_estimates(m, q, traj))
+                for m in (classical_ge, embedded))
+        assert np.abs(np.subtract(c, e)).max() <= 1e-9
+
+    def test_oracle_still_runs_the_output_only_recursion(self, monkeypatch, capsys):
+        """``qchanrate oracle`` checks the engine, uniform output or not:
+        on a shipped config at n = 2 it runs the output-only recursion of
+        each of the four output sequences."""
+        ran = []
+        engine = rates.stacked_forward_logs
+        monkeypatch.setattr(rates, "stacked_forward_logs", lambda recs: ran.extend(recs) or engine(recs))
+        config = Path(__file__).resolve().parents[1] / "configs" / "burst_noise_sweep.json"
+        assert main(["oracle", str(config), "--oracle-n", "2"]) == 0
+        assert "oracle cross-check passed" in capsys.readouterr().out
+        outputs = [rec for rec in ran if rec.inputs is None]
+        assert len(outputs) == 4 and all(rec.uniform for rec in outputs)
