@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import channels, rates
-from .config import load_config, parse_length, parse_seeds
+from .config import errors_file, load_config, parse_length, parse_seeds
 from .errors import ConfigError, QchanrateError, TrajectoryFormatError
 from .oracle import MAX_ORACLE_N, brute_force_oracle
 from .runner import check_writable, evaluate_samples, run_experiment, write_results
@@ -141,7 +141,7 @@ def cmd_bound(args) -> int:
                 "--trajectory", f"cannot read {args.trajectory}: {exc.strerror}"
             ) from None
         csv_path = _out_dir(args) / cfg.csv_name
-        errors_path = csv_path.with_suffix(".errors.csv")
+        errors_path = errors_file(csv_path)
         check_writable(csv_path, errors_path)
         # estimators are auxiliaries only, so no channel model is needed
         rows, errors = evaluate_samples(cfg, [(0.0, None, traj)])

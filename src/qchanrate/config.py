@@ -323,6 +323,12 @@ _ROOT_KEYS = {
 }
 
 
+def errors_file(csv_path: PurePath) -> PurePath:
+    """The path of the errors file of the CSV at ``csv_path``,
+    ``<csv stem>.errors.csv`` beside it."""
+    return csv_path.with_suffix(".errors.csv")
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse and fully validate an experiment file.
 
@@ -430,8 +436,7 @@ def load_config(path) -> ExperimentConfig:
         if (not isinstance(value, str) or value in ("", ".", "..") or not value.isprintable()
                 or set(value) & set("/\\")):
             _fail(f"output.{key}", f"expected a plain file name, got {value!r}")
-    errors_name = PurePath(csv_name).with_suffix(".errors.csv").name
-    if svg_name in (csv_name, errors_name):
+    if svg_name in (csv_name, errors_file(PurePath(csv_name)).name):
         _fail("output.svg", f"{svg_name!r} would overwrite the CSV or its errors file")
 
     # Building the base channel and the auxiliaries exercises every model

@@ -73,9 +73,7 @@ and a recursion's logs do not depend on its stack.
 
 The three phases run over slices of ``PRODUCT_BUDGET // (R * D * (D + m))``
 blocks, at least one, as a block of R recursions of state size D in
-words of m steps holds R * D * (D + m) matrix entries.  The benchmark's
-two-qubit stack (R = 11, D = 16, m = 4, 35 blocks) runs in 9 slices of 4
-blocks; every other benchmark pass runs in one slice.
+words of m steps holds R * D * (D + m) matrix entries.
 
 A pass only computes: it yields each recursion's per-step normalizers
 and checks no guard.  A block may lose accuracy: its phase-3 end state
@@ -135,19 +133,19 @@ checks it on every model.
 
 Logs are natural internally and converted to bits at
 the boundary.  One row evaluator, ``estimate_rows``, turns rows of a
-model, an input law and a trajectory into rate estimates, running the
-recursions of all its rows as engine stacks; the sweep, the single-row
-``entropy_rate_estimates`` and the mismatched-decoding bound all call
-it, an auxiliary model simply taking the true model's place.  Within a
-call, each distinct (model, input law, joint) has its step matrices,
-real form and rescale cap built once (``RecursionBuilder``), and an
-engine stack's table holds each model's matrices once.  A row may
-take its joint rate from the sampler instead (``sampled_joint_logs``),
-as a sweep's quantum ``ir`` rows do: the state the sampler carries is
-the joint recursion's, so its per-step log losses plus the input's are
-the joint recursion's logs.  The engine stays the reference for them,
-and the only route for auxiliary models, classical models and
-trajectories from elsewhere.
+model, an input law and a trajectory into rate estimates, building the
+recursions of all its rows and running them as engine stacks; the
+sweep, the single-row ``entropy_rate_estimates`` and the
+mismatched-decoding bound all call it, an auxiliary model simply taking
+the true model's place.  Within a call, each distinct (model, input law,
+joint) has its step matrices, real form and rescale cap built once
+(``RecursionBuilder``), and an engine stack's table holds each model's
+matrices once.  A row may take its joint rate from the sampler instead
+(``log_loss_sums``), as a sweep's quantum ``ir`` rows do: the state the
+sampler carries is the joint recursion's, so its per-step log losses
+plus the input's are the joint recursion's logs.  The engine stays the
+reference for them, and the only route for auxiliary models, classical
+models and trajectories from elsewhere.
 """
 
 from __future__ import annotations
@@ -331,37 +329,29 @@ def _uniform_output(rec: Recursion) -> bool:
 class RecursionBuilder:
     """Builds forward recursions of channel models on observed sequences
     (``recursion``), each distinct (model, input law, joint) built once:
-    its step matrices, real form, closure, start and rescale cap are
-    shared by every recursion built from it, so that an engine stack
-    holds them once (``_stack_table``).  Models and laws are told apart
-    by identity and kept until the builder goes, which is meant to be at
-    the end of the call that made it."""
+    its coerced model (``as_recursion_model``), step matrices, real form,
+    closure, start and rescale cap are shared by every recursion built
+    from it, so that an engine stack holds them once (``_stack_table``).
+    Models and laws are told apart by identity and kept until the builder
+    goes, which is meant to be at the end of the call that made it."""
 
     def __init__(self):
-        self._models: dict[int, tuple] = {}
         self._steps: dict[tuple, tuple] = {}
-
-    def model(self, model):
-        """``as_recursion_model`` of ``model``, compiled once."""
-        got = self._models.get(id(model))
-        if got is None:
-            got = self._models[id(model)] = (model, as_recursion_model(model))
-        return got[1]
 
     def __call__(
         self, model, q: InputLaw, ys: np.ndarray, xs: np.ndarray | None = None
     ) -> Recursion:
-        coerced = self.model(model)
+        key = (id(model), id(q), xs is not None)
+        got = self._steps.get(key)
+        coerced = as_recursion_model(model) if got is None else got[2]
         index = _check_symbols(ys, coerced.y_size, "output sequence")
         if xs is not None:
             xs = _check_symbols(xs, coerced.x_size, "input sequence")
             if xs.size != index.size:
                 raise SequenceError("input and output sequences differ in length")
-        key = (id(model), id(q), xs is not None)
-        got = self._steps.get(key)
         if got is None:
-            got = self._steps[key] = (q, _model_steps(coerced, q, xs is not None))
-        return got[1]._replace(index=index, inputs=xs, y_size=coerced.y_size)
+            got = self._steps[key] = (model, q, coerced, _model_steps(coerced, q, xs is not None))
+        return got[3]._replace(index=index, inputs=xs, y_size=coerced.y_size)
 
 
 def recursion(model, q: InputLaw, ys: np.ndarray, xs: np.ndarray | None = None) -> Recursion:
@@ -565,8 +555,7 @@ def _blocked_pass(
     flagged = np.zeros((blocks, recs), dtype=bool)
     # The phases run over slices of up to ``span`` blocks of every
     # recursion, at most PRODUCT_BUDGET entries, recs * d * (d + m) a
-    # block: 9 slices of 4 blocks on the benchmark's two-qubit stack (11
-    # recursions, d = 16, m = 4, 35 blocks), one on its other passes.
+    # block.
     span = max(1, PRODUCT_BUDGET // (recs * d * (d + m)))
     for first in range(0, blocks, span):
         part = cols[:, first:first + span]
@@ -834,56 +823,24 @@ def input_log_loss(q: InputLaw, xs: np.ndarray) -> np.ndarray:
     return -np.log(probs)
 
 
-def pair_recursions(
-    model, q: InputLaw, traj: Trajectory, joint: bool = True, build: RecursionBuilder | None = None
-) -> list:
-    """The output-only then (with ``joint``) the joint recursion of
-    ``model`` on ``traj``, from ``build`` (a builder of their own by
-    default).
-
-    Building stops at the first recursion that cannot be built (a symbol
-    outside the model's alphabet, say), whose error takes its place.
-    """
-    build = RecursionBuilder() if build is None else build
-    build.model(model)  # a model that does not compile raises, as no recursion's error
-    out: list = []
-    for xs in (None, traj.x) if joint else (None,):
-        try:
-            out.append(build(model, q, traj.y, xs))
-        except QchanrateError as exc:
-            out.append(exc)
-            break
-    return out
-
-
-def sampled_joint_logs(log_px: np.ndarray, traj: Trajectory) -> np.ndarray:
-    """Per-step logs of the joint recursion of the quantum model that
-    sampled ``traj``, from its sampler: -ln q(x_t) (``log_px``, from
-    ``input_log_loss``) plus -ln p(y_t | x^t, y^{t-1}).
-
-    A log that is not finite (a zero weight drawn on the last step)
-    raises the joint recursion's ``ImpossibleObservationError`` at its
-    step.
-    """
-    logs = traj.conditional_log_loss
-    bad = ~np.isfinite(logs)
-    if bad.any():
-        raise _impossible(int(np.argmax(bad)))
-    return log_px + logs
-
-
 def log_loss_sums(q: InputLaw, traj: Trajectory) -> tuple[float, float | QchanrateError | None]:
     """The sums that the rows on ``traj`` take from its per-step arrays:
     its input log losses' (``input_log_loss``, whose error it raises),
-    and for a trajectory with sampler logs, the joint recursion's
-    (``sampled_joint_logs``) or the error that stops it, else None."""
+    and for a trajectory with sampler logs, the joint recursion's or the
+    error that stops it, else None.
+
+    The state the sampler carries is the joint recursion's, so the joint
+    recursion's log at step t is -ln q(x_t) plus the sampler's
+    -ln p(y_t | x^t, y^{t-1}).  A sampler log that is not finite (a zero
+    weight drawn on the last step) is the joint recursion's
+    ``ImpossibleObservationError`` at its step.
+    """
     log_px = input_log_loss(q, traj.x)
+    logs = traj.conditional_log_loss
     joint = None
-    if traj.conditional_log_loss is not None:
-        try:
-            joint = float(sampled_joint_logs(log_px, traj).sum())
-        except QchanrateError as exc:
-            joint = exc
+    if logs is not None:
+        bad = ~np.isfinite(logs)
+        joint = _impossible(int(np.argmax(bad))) if bad.any() else float((log_px + logs).sum())
     return float(log_px.sum()), joint
 
 
@@ -908,21 +865,29 @@ class RateRow(NamedTuple):
 def estimate_rows(rows: Sequence[RateRow]) -> list:
     """The ``RateEstimate`` of each row, or the error that stopped it.
 
-    The output-only and joint recursions of every row run in one
+    Each row's output-only recursion is built, then its joint one unless
+    the row has a ``joint_sum``; building stops at the first recursion
+    that cannot be built (a model that does not compile, or a symbol
+    outside its alphabet), whose error takes its place.  Rows of one
+    model and input law share its step matrices, built once for the call
+    (``RecursionBuilder``).  The recursions of every row run in one
     ``stacked_forward_logs`` call, and each recursion's logs are reduced
     to their sum at once.  An output-only recursion of a uniform output
-    process (``Recursion.uniform``) runs no step: its sum is n ln Y.
-    Rows of one model and input law share its step matrices, built once
-    for the call (``RecursionBuilder``).  A row's error is its first: the
-    output-only recursion's, then the joint one's.
+    process (``Recursion.uniform``) runs no step: its sum is n ln Y.  A
+    row's error is its first: the output-only recursion's, then the joint
+    one's.
     """
     build = RecursionBuilder()
     sums: list[list] = []
     for row in rows:
-        parts = pair_recursions(row.model, row.q, row.traj, row.joint_sum is None, build)
-        out = parts[0]
-        if isinstance(out, Recursion) and out.uniform:
-            parts[0] = out.index.size * math.log(out.y_size)
+        parts: list = []
+        for xs in (None,) if row.joint_sum is not None else (None, row.traj.x):
+            try:
+                rec = build(row.model, row.q, row.traj.y, xs)
+            except QchanrateError as exc:
+                parts.append(exc)
+                break
+            parts.append(rec.index.size * math.log(rec.y_size) if rec.uniform else rec)
         if row.joint_sum is not None:
             parts.append(row.joint_sum)
         sums.append(parts)
@@ -952,7 +917,7 @@ def entropy_rate_estimates(model, q: InputLaw, traj: Trajectory) -> RateEstimate
     averaged over all its steps.
 
     Both entropy rates of the model come from its recursions
-    (``pair_recursions``), the sampler's logs unused.
+    (``estimate_rows``), the sampler's logs unused.
     """
     (r,) = estimate_rows([RateRow(model, q, traj, float(input_log_loss(q, traj.x).sum()))])
     if isinstance(r, QchanrateError):

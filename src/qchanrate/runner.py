@@ -4,15 +4,14 @@ Each (sweep value, seed) task samples one trajectory from its channel,
 and every configured estimator runs on that trajectory, so estimators at
 the same point share common random numbers; the auxiliary models are the
 ones ``load_config`` built.  The tasks run in chunks of at most
-``STACK_BUDGET`` (2**16) recursion steps, which a chunk of the
-benchmark's sweeps holds at 18-67 bytes per step at its traced peak.  A
-chunk builds the channel of each of its sweep values on its own, then
-compiles all its quantum channels together (a sweep over n runs the
-config's ``model``).  It samples its points one by one, reducing each
-one's per-step log losses to their sums at once, then evaluates all its
-rows in one ``rates.estimate_rows`` call, which builds each model's
-step matrices once and runs the rows' recursions as engine stacks, so
-that the engine's per-iteration cost is shared across points.
+``STACK_BUDGET`` (2**16) recursion steps.  A chunk builds the channel
+of each of its sweep values on its own, then compiles all its quantum
+channels together (a sweep over n runs the config's ``model``).  It
+samples its points one by one, reducing each one's per-step log losses
+to their sums at once, then evaluates all its rows in one
+``rates.estimate_rows`` call, which builds the rows' recursions, each
+model's step matrices once, and runs them as engine stacks, so that
+the engine's per-iteration cost is shared across points.
 An ``ir`` row on a quantum channel runs only its output-only recursion
 and takes its joint sum from its sampler, so a chunk's budget counts
 one recursion for such a row and two for any other, the type of the
@@ -21,11 +20,12 @@ is uniform (``rates.Recursion.uniform``), as every shipped model's is
 under its uniform input law, the output-only recursion runs no step,
 so such an ``ir`` row runs no recursion at all; the budget still
 charges it one, since uniformity is known only once a chunk's models
-are compiled, after the chunks are cut.  A recursion's result does not depend on the stack it
-runs in, so the output does not depend on the chunking or on the number
-of workers.  The row evaluator (``evaluate_samples``) takes the sampled
-trajectories, so ``bound --trajectory`` runs its auxiliaries on an
-imported one through the same call.
+are compiled, after the chunks are cut.  A recursion's result does not
+depend on the stack it runs in, so the output does not depend on the
+chunking or on the number of workers.  The row evaluator
+(``evaluate_samples``) takes the sampled trajectories, so
+``bound --trajectory`` runs its auxiliaries on an imported one through
+the same call.
 Rows are gathered and sorted deterministically before writing; per-row
 estimation failures are recorded in a companion errors file and the run
 continues.
@@ -57,7 +57,7 @@ from .bounds import AuxiliaryModel, auxiliary_error
 # by this module attribute.
 from .bounds import lower_bound  # noqa: F401
 from .channels import TransferOperatorSet
-from .config import ExperimentConfig, instantiate_channels
+from .config import ExperimentConfig, errors_file, instantiate_channels
 
 # Not called here, but the traced benchmark (perfbench/tracer.py) wraps it
 # by this module attribute.
@@ -88,10 +88,9 @@ CSV_COLUMNS = (
 # sweep tasks evaluates together.  A chunk's recursions of equal closure,
 # state size and length run as one engine stack, so a larger chunk spreads
 # the engine's per-iteration cost over more recursions but holds more
-# trajectories, step indices and normalizers in memory at once.  At its
-# traced peak a chunk of the benchmark's sweeps holds 18 (burst noise with
-# auxiliaries, n = 2000) to 67 (two-qubit, n = 5000) bytes per step of
-# this budget.
+# trajectories, step indices and normalizers in memory at once (a test
+# bounds a two-qubit chunk with an auxiliary, at its traced peak, below 38
+# bytes per step of this budget).
 STACK_BUDGET = 2**16
 
 ERROR_COLUMNS = ("sweep_param", "sweep_value", "estimator_id", "seed", "category", "message")
@@ -211,8 +210,8 @@ def evaluate_samples(cfg: ExperimentConfig, samples) -> tuple[list[ResultRow], l
     samples are taken one at a time, and each one's per-step log losses
     are reduced to the sums its rows use (``rates.log_loss_sums``) before
     the next, so that no row holds them.  Every row runs in one
-    ``rates.estimate_rows`` call; a quantum ``ir`` row takes its joint
-    sum from its sampler's logs.
+    ``rates.estimate_rows`` call, which builds all their recursions; a
+    quantum ``ir`` row takes its joint sum from its sampler's logs.
     """
     errors: list[RowError] = []
     q = cfg.input_law
@@ -304,7 +303,9 @@ def check_writable(*paths, option: str | None = None) -> None:
 
 def write_results(csv_path, errors_path, sweep_param: str, rows: list, errors: list) -> None:
     """Sort ``rows`` and ``errors`` in place by (sweep value, estimator,
-    seed), write the rows' CSV, and the errors' CSV if there are any."""
+    seed), write the rows' CSV, and the errors' CSV if there are any, or
+    else remove an errors file that an earlier run left at its path (a
+    file that cannot be removed is a ``ConfigError`` naming it)."""
     rows.sort(key=lambda r: (r.sweep_value, r.estimator_id, r.seed))
     errors.sort(key=lambda e: (e.sweep_value, e.estimator_id, e.seed))
     _write_output(csv_path, write_rows_csv, sweep_param, rows)
@@ -314,6 +315,11 @@ def write_results(csv_path, errors_path, sweep_param: str, rows: list, errors: l
              e.message.replace("\n", " ").replace(",", ";"))
             for e in errors
         ))
+    else:
+        try:
+            Path(errors_path).unlink(missing_ok=True)
+        except OSError as exc:
+            raise ConfigError(str(errors_path), f"cannot remove file: {exc.strerror}") from None
 
 
 def _svg_series(rows) -> list[Series]:
@@ -393,7 +399,7 @@ def run_experiment(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / cfg.csv_name
-    errors_path = csv_path.with_suffix(".errors.csv")
+    errors_path = errors_file(csv_path)
     svg_path = out_dir / cfg.svg_name
     check_writable(csv_path, errors_path, *([svg_path] if write_svg else []))
     tasks = [(value, seed) for value in cfg.sweep.active_values() for seed in cfg.seeds]

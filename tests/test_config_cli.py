@@ -1,6 +1,8 @@
 import concurrent.futures
+import errno
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -1057,6 +1059,53 @@ class TestCli:
         assert [(e["sweep_value"], e["category"], e["message"]) for e in errors] == [
             ("1e+308", "ConfigError", "channel: unitary contains non-finite entries")
         ]
+
+    def test_clean_rerun_removes_stale_errors_file(self, tmp_path, capsys):
+        """A run that records no error leaves no errors file behind: the
+        one an earlier run wrote at its path, naming a sweep value the
+        new run never had, is removed."""
+        channel = dict(QUANTUM_GE, hamiltonian=[[[0.0, 0.0], [2.0, 0.0]], [[2.0, 0.0], [0.0, 0.0]]])
+        out_dir = tmp_path / "o"
+        errors_path = out_dir / "r.errors.csv"
+        for values, failed in (([0.5, 1e308], True), ([0.5, 1.0], False)):
+            path = write_config(
+                tmp_path, channel=channel, seeds=[0], n=300, input_law=[0.3, 0.7],
+                sweep={"parameter": "alpha", "values": values}, output={"csv": "r.csv"},
+            )
+            assert main(["estimate", str(path), "--no-svg", "--out-dir", str(out_dir)]) == 0
+            assert ("warning:" in capsys.readouterr().out) == failed
+            assert errors_path.exists() == failed
+        _, rows = read_rows(out_dir / "r.csv")
+        assert [row["sweep_value"] for row in rows] == ["0.5", "1.0"]
+
+    def test_clean_bound_trajectory_removes_stale_errors_file(self, tmp_path, capsys):
+        cfg_path = write_config(
+            tmp_path, estimators=["aux_lower"], auxiliaries=[{"kind": "bsc", "label": "a", "p": 0.2}],
+        )
+        errors_path = tmp_path / "results.errors.csv"
+        bad, good = tmp_path / "bad.txt", tmp_path / "good.txt"
+        bad.write_text("n=2 seed=1 gen=x\n0 1\n0 5\n")
+        good.write_text("n=2 seed=1 gen=x\n0 1\n0 1\n")
+        argv = ["bound", str(cfg_path), "--out-dir", str(tmp_path), "--trajectory"]
+        assert main([*argv, str(bad)]) == 3
+        assert "warning:" in capsys.readouterr().out and errors_path.exists()
+        assert main([*argv, str(good)]) == 0
+        assert "warning:" not in capsys.readouterr().out
+        assert not errors_path.exists()
+        _, rows = read_rows(tmp_path / "results.csv")
+        assert [row["estimator_id"] for row in rows] == ["aux_lower:a"]
+
+    def test_errors_file_that_cannot_be_removed_is_a_config_error(self, tmp_path, monkeypatch):
+        errors_path = tmp_path / "r.errors.csv"
+        errors_path.write_text("stale\n")
+
+        def refuse(path, missing_ok=False):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+
+        monkeypatch.setattr(Path, "unlink", refuse)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(errors_path))}: cannot remove file: "):
+            runner.write_results(tmp_path / "r.csv", errors_path, "p", [], [])
+        assert errors_path.read_text() == "stale\n"
 
     def test_seed_and_n_overrides(self, tmp_path):
         path = write_config(tmp_path)

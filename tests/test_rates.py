@@ -14,7 +14,12 @@ from numpy.testing import assert_allclose
 import qchanrate as qc
 from qchanrate import channels, rates
 from qchanrate.cli import main
-from qchanrate.errors import ImpossibleObservationError, NumericalCorruptionError, SequenceError
+from qchanrate.errors import (
+    ImpossibleObservationError,
+    ModelValidationError,
+    NumericalCorruptionError,
+    SequenceError,
+)
 
 import models
 from conftest import P_BAD, P_GOOD, binary_entropy
@@ -528,10 +533,10 @@ class TestStackIndependence:
         shared, alone = [], []
         for model in (classical_ge, quantum_ge):
             for traj in trajs:
-                shared += rates.pair_recursions(model, uniform, traj, build=build)
+                shared += [build(model, uniform, traj.y, xs) for xs in (None, traj.x)]
                 alone += [
-                    rates.stacked_forward_logs([rec])[0]
-                    for rec in rates.pair_recursions(model, uniform, traj)
+                    rates.stacked_forward_logs([rates.recursion(model, uniform, traj.y, xs)])[0]
+                    for xs in (None, traj.x)
                 ]
         assert len({id(rec.form) for rec in shared}) == 4
         table, _, steps = rates._stack_table(shared[:6], 1)
@@ -559,7 +564,7 @@ class TestWordTables:
     def check(self, model, q, traj):
         """Words of more than one step, and per-step logs of both
         recursions within 1e-12 of the sequential reference."""
-        recs = rates.pair_recursions(model, q, traj)
+        recs = [rates.recursion(model, q, traj.y, xs) for xs in (None, traj.x)]
         assert all(rates._recursion_word_length(rec) > 1 for rec in recs)
         for logs, xs in zip(rates.stacked_forward_logs(recs), (None, traj.x)):
             ref, _, failure = iterate_steps(model, q, traj.y, xs)
@@ -573,7 +578,8 @@ class TestWordTables:
         f = qc.build_gilbert_elliott(0.2, 0.2, [[0.5, 0.5], [0.5, 0.5]])
         q = qc.uniform_input()
         traj = qc.sample_trajectory(f, q, 5000, seed=70)
-        assert [rec.cap for rec in rates.pair_recursions(f, q, traj)] == [rates.PATH_RANGE] * 2
+        recs = [rates.recursion(f, q, traj.y, xs) for xs in (None, traj.x)]
+        assert [rec.cap for rec in recs] == [rates.PATH_RANGE] * 2
         self.check(f, q, traj)
 
     def test_dense_three_state_kernel(self):
@@ -593,7 +599,7 @@ class TestWordTables:
         f = models.random_classical_fsmc(np.random.default_rng(73), 2, 8, 8)
         q = qc.uniform_input(8)
         traj = qc.sample_trajectory(f, q, 40000, seed=74)
-        recs = rates.pair_recursions(f, q, traj)
+        recs = [rates.recursion(f, q, traj.y, xs) for xs in (None, traj.x)]
         assert [rates._recursion_word_length(rec) for rec in recs] == [7, 7]
         tracemalloc.start()
         try:
@@ -793,7 +799,9 @@ class TestEntropyRateEstimates:
     def test_keep_scales_and_combination_identity(self, quantum_ge, uniform):
         traj = qc.sample_trajectory(quantum_ge, uniform, 400, seed=36)
         r = qc.entropy_rate_estimates(quantum_ge, uniform, traj)
-        ly, lxy = rates.stacked_forward_logs(rates.pair_recursions(quantum_ge, uniform, traj))
+        ly, lxy = rates.stacked_forward_logs(
+            [rates.recursion(quantum_ge, uniform, traj.y, xs) for xs in (None, traj.x)]
+        )
         n = traj.n
         assert abs(r.hy - ly.sum() / (n * rates.LN2)) <= 1e-12
         assert abs(r.hxy - lxy.sum() / (n * rates.LN2)) <= 1e-12
@@ -998,3 +1006,76 @@ class TestUniformOutput:
         assert "oracle cross-check passed" in capsys.readouterr().out
         outputs = [rec for rec in ran if rec.inputs is None]
         assert len(outputs) == 4 and all(rec.uniform for rec in outputs)
+
+
+class TestRowErrors:
+    """``estimate_rows`` reports a row's first error: its output-only
+    recursion's, whether building or running it failed, then its joint
+    one's, here the ``joint_sum`` error taken from a sampler."""
+
+    N = 400
+    JOINT = ImpossibleObservationError("observation at step 3 has zero probability under the model")
+
+    def row(self, model, q, traj):
+        hx_sum = float(rates.input_log_loss(q, traj.x).sum())
+        return rates.RateRow(model, q, traj, hx_sum, self.JOINT)
+
+    def test_output_build_error_comes_first(self, uniform):
+        model = reference_ge()
+        traj = qc.sample_trajectory(model, uniform, self.N, seed=65)
+        ys = traj.y.copy()
+        ys[7] = 2
+        (got,) = rates.estimate_rows([self.row(model, uniform, dataclasses.replace(traj, y=ys))])
+        assert isinstance(got, SequenceError)
+        assert str(got).startswith("output sequence contains symbols outside")
+
+    def test_output_engine_trip_comes_first(self):
+        """Under the law [0.3, 0.7] the planted model's output process is
+        not uniform, so its output-only recursion runs, and trips."""
+        q = qc.InputLaw(np.array([0.3, 0.7]))
+        t = planted_guard("imaginary")
+        traj = qc.sample_trajectory(reference_ge(), q, GUARD_N, seed=66)
+        assert not rates.recursion(t, q, traj.y).uniform
+        with pytest.raises(NumericalCorruptionError) as engine:
+            rates.scaled_forward_quantum(t, q, traj.y)
+        (got,) = rates.estimate_rows([self.row(t, q, traj)])
+        assert type(got) is NumericalCorruptionError and str(got) == str(engine.value)
+
+    @pytest.mark.parametrize("law, skips", [([0.5, 0.5], True), ([0.3, 0.7], False)])
+    def test_joint_sum_error_after_a_sound_output(self, law, skips):
+        """Whether the output-only recursion is uniform or runs the
+        engine without a trip, the row reports its ``joint_sum`` error."""
+        q = qc.InputLaw(np.array(law))
+        model = reference_ge()
+        traj = qc.sample_trajectory(model, q, self.N, seed=67)
+        assert rates.recursion(model, q, traj.y).uniform == skips
+        (got,) = rates.estimate_rows([self.row(model, q, traj)])
+        assert got is self.JOINT
+
+
+class TestUncompiledModels:
+    """``entropy_rate_estimates`` and ``lower_bound`` compile a raw
+    quantum-memory channel themselves."""
+
+    @pytest.mark.parametrize("law", [[0.5, 0.5], [0.3, 0.7]])
+    def test_raw_channel_equals_its_compiled_set(self, law):
+        raw = qc.build_quantum_gilbert_elliott(P_GOOD, P_BAD, alpha=1.0)
+        compiled = qc.compile_transfer_operators(raw)
+        q = qc.InputLaw(np.array(law))
+        traj = qc.sample_trajectory(compiled, q, 2000, seed=68)
+        assert qc.entropy_rate_estimates(raw, q, traj) == qc.entropy_rate_estimates(compiled, q, traj)
+        assert qc.lower_bound(traj, qc.AuxiliaryModel(raw, "raw"), q) == qc.lower_bound(
+            traj, qc.AuxiliaryModel(compiled, "raw"), q
+        )
+
+    def test_uncompilable_raw_channel_raises_its_error(self, uniform):
+        ch = qc.build_quantum_gilbert_elliott(0.2, 0.8)
+        broken = dataclasses.replace(ch, kraus=ch.kraus * 0.9)
+        with pytest.raises(ModelValidationError) as alone:
+            qc.compile_transfer_operators(broken)
+        message = f"^{re.escape(str(alone.value))}$"
+        traj = qc.sample_trajectory(reference_ge(), uniform, 100, seed=69)
+        with pytest.raises(ModelValidationError, match=message):
+            qc.entropy_rate_estimates(broken, uniform, traj)
+        with pytest.raises(ModelValidationError, match=message):
+            qc.lower_bound(traj, qc.AuxiliaryModel(broken, "broken"), uniform)
