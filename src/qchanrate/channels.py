@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ModelValidationError, OperatorError, QchanrateError
+from .errors import ModelValidationError, OperatorError, QchanrateError, SequenceError
 from .linalg import (
     EPS_TRACE,
     EPS_UNITARY,
@@ -89,6 +89,12 @@ class InputLaw:
     @property
     def x_size(self) -> int:
         return self.p.size
+
+    def check_fits(self, model) -> None:
+        """Raise ``SequenceError`` unless the law has one entry per input
+        symbol of the coerced ``model`` (``as_recursion_model``)."""
+        if self.x_size != model.x_size:
+            raise SequenceError("input law size does not match the model input alphabet")
 
 
 def uniform_input(x_size: int = 2) -> InputLaw:
@@ -293,6 +299,7 @@ def build_gilbert_elliott(
     is flipped with the probability of the *previous* state, i.e.
     ``kernel[s, x, t, y] = transition[s, t] * BSC(p_s)(y | x)``.
     ``initial`` defaults to the stationary distribution of ``transition``.
+    The model is validated (``require_valid``), a given ``initial`` too.
     """
     p_g = _check_probability(p_g, "p_g")
     p_b = _check_probability(p_b, "p_b")
@@ -309,7 +316,9 @@ def build_gilbert_elliott(
     )  # (s, x, y)
     kernel = t[:, None, :, None] * flip[:, :, None, :]
     p0 = stationary_distribution(t) if initial is None else np.asarray(initial, dtype=float)
-    return ClassicalFsmc(kernel, p0)
+    model = ClassicalFsmc(kernel, p0)
+    require_valid(model)
+    return model
 
 
 def _quantum_ge_kraus(p_g: float, p_b: float) -> np.ndarray:

@@ -144,7 +144,7 @@ def cmd_bound(args) -> int:
         errors_path = errors_file(csv_path)
         check_writable(csv_path, errors_path)
         # estimators are auxiliaries only, so no channel model is needed
-        rows, errors = evaluate_samples(cfg, [(0.0, None, traj)])
+        rows, errors = evaluate_samples(cfg, [(0.0, traj.seed, None, traj)])
         write_results(csv_path, errors_path, "external", rows, errors)
         print(f"wrote {csv_path} ({len(rows)} rows)")
         for e in errors:

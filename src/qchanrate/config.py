@@ -203,7 +203,6 @@ def _build_raw(kind: str, params: dict, path: str):
             if "initial" in known:
                 initial = _real_array(known.pop("initial"), f"{path}.initial")
             model = channels.build_gilbert_elliott(p_g, p_b, transition, initial)
-            channels.require_valid(model)  # a given initial pmf is not checked by the builder
         elif kind in ("quantum_ge", "quantum_ge_2qubit"):
             p_g = take_number("p_g", required=True)
             p_b = take_number("p_b", required=True)

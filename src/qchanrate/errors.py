@@ -43,7 +43,8 @@ class OracleBudgetError(QchanrateError):
 
 class SequenceError(QchanrateError, ValueError):
     """A symbol sequence is empty, not 1-D, mismatched in length, or
-    holds symbols outside the model's alphabet."""
+    holds symbols outside the model's alphabet, or an input law's size
+    differs from the model's input alphabet."""
 
 
 class TrajectoryFormatError(QchanrateError):

@@ -69,8 +69,7 @@ def _prep(model, q: InputLaw, n: int):
     model = as_recursion_model(model)
     if n < 1 or n > MAX_ORACLE_N:
         raise OracleBudgetError(f"oracle length must lie in [1, {MAX_ORACLE_N}], got {n}")
-    if q.x_size != model.x_size:
-        raise ValueError("input law size does not match the model input alphabet")
+    q.check_fits(model)
     return model
 
 

@@ -131,21 +131,21 @@ Only ``estimate_rows`` takes this closed form: ``stacked_forward_logs``
 and ``scaled_forward_*`` always run the engine, so the oracle still
 checks it on every model.
 
-Logs are natural internally and converted to bits at
-the boundary.  One row evaluator, ``estimate_rows``, turns rows of a
-model, an input law and a trajectory into rate estimates, building the
-recursions of all its rows and running them as engine stacks; the
-sweep, the single-row ``entropy_rate_estimates`` and the
-mismatched-decoding bound all call it, an auxiliary model simply taking
-the true model's place.  Within a call, each distinct (model, input law,
-joint) has its step matrices, real form and rescale cap built once
-(``RecursionBuilder``), and an engine stack's table holds each model's
-matrices once.  A row may take its joint rate from the sampler instead
-(``log_loss_sums``), as a sweep's quantum ``ir`` rows do: the state the
-sampler carries is the joint recursion's, so its per-step log losses
-plus the input's are the joint recursion's logs.  The engine stays the
-reference for them, and the only route for auxiliary models, classical
-models and trajectories from elsewhere.
+Logs are natural internally and converted to bits at the boundary.  One
+row evaluator, ``estimate_rows``, turns rows of a model, an input law
+and observed sequences into rate estimates, building the recursions of
+all its rows and running them as engine stacks; the sweep, the
+single-row ``entropy_rate_estimates`` and the mismatched-decoding bound
+all call it, an auxiliary model simply taking the true model's place.
+Within a call, each distinct (model, input law, joint) has its step
+matrices, real form and rescale cap built once (``RecursionBuilder``),
+and an engine stack's table holds each model's matrices once.  A row may
+take its joint rate from the sampler instead (``log_loss_sums``), as a
+sweep's quantum ``ir`` rows do, holding no inputs: the state the sampler
+carries is the joint recursion's, so its per-step log losses plus the
+input's are the joint recursion's logs.  The engine stays the reference
+for them, and the only route for auxiliary models, classical models and
+trajectories from elsewhere.
 """
 
 from __future__ import annotations
@@ -344,6 +344,7 @@ class RecursionBuilder:
         key = (id(model), id(q), xs is not None)
         got = self._steps.get(key)
         coerced = as_recursion_model(model) if got is None else got[2]
+        q.check_fits(coerced)
         index = _check_symbols(ys, coerced.y_size, "output sequence")
         if xs is not None:
             xs = _check_symbols(xs, coerced.x_size, "input sequence")
@@ -845,51 +846,52 @@ def log_loss_sums(q: InputLaw, traj: Trajectory) -> tuple[float, float | Qchanra
 
 
 class RateRow(NamedTuple):
-    """One row of ``estimate_rows``: ``model`` evaluated on ``traj`` under
-    the input law ``q``, averaged over the whole trajectory.
+    """One row of ``estimate_rows``: ``model`` evaluated on the outputs
+    ``y`` under the input law ``q``, averaged over all of them.
 
-    ``hx_sum`` is the sum of the input's per-step log losses
-    (``input_log_loss``).  Given ``joint_sum``, the joint recursion's sum
-    taken from the sampler, which must have run ``model`` itself, or the
-    error that stopped it (``log_loss_sums``), the row runs its
-    output-only recursion only.
+    ``hx_sum`` is the sum of the inputs' per-step log losses
+    (``input_log_loss``).  ``joint`` is the inputs of the row's joint
+    recursion, or else, in place of running it, its sum taken from the
+    sampler, which must have run ``model`` itself, or the error that
+    stopped it (``log_loss_sums``).
     """
 
     model: object
     q: InputLaw
-    traj: Trajectory
+    y: np.ndarray
     hx_sum: float
-    joint_sum: float | QchanrateError | None = None
+    joint: np.ndarray | float | QchanrateError
 
 
 def estimate_rows(rows: Sequence[RateRow]) -> list:
     """The ``RateEstimate`` of each row, or the error that stopped it.
 
-    Each row's output-only recursion is built, then its joint one unless
-    the row has a ``joint_sum``; building stops at the first recursion
-    that cannot be built (a model that does not compile, or a symbol
-    outside its alphabet), whose error takes its place.  Rows of one
-    model and input law share its step matrices, built once for the call
-    (``RecursionBuilder``).  The recursions of every row run in one
-    ``stacked_forward_logs`` call, and each recursion's logs are reduced
-    to their sum at once.  An output-only recursion of a uniform output
-    process (``Recursion.uniform``) runs no step: its sum is n ln Y.  A
-    row's error is its first: the output-only recursion's, then the joint
-    one's.
+    Each row's output-only recursion is built, then its joint one if the
+    row holds its inputs; building stops at the first recursion that
+    cannot be built (a model that does not compile, a law that does not
+    fit it, or a symbol outside its alphabet), whose error takes its
+    place.  Rows of one model and input law share its step matrices,
+    built once for the call (``RecursionBuilder``).  The recursions of
+    every row run in one ``stacked_forward_logs`` call, and each
+    recursion's logs are reduced to their sum at once.  An output-only
+    recursion of a uniform output process (``Recursion.uniform``) runs
+    no step: its sum is n ln Y.  A row's error is its first: the
+    output-only recursion's, then the joint one's.
     """
     build = RecursionBuilder()
     sums: list[list] = []
     for row in rows:
         parts: list = []
-        for xs in (None,) if row.joint_sum is not None else (None, row.traj.x):
+        inputs = isinstance(row.joint, np.ndarray)
+        for xs in (None, row.joint) if inputs else (None,):
             try:
-                rec = build(row.model, row.q, row.traj.y, xs)
+                rec = build(row.model, row.q, row.y, xs)
             except QchanrateError as exc:
                 parts.append(exc)
                 break
             parts.append(rec.index.size * math.log(rec.y_size) if rec.uniform else rec)
-        if row.joint_sum is not None:
-            parts.append(row.joint_sum)
+        if not inputs:
+            parts.append(row.joint)
         sums.append(parts)
 
     members = [(r, slot) for r, parts in enumerate(sums)
@@ -906,9 +908,9 @@ def estimate_rows(rows: Sequence[RateRow]) -> list:
         if exc is not None:
             out.append(exc)
             continue
-        scale = row.traj.n * LN2
-        hx, hy, hxy = (s / scale for s in (row.hx_sum, *parts))
-        out.append(RateEstimate(n=row.traj.n, hx=hx, hy=hy, hxy=hxy, ir=hx + hy - hxy))
+        n = len(row.y)
+        hx, hy, hxy = (s / (n * LN2) for s in (row.hx_sum, *parts))
+        out.append(RateEstimate(n=n, hx=hx, hy=hy, hxy=hxy, ir=hx + hy - hxy))
     return out
 
 
@@ -919,7 +921,8 @@ def entropy_rate_estimates(model, q: InputLaw, traj: Trajectory) -> RateEstimate
     Both entropy rates of the model come from its recursions
     (``estimate_rows``), the sampler's logs unused.
     """
-    (r,) = estimate_rows([RateRow(model, q, traj, float(input_log_loss(q, traj.x).sum()))])
+    hx_sum = float(input_log_loss(q, traj.x).sum())
+    (r,) = estimate_rows([RateRow(model, q, traj.y, hx_sum, traj.x)])
     if isinstance(r, QchanrateError):
         raise r
     return r

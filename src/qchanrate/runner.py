@@ -4,25 +4,25 @@ Each (sweep value, seed) task samples one trajectory from its channel,
 and every configured estimator runs on that trajectory, so estimators at
 the same point share common random numbers; the auxiliary models are the
 ones ``load_config`` built.  The tasks run in chunks of at most
-``STACK_BUDGET`` (2**16) recursion steps.  A chunk builds the channel
-of each of its sweep values on its own, then compiles all its quantum
+``STACK_BUDGET`` (2**16) recursion steps.  A chunk builds the channel of
+each of its sweep values on its own, then compiles all its quantum
 channels together (a sweep over n runs the config's ``model``).  It
 samples its points one by one, reducing each one's per-step log losses
-to their sums at once, then evaluates all its rows in one
-``rates.estimate_rows`` call, which builds the rows' recursions, each
-model's step matrices once, and runs them as engine stacks, so that
-the engine's per-iteration cost is shared across points.
-An ``ir`` row on a quantum channel runs only its output-only recursion
-and takes its joint sum from its sampler, so a chunk's budget counts
-one recursion for such a row and two for any other, the type of the
-config's base channel telling which.  On a model whose output process
-is uniform (``rates.Recursion.uniform``), as every shipped model's is
-under its uniform input law, the output-only recursion runs no step,
-so such an ``ir`` row runs no recursion at all; the budget still
-charges it one, since uniformity is known only once a chunk's models
-are compiled, after the chunks are cut.  A recursion's result does not
-depend on the stack it runs in, so the output does not depend on the
-chunking or on the number of workers.  The row evaluator
+to their sums at once and keeping only the sequences its rows read, then
+evaluates all its rows in one ``rates.estimate_rows`` call, which builds
+the rows' recursions, each model's step matrices once, and runs them as
+engine stacks, so that the engine's per-iteration cost is shared across
+points.  An ``ir`` row on a quantum channel runs only its output-only
+recursion and takes its joint sum from its sampler, holding no inputs,
+so a chunk's budget counts one recursion for such a row and two for any
+other, the type of the config's base channel telling which.  On a model
+whose output process is uniform (``rates.Recursion.uniform``), as every
+shipped model's is under its uniform input law, the output-only
+recursion runs no step, so such an ``ir`` row runs no recursion at all;
+the budget still charges it one, since uniformity is known only once a
+chunk's models are compiled, after the chunks are cut.  A recursion's
+result does not depend on the stack it runs in, so the output does not
+depend on the chunking or on the number of workers.  The row evaluator
 (``evaluate_samples``) takes the sampled trajectories, so
 ``bound --trajectory`` runs its auxiliaries on an imported one through
 the same call.
@@ -46,7 +46,7 @@ from __future__ import annotations
 import errno
 import os
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -89,8 +89,8 @@ CSV_COLUMNS = (
 # state size and length run as one engine stack, so a larger chunk spreads
 # the engine's per-iteration cost over more recursions but holds more
 # trajectories, step indices and normalizers in memory at once (a test
-# bounds a two-qubit chunk with an auxiliary, at its traced peak, below 38
-# bytes per step of this budget).
+# bounds a two-qubit chunk's traced peak below 38 bytes per step of this
+# budget with an auxiliary, and below 45 with ``ir`` rows only).
 STACK_BUDGET = 2**16
 
 ERROR_COLUMNS = ("sweep_param", "sweep_value", "estimator_id", "seed", "category", "message")
@@ -168,8 +168,8 @@ def evaluate_chunk(cfg: ExperimentConfig, tasks) -> tuple[list[ResultRow], list[
     The chunk's channels come from one ``instantiate_channels`` call (a
     sweep over n runs the config's ``model``).  Each task samples its own
     trajectory as ``evaluate_samples`` takes it, and that call evaluates
-    the rows of all of them together.  A task whose channel or trajectory
-    fails records that error for each of its rows.
+    the rows of all of them together.  A task whose channel or sampler
+    fails hands on that error in its trajectory's place.
     """
     if cfg.sweep.parameter == "n":
         models = dict.fromkeys((value for value, _ in tasks), cfg.model)
@@ -177,23 +177,18 @@ def evaluate_chunk(cfg: ExperimentConfig, tasks) -> tuple[list[ResultRow], list[
         values = list(dict.fromkeys(value for value, _ in tasks))
         overrides = [{cfg.sweep.parameter: value} for value in values]
         models = dict(zip(values, instantiate_channels(cfg.channel, overrides)))
-    errors: list[RowError] = []
-    estimators = _estimators(cfg)
 
     def samples():
         for value, seed in tasks:
-            model = models[value]
-            try:
-                if isinstance(model, QchanrateError):
-                    raise model
-                traj = sample_trajectory(model, cfg.input_law, _task_n(cfg, value), seed)
-            except QchanrateError as exc:
-                errors.extend(_row_error(value, est_id, seed, exc) for est_id, _ in estimators)
-                continue
-            yield value, model, traj
+            model = got = models[value]
+            if not isinstance(model, QchanrateError):
+                try:
+                    got = sample_trajectory(model, cfg.input_law, _task_n(cfg, value), seed)
+                except QchanrateError as exc:
+                    got = exc
+            yield value, seed, model, got
 
-    rows, row_errors = evaluate_samples(cfg, samples())
-    return rows, errors + row_errors
+    return evaluate_samples(cfg, samples())
 
 
 def _row_error(value, est_id: str, seed: int, exc: QchanrateError) -> RowError:
@@ -201,36 +196,37 @@ def _row_error(value, est_id: str, seed: int, exc: QchanrateError) -> RowError:
 
 
 def evaluate_samples(cfg: ExperimentConfig, samples) -> tuple[list[ResultRow], list[RowError]]:
-    """Run every configured estimator on each (sweep value, model,
-    trajectory) sample; a row takes its seed and n from the trajectory.
+    """Run every configured estimator on each (sweep value, seed, model,
+    trajectory) sample, where the trajectory may be the error that
+    stopped its channel or sampler, recorded for each of its rows.
 
     ``model`` is the channel that sampled the trajectory, the ``ir``
     rows' target; it may be None when the estimators are auxiliaries
-    only; an auxiliary row's target is its auxiliary's model.  The
-    samples are taken one at a time, and each one's per-step log losses
-    are reduced to the sums its rows use (``rates.log_loss_sums``) before
-    the next, so that no row holds them.  Every row runs in one
-    ``rates.estimate_rows`` call, which builds all their recursions; a
-    quantum ``ir`` row takes its joint sum from its sampler's logs.
+    only; an auxiliary row's target is its auxiliary's model.  Each
+    sample's per-step log losses are reduced to the sums its rows use
+    (``rates.log_loss_sums``) as it arrives.  A row holds its outputs
+    and, unless it is a quantum ``ir`` row, which takes its joint sum
+    from its sampler, its inputs.  Every row runs in one
+    ``rates.estimate_rows`` call, which builds all their recursions.
     """
     errors: list[RowError] = []
     q = cfg.input_law
     estimators = _estimators(cfg)
     keys, batch = [], []
-    for value, model, traj in samples:
+    for value, seed, model, traj in samples:
         try:
+            if isinstance(traj, QchanrateError):
+                raise traj
             hx_sum, joint_sum = log_loss_sums(q, traj)
         except QchanrateError as exc:
-            errors.extend(_row_error(value, est_id, traj.seed, exc) for est_id, _ in estimators)
+            errors.extend(_row_error(value, est_id, seed, exc) for est_id, _ in estimators)
             continue
-        traj = replace(traj, conditional_log_loss=None)  # its sum is all a row needs
         for est_id, aux in estimators:
-            keys.append((float(value), est_id, traj.seed, aux))
-            if aux is None:
-                # the sampler's logs belong to the sampled model, the ir row's target
-                batch.append(RateRow(model, q, traj, hx_sum, joint_sum))
-            else:
-                batch.append(RateRow(aux.model, q, traj, hx_sum))
+            keys.append((float(value), est_id, seed, aux))
+            # the sampler's logs belong to the sampled model, the ir row's target
+            joint = traj.x if aux is not None or joint_sum is None else joint_sum
+            batch.append(RateRow(model if aux is None else aux.model, q, traj.y, hx_sum, joint))
+    traj = None  # the last sample's per-step logs go before the engine runs
 
     rows: list[ResultRow] = []
     for (value, est_id, seed, aux), r in zip(keys, estimate_rows(batch)):
@@ -243,8 +239,6 @@ def evaluate_samples(cfg: ExperimentConfig, samples) -> tuple[list[ResultRow], l
 
 
 def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))  # shortest exact round-trip, deterministic

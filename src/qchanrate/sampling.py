@@ -580,6 +580,7 @@ def sample_trajectory(model, q: InputLaw, n: int, seed: int) -> Trajectory:
     operator set; uncompiled quantum channels are compiled first.
     """
     model = as_recursion_model(model)
+    q.check_fits(model)
     rng = make_rng(seed)
     x = sample_input(q, n, rng)
     if isinstance(model, ClassicalFsmc):

@@ -71,6 +71,16 @@ class TestGilbertElliott:
         with pytest.raises(ValueError, match="transition rows must be pmfs"):
             qc.build_gilbert_elliott(0.1, 0.9, np.array([[np.nan, 1.0], [0.2, 0.8]]))
 
+    @pytest.mark.parametrize(
+        "initial, condition",
+        [([2.0, -1.0], "initial state pmf nonnegative"), ([0.2, 0.2], "initial state pmf sums to one")],
+    )
+    def test_rejects_bad_initial(self, initial, condition):
+        """A given initial pmf is validated with the model, so no sampler
+        or recursion ever runs on one that is not a pmf."""
+        with pytest.raises(ModelValidationError, match=f"^{condition} violated"):
+            qc.build_gilbert_elliott(0.1, 0.2, GE_TRANSITION, initial=initial)
+
 
 class TestQuantumGilbertElliott:
     def test_interaction_operator_entries(self):

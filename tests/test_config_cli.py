@@ -292,6 +292,41 @@ class TestParsing:
         with pytest.raises(ConfigError, match=fragment):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "overrides, expected",
+        [
+            ({"channel": dict(QUANTUM_GE, hamiltonian=[[[0.0, 0.0]] * 4] * 4),
+              "sweep": {"parameter": "p_b", "values": [0.95]}},
+             "channel.hamiltonian: quantum_ge needs a 2x2 generator, got 4x4"),
+            ({"channel": {"kind": "custom_fsmc", "initial": [1.0]},
+              "sweep": {"parameter": "n", "values": [100]}},
+             "channel: custom_fsmc needs 'kernel' and 'initial'"),
+            ({"channel": {"kind": "custom_kraus"}, "sweep": {"parameter": "n", "values": [100]}},
+             "channel.state_dim: required parameter missing"),
+            ({"channel": {"kind": "bsc", "p": 0.1, "q": 0.2}},
+             "channel: unknown parameters for kind 'bsc': ['q']"),
+            ({"sweep": {"parameter": "p", "values": [0.1, 0.3], "exclude": [0.3, 0.1]}},
+             "sweep: every sweep value is excluded"),
+            ({"estimators": ["aux_lower"], "auxiliaries": [{"kind": "bsc", "label": 3, "p": 0.2}]},
+             "auxiliaries[0].label: expected a string"),
+            ({"estimators": ["aux_lower"],
+              "auxiliaries": [{"kind": "bsc", "label": "a", "p": p} for p in (0.2, 0.3)]},
+             "auxiliaries[1].label: duplicate label 'a'"),
+            ({"estimators": ["aux_lower"],
+              "auxiliaries": [{"kind": "custom_fsmc", "label": "a", "initial": [1.0],
+                               "kernel": [[[[0.5, 0.25, 0.25]], [[0.25, 0.25, 0.5]]]]}]},
+             "auxiliaries[a]: auxiliary alphabets must match the true channel"),
+        ],
+        ids=["generator-size", "custom-fsmc", "custom-kraus", "unknown-parameter",
+             "all-excluded", "label-type", "duplicate-label", "auxiliary-alphabets"],
+    )
+    def test_rejection_names_its_field(self, tmp_path, capsys, overrides, expected):
+        """Each rejection exits 2 with its category, the path of the field
+        at fault and its reason."""
+        path = write_config(tmp_path, **overrides)
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == f"error[ConfigError]: {expected}\n"
+
     def test_longest_length_parses(self, tmp_path):
         assert load_config(write_config(tmp_path, n=2**60 - 1)).n == 2**60 - 1
 
@@ -366,6 +401,19 @@ class TestRunner:
         out2 = run_experiment(load_config(path), tmp_path / "b")
         assert out1.csv_path.read_bytes() == out2.csv_path.read_bytes()
         assert out1.svg_path.read_bytes() == out2.svg_path.read_bytes()
+
+    def test_one_point_svg(self, tmp_path):
+        """A sweep of one point and one seed plots a dot, with no band, in
+        the middle of axes that run 0.5 either side of the point's value
+        and of its rate (the rate's axis padded by 5 %)."""
+        cfg = load_config(
+            write_config(tmp_path, seeds=[0], sweep={"parameter": "p", "values": [0.3]})
+        )
+        out = run_experiment(cfg, tmp_path / "out")
+        svg = out.svg_path.read_text()
+        assert len(out.rows) == 1 and "<polygon" not in svg
+        assert svg.count("<circle") == 1 and '<circle cx="345.0" cy="215.0" r="3"' in svg
+        assert ">-0.2</text>" in svg and ">0.8</text>" in svg
 
     def test_n_sweep(self, tmp_path):
         cfg = load_config(
@@ -451,7 +499,7 @@ class TestRunner:
             for seed in (0, 1):
                 model = instantiate_channel(cfg.channel)
                 traj = sample_trajectory(model, q, n, seed)
-                samples.append((n, model, traj))
+                samples.append((n, seed, model, traj))
                 r = entropy_rate_estimates(model, q, traj)
                 row = got[(n, "ir", seed)]
                 assert (row.n, row.hx_bits, row.hy_bits) == (n, r.hx, r.hy)
@@ -510,21 +558,29 @@ class TestRunner:
             (1e308, seed, "ConfigError", str(alone.value)) for seed in (0, 1)
         ]
 
-    def test_chunk_holds_little_per_budget_step(self, tmp_path):
-        """A chunk holds its per-step data once.  On six two-qubit tasks of
-        3000 steps with a Gilbert-Elliott auxiliary (three recursions per
-        task, one of them joint), the traced peak of ``evaluate_chunk``
-        is 33.6 bytes per budget step; it was 44.3 while each task held
-        its per-step input and sampler log losses, each joint recursion
-        its own step index, and the engine a padded copy of its stack's
-        index and a code array per word level."""
+    @pytest.mark.parametrize(
+        "auxiliaries, per_task, bound",
+        [([dict(GE_PARAMS, kind="gilbert_elliott", label="ge")], 3, 38.0), ([], 1, 45.0)],
+        ids=["auxiliary", "ir-only"],
+    )
+    def test_chunk_holds_little_per_budget_step(self, tmp_path, auxiliaries, per_task, bound):
+        """A chunk holds its per-step data once, and each row only the
+        sequences it reads.  On six two-qubit tasks of 3000 steps with a
+        Gilbert-Elliott auxiliary (three recursions per task, one of them
+        joint), the traced peak of ``evaluate_chunk`` is 17.9 bytes per
+        budget step; it was 44.3 while each task held its per-step input
+        and sampler log losses, each joint recursion its own step index,
+        and the engine a padded copy of its stack's index and a code array
+        per word level.  With ``ir`` rows only (one recursion per task), it
+        is 42.0; it was 47.5 while each row held its trajectory's inputs,
+        which only the input log-loss sum reads."""
         n, values = 3000, [0.1, 0.3, 0.5, 0.7, 0.9, 1.0]
         cfg = load_config(write_config(
             tmp_path, n=n, seeds=[0],
             channel={"kind": "quantum_ge_2qubit", "p_g": 0.05, "p_b": 0.95, "alpha": 1.2},
             sweep={"parameter": "p_b", "values": values},
-            estimators=["ir", "aux_lower"],
-            auxiliaries=[dict(GE_PARAMS, kind="gilbert_elliott", label="ge")],
+            estimators=["ir", "aux_lower"] if auxiliaries else ["ir"],
+            auxiliaries=auxiliaries,
         ))
         tasks = [(v, 0) for v in values]
         runner.evaluate_chunk(replace(cfg, n=100), tasks)  # first-call caches
@@ -534,8 +590,8 @@ class TestRunner:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(rows) == 12 and not errors
-        assert peak / (3 * n * len(tasks)) < 38.0
+        assert len(rows) == (1 + len(auxiliaries)) * len(tasks) and not errors
+        assert peak / (per_task * n * len(tasks)) < bound
 
     @pytest.mark.parametrize(
         "channel, per_task, split",

@@ -6,7 +6,7 @@ import pytest
 
 import qchanrate as qc
 from qchanrate import rates
-from qchanrate.errors import OracleBudgetError, SequenceError
+from qchanrate.errors import NumericalCorruptionError, OracleBudgetError, SequenceError
 from qchanrate.oracle import brute_force_oracle
 
 import models
@@ -116,3 +116,22 @@ class TestBudget:
     def test_length_mismatch(self, quantum_ge, uniform):
         with pytest.raises(ValueError):
             oracle_joint_prob(quantum_ge, uniform, [0, 1], [0, 1, 1])
+
+    def test_law_size_must_match_the_model(self, quantum_ge):
+        with pytest.raises(
+            SequenceError, match=r"^input law size does not match the model input alphabet$"
+        ):
+            brute_force_oracle(quantum_ge, qc.InputLaw([0.5, 0.25, 0.25]), 2)
+
+
+class TestGuards:
+    def test_imaginary_joint_function_trips_its_guard(self, quantum_ge, uniform):
+        """Operators of input 1 that carry a phase give the enumerated
+        joint function an imaginary part far above ``G_IMAG_GUARD``."""
+        ops = quantum_ge.operators.copy()
+        ops[1] *= 1 + 1e-6j
+        planted = qc.TransferOperatorSet(ops, quantum_ge.initial_state)
+        with pytest.raises(
+            NumericalCorruptionError, match=r"^enumerated joint function has imaginary residue"
+        ):
+            brute_force_oracle(planted, uniform, 2)

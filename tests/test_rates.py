@@ -22,7 +22,7 @@ from qchanrate.errors import (
 )
 
 import models
-from conftest import P_BAD, P_GOOD, binary_entropy
+from conftest import GE_TRANSITION, P_BAD, P_GOOD, binary_entropy
 from reference import (
     dmc_information_rate,
     forward_steps,
@@ -544,7 +544,9 @@ class TestStackIndependence:
         for got, ref in zip(rates.stacked_forward_logs(shared), alone):
             assert np.array_equal(got, ref)
         rows = [
-            rates.RateRow(model, uniform, traj, float(rates.input_log_loss(uniform, traj.x).sum()))
+            rates.RateRow(
+                model, uniform, traj.y, float(rates.input_log_loss(uniform, traj.x).sum()), traj.x
+            )
             for model in (classical_ge, quantum_ge)
             for traj in trajs
         ]
@@ -1018,7 +1020,7 @@ class TestRowErrors:
 
     def row(self, model, q, traj):
         hx_sum = float(rates.input_log_loss(q, traj.x).sum())
-        return rates.RateRow(model, q, traj, hx_sum, self.JOINT)
+        return rates.RateRow(model, q, traj.y, hx_sum, self.JOINT)
 
     def test_output_build_error_comes_first(self, uniform):
         model = reference_ge()
@@ -1051,6 +1053,55 @@ class TestRowErrors:
         assert rates.recursion(model, q, traj.y).uniform == skips
         (got,) = rates.estimate_rows([self.row(model, q, traj)])
         assert got is self.JOINT
+
+
+LAW_MESSAGE = "input law size does not match the model input alphabet"
+
+
+class TestSequenceChecks:
+    """A recursion is built only on sequences, and under an input law,
+    that fit its model; each check raises ``SequenceError``, which
+    ``estimate_rows`` reports as the row's error."""
+
+    YS, XS = np.array([0, 1, 1, 0]), np.array([0, 1, 0, 1])
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return qc.build_gilbert_elliott(0.05, 0.3, GE_TRANSITION)
+
+    @pytest.mark.parametrize(
+        "ys", [np.zeros(0, dtype=np.int64), np.zeros((2, 2), dtype=np.int64)], ids=["empty", "2-D"]
+    )
+    def test_output_sequence_must_be_nonempty_and_1d(self, model, uniform, ys):
+        with pytest.raises(SequenceError, match=r"^output sequence must be a nonempty 1-D sequence$"):
+            rates.recursion(model, uniform, ys)
+
+    def test_input_and_output_lengths_must_agree(self, model, uniform):
+        with pytest.raises(SequenceError, match=r"^input and output sequences differ in length$"):
+            rates.recursion(model, uniform, self.YS, self.XS[:3])
+
+    @pytest.mark.parametrize("law", [[1.0], [0.5, 0.25, 0.25]], ids=["one-entry", "three-entry"])
+    @pytest.mark.parametrize("joint", [False, True], ids=["output", "joint"])
+    def test_recursion_checks_the_law_size(self, model, law, joint):
+        """The law's size must equal the model's input alphabet: numpy
+        would broadcast a one-entry law over both inputs, and reject a
+        three-entry one with its own error."""
+        with pytest.raises(SequenceError, match=f"^{LAW_MESSAGE}$"):
+            rates.scaled_forward_classical(
+                model, qc.InputLaw(law), self.YS, self.XS if joint else None
+            )
+
+    def test_rows_report_the_law_size(self, model):
+        """``entropy_rate_estimates`` and ``lower_bound`` raise the row's
+        error, which ``estimate_rows`` returns."""
+        q = qc.InputLaw([0.5, 0.25, 0.25])
+        traj = qc.Trajectory(self.XS, self.YS, seed=0)
+        with pytest.raises(SequenceError, match=f"^{LAW_MESSAGE}$"):
+            qc.entropy_rate_estimates(model, q, traj)
+        with pytest.raises(SequenceError, match=f"^{LAW_MESSAGE}$"):
+            qc.lower_bound(traj, qc.make_auxiliary(model, "ge"), q)
+        (got,) = rates.estimate_rows([rates.RateRow(model, q, self.YS, 0.0, self.XS)])
+        assert type(got) is SequenceError and str(got) == LAW_MESSAGE
 
 
 class TestUncompiledModels:

@@ -11,6 +11,7 @@ from qchanrate import channels, linalg, rates, sampling
 from qchanrate.errors import (
     ImpossibleObservationError,
     NumericalCorruptionError,
+    SequenceError,
     TrajectoryFormatError,
 )
 
@@ -886,6 +887,55 @@ class TestSamplerGuards:
         pattern = rf"{GUARD_MESSAGES[fault]}.* at step 20$"
         with pytest.raises(NumericalCorruptionError, match=pattern):
             qc.sample_trajectory(planted_classical(fault), RARE_LAW, 400, FAULT_SEED)
+
+
+class TestOneStepInputGuards:
+    """A failing input's imaginary-residue or Hermiticity guard trips on a
+    one-step word, at the step where the single-step route trips: on any
+    step of a three-output model, and on a two-output model's odd last
+    step.  The residues are measured per input, so only the guard and the
+    step are compared."""
+
+    @pytest.mark.parametrize("fault", ["imaginary", "hermiticity"])
+    def test_odd_last_step_of_two_output_model(self, fault):
+        t = planted_quantum(fault)
+        n = first_rare_step() + 1  # the rare input comes first on the last step
+        expected = single_step_guard_message(t, RARE_LAW, n, FAULT_SEED)
+        assert expected is not None and expected.endswith(f" at step {n - 1}")
+        assert re.search(GUARD_MESSAGES[fault], expected)
+        with pytest.raises(
+            NumericalCorruptionError, match=rf"{GUARD_MESSAGES[fault]}.* at step {n - 1}$"
+        ):
+            qc.sample_trajectory(t, RARE_LAW, n, FAULT_SEED)
+
+    def test_three_output_model(self):
+        t = random_model(62, state_dim=2, x_size=2, y_size=3)
+        ops = t.operators.copy()
+        ops[1] *= 1 + 1e-6j
+        t = channels.TransferOperatorSet(ops, t.initial_state)
+        assert sampling._pair_tables(sampling._quantum_step_matrices(t)[0], 3) is None
+        expected = single_step_guard_message(t, RARE_LAW, 400, FAULT_SEED)
+        assert expected is not None and expected.endswith(" at step 20")
+        assert re.search(GUARD_MESSAGES["imaginary"], expected)
+        with pytest.raises(
+            NumericalCorruptionError, match=rf"{GUARD_MESSAGES['imaginary']}.* at step 20$"
+        ):
+            qc.sample_trajectory(t, RARE_LAW, 400, FAULT_SEED)
+
+
+class TestInputLawSize:
+    @pytest.mark.parametrize("law", [[1.0], [0.5, 0.25, 0.25]], ids=["one-entry", "three-entry"])
+    @pytest.mark.parametrize("kind", ["classical", "quantum"])
+    def test_sampler_checks_the_law_size(self, kind, law):
+        """A one-entry law drew every input as 0, and a three-entry one
+        drew inputs that the model's tables do not hold."""
+        model = qc.build_gilbert_elliott(0.05, 0.3, GE_TRANSITION)
+        if kind == "quantum":
+            model = embed_classical_as_quantum(model)
+        with pytest.raises(
+            SequenceError, match=r"^input law size does not match the model input alphabet$"
+        ):
+            qc.sample_trajectory(model, qc.InputLaw(law), 50, 3)
 
 
 class TestPerInputGuards:
