@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .channels import ClassicalFsmc, InputLaw, TransferOperatorSet, as_recursion_model
+from .channels import ClassicalFsmc, InputLaw, TransferOperatorSet
 from .errors import AuxiliaryLikelihoodError, ImpossibleObservationError, QchanrateError
 from .rates import RateRow, estimate_rows, input_log_loss
 from .sampling import Trajectory
@@ -55,10 +55,9 @@ class AuxiliaryModel:
 def make_auxiliary(model, label: str) -> AuxiliaryModel:
     """Wrap a model for use as a decoding metric.
 
-    Classical kernels are floored and renormalized (flagged); quantum
-    models are compiled if necessary and used as-is.
+    Classical kernels are floored and renormalized (flagged); any other
+    model is used as-is.
     """
-    model = as_recursion_model(model)
     if isinstance(model, ClassicalFsmc):
         return AuxiliaryModel(smooth_classical_fsmc(model), label, smoothed=True)
     return AuxiliaryModel(model, label, smoothed=False)
@@ -89,7 +88,9 @@ def auxiliary_error(label: str, exc: QchanrateError) -> QchanrateError:
 
 
 def lower_bound(traj: Trajectory, aux: AuxiliaryModel, q: InputLaw) -> LowerBoundEstimate:
-    """Evaluate an auxiliary decoding metric on a true-channel trajectory."""
+    """Evaluate an auxiliary decoding metric on a true-channel trajectory;
+    the law is checked first (``InputLaw.check_fits``), its error unmapped."""
+    q.check_fits(aux.model)
     hx_sum = float(input_log_loss(q, traj.x).sum())
     (r,) = estimate_rows([RateRow(aux.model, q, traj.y, hx_sum, traj.x)])
     if isinstance(r, QchanrateError):

@@ -91,8 +91,12 @@ class InputLaw:
         return self.p.size
 
     def check_fits(self, model) -> None:
-        """Raise ``SequenceError`` unless the law has one entry per input
-        symbol of the coerced ``model`` (``as_recursion_model``)."""
+        """Raise ``TypeError`` unless ``model`` is compiled (a ``ClassicalFsmc``
+        or a ``TransferOperatorSet``), then ``SequenceError`` unless the law
+        has one entry per input symbol of it."""
+        if not isinstance(model, (ClassicalFsmc, TransferOperatorSet)):
+            raise TypeError(f"expected a ClassicalFsmc or a TransferOperatorSet, got "
+                            f"{type(model).__name__}; compile it with compile_transfer_operators")
         if self.x_size != model.x_size:
             raise SequenceError("input law size does not match the model input alphabet")
 
@@ -280,7 +284,7 @@ def stationary_distribution(transition: np.ndarray) -> np.ndarray:
     if near_one.sum() != 1:
         return np.full(n, 1.0 / n)
     vec = np.real(v[:, near_one.argmax()])
-    vec = np.clip(vec, 0.0, None)
+    vec = np.clip(-vec if vec.sum() < 0 else vec, 0.0, None)  # eig's sign is arbitrary
     if vec.sum() <= 0:
         return np.full(n, 1.0 / n)
     return vec / vec.sum()
@@ -453,16 +457,6 @@ def _compile_stack(chs: Sequence[QuantumMemoryChannel]) -> list:
     for i, t, report in zip(valid, sets, _operator_reports(sets)):
         out[i] = _failure(report) or t
     return out
-
-
-def as_recursion_model(model):
-    """Coerce any channel model to one the samplers and forward recursions
-    accept: a quantum-memory channel is compiled."""
-    if isinstance(model, QuantumMemoryChannel):
-        return compile_transfer_operators(model)
-    if isinstance(model, (ClassicalFsmc, TransferOperatorSet)):
-        return model
-    raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ClassicalFsmc, InputLaw, TransferOperatorSet, as_recursion_model
+from .channels import ClassicalFsmc, InputLaw, TransferOperatorSet
 from .errors import NumericalCorruptionError, OracleBudgetError, SequenceError
 
 ORACLE_TERM_BUDGET = 10**8
@@ -65,12 +65,11 @@ def _model_pieces(model):
     return model.initial_state.reshape(s * s), model.chain_operators, close
 
 
-def _prep(model, q: InputLaw, n: int):
-    model = as_recursion_model(model)
+def _prep(model, q: InputLaw, n: int) -> None:
+    """Raise unless ``q`` fits ``model`` and ``n`` is an oracle length."""
+    q.check_fits(model)
     if n < 1 or n > MAX_ORACLE_N:
         raise OracleBudgetError(f"oracle length must lie in [1, {MAX_ORACLE_N}], got {n}")
-    q.check_fits(model)
-    return model
 
 
 def _joint_g_per_x(model, xseqs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -129,7 +128,7 @@ def brute_force_oracle(model, q: InputLaw, n: int) -> OracleTables:
     Inputs are enumerated literally here (no distributed sum), so the
     table doubles as a check on a distributed one.
     """
-    model = _prep(model, q, n)
+    _prep(model, q, n)
     n_x, n_y = model.x_size, model.y_size
     states = model.state_count if isinstance(model, ClassicalFsmc) else model.state_dim
     _check_terms(n_x**n * n_y**n * states**4, "joint table")

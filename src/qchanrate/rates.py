@@ -156,7 +156,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import ClassicalFsmc, InputLaw, as_recursion_model
+from .channels import ClassicalFsmc, InputLaw
 from .errors import (
     ImpossibleObservationError,
     NumericalCorruptionError,
@@ -327,13 +327,13 @@ def _uniform_output(rec: Recursion) -> bool:
 
 
 class RecursionBuilder:
-    """Builds forward recursions of channel models on observed sequences
-    (``recursion``), each distinct (model, input law, joint) built once:
-    its coerced model (``as_recursion_model``), step matrices, real form,
-    closure, start and rescale cap are shared by every recursion built
-    from it, so that an engine stack holds them once (``_stack_table``).
-    Models and laws are told apart by identity and kept until the builder
-    goes, which is meant to be at the end of the call that made it."""
+    """Builds forward recursions of compiled channel models on observed
+    sequences (``recursion``), each distinct (model, input law, joint)
+    built once: its step matrices, real form, closure, start and rescale
+    cap are shared by every recursion built from it, so that an engine
+    stack holds them once (``_stack_table``).  Models and laws are told
+    apart by identity and kept until the builder goes, which is meant to
+    be at the end of the call that made it."""
 
     def __init__(self):
         self._steps: dict[tuple, tuple] = {}
@@ -341,24 +341,23 @@ class RecursionBuilder:
     def __call__(
         self, model, q: InputLaw, ys: np.ndarray, xs: np.ndarray | None = None
     ) -> Recursion:
-        key = (id(model), id(q), xs is not None)
-        got = self._steps.get(key)
-        coerced = as_recursion_model(model) if got is None else got[2]
-        q.check_fits(coerced)
-        index = _check_symbols(ys, coerced.y_size, "output sequence")
+        q.check_fits(model)
+        index = _check_symbols(ys, model.y_size, "output sequence")
         if xs is not None:
-            xs = _check_symbols(xs, coerced.x_size, "input sequence")
+            xs = _check_symbols(xs, model.x_size, "input sequence")
             if xs.size != index.size:
                 raise SequenceError("input and output sequences differ in length")
+        key = (id(model), id(q), xs is not None)
+        got = self._steps.get(key)
         if got is None:
-            got = self._steps[key] = (model, q, coerced, _model_steps(coerced, q, xs is not None))
-        return got[3]._replace(index=index, inputs=xs, y_size=coerced.y_size)
+            got = self._steps[key] = (model, q, _model_steps(model, q, xs is not None))
+        return got[2]._replace(index=index, inputs=xs, y_size=model.y_size)
 
 
 def recursion(model, q: InputLaw, ys: np.ndarray, xs: np.ndarray | None = None) -> Recursion:
-    """The forward recursion of any channel model on the observed ``ys``
-    (``xs`` marginalized) or on ``(xs, ys)`` (input-law factors included),
-    built on its own (see ``_model_steps``)."""
+    """The forward recursion of a compiled channel model on the observed
+    ``ys`` (``xs`` marginalized) or on ``(xs, ys)`` (input-law factors
+    included), built on its own (see ``_model_steps``)."""
     return RecursionBuilder()(model, q, ys, xs)
 
 
@@ -868,15 +867,16 @@ def estimate_rows(rows: Sequence[RateRow]) -> list:
 
     Each row's output-only recursion is built, then its joint one if the
     row holds its inputs; building stops at the first recursion that
-    cannot be built (a model that does not compile, a law that does not
-    fit it, or a symbol outside its alphabet), whose error takes its
-    place.  Rows of one model and input law share its step matrices,
-    built once for the call (``RecursionBuilder``).  The recursions of
-    every row run in one ``stacked_forward_logs`` call, and each
-    recursion's logs are reduced to their sum at once.  An output-only
-    recursion of a uniform output process (``Recursion.uniform``) runs
-    no step: its sum is n ln Y.  A row's error is its first: the
-    output-only recursion's, then the joint one's.
+    cannot be built (a law that does not fit its model, or a symbol
+    outside its alphabet), whose error takes its place.  A model that is
+    not compiled raises ``TypeError`` out of the call.  Rows of one model
+    and input law share its step matrices, built once for the call
+    (``RecursionBuilder``).  The recursions of every row run in one
+    ``stacked_forward_logs`` call, and each recursion's logs are reduced
+    to their sum at once.  An output-only recursion of a uniform output
+    process (``Recursion.uniform``) runs no step: its sum is n ln Y.  A
+    row's error is its first: the output-only recursion's, then the
+    joint one's.
     """
     build = RecursionBuilder()
     sums: list[list] = []
@@ -919,8 +919,10 @@ def entropy_rate_estimates(model, q: InputLaw, traj: Trajectory) -> RateEstimate
     averaged over all its steps.
 
     Both entropy rates of the model come from its recursions
-    (``estimate_rows``), the sampler's logs unused.
+    (``estimate_rows``), the sampler's logs unused; the law is checked
+    first (``InputLaw.check_fits``).
     """
+    q.check_fits(model)
     hx_sum = float(input_log_loss(q, traj.x).sum())
     (r,) = estimate_rows([RateRow(model, q, traj.y, hx_sum, traj.x)])
     if isinstance(r, QchanrateError):

@@ -98,7 +98,7 @@ from math import frexp, ldexp, nan
 
 import numpy as np
 
-from .channels import ClassicalFsmc, InputLaw, TransferOperatorSet, as_recursion_model
+from .channels import ClassicalFsmc, InputLaw, TransferOperatorSet
 from .errors import NumericalCorruptionError, TrajectoryFormatError
 from .linalg import pack_hermitian, real_transfer_form
 
@@ -577,9 +577,8 @@ def sample_trajectory(model, q: InputLaw, n: int, seed: int) -> Trajectory:
     """Sample (inputs, outputs) of length n; deterministic given the seed.
 
     Accepts a classical finite-state channel or a compiled transfer
-    operator set; uncompiled quantum channels are compiled first.
+    operator set (``InputLaw.check_fits``).
     """
-    model = as_recursion_model(model)
     q.check_fits(model)
     rng = make_rng(seed)
     x = sample_input(q, n, rng)

@@ -57,7 +57,10 @@ class Pieces(NamedTuple):
 
 
 def pieces(model) -> Pieces:
-    model = channels.as_recursion_model(model)
+    """The ``Pieces`` of a classical, compiled or raw quantum model; a raw
+    one is compiled here."""
+    if isinstance(model, channels.QuantumMemoryChannel):
+        model = channels.compile_transfer_operators(model)
     if isinstance(model, channels.ClassicalFsmc):
         mats = model.kernel.transpose(1, 3, 0, 2)  # (X, Y, S, S)
         return Pieces(
@@ -138,7 +141,6 @@ def sample_outputs(model, xs, us):
     state from ``initial``, and ``us[t + 1]`` draws step t's (next state,
     output) pair from the guarded joint pmf of the current state and the
     input."""
-    model = channels.as_recursion_model(model)
     if isinstance(model, channels.ClassicalFsmc):
         return _sample_classical_outputs(model, xs, us)
     p = pieces(model)
@@ -195,7 +197,7 @@ def oracle_joint_prob(model, q: InputLaw, xs, ys) -> float:
     """Exact p(xs, ys) as an explicit sum over latent paths."""
     xs = np.asarray(xs, dtype=np.int64)
     ys = np.asarray(ys, dtype=np.int64)
-    model = oracle._prep(model, q, len(ys))
+    oracle._prep(model, q, len(ys))
     if xs.shape != ys.shape:
         raise ValueError("input and output sequences differ in length")
     init, mats, close = oracle._model_pieces(model)
@@ -212,7 +214,7 @@ def oracle_output_prob(model, q: InputLaw, ys) -> float:
     literally.
     """
     ys = np.asarray(ys, dtype=np.int64)
-    model = oracle._prep(model, q, len(ys))
+    oracle._prep(model, q, len(ys))
     init, mats, close = oracle._model_pieces(model)
     weighted = np.einsum("x,xyab->yab", q.p, np.asarray(mats))
     g = _path_product_sum(init, [weighted[y] for y in ys], close)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,99 @@ class TestGilbertElliott:
         or recursion ever runs on one that is not a pmf."""
         with pytest.raises(ModelValidationError, match=f"^{condition} violated"):
             qc.build_gilbert_elliott(0.1, 0.2, GE_TRANSITION, initial=initial)
+
+
+class TestStationaryDistribution:
+    def test_two_state_chains(self):
+        """Every two-state chain [[1 - a, a], [b, 1 - b]] has the pmf
+        (b, a) / (a + b), whichever sign ``eig`` gives its eigenvector."""
+        grid = np.linspace(0.001, 0.999, 60)
+        for a, b in itertools.product(grid, grid):
+            got = channels.stationary_distribution(np.array([[1 - a, a], [b, 1 - b]]))
+            assert np.abs(got - np.array([b, a]) / (a + b)).max() <= 1e-12, (a, b)
+
+    def test_random_chains_are_stationary(self):
+        rng = np.random.default_rng(12)
+        for size in (3, 4, 8):
+            for _ in range(50):
+                t = rng.random((size, size))
+                t /= t.sum(axis=1, keepdims=True)
+                pi = channels.stationary_distribution(t)
+                assert np.abs(pi @ t - pi).max() <= 1e-9 and pi.min() >= 0.0
+
+    def test_shipped_transition_keeps_its_bits(self):
+        got = channels.stationary_distribution(np.array([[0.9, 0.1], [0.2, 0.8]]))
+        assert got.tolist() == [0.6666666666666666, 0.3333333333333334]
+
+    @pytest.mark.parametrize(
+        "transition",
+        [np.eye(2), np.eye(3), np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]])],
+        ids=["identity-2", "identity-3", "two-classes"],
+    )
+    def test_not_unique_gives_uniform(self, transition):
+        """A chain with more than one stationary pmf gets the uniform one."""
+        n = len(transition)
+        assert channels.stationary_distribution(transition).tolist() == [1.0 / n] * n
+
+
+def raises_exactly(exc_type, message):
+    return pytest.raises(exc_type, match=f"^{re.escape(message)}$")
+
+
+class TestShapeGuards:
+    """Each model type rejects arrays of the wrong shape at construction,
+    naming the shape it got."""
+
+    @pytest.mark.parametrize(
+        "kernel, initial, message",
+        [
+            (np.ones((2, 2, 2)), [1.0, 0.0], "kernel must have shape (S, X, S, Y), got (2, 2, 2)"),
+            (np.ones((2, 2, 3, 2)), [1.0, 0.0],
+             "kernel must have shape (S, X, S, Y), got (2, 2, 3, 2)"),
+            (np.ones((2, 2, 2, 2)), [1.0], "initial state pmf has length (1,), expected (2,)"),
+        ],
+        ids=["three-axes", "state-axes-differ", "initial-length"],
+    )
+    def test_classical_fsmc(self, kernel, initial, message):
+        with raises_exactly(ValueError, message):
+            channels.ClassicalFsmc(kernel, np.array(initial))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("state_dim", 0, "state_dim must be >= 1"),
+            ("encodings", np.ones((2, 2, 3)), "encodings must have shape (X, d, d), got (2, 2, 3)"),
+            ("kraus", np.ones((2, 4, 2)),
+             "kraus operators must be square (equal input and output transmit dimensions "
+             "are assumed), got shape (2, 4, 2)"),
+            ("state_dim", 3,
+             "kraus operators act on dimension 4, expected transmit_dim * state_dim = 6"),
+            ("measurements", np.ones((2, 3, 3)),
+             "measurements must have shape (Y, 2, 2), got (2, 3, 3)"),
+            ("inter_use_unitary", np.eye(3), "inter-use unitary must be 2x2, got (3, 3)"),
+            ("initial_state", np.eye(3), "initial state must be 2x2, got (3, 3)"),
+        ],
+        ids=["state-dim", "encodings", "kraus-not-square", "kraus-dimension", "measurements",
+             "unitary", "initial-state"],
+    )
+    def test_quantum_memory_channel(self, field, value, message):
+        ch = qc.build_quantum_gilbert_elliott(P_GOOD, P_BAD)
+        with raises_exactly(ValueError, message):
+            dataclasses.replace(ch, **{field: value})
+
+    @pytest.mark.parametrize(
+        "operators, initial, message",
+        [
+            (np.ones((2, 2, 4)), np.eye(2),
+             "operators must have shape (X, Y, S^2, S^2), got (2, 2, 4)"),
+            (np.ones((2, 2, 3, 3)), np.eye(2), "operator dimension 3 is not a perfect square"),
+            (np.ones((2, 2, 4, 4)), np.eye(3), "initial state must be 2x2, got (3, 3)"),
+        ],
+        ids=["three-axes", "not-square-dimension", "initial-state"],
+    )
+    def test_transfer_operator_set(self, operators, initial, message):
+        with raises_exactly(ValueError, message):
+            channels.TransferOperatorSet(operators, initial)
 
 
 class TestQuantumGilbertElliott:
@@ -336,6 +430,13 @@ class TestValidate:
         broken = channels.TransferOperatorSet(ops, quantum_ge.initial_state)
         with pytest.raises(ModelValidationError, match="trace consistency .*: worst at input 1;"):
             channels.require_valid(broken)
+
+    @pytest.mark.parametrize(
+        "model, name", [(qc.InputLaw([0.5, 0.5]), "InputLaw"), ("bsc", "str")], ids=["law", "str"]
+    )
+    def test_rejects_what_is_not_a_model(self, model, name):
+        with raises_exactly(TypeError, f"no validator for {name}"):
+            qc.validate(model)
 
     def test_summary_mentions_every_check(self, classical_ge):
         text = qc.validate(classical_ge).summary()

@@ -18,7 +18,7 @@ from qchanrate import cli, config, rates, runner
 from qchanrate.bounds import lower_bound
 from qchanrate.cli import main
 from qchanrate.config import instantiate_channel, load_config
-from qchanrate.errors import ConfigError, QchanrateError
+from qchanrate.errors import ConfigError, NumericalCorruptionError, QchanrateError
 from qchanrate.oracle import MAX_ORACLE_N
 from qchanrate.rates import entropy_rate_estimates
 from qchanrate.runner import CSV_COLUMNS, run_experiment
@@ -880,6 +880,35 @@ class TestRunner:
                 call()
             raised[est_id] = (type(info.value).__name__, str(info.value))
         assert raised == {e.estimator_id: (e.category, e.message) for e in out.errors}
+
+    def test_sampler_error_stays_in_its_task(self, tmp_path, monkeypatch):
+        """A task whose sampler raises records that error on each of its
+        estimators' rows; the run goes on, and every other row is a
+        clean run's."""
+        cfg = load_config(write_config(
+            tmp_path, channel=QUANTUM_GE, seeds=[0, 1],
+            sweep={"parameter": "n", "values": [100, 150, 200]},
+            estimators=["ir", "aux_lower"],
+            auxiliaries=[dict(GE_PARAMS, kind="gilbert_elliott", label="ge")],
+        ))
+        clean = run_experiment(cfg, tmp_path / "clean", write_svg=False)
+        assert not clean.errors
+        sample = runner.sample_trajectory
+        message = "planted sampler fault"
+
+        def planted(model, q, n, seed):
+            if (n, seed) == (150, 1):
+                raise NumericalCorruptionError(message)
+            return sample(model, q, n, seed)
+
+        monkeypatch.setattr(runner, "sample_trajectory", planted)
+        out = run_experiment(cfg, tmp_path / "planted", write_svg=False)
+        assert out.rows == tuple(r for r in clean.rows if (r.sweep_value, r.seed) != (150.0, 1))
+        assert [(e.sweep_value, e.estimator_id, e.seed, e.category, e.message)
+                for e in out.errors] == [
+            (150.0, est_id, 1, "NumericalCorruptionError", message)
+            for est_id in ("aux_lower:ge", "ir")
+        ]
 
     def test_svg_is_wellformed(self, tmp_path):
         cfg = load_config(write_config(tmp_path))

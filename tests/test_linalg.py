@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -122,6 +124,12 @@ class TestGuards:
             la.as_operator(np.array([[np.nan, 0], [0, 1]]))
         with pytest.raises(OperatorError):
             la.as_operator(np.eye(65))
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2)], ids=["scalar", "vector", "stack"])
+    def test_as_operator_rejects_a_non_matrix(self, shape):
+        message = f"initial state must be a square matrix, got shape {shape}"
+        with pytest.raises(OperatorError, match=f"^{re.escape(message)}$"):
+            la.as_operator(np.zeros(shape), "initial state")
 
 
 class TestHermitianPacking:

@@ -16,7 +16,6 @@ from qchanrate import channels, rates
 from qchanrate.cli import main
 from qchanrate.errors import (
     ImpossibleObservationError,
-    ModelValidationError,
     NumericalCorruptionError,
     SequenceError,
 )
@@ -1103,30 +1102,38 @@ class TestSequenceChecks:
         (got,) = rates.estimate_rows([rates.RateRow(model, q, self.YS, 0.0, self.XS)])
         assert type(got) is SequenceError and str(got) == LAW_MESSAGE
 
+    @pytest.mark.parametrize("call", ["entropy_rate_estimates", "lower_bound"])
+    def test_rows_check_the_law_before_the_inputs(self, model, call):
+        """A one-entry law meets input symbol 1, outside its range: the
+        law's size is reported, not the symbol."""
+        q = qc.InputLaw([1.0])
+        traj = qc.Trajectory(self.XS, self.YS, seed=0)
+        with pytest.raises(SequenceError, match=f"^{LAW_MESSAGE}$"):
+            if call == "lower_bound":
+                qc.lower_bound(traj, qc.make_auxiliary(model, "ge"), q)
+            else:
+                qc.entropy_rate_estimates(model, q, traj)
+
 
 class TestUncompiledModels:
-    """``entropy_rate_estimates`` and ``lower_bound`` compile a raw
-    quantum-memory channel themselves."""
+    """Every entry point takes compiled models only: a raw quantum-memory
+    channel raises ``TypeError`` naming the compile step."""
 
-    @pytest.mark.parametrize("law", [[0.5, 0.5], [0.3, 0.7]])
-    def test_raw_channel_equals_its_compiled_set(self, law):
-        raw = qc.build_quantum_gilbert_elliott(P_GOOD, P_BAD, alpha=1.0)
-        compiled = qc.compile_transfer_operators(raw)
-        q = qc.InputLaw(np.array(law))
-        traj = qc.sample_trajectory(compiled, q, 2000, seed=68)
-        assert qc.entropy_rate_estimates(raw, q, traj) == qc.entropy_rate_estimates(compiled, q, traj)
-        assert qc.lower_bound(traj, qc.AuxiliaryModel(raw, "raw"), q) == qc.lower_bound(
-            traj, qc.AuxiliaryModel(compiled, "raw"), q
-        )
+    RAW = qc.build_quantum_gilbert_elliott(P_GOOD, P_BAD, alpha=1.0)
+    TRAJ = qc.Trajectory(np.array([0, 1, 0, 1]), np.array([0, 1, 1, 0]), seed=0)
+    CALLS = {
+        "sample_trajectory": lambda raw, q, traj: qc.sample_trajectory(raw, q, 4, seed=0),
+        "recursion": lambda raw, q, traj: rates.recursion(raw, q, traj.y, traj.x),
+        "estimate_rows": lambda raw, q, traj: rates.estimate_rows(
+            [rates.RateRow(raw, q, traj.y, 0.0, traj.x)]
+        ),
+        "entropy_rate_estimates": lambda raw, q, traj: qc.entropy_rate_estimates(raw, q, traj),
+        "lower_bound": lambda raw, q, traj: qc.lower_bound(traj, qc.AuxiliaryModel(raw, "raw"), q),
+        "brute_force_oracle": lambda raw, q, traj: qc.brute_force_oracle(raw, q, 2),
+    }
 
-    def test_uncompilable_raw_channel_raises_its_error(self, uniform):
-        ch = qc.build_quantum_gilbert_elliott(0.2, 0.8)
-        broken = dataclasses.replace(ch, kraus=ch.kraus * 0.9)
-        with pytest.raises(ModelValidationError) as alone:
-            qc.compile_transfer_operators(broken)
-        message = f"^{re.escape(str(alone.value))}$"
-        traj = qc.sample_trajectory(reference_ge(), uniform, 100, seed=69)
-        with pytest.raises(ModelValidationError, match=message):
-            qc.entropy_rate_estimates(broken, uniform, traj)
-        with pytest.raises(ModelValidationError, match=message):
-            qc.lower_bound(traj, qc.AuxiliaryModel(broken, "broken"), uniform)
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+    def test_raw_channel_raises_type_error(self, call, uniform):
+        message = r"got QuantumMemoryChannel; compile it with compile_transfer_operators$"
+        with pytest.raises(TypeError, match=message):
+            call(self.RAW, uniform, self.TRAJ)

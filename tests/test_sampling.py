@@ -76,6 +76,36 @@ class TestSampleInput:
         assert np.array_equal(a, b)
 
 
+class TestInputGuards:
+    """The sampler's inputs are checked before anything is drawn."""
+
+    @pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "too-large"])
+    def test_make_rng_seed_range(self, seed):
+        message = f"seed must fit in an unsigned 64-bit integer, got {seed}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            qc.make_rng(seed)
+
+    @pytest.mark.parametrize(
+        "x, y, message",
+        [
+            ([[0, 1]], [[0, 1]], "x and y must be equal-length nonempty 1-D sequences"),
+            ([0, 1], [0], "x and y must be equal-length nonempty 1-D sequences"),
+            ([], [], "x and y must be equal-length nonempty 1-D sequences"),
+            ([0, -1], [0, 1], "symbols must be nonnegative integers"),
+            ([0, 1], [-2, 1], "symbols must be nonnegative integers"),
+        ],
+        ids=["2-D", "lengths-differ", "empty", "negative-input", "negative-output"],
+    )
+    def test_trajectory(self, x, y, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            qc.Trajectory(np.array(x, dtype=np.int64), np.array(y, dtype=np.int64), seed=0)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_sample_input_length(self, n, uniform):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            qc.sample_input(uniform, n, qc.make_rng(0))
+
+
 def measurement_route_pmf(ch: channels.QuantumMemoryChannel, state, x):
     """Output distribution straight from the channel pieces: evolve the
     joint encoding-memory state through the interaction, trace out the
