@@ -115,7 +115,7 @@ class ClassicalFsmc:
     def __post_init__(self):
         k = np.asarray(self.kernel, dtype=float)
         p0 = np.asarray(self.initial, dtype=float)
-        if k.ndim != 4 or k.shape[0] != k.shape[2]:
+        if k.ndim != 4 or k.shape[0] != k.shape[2] or 0 in k.shape:
             raise ValueError(
                 f"kernel must have shape (S, X, S, Y), got {k.shape}"
             )
@@ -168,7 +168,7 @@ class QuantumMemoryChannel:
         s = int(self.state_dim)
         if s < 1:
             raise ValueError("state_dim must be >= 1")
-        if enc.ndim != 3 or enc.shape[1] != enc.shape[2]:
+        if enc.ndim != 3 or enc.shape[1] != enc.shape[2] or 0 in enc.shape:
             raise ValueError(f"encodings must have shape (X, d, d), got {enc.shape}")
         d = enc.shape[1]
         if kr.ndim != 3 or kr.shape[1] != kr.shape[2]:
@@ -181,7 +181,7 @@ class QuantumMemoryChannel:
                 f"kraus operators act on dimension {kr.shape[1]}, expected "
                 f"transmit_dim * state_dim = {d * s}"
             )
-        if meas.ndim != 3 or meas.shape[1:] != (d, d):
+        if meas.ndim != 3 or meas.shape[1:] != (d, d) or meas.shape[0] == 0:
             raise ValueError(f"measurements must have shape (Y, {d}, {d}), got {meas.shape}")
         if u.shape != (s, s):
             raise ValueError(f"inter-use unitary must be {s}x{s}, got {u.shape}")
@@ -222,7 +222,7 @@ class TransferOperatorSet:
     def __post_init__(self):
         ops = np.asarray(self.operators, dtype=complex)
         rho0 = np.asarray(self.initial_state, dtype=complex)
-        if ops.ndim != 4 or ops.shape[2] != ops.shape[3]:
+        if ops.ndim != 4 or ops.shape[2] != ops.shape[3] or 0 in ops.shape:
             raise ValueError(f"operators must have shape (X, Y, S^2, S^2), got {ops.shape}")
         s = int(round(np.sqrt(ops.shape[2])))
         if s * s != ops.shape[2]:
@@ -276,11 +276,16 @@ def build_bsc(p: float) -> ClassicalFsmc:
 
 
 def stationary_distribution(transition: np.ndarray) -> np.ndarray:
-    """Stationary pmf of a row-stochastic matrix; uniform when not unique."""
+    """Stationary pmf of a row-stochastic matrix; uniform when not unique.
+
+    An eigenvalue within 1e-12 of 1, a few thousand ulps, counts as a
+    unit eigenvalue, so a chain whose spectral gap is below that also
+    gets the uniform pmf.
+    """
     t = np.asarray(transition, dtype=float)
     n = t.shape[0]
     w, v = np.linalg.eig(t.T)
-    near_one = np.abs(w - 1.0) < 1e-9
+    near_one = np.abs(w - 1.0) < 1e-12
     if near_one.sum() != 1:
         return np.full(n, 1.0 / n)
     vec = np.real(v[:, near_one.argmax()])

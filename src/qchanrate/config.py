@@ -172,96 +172,71 @@ def _parse_channel(node, path: str) -> ChannelSpec:
     return ChannelSpec(kind, params)
 
 
+def _matrix_list(node, path: str) -> np.ndarray:
+    """A stack of square complex matrices, each read at ``path[i]``."""
+    node = _list(node, path, "matrices")
+    return np.stack([parse_complex_matrix(m, f"{path}[{i}]") for i, m in enumerate(node)])
+
+
 def _build_raw(kind: str, params: dict, path: str):
     """A channel model from spec params, validated, except that a quantum
     one is left to compile."""
     known = dict(params)
 
-    def take_number(name, default=None, required=False):
-        if name not in known:
-            if required:
-                _fail(f"{path}.{name}", "required parameter missing")
-            return default
-        return _number(known.pop(name), f"{path}.{name}")
-
-    def take_matrix(name):
-        if name not in known:
-            return None
-        return parse_complex_matrix(known.pop(name), f"{path}.{name}")
+    def take(name, read, *default):
+        """Pop parameter ``name`` and read it at ``<path>.<name>``; when
+        it is absent, the default, if one is given."""
+        if name in known:
+            return read(known.pop(name), f"{path}.{name}")
+        if not default:
+            _fail(f"{path}.{name}", "required parameter missing")
+        return default[0]
 
     try:
         if kind == "bsc":
-            p = take_number("p", required=True)
-            model = channels.build_bsc(p)
+            model = channels.build_bsc(take("p", _number))
         elif kind == "gilbert_elliott":
-            p_g = take_number("p_g", required=True)
-            p_b = take_number("p_b", required=True)
-            if "transition" not in known:
-                _fail(f"{path}.transition", "required parameter missing")
-            transition = _real_array(known.pop("transition"), f"{path}.transition")
-            initial = None
-            if "initial" in known:
-                initial = _real_array(known.pop("initial"), f"{path}.initial")
+            p_g = take("p_g", _number)
+            p_b = take("p_b", _number)
+            transition = take("transition", _real_array)
+            initial = take("initial", _real_array, None)
             model = channels.build_gilbert_elliott(p_g, p_b, transition, initial)
         elif kind in ("quantum_ge", "quantum_ge_2qubit"):
-            p_g = take_number("p_g", required=True)
-            p_b = take_number("p_b", required=True)
-            alpha = take_number("alpha", default=0.0)
-            h = take_matrix("hamiltonian")
-            if h is None:
-                h = (
-                    channels.DEFAULT_TWO_QUBIT_H
-                    if kind == "quantum_ge_2qubit"
-                    else channels.DEFAULT_SINGLE_QUBIT_H
-                )
-            expected_dim = 4 if kind == "quantum_ge_2qubit" else 2
+            p_g = take("p_g", _number)
+            p_b = take("p_b", _number)
+            alpha = take("alpha", _number, 0.0)
+            two_qubit = kind == "quantum_ge_2qubit"
+            h = take(
+                "hamiltonian",
+                parse_complex_matrix,
+                channels.DEFAULT_TWO_QUBIT_H if two_qubit else channels.DEFAULT_SINGLE_QUBIT_H,
+            )
+            expected_dim = 4 if two_qubit else 2
             if h.shape[0] != expected_dim:
                 _fail(
                     f"{path}.hamiltonian",
                     f"{kind} needs a {expected_dim}x{expected_dim} generator, got {h.shape[0]}x{h.shape[0]}",
                 )
-            rho0 = take_matrix("initial_state")
+            rho0 = take("initial_state", parse_complex_matrix, None)
             model = channels.build_quantum_gilbert_elliott(p_g, p_b, h, alpha, rho0)
         elif kind == "custom_fsmc":
-            if "kernel" not in known or "initial" not in known:
-                _fail(path, "custom_fsmc needs 'kernel' and 'initial'")
-            kernel = _real_array(known.pop("kernel"), f"{path}.kernel")
-            initial = _real_array(known.pop("initial"), f"{path}.initial")
+            kernel = take("kernel", _real_array)
+            initial = take("initial", _real_array)
             model = channels.ClassicalFsmc(kernel, initial)
             channels.require_valid(model)
-        elif kind == "custom_kraus":
-            for name in ("state_dim", "encodings", "kraus", "measurements"):
-                if name not in known:
-                    _fail(f"{path}.{name}", "required parameter missing")
-            state_dim = _integer(known.pop("state_dim"), f"{path}.state_dim")
+        else:  # custom_kraus
+            state_dim = take("state_dim", _integer)
             if not 1 <= state_dim <= MAX_DIM:
                 _fail(f"{path}.state_dim", f"must lie in [1, {MAX_DIM}], got {state_dim}")
-
-            def matrix_list(name):
-                node = _list(known.pop(name), f"{path}.{name}", "matrices")
-                return np.stack(
-                    [parse_complex_matrix(m, f"{path}.{name}[{i}]") for i, m in enumerate(node)]
-                )
-
-            encodings = matrix_list("encodings")
-            kraus = matrix_list("kraus")
-            measurements = matrix_list("measurements")
-            unitary = take_matrix("unitary")
-            if unitary is None:
-                unitary = np.eye(state_dim, dtype=complex)
-            rho0 = take_matrix("initial_state")
-            if rho0 is None:
-                rho0 = np.eye(state_dim, dtype=complex) / state_dim
+            eye = np.eye(state_dim, dtype=complex)
             model = channels.QuantumMemoryChannel(
                 state_dim=state_dim,
-                encodings=encodings,
-                kraus=kraus,
-                measurements=measurements,
-                inter_use_unitary=unitary,
-                initial_state=rho0,
+                encodings=take("encodings", _matrix_list),
+                kraus=take("kraus", _matrix_list),
+                measurements=take("measurements", _matrix_list),
+                inter_use_unitary=take("unitary", parse_complex_matrix, eye),
+                initial_state=take("initial_state", parse_complex_matrix, eye / state_dim),
             )
-        else:  # pragma: no cover - kinds are checked at parse time
-            _fail(path, f"unsupported channel kind {kind!r}")
     except ConfigError:
         raise
     except (ValueError, QchanrateError) as exc:
@@ -408,12 +383,8 @@ def load_config(path) -> ExperimentConfig:
     aux_specs = []
     seen_labels = set()
     for i, node in enumerate(aux_node):
-        if not isinstance(node, dict) or "kind" not in node:
-            _fail(f"auxiliaries[{i}]", "expected an object with a 'kind' key")
-        kind = node["kind"]
-        if kind not in CHANNEL_KINDS:
-            _fail(f"auxiliaries[{i}].kind", f"expected one of {CHANNEL_KINDS}, got {kind!r}")
-        label = node.get("label", f"{kind}-{i}")
+        spec = _parse_channel(node, f"auxiliaries[{i}]")
+        label = spec.params.pop("label", f"{spec.kind}-{i}")
         if not isinstance(label, str):
             _fail(f"auxiliaries[{i}].label", "expected a string")
         # the label goes unescaped into the CSV's estimator ids and the SVG legend
@@ -423,8 +394,7 @@ def load_config(path) -> ExperimentConfig:
         if label in seen_labels:
             _fail(f"auxiliaries[{i}].label", f"duplicate label {label!r}")
         seen_labels.add(label)
-        params = {k: v for k, v in node.items() if k not in ("kind", "label")}
-        aux_specs.append((kind, label, params))
+        aux_specs.append((spec.kind, label, spec.params))
     if "aux_lower" in estimators and not aux_specs:
         _fail("estimators", "'aux_lower' requires at least one auxiliary model")
 

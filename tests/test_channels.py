@@ -101,6 +101,13 @@ class TestStationaryDistribution:
                 pi = channels.stationary_distribution(t)
                 assert np.abs(pi @ t - pi).max() <= 1e-9 and pi.min() >= 0.0
 
+    def test_slowly_mixing_chain(self):
+        """A spectral gap of 4e-10 is far above the unit-eigenvalue
+        tolerance, so the chain gets its own stationary pmf."""
+        a, b = 1e-10, 3e-10
+        got = channels.stationary_distribution(np.array([[1 - a, a], [b, 1 - b]]))
+        assert np.abs(got - [0.75, 0.25]).max() <= 1e-6
+
     def test_shipped_transition_keeps_its_bits(self):
         got = channels.stationary_distribution(np.array([[0.9, 0.1], [0.2, 0.8]]))
         assert got.tolist() == [0.6666666666666666, 0.3333333333333334]
@@ -131,8 +138,12 @@ class TestShapeGuards:
             (np.ones((2, 2, 3, 2)), [1.0, 0.0],
              "kernel must have shape (S, X, S, Y), got (2, 2, 3, 2)"),
             (np.ones((2, 2, 2, 2)), [1.0], "initial state pmf has length (1,), expected (2,)"),
+            (np.ones((0, 2, 0, 2)), [], "kernel must have shape (S, X, S, Y), got (0, 2, 0, 2)"),
+            (np.ones((1, 0, 1, 2)), [1.0], "kernel must have shape (S, X, S, Y), got (1, 0, 1, 2)"),
+            (np.ones((1, 2, 1, 0)), [1.0], "kernel must have shape (S, X, S, Y), got (1, 2, 1, 0)"),
         ],
-        ids=["three-axes", "state-axes-differ", "initial-length"],
+        ids=["three-axes", "state-axes-differ", "initial-length", "no-states", "no-inputs",
+             "no-outputs"],
     )
     def test_classical_fsmc(self, kernel, initial, message):
         with raises_exactly(ValueError, message):
@@ -152,9 +163,12 @@ class TestShapeGuards:
              "measurements must have shape (Y, 2, 2), got (2, 3, 3)"),
             ("inter_use_unitary", np.eye(3), "inter-use unitary must be 2x2, got (3, 3)"),
             ("initial_state", np.eye(3), "initial state must be 2x2, got (3, 3)"),
+            ("encodings", np.ones((0, 2, 2)), "encodings must have shape (X, d, d), got (0, 2, 2)"),
+            ("measurements", np.ones((0, 2, 2)),
+             "measurements must have shape (Y, 2, 2), got (0, 2, 2)"),
         ],
         ids=["state-dim", "encodings", "kraus-not-square", "kraus-dimension", "measurements",
-             "unitary", "initial-state"],
+             "unitary", "initial-state", "no-inputs", "no-outputs"],
     )
     def test_quantum_memory_channel(self, field, value, message):
         ch = qc.build_quantum_gilbert_elliott(P_GOOD, P_BAD)
@@ -168,8 +182,15 @@ class TestShapeGuards:
              "operators must have shape (X, Y, S^2, S^2), got (2, 2, 4)"),
             (np.ones((2, 2, 3, 3)), np.eye(2), "operator dimension 3 is not a perfect square"),
             (np.ones((2, 2, 4, 4)), np.eye(3), "initial state must be 2x2, got (3, 3)"),
+            (np.ones((2, 2, 0, 0)), np.eye(2),
+             "operators must have shape (X, Y, S^2, S^2), got (2, 2, 0, 0)"),
+            (np.ones((0, 2, 4, 4)), np.eye(2),
+             "operators must have shape (X, Y, S^2, S^2), got (0, 2, 4, 4)"),
+            (np.ones((2, 0, 4, 4)), np.eye(2),
+             "operators must have shape (X, Y, S^2, S^2), got (2, 0, 4, 4)"),
         ],
-        ids=["three-axes", "not-square-dimension", "initial-state"],
+        ids=["three-axes", "not-square-dimension", "initial-state", "no-states", "no-inputs",
+             "no-outputs"],
     )
     def test_transfer_operator_set(self, operators, initial, message):
         with raises_exactly(ValueError, message):

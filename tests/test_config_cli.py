@@ -300,7 +300,7 @@ class TestParsing:
              "channel.hamiltonian: quantum_ge needs a 2x2 generator, got 4x4"),
             ({"channel": {"kind": "custom_fsmc", "initial": [1.0]},
               "sweep": {"parameter": "n", "values": [100]}},
-             "channel: custom_fsmc needs 'kernel' and 'initial'"),
+             "channel.kernel: required parameter missing"),
             ({"channel": {"kind": "custom_kraus"}, "sweep": {"parameter": "n", "values": [100]}},
              "channel.state_dim: required parameter missing"),
             ({"channel": {"kind": "bsc", "p": 0.1, "q": 0.2}},
@@ -316,9 +316,24 @@ class TestParsing:
               "auxiliaries": [{"kind": "custom_fsmc", "label": "a", "initial": [1.0],
                                "kernel": [[[[0.5, 0.25, 0.25]], [[0.25, 0.25, 0.5]]]]}]},
              "auxiliaries[a]: auxiliary alphabets must match the true channel"),
+            # an auxiliary goes through the same kind check as the channel
+            ({"estimators": ["aux_lower"], "auxiliaries": [{"label": "a", "p": 0.2}]},
+             f"auxiliaries[0].kind: expected one of {config.CHANNEL_KINDS}, got None"),
+            ({"estimators": ["aux_lower"], "auxiliaries": [3]},
+             "auxiliaries[0]: expected an object with a 'kind' key"),
+            # custom_kraus reads state_dim before any of its matrices
+            ({"channel": {"kind": "custom_kraus", "state_dim": 0},
+              "sweep": {"parameter": "n", "values": [100]}},
+             "channel.state_dim: must lie in [1, 64], got 0"),
+            # a kernel with an empty output axis would leave validate nothing to check
+            ({"channel": {"kind": "custom_fsmc", "kernel": [[[[]]]], "initial": [1.0]},
+              "sweep": {"parameter": "n", "values": [100]}},
+             "channel: kernel must have shape (S, X, S, Y), got (1, 1, 1, 0)"),
         ],
         ids=["generator-size", "custom-fsmc", "custom-kraus", "unknown-parameter",
-             "all-excluded", "label-type", "duplicate-label", "auxiliary-alphabets"],
+             "all-excluded", "label-type", "duplicate-label", "auxiliary-alphabets",
+             "auxiliary-kind-missing", "auxiliary-not-object", "custom-kraus-state-dim-first",
+             "custom-fsmc-empty-axis"],
     )
     def test_rejection_names_its_field(self, tmp_path, capsys, overrides, expected):
         """Each rejection exits 2 with its category, the path of the field
@@ -326,6 +341,14 @@ class TestParsing:
         path = write_config(tmp_path, **overrides)
         assert main(["validate", str(path)]) == 2
         assert capsys.readouterr().err == f"error[ConfigError]: {expected}\n"
+
+    def test_slowly_mixing_chain_starts_stationary(self, tmp_path):
+        """A Gilbert-Elliott channel without ``initial`` starts in the
+        stationary pmf of its transition, however slowly it mixes."""
+        a, b = 1e-10, 3e-10
+        channel = dict(GE_PARAMS, kind="gilbert_elliott", transition=[[1 - a, a], [b, 1 - b]])
+        path = write_config(tmp_path, channel=channel, sweep={"parameter": "p_b", "values": [0.4]})
+        assert np.abs(load_config(path).model.initial - [0.75, 0.25]).max() <= 1e-6
 
     def test_longest_length_parses(self, tmp_path):
         assert load_config(write_config(tmp_path, n=2**60 - 1)).n == 2**60 - 1
@@ -1125,6 +1148,49 @@ class TestCli:
         )
         assert not (out_dir / "results.csv").exists()
 
+    def test_package_error_in_a_chunk_is_raised_as_is(self, tmp_path, monkeypatch):
+        """A ``QchanrateError`` from a chunk leaves ``run_experiment`` as
+        the same object, without the "chunk k of n" wrapper."""
+        planted = QchanrateError("planted package error")
+
+        def failing(cfg, tasks):
+            raise planted
+
+        monkeypatch.setattr(runner, "evaluate_chunk", failing)
+        with pytest.raises(QchanrateError) as info:
+            run_experiment(load_config(write_config(tmp_path)), tmp_path / "o")
+        assert info.value is planted
+        assert not (tmp_path / "o" / "results.csv").exists()
+
+    def test_svg_write_error_names_the_svg(self, tmp_path, monkeypatch):
+        """A write that fails after the pre-flight check (a full disk,
+        say) is a ``ConfigError`` naming the file."""
+
+        def full(path, *args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(runner, "write_line_plot", full)
+        out_dir = tmp_path / "o"
+        with pytest.raises(ConfigError) as info:
+            run_experiment(load_config(write_config(tmp_path)), out_dir)
+        assert str(info.value) == (
+            f"{out_dir / 'results.svg'}: cannot write file: {os.strerror(errno.ENOSPC)}"
+        )
+
+    def test_every_row_failing_exits_3(self, tmp_path, capsys):
+        """A sweep whose every point fails writes its errors file and
+        exits 3."""
+        channel = dict(QUANTUM_GE, hamiltonian=[[[0.0, 0.0], [2.0, 0.0]], [[2.0, 0.0], [0.0, 0.0]]])
+        path = write_config(
+            tmp_path, channel=channel, seeds=[0], n=300,
+            sweep={"parameter": "alpha", "values": [1e308]},
+        )
+        out_dir = tmp_path / "o"
+        assert main(["estimate", str(path), "--no-svg", "--out-dir", str(out_dir)]) == 3
+        assert capsys.readouterr().err == "error[QchanrateError]: every estimator run failed\n"
+        _, errors = read_rows(out_dir / "results.errors.csv")
+        assert [e["sweep_value"] for e in errors] == ["1e+308"]
+
     def test_evolution_beyond_float_range_fails_its_point_only(self, tmp_path, capsys):
         """An ``alpha`` whose phases overflow a float leaves the unitary
         non-finite, and the compile check fails that point alone, with no
@@ -1531,6 +1597,20 @@ class TestCli:
         assert lines == [f"error[ConfigError]: --output: cannot write {out}: No such file or directory"]
         assert not sampled
 
+    def test_sample_write_error_names_output(self, tmp_path, capsys, monkeypatch):
+        """A write that fails after the pre-flight check (a full disk,
+        say) is a configuration error naming ``--output``."""
+
+        def full(traj, path):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli, "save_trajectory", full)
+        out = tmp_path / "t.txt"
+        assert main(["sample", str(write_config(tmp_path)), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error[ConfigError]: --output: cannot write {out}: {os.strerror(errno.ENOSPC)}\n"
+        )
+
     def test_out_of_memory_exits_3(self, tmp_path, capsys, monkeypatch):
         """Running out of memory is one error line with exit 3, not a
         traceback (the sampler's failure is planted, nothing is allocated)."""
@@ -1617,6 +1697,27 @@ class TestCli:
         )
         assert main(["oracle", str(path), "--oracle-n", "3"]) == 0
         assert "oracle cross-check passed" in capsys.readouterr().out
+
+    def test_oracle_skips_impossible_outputs(self, tmp_path, capsys, monkeypatch):
+        """A channel that always emits 0 gives every other output sequence
+        probability zero; the check runs the one possible sequence only."""
+        stacks = []
+        stacked = rates.stacked_forward_logs
+
+        def counting(recs):
+            stacks.append(len(recs))
+            return stacked(recs)
+
+        monkeypatch.setattr(rates, "stacked_forward_logs", counting)
+        path = write_config(
+            tmp_path,
+            channel={"kind": "custom_fsmc", "kernel": [[[[1.0, 0.0]], [[1.0, 0.0]]]],
+                     "initial": [1.0]},
+            sweep={"parameter": "n", "values": [100]},
+        )
+        assert main(["oracle", str(path), "--oracle-n", "2"]) == 0
+        assert "oracle cross-check passed" in capsys.readouterr().out
+        assert stacks == [5]  # y = 00: p(y) and the four input pairs
 
     def test_oracle_fails_on_a_perturbed_recursion(self, tmp_path, capsys, monkeypatch):
         """Logs 1e-6 off per step put log p(y) beyond ORACLE_CHECK_TOL."""
