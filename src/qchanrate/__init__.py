@@ -4,7 +4,6 @@ finite-state baseline and mismatched-decoding lower bounds."""
 
 from .bounds import (
     AuxiliaryModel,
-    LowerBoundEstimate,
     lower_bound,
     make_auxiliary,
     smooth_classical_fsmc,

@@ -2,13 +2,14 @@
 
 A decoder that runs an auxiliary (approximate) channel model instead of
 the true one still achieves the rate obtained by evaluating the
-auxiliary likelihoods on data sampled from the *true* channel:
+auxiliary likelihoods on data sampled from the *true* channel: the
+``ir`` of the auxiliary's ``RateEstimate``,
 
-    ir_lower = hx + aux_hy - aux_hxy
+    ir = hx + hy - hxy
 
 where hx is the true input entropy rate (the input law is shared) and
-aux_hy / aux_hxy come from the forward recursions run on the auxiliary
-model with the true-channel trajectory.  When the auxiliary equals the
+hy / hxy come from the forward recursions run on the auxiliary model
+with the true-channel trajectory.  When the auxiliary equals the
 true model this reproduces the plain information-rate estimate exactly,
 per sequence, which pins the combination formula.
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .channels import ClassicalFsmc, InputLaw, TransferOperatorSet
 from .errors import AuxiliaryLikelihoodError, ImpossibleObservationError, QchanrateError
-from .rates import RateRow, estimate_rows, input_log_loss
+from .rates import RateEstimate, trajectory_estimate
 from .sampling import Trajectory
 
 KERNEL_FLOOR = 1e-12
@@ -63,18 +64,6 @@ def make_auxiliary(model, label: str) -> AuxiliaryModel:
     return AuxiliaryModel(model, label, smoothed=False)
 
 
-@dataclass(frozen=True)
-class LowerBoundEstimate:
-    """Mismatched-decoding achievable-rate estimate (bits per use)."""
-
-    n: int
-    seed: int
-    hx: float
-    aux_hy: float
-    aux_hxy: float
-    ir_lower: float
-
-
 def auxiliary_error(label: str, exc: QchanrateError) -> QchanrateError:
     """The error a failed recursion of auxiliary ``label`` reports: a
     zero-likelihood observation names the auxiliary and the remedy."""
@@ -87,14 +76,12 @@ def auxiliary_error(label: str, exc: QchanrateError) -> QchanrateError:
     )
 
 
-def lower_bound(traj: Trajectory, aux: AuxiliaryModel, q: InputLaw) -> LowerBoundEstimate:
-    """Evaluate an auxiliary decoding metric on a true-channel trajectory;
-    the law is checked first (``InputLaw.check_fits``), its error unmapped."""
-    q.check_fits(aux.model)
-    hx_sum = float(input_log_loss(q, traj.x).sum())
-    (r,) = estimate_rows([RateRow(aux.model, q, traj.y, hx_sum, traj.x)])
+def lower_bound(traj: Trajectory, aux: AuxiliaryModel, q: InputLaw) -> RateEstimate:
+    """Evaluate an auxiliary decoding metric on a true-channel trajectory:
+    the auxiliary's ``RateEstimate``, whose ``ir`` is the bound.  A failed
+    recursion raises through ``auxiliary_error``; the law and the inputs
+    raise their errors unmapped (``trajectory_estimate``)."""
+    r = trajectory_estimate(aux.model, q, traj)
     if isinstance(r, QchanrateError):
         raise auxiliary_error(aux.label, r)
-    return LowerBoundEstimate(
-        n=traj.n, seed=traj.seed, hx=r.hx, aux_hy=r.hy, aux_hxy=r.hxy, ir_lower=r.ir
-    )
+    return r

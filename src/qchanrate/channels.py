@@ -40,6 +40,7 @@ from .errors import ModelValidationError, OperatorError, QchanrateError, Sequenc
 from .linalg import (
     EPS_TRACE,
     EPS_UNITARY,
+    CheckResult,
     as_operator,
     expm_skew_hermitian,
     is_psd,
@@ -469,14 +470,6 @@ def _compile_stack(chs: Sequence[QuantumMemoryChannel]) -> list:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    witness: float
-    detail: str = ""
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     model_kind: str
     checks: tuple[CheckResult, ...]
@@ -515,7 +508,7 @@ def _density_checks(rhos: np.ndarray, names: Sequence[str]) -> list[list[CheckRe
     devs = np.hypot(traces.real - 1.0, traces.imag).tolist()
     return [
         [
-            CheckResult(f"{name} positive semidefinite", check.ok, check.witness, check.reason),
+            CheckResult(f"{name} positive semidefinite", check.passed, check.witness, check.detail),
             CheckResult(f"{name} unit trace", dev <= EPS_TRACE, dev),
         ]
         for name, check, dev in zip(names, is_psd(rhos), devs)
@@ -574,16 +567,16 @@ def _operator_reports(sets: Sequence[TransferOperatorSet]) -> list[ValidationRep
     reports = []
     for p, row in enumerate(resids.tolist()):
         checks = psd[p * pairs:(p + 1) * pairs]
-        pick = next((i for i, c in enumerate(checks) if not c.ok), None)
+        pick = next((i for i, c in enumerate(checks) if not c.passed), None)
         if pick is None:
             pick = min(range(pairs), key=lambda i: checks[i].witness)
         x, y = divmod(pick, first.y_size)
         worst = row.index(max(row))
         operators = CheckResult(
             "transfer operators positive semidefinite",
-            checks[pick].ok,
+            checks[pick].passed,
             checks[pick].witness,
-            f"input {x}, output {y}: {checks[pick].reason}",
+            f"input {x}, output {y}: {checks[pick].detail}",
         )
         consistency = CheckResult(
             "transfer trace consistency",

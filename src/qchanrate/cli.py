@@ -18,7 +18,8 @@ given: the same run writes the same CSV and SVG bytes under any
 --threads, and the CSV's wallclock_seconds column is always 0.0.
 
 Exit codes: 0 success, 2 configuration/validation failure or a
-malformed trajectory file, 3 runtime failure, running out of memory
+malformed trajectory file (a symbol outside the channel's alphabets
+included), 3 runtime failure, running out of memory
 included.  Failures print one line
 ``error[<category>]: <message>``.  Every verb checks its output paths
 before it samples or computes.
@@ -140,6 +141,13 @@ def cmd_bound(args) -> int:
             raise ConfigError(
                 "--trajectory", f"cannot read {args.trajectory}: {exc.strerror}"
             ) from None
+        x_size, y_size = cfg.model.x_size, cfg.model.y_size
+        bad = (traj.x >= x_size) | (traj.y >= y_size)
+        if bad.any():
+            t = int(np.argmax(bad))
+            raise ConfigError("--trajectory", f"step {t} holds input {traj.x[t]}, output "
+                              f"{traj.y[t]}, outside the channel's {x_size} inputs and "
+                              f"{y_size} outputs")
         csv_path = _out_dir(args) / cfg.csv_name
         errors_path = errors_file(csv_path)
         check_writable(csv_path, errors_path)

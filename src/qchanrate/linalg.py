@@ -150,30 +150,30 @@ def _scale(a: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class PsdCheck:
-    """Outcome of a positive-semidefiniteness test with a numeric witness.
+class CheckResult:
+    """Outcome of one checked condition with a numeric witness; true
+    exactly when the condition passed."""
 
-    On failure ``witness`` is either the Hermiticity residue or the most
-    negative eigenvalue, as indicated by ``reason``.
-    """
-
-    ok: bool
+    name: str
+    passed: bool
     witness: float
-    reason: str
+    detail: str = ""
 
     def __bool__(self) -> bool:
-        return self.ok
+        return self.passed
 
 
-def _psd_check(scale: float, res: float, lo: float) -> PsdCheck:
+def _psd_check(scale: float, res: float, lo: float) -> CheckResult:
+    """On failure the witness is either the Hermiticity residue or the
+    most negative eigenvalue, as the detail says."""
     if res > EPS_HERMITIAN * scale:
-        return PsdCheck(False, res, "not Hermitian")
+        return CheckResult("positive semidefinite", False, res, "not Hermitian")
     if lo < -EPS_PSD * scale:
-        return PsdCheck(False, lo, "negative eigenvalue")
-    return PsdCheck(True, lo, "ok")
+        return CheckResult("positive semidefinite", False, lo, "negative eigenvalue")
+    return CheckResult("positive semidefinite", True, lo, "ok")
 
 
-def is_psd(a) -> PsdCheck | list[PsdCheck]:
+def is_psd(a) -> CheckResult | list[CheckResult]:
     """Test Hermiticity plus nonnegative spectrum (within tolerances).
 
     Given a stack of matrices (..., D, D), returns each matrix's own

@@ -243,9 +243,12 @@ class RateEstimate:
 
 
 def _check_symbols(seq: np.ndarray, size: int, name: str) -> np.ndarray:
-    arr = np.asarray(seq, dtype=np.int64)
+    arr = np.asarray(seq)
     if arr.ndim != 1 or arr.size < 1:
         raise SequenceError(f"{name} must be a nonempty 1-D sequence")
+    if arr.dtype.kind not in "iu":
+        raise SequenceError(f"{name} must hold integers, got dtype {arr.dtype}")
+    arr = arr.astype(np.int64, copy=False)
     if arr.min() < 0 or arr.max() >= size:
         raise SequenceError(f"{name} contains symbols outside [0, {size})")
     return arr
@@ -914,17 +917,22 @@ def estimate_rows(rows: Sequence[RateRow]) -> list:
     return out
 
 
-def entropy_rate_estimates(model, q: InputLaw, traj: Trajectory) -> RateEstimate:
-    """Estimate the entropy rates and information rate from one trajectory,
-    averaged over all its steps.
-
-    Both entropy rates of the model come from its recursions
-    (``estimate_rows``), the sampler's logs unused; the law is checked
-    first (``InputLaw.check_fits``).
-    """
+def trajectory_estimate(model, q: InputLaw, traj: Trajectory) -> RateEstimate | QchanrateError:
+    """``estimate_rows``' one result on the whole of ``traj``, from the
+    model's own recursions (the sampler's logs unused): the row's
+    ``RateEstimate`` or the error that stopped it.  The law and the inputs
+    are checked first (``InputLaw.check_fits``, ``input_log_loss``) and
+    raise their errors."""
     q.check_fits(model)
     hx_sum = float(input_log_loss(q, traj.x).sum())
     (r,) = estimate_rows([RateRow(model, q, traj.y, hx_sum, traj.x)])
+    return r
+
+
+def entropy_rate_estimates(model, q: InputLaw, traj: Trajectory) -> RateEstimate:
+    """Estimate the entropy rates and information rate from one trajectory,
+    averaged over all its steps (``trajectory_estimate``)."""
+    r = trajectory_estimate(model, q, traj)
     if isinstance(r, QchanrateError):
         raise r
     return r

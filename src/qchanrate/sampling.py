@@ -153,10 +153,12 @@ class Trajectory:
     conditional_log_loss: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.int64)
-        y = np.asarray(self.y, dtype=np.int64)
+        x, y = np.asarray(self.x), np.asarray(self.y)
         if x.ndim != 1 or y.shape != x.shape or x.size < 1:
             raise ValueError("x and y must be equal-length nonempty 1-D sequences")
+        if x.dtype.kind not in "iu" or y.dtype.kind not in "iu":
+            raise ValueError("symbols must be integers")
+        x, y = x.astype(np.int64, copy=False), y.astype(np.int64, copy=False)
         if x.min() < 0 or y.min() < 0:
             raise ValueError("symbols must be nonnegative integers")
         object.__setattr__(self, "x", x)

@@ -17,22 +17,18 @@ class TestSelfConsistency:
         traj = qc.sample_trajectory(classical_ge, uniform, 2000, seed=50)
         r = qc.entropy_rate_estimates(classical_ge, uniform, traj)
         aux = AuxiliaryModel(classical_ge, "true model")
-        b = lower_bound(traj, aux, uniform)
-        assert abs(b.ir_lower - r.ir) <= 1e-10
-        assert abs(b.aux_hy - r.hy) <= 1e-10 and abs(b.aux_hxy - r.hxy) <= 1e-10
+        assert lower_bound(traj, aux, uniform) == r
 
     def test_quantum_auxiliary_equals_true_model(self, quantum_ge, uniform):
         traj = qc.sample_trajectory(quantum_ge, uniform, 2000, seed=51)
         r = qc.entropy_rate_estimates(quantum_ge, uniform, traj)
-        b = lower_bound(traj, AuxiliaryModel(quantum_ge, "true model"), uniform)
-        assert abs(b.ir_lower - r.ir) <= 1e-10
+        assert lower_bound(traj, AuxiliaryModel(quantum_ge, "true model"), uniform) == r
 
     def test_embedded_true_model(self, classical_ge, uniform):
         embedded = models.embed_classical_as_quantum(classical_ge)
         traj = qc.sample_trajectory(embedded, uniform, 2000, seed=52)
         r = qc.entropy_rate_estimates(embedded, uniform, traj)
-        b = lower_bound(traj, AuxiliaryModel(embedded, "embedded true"), uniform)
-        assert abs(b.ir_lower - r.ir) <= 1e-10
+        assert lower_bound(traj, AuxiliaryModel(embedded, "embedded true"), uniform) == r
 
 
 class TestMismatchedMetrics:
@@ -42,13 +38,13 @@ class TestMismatchedMetrics:
         traj = qc.sample_trajectory(true, uniform, 100000, seed=53)
         aux = make_auxiliary(qc.build_bsc(p), "matched bsc")
         b = lower_bound(traj, aux, uniform)
-        assert abs(b.ir_lower - (1.0 - binary_entropy(p))) <= 0.01
+        assert abs(b.ir - (1.0 - binary_entropy(p))) <= 0.01
 
     def test_uninformative_metric_gives_zero(self, quantum_ge, uniform):
         traj = qc.sample_trajectory(quantum_ge, uniform, 5000, seed=54)
         aux = make_auxiliary(qc.build_bsc(0.5), "bsc 0.5")
         b = lower_bound(traj, aux, uniform)
-        assert abs(b.ir_lower) <= 1e-10
+        assert abs(b.ir) <= 1e-10
 
     def test_zero_likelihood_advises_smoothing(self, quantum_ge, uniform):
         traj = qc.sample_trajectory(quantum_ge, uniform, 500, seed=55)
@@ -57,7 +53,7 @@ class TestMismatchedMetrics:
             lower_bound(traj, raw, uniform)
         smoothed = make_auxiliary(qc.build_bsc(0.0), "noiseless")
         assert smoothed.smoothed
-        assert np.isfinite(lower_bound(traj, smoothed, uniform).ir_lower)
+        assert np.isfinite(lower_bound(traj, smoothed, uniform).ir)
 
     def test_smoothing_keeps_kernel_normalized(self, classical_ge):
         smoothed = qc.smooth_classical_fsmc(classical_ge)
@@ -80,7 +76,7 @@ class TestMismatchedMetrics:
         best_mean = -np.inf
         for p_b in (0.5, 0.75, 0.95):
             aux = family(p_b)
-            mean = np.mean([lower_bound(t, aux, uniform).ir_lower for t in trajs])
+            mean = np.mean([lower_bound(t, aux, uniform).ir for t in trajs])
             best_mean = max(best_mean, mean)
         assert best_mean <= np.mean(irs) + 0.01
 

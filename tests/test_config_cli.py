@@ -532,7 +532,7 @@ class TestRunner:
                     b = lower_bound(traj, spec, q)
                     row = got[(n, f"aux_lower:{spec.label}", seed)]
                     assert (row.ir_bits, row.hx_bits, row.hy_bits, row.hxy_bits) == (
-                        b.ir_lower, b.hx, b.aux_hy, b.aux_hxy
+                        b.ir, b.hx, b.hy, b.hxy
                     )
         rows, errors = runner.evaluate_samples(cfg, samples)
         tasks_csv = tmp_path / "tasks.csv"
@@ -819,7 +819,7 @@ class TestRunner:
         b = lower_bound(traj, cfg.auxiliaries[0], cfg.input_law)
         (row,) = out.rows
         assert (row.estimator_id, row.ir_bits, row.hx_bits, row.hy_bits, row.hxy_bits) == (
-            "aux_lower:flat", b.ir_lower, b.hx, b.aux_hy, b.aux_hxy
+            "aux_lower:flat", b.ir, b.hx, b.hy, b.hxy
         )
 
     def test_planted_failures_stay_in_their_point(self, tmp_path, monkeypatch):
@@ -1232,10 +1232,11 @@ class TestCli:
     def test_clean_bound_trajectory_removes_stale_errors_file(self, tmp_path, capsys):
         cfg_path = write_config(
             tmp_path, estimators=["aux_lower"], auxiliaries=[{"kind": "bsc", "label": "a", "p": 0.2}],
+            input_law=[1.0, 0.0],
         )
         errors_path = tmp_path / "results.errors.csv"
         bad, good = tmp_path / "bad.txt", tmp_path / "good.txt"
-        bad.write_text("n=2 seed=1 gen=x\n0 1\n0 5\n")
+        bad.write_text("n=2 seed=1 gen=x\n0 1\n1 1\n")
         good.write_text("n=2 seed=1 gen=x\n0 1\n0 1\n")
         argv = ["bound", str(cfg_path), "--out-dir", str(tmp_path), "--trajectory"]
         assert main([*argv, str(bad)]) == 3
@@ -1373,7 +1374,7 @@ class TestCli:
                     "external", "0.0", "4", "300"
                 )
                 assert [float(row[k]) for k in ("ir_bits", "hx_bits", "hy_bits", "hxy_bits")] == [
-                    b.ir_lower, b.hx, b.aux_hy, b.aux_hxy
+                    b.ir, b.hx, b.hy, b.hxy
                 ]
 
     def test_timings_flag_is_a_usage_error(self, tmp_path, capsys):
@@ -1456,25 +1457,26 @@ class TestCli:
             assert f"error[TrajectoryFormatError]: {prefix}" in capsys.readouterr().err
 
     def test_bound_rejects_out_of_alphabet_trajectory(self, tmp_path, capsys):
-        cfg_path = write_config(
-            tmp_path,
-            estimators=["aux_lower"],
-            auxiliaries=[{"kind": "bsc", "label": "a", "p": 0.2}],
-        )
-        bad = tmp_path / "bad.txt"
-        bad.write_text("n=2 seed=1 gen=x\n0 1\n0 5\n")
-        assert main(
-            ["bound", str(cfg_path), "--trajectory", str(bad), "--out-dir", str(tmp_path)]
-        ) == 3
-        captured = capsys.readouterr()
-        assert "aux_lower:a failed [SequenceError]" in captured.out
-        assert "error[QchanrateError]" in captured.err
-        # the failure is also recorded next to the header-only results file
-        with open(tmp_path / "results.errors.csv", encoding="utf-8") as fh:
-            header, *rows = fh.read().splitlines()
-        assert header == ",".join(runner.ERROR_COLUMNS)
-        assert len(rows) == 1
-        assert rows[0].startswith("external,0.0,aux_lower:a,1,SequenceError,")
+        """A symbol the channel cannot emit or take is bad input: exit 2,
+        naming the first step that holds one, before any file is written,
+        so a results CSV already at the path keeps its bytes."""
+        cfg_path = next(p for p in SHIPPED_CONFIGS if p.stem == "burst_noise_sweep")
+        traj_path = tmp_path / "traj.txt"
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        old = out_dir / "burst_noise_sweep.csv"
+        old.write_bytes(b"earlier results\n")
+        argv = ["bound", str(cfg_path), "--trajectory", str(traj_path), "--out-dir", str(out_dir)]
+        for body, pair in [("0 1\n2 0\n1 5\n", "input 2, output 0"),
+                           ("0 1\n0 5\n0 0\n", "input 0, output 5")]:
+            traj_path.write_text(f"n=3 seed=1 gen=x\n{body}")
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", (
+                f"error[ConfigError]: --trajectory: step 1 holds {pair}, "
+                "outside the channel's 2 inputs and 2 outputs\n"
+            ))
+            assert old.read_bytes() == b"earlier results\n"
+            assert sorted(p.name for p in out_dir.iterdir()) == ["burst_noise_sweep.csv"]
 
     @pytest.mark.parametrize(
         "case",

@@ -60,12 +60,12 @@ class TestExpm:
 class TestIsPsd:
     def test_projector(self):
         check = la.is_psd(np.diag([1.0, 0.0]))
-        assert check and check.reason == "ok"
+        assert check and check.detail == "ok"
 
     def test_indefinite(self):
         check = la.is_psd(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert not check
-        assert check.reason == "negative eigenvalue"
+        assert check.detail == "negative eigenvalue"
         assert abs(check.witness + 1.0) < 1e-12
 
     def test_gram_matrices(self):
@@ -78,13 +78,13 @@ class TestIsPsd:
 
     def test_non_hermitian_witness(self):
         check = la.is_psd(np.array([[1.0, 0.5], [0.0, 1.0]]))
-        assert not check and check.reason == "not Hermitian"
+        assert not check and check.detail == "not Hermitian"
         assert abs(check.witness - 0.5) < 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_stack_gives_each_matrix_its_own_check(self, n):
-        """Checked as one stack, every matrix gets the (ok, witness,
-        reason) it gets alone, bit for bit: p.s.d. ones, ones with a
+        """Checked as one stack, every matrix gets the (passed, witness,
+        detail) it gets alone, bit for bit: p.s.d. ones, ones with a
         negative eigenvalue and ones that are not Hermitian."""
         rng = np.random.default_rng(40 + n)
         mats = []
@@ -94,9 +94,12 @@ class TestIsPsd:
         stack = np.stack(mats)
         got = la.is_psd(stack)
         assert got == [la.is_psd(a) for a in stack]
-        assert {c.reason for c in got} >= ({"ok", "not Hermitian"} if n == 1 else
+        assert {c.detail for c in got} >= ({"ok", "not Hermitian"} if n == 1 else
                                            {"ok", "negative eigenvalue", "not Hermitian"})
         assert la.is_psd(stack.reshape(2, -1, n, n)) == got
+        assert {type(c) for c in got} == {la.CheckResult}
+        assert {c.name for c in got} == {"positive semidefinite"}
+        assert [bool(c) for c in got] == [c.passed for c in got]
 
     def test_stack_with_a_non_finite_entry_raises(self):
         stack = np.stack([np.eye(2), np.diag([1.0, np.inf]), np.eye(2)])

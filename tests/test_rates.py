@@ -1075,6 +1075,20 @@ class TestSequenceChecks:
         with pytest.raises(SequenceError, match=r"^output sequence must be a nonempty 1-D sequence$"):
             rates.recursion(model, uniform, ys)
 
+    @pytest.mark.parametrize(
+        "kind, seq", [("float64", YS + 0.5), ("bool", YS.astype(bool))], ids=["float", "bool"]
+    )
+    def test_symbols_must_be_integers(self, model, uniform, kind, seq):
+        """A float or boolean sequence is rejected, not truncated or read
+        as 0 and 1, as outputs, as inputs and by ``input_log_loss``."""
+        message = f"^{{}} sequence must hold integers, got dtype {kind}$"
+        with pytest.raises(SequenceError, match=message.format("output")):
+            rates.recursion(model, uniform, seq)
+        with pytest.raises(SequenceError, match=message.format("input")):
+            rates.recursion(model, uniform, self.YS, seq)
+        with pytest.raises(SequenceError, match=message.format("input")):
+            rates.input_log_loss(uniform, seq)
+
     def test_input_and_output_lengths_must_agree(self, model, uniform):
         with pytest.raises(SequenceError, match=r"^input and output sequences differ in length$"):
             rates.recursion(model, uniform, self.YS, self.XS[:3])

@@ -100,6 +100,18 @@ class TestInputGuards:
         with pytest.raises(ValueError, match=f"^{message}$"):
             qc.Trajectory(np.array(x, dtype=np.int64), np.array(y, dtype=np.int64), seed=0)
 
+    @pytest.mark.parametrize(
+        "x, y",
+        [([0.7, 1.2, 1.9], [0, 0, 1]), ([0, 1, 1], [0.1, 0.9, 1.99]),
+         ([True, False, True], [0, 0, 1]), ([0, 1, 1], np.array([1, 0, 1], dtype=bool))],
+        ids=["float-input", "float-output", "bool-input", "bool-output"],
+    )
+    def test_trajectory_symbols_must_be_integers(self, x, y):
+        """Symbols are not truncated or read as 0 and 1: a float or
+        boolean sequence is rejected."""
+        with pytest.raises(ValueError, match="^symbols must be integers$"):
+            qc.Trajectory(x, y, seed=0)
+
     @pytest.mark.parametrize("n", [0, -3])
     def test_sample_input_length(self, n, uniform):
         with pytest.raises(ValueError, match="^n must be >= 1$"):
